@@ -86,6 +86,16 @@ class RecurrenceCoeffs:
                 f"inconsistent prefix lengths: len(c)={len(self.c)}, "
                 f"len(lam)={len(self.lam)} (expected len(c)-1)"
             )
+        for name, attr, first in (("c", "c", 1), ("lambda", "lam", 2)):
+            values = getattr(self, attr)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                k = int(bad[0])
+                raise ConfigurationError(
+                    f"{name}_{k + first} ({attr}[{k}]) = {values[k]} is not finite"
+                )
+        if not np.isfinite(self.s0):
+            raise ConfigurationError(f"s0 = {self.s0} is not finite")
         if np.any(self.lam == 0):
             k = int(np.flatnonzero(self.lam == 0)[0])
             raise QuasiDefinitenessError(f"lambda_{k + 2} = 0: functional is not quasi-definite")

@@ -1,18 +1,30 @@
 """Christoffel and Geronimus transformations of coefficient prefixes.
 
 Christoffel at kappa maps the functional L to L*[p] = L[(z-kappa)p]; its
-coefficients follow from consecutive ratios P_n(kappa)/P_{n-1}(kappa), which
-a forward ratio recurrence computes stably (the P-solution is dominant off
-the real axis).
+coefficients follow from the ratios w_n = P_n(kappa)/P_{n-1}(kappa).
+Geronimus at (kappa, s0star) inverts it, driven by the ratios of
+R_n = P_n + Q_n/s0star.  Both come from one kernel, ``_ratio_run``, which
+carries the ratios *and* their differences e_n = w_n - w_{n-1} through a
+recurrence with exact inputs (the differential-qd idea of Fernando and
+Parlett), so the tiny differences that make up the new diagonal keep their
+relative accuracy instead of being cancelled out of two O(1) ratios.
 
-Geronimus at (kappa, s0star) inverts it.  Its coefficients are driven by the
-ratios of R_n = P_n + Q_n/s0star, and when s0star sits at (or near) the
-Cauchy transform of the measure, R_n is the *minimal* solution of the
-recurrence: forward double-precision iteration then loses the true ratios at
-a geometric rate.  All R-ratio runs therefore happen in mpmath with a
-precision budget sized to the requested prefix length, and Cauchy-transform
-values are produced by a continued fraction evaluated in the same precision
-(quadrature is kept as an independent cross-check).
+Which precision runs:
+
+* ``christoffel`` always runs in double: P is the dominant solution off the
+  real axis, so the forward ratio map contracts rounding errors.
+* ``geronimus`` measures eta = |1 - S/s0star|, with S the continued-fraction
+  Cauchy value of the prefix at kappa.  R_n carries weight ~eta on the
+  dominant solution, so forward iteration amplifies rounding errors by at
+  most ~1/eta.  For eta >= 1e-2 the kernel runs in double; below it the same
+  kernel runs in mpmath at 30 + log10(1/eta) digits, eta being resolved at a
+  precision that can see it and the digits capped by ``_auto_dps``.
+* ``GeronimusChain`` (``geronimus_cauchy``, conjugate-pair chains) steps at
+  the exact Cauchy value, where R_n is the minimal solution itself, so it
+  keeps a precision budget sized to the prefix length.
+
+``cauchy_s0star`` returns the continued fraction evaluated in double
+(backward evaluation is stable), cross-checked against quadrature.
 """
 from __future__ import annotations
 
@@ -101,6 +113,61 @@ class TransformedCoeffs:
 
 
 # ---------------------------------------------------------------------------
+# Ratio-and-difference kernel shared by both transforms
+# ---------------------------------------------------------------------------
+
+def _ratio_run(c, lam, kappa, offset, count: int, what: str):
+    """Ratios w[k] = y_{k+1}(kappa)/y_k(kappa) and differences e[k] = w[k] - w[k-1].
+
+    y solves the monic recurrence with y_0 = 1, y_1 = kappa - c[0] + offset
+    (offset 0 gives P, offset s0/s0star gives R), so w[0] = kappa - c[0] +
+    offset and
+
+        w[k] = kappa - c[k] - lam[k-1]/w[k-1]                 (k >= 1)
+        e[k] = (c[k-1] - c[k]) + (lam[k-2] - lam[k-1])/w[k-1]
+               + lam[k-2] e[k-1] / (w[k-2] w[k-1])            (k >= 2)
+
+    with e[1] = (c[0] - c[1]) - offset - lam[0]/w[0].
+
+    Every input of the e-recurrence is exact, so e[k] keeps its relative
+    accuracy however small it is.  e[0] is 0 by convention.  The same code
+    runs on Python complex and on mpmath mpc (in the caller's working
+    precision).
+
+    Raises ExistenceError(what, n) when y_n(kappa) cancels to within
+    _BREAKDOWN_RTOL of the terms that make it up (n = k + 1).
+    """
+    term1 = kappa - c[0]
+    w = term1 + offset
+    # Without an offset the cancellation at n = 1 is kappa against c_1.
+    scale = max(abs(term1), abs(offset)) if offset else max(abs(kappa), abs(c[0]), 1)
+    if abs(w) < _BREAKDOWN_RTOL * scale:
+        raise ExistenceError(what, 1)
+    ws, es = [w], [0 * w]
+    inv_prev = e = None
+    for k in range(1, count):
+        inv = 1 / w  # one division per step: it dominates the mpc cost
+        term1 = kappa - c[k]
+        term2 = lam[k - 1] * inv
+        w = term1 - term2
+        scale = max(abs(term1), abs(term2))
+        if abs(w) < _BREAKDOWN_RTOL * scale or scale == 0:
+            raise ExistenceError(what, k + 1)
+        if k == 1:
+            e = (c[0] - c[1]) - offset - term2
+        else:
+            e = (
+                (c[k - 1] - c[k])
+                + (lam[k - 2] - lam[k - 1]) * inv
+                + lam[k - 2] * e * inv_prev * inv
+            )
+        inv_prev = inv
+        ws.append(w)
+        es.append(e)
+    return ws, es
+
+
+# ---------------------------------------------------------------------------
 # Christoffel transformation (double precision; ratios of the dominant P)
 # ---------------------------------------------------------------------------
 
@@ -131,41 +198,18 @@ def christoffel(
     if m.n_max < 4:
         raise PrefixError("christoffel needs a prefix of length >= 4")
     kappa = site.kappa
-    # The ratio run happens in extended precision: c*_{n+1} subtracts two
-    # consecutive ratios whose difference decays geometrically, so double
-    # arithmetic would floor the small entries at ~1e-16 absolute.
-    dps = _auto_dps(m.c, m.lam, 1.0, kappa, m.n_max)
     out_len = m.n_max - 2
-    with mp.workdps(dps):
-        kap = mp.mpc(kappa)
-        c_mp = [mp.mpc(z) for z in m.c]
-        lam_mp = [mp.mpc(z) for z in m.lam]
-        first = kap - c_mp[0]
-        if abs(first) < _BREAKDOWN_RTOL * max(abs(kap), abs(c_mp[0]), 1):
-            raise ExistenceError(
-                f"kernel polynomials do not exist at kappa={kappa}", 1
-            )
-        rho = [first]
-        for n in range(2, m.n_max + 1):
-            term1 = kap - c_mp[n - 1]
-            term2 = lam_mp[n - 2] / rho[-1]
-            nxt = term1 - term2
-            if abs(nxt) < _BREAKDOWN_RTOL * max(abs(term1), abs(term2)):
-                raise ExistenceError(
-                    f"kernel polynomials do not exist at kappa={kappa}", n
-                )
-            rho.append(nxt)
-        c_out = [
-            complex(c_mp[k + 1] - rho[k] + rho[k + 1]) for k in range(out_len)
-        ]
-        lam_out = [
-            complex(lam_mp[k] * rho[k + 1] / rho[k]) for k in range(out_len - 1)
-        ]
-        rho_d = np.array([complex(r) for r in rho])
+    w, e = _ratio_run(
+        m.c.tolist(), m.lam.tolist(), kappa, 0j, m.n_max,
+        f"kernel polynomials do not exist at kappa={kappa}",
+    )
+    rho = np.array(w)
+    c_out = m.c[1 : out_len + 1] + np.array(e[1 : out_len + 1])
+    lam_out = m.lam[: out_len - 1] * rho[1:out_len] / rho[: out_len - 1]
     s0_out = (m.c[0] - kappa) * m.s0
     coeffs = RecurrenceCoeffs(c=c_out, lam=lam_out, s0=s0_out)
     return TransformedCoeffs(
-        base=m, sites=(site,), kinds=("christoffel",), coeffs=coeffs, ratio_seq=rho_d
+        base=m, sites=(site,), kinds=("christoffel",), coeffs=coeffs, ratio_seq=rho
     )
 
 
@@ -266,8 +310,19 @@ def christoffel_two(
 
 
 # ---------------------------------------------------------------------------
-# Geronimus transformation (mpmath-backed R-ratio runs)
+# Geronimus transformation (R-ratio runs: double, or mpmath near the minimal
+# solution)
 # ---------------------------------------------------------------------------
+
+_NO_GERONIMUS = "Geronimus transform does not exist for this (kappa, s0star)"
+# eta = |1 - S/s0star| at or above this runs the R-ratio kernel in double:
+# rounding errors then grow by at most ~1/eta = 100.
+_DOUBLE_ETA = 1e-2
+# Digits kept beyond log10(1/eta) by the extended-precision R-ratio run, and
+# the first precision at which eta is resolved.
+_GUARD_DIGITS = 30
+_ETA_DPS = 40
+
 
 def _auto_dps(c, lam, s0_over_s0star_mag: float, kappa: complex, length: int) -> int:
     """Precision budget: 1 digit per step per decade of worst-case error growth.
@@ -288,48 +343,44 @@ def _tail_seed(c_tail, lam_tail, z):
     """Smaller-modulus root of t^2 - (c-z) t + lambda: the continued-fraction
     tail value of a constant-coefficient Jacobi matrix."""
     half = (c_tail - z) / 2
-    disc = mp.sqrt(half * half - lam_tail)
+    disc = (half * half - lam_tail) ** 0.5
     t_plus, t_minus = half + disc, half - disc
     return t_plus if abs(t_plus) < abs(t_minus) else t_minus
 
 
-def _cf_m_function(c_mp, lam_mp, z):
+def _cf_m_function(c, lam, z):
     """m(J; z) = ((J - z)^{-1} e_0, e_0) via the Jacobi continued fraction.
 
     Uses the full stored depth and seeds the tail with the asymptotic value
-    from the last stored coefficients (exact for constant tails).
+    from the last stored coefficients (exact for constant tails).  Runs on
+    Python complex or on mpmath mpc, like ``_ratio_run``.
     """
-    depth = len(c_mp)
-    t = _tail_seed(c_mp[-1], lam_mp[-1], z)
+    depth = len(c)
+    t = _tail_seed(c[-1], lam[-1], z)
     for j in range(depth, 1, -1):  # t_j = lambda_j / (c_j - z - t_{j+1})
-        t = lam_mp[j - 2] / (c_mp[j - 1] - z - t)
-    return 1 / (c_mp[0] - z - t)
+        t = lam[j - 2] / (c[j - 1] - z - t)
+    return 1 / (c[0] - z - t)
 
 
-def _w_run(c_mp, lam_mp, s0_mp, kappa_mp, s0star_mp, count):
-    """w_n = R_n(kappa)/R_{n-1}(kappa) for n = 1..count, in current precision.
+def _geronimus_step(c, lam, s0, kappa, s0star):
+    """One Geronimus step on coefficient lists: (c, lam, w) of the result,
+    w[k] = R_{k+1}(kappa)/R_k(kappa), in the number type of the inputs.
 
-    Raises ExistenceError on a cancellation collapse (R_n(kappa) ~ 0).
+    c^{-*}_1 = kappa + s_0/s0star, c^{-*}_{k+1} = c_{k+1} + e[k],
+    lambda^{-*}_2 = -w[0] s_0/s0star, lambda^{-*}_{k+2} = lambda_{k+1} w[k]/w[k-1].
     """
-    term1 = kappa_mp - c_mp[0]
-    term2 = s0_mp / s0star_mp
-    w = term1 + term2
-    if abs(w) < _BREAKDOWN_RTOL * max(abs(term1), abs(term2)):
-        raise ExistenceError(
-            "Geronimus transform does not exist for this (kappa, s0star)", 1
-        )
-    ws = [w]
-    for n in range(2, count + 1):
-        term1 = kappa_mp - c_mp[n - 1]
-        term2 = lam_mp[n - 2] / w
-        w = term1 - term2
-        scale = max(abs(term1), abs(term2))
-        if abs(w) < _BREAKDOWN_RTOL * scale or scale == 0:
-            raise ExistenceError(
-                "Geronimus transform does not exist for this (kappa, s0star)", n
-            )
-        ws.append(w)
-    return ws
+    offset = s0 / s0star
+    out_len = len(c) - 2
+    w, e = _ratio_run(c, lam, kappa, offset, out_len + 1, _NO_GERONIMUS)
+    c_new = [kappa + offset] + [c[k] + e[k] for k in range(1, out_len)]
+    lam_new = [-w[0] * offset]
+    lam_new += [lam[k - 1] * w[k] / w[k - 1] for k in range(1, out_len - 1)]
+    return c_new, lam_new, w
+
+
+def _a_seq(w) -> np.ndarray:
+    """A_n = -R_n(kappa)/R_{n-1}(kappa), with A_0 = 0."""
+    return np.concatenate(([0.0 + 0.0j], [-complex(x) for x in w]))
 
 
 class GeronimusChain:
@@ -337,7 +388,8 @@ class GeronimusChain:
 
     Keeps the current prefix as mpmath numbers so that step k+1 sees step k's
     coefficients (and Cauchy-transform normalizations) at full working
-    precision; exports IEEE doubles on demand.
+    precision; exports IEEE doubles on demand.  Steps taken at the Cauchy
+    value follow the minimal solution, hence the budget sized to the length.
     """
 
     def __init__(self, m: RecurrenceCoeffs, dps: int | None = None):
@@ -355,10 +407,6 @@ class GeronimusChain:
     def n_max(self) -> int:
         return len(self._c)
 
-    def m_function(self, z: complex) -> complex:
-        with mp.workdps(self.dps):
-            return complex(_cf_m_function(self._c, self._lam, mp.mpc(z)))
-
     def cauchy_s0(self, z: complex):
         """integral d(current measure)/(t - z) = s0 * m(J; z), as mpc."""
         with mp.workdps(self.dps):
@@ -371,19 +419,13 @@ class GeronimusChain:
             s0star_mp = mp.mpc(s0star) if s0star is not None else self.cauchy_s0(kappa)
             if s0star_mp == 0:
                 raise ConfigurationError("s0star = 0: the transformed OPS does not exist")
-            out_len = len(self._c) - 2
-            if out_len < 2:
+            if len(self._c) - 2 < 2:
                 raise PrefixError("prefix too short for another Geronimus step")
-            ws = _w_run(self._c, self._lam, self._s0, kappa_mp, s0star_mp, out_len + 1)
-            c_new = [self._c[0] + ws[0]]
-            c_new += [self._c[k] - ws[k - 1] + ws[k] for k in range(1, out_len)]
-            lam_new = [-ws[0] * self._s0 / s0star_mp]
-            lam_new += [
-                self._lam[k - 1] * ws[k] / ws[k - 1] for k in range(1, out_len - 1)
-            ]
-            a_seq = np.concatenate(([0.0 + 0.0j], [-complex(w) for w in ws]))
+            c_new, lam_new, w = _geronimus_step(
+                self._c, self._lam, self._s0, kappa_mp, s0star_mp
+            )
             self.steps.append(
-                {"kappa": complex(kappa), "s0star": complex(s0star_mp), "a_seq": a_seq}
+                {"kappa": complex(kappa), "s0star": complex(s0star_mp), "a_seq": _a_seq(w)}
             )
             self._c, self._lam, self._s0 = c_new, lam_new, s0star_mp
 
@@ -396,14 +438,34 @@ class GeronimusChain:
             )
 
 
+def _extended_dps(c, lam, s0, kappa, s0star, budget: int) -> int:
+    """Digits for an R-ratio run whose eta = |1 - S/s0star| is below
+    _DOUBLE_ETA: _GUARD_DIGITS + log10(1/eta), at most ``budget``.
+
+    eta is re-measured with the continued fraction (on the mpc inputs) at
+    rising precision until it stands 10 digits clear of that precision's
+    resolution.
+    """
+    dps = min(_ETA_DPS, budget)
+    while True:
+        with mp.workdps(dps):
+            eta = abs(1 - s0 * _cf_m_function(c, lam, kappa) / s0star)
+        if eta > mp.mpf(10) ** (10 - dps) or dps >= budget:
+            break
+        dps = min(2 * dps, budget)
+    if eta == 0:
+        return budget
+    return min(_GUARD_DIGITS + int(math.ceil(-float(mp.log10(eta)))), budget)
+
+
 def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
     """Geronimus transform of the prefix at (site.kappa, site.s0star).
 
     lambda^{-*}_{n+1} = lambda_n R_n(k)R_{n-2}(k)/R_{n-1}(k)^2 and
     c^{-*}_{n+1} = c_{n+1} - R_n(k)/R_{n-1}(k) + R_{n+1}(k)/R_n(k), with
     c^{-*}_1 = c_1 - A_1 and lambda^{-*}_2 = -R_1(k) s_0/s0star; the result's
-    s0 is s0star.  The R-ratio run happens in extended precision (see module
-    docstring).
+    s0 is s0star.  The R-ratio run is double unless s0star lies within
+    _DOUBLE_ETA of the Cauchy value (see module docstring).
     """
     if site.s0star is None or site.s0star == 0:
         raise ConfigurationError(
@@ -411,21 +473,32 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
         )
     if m.n_max < 4:
         raise PrefixError("geronimus needs a prefix of length >= 4")
-    return _geronimus_impl(m, site, site.s0star)
-
-
-def _geronimus_impl(m, site, s0star_value) -> TransformedCoeffs:
-    dps = _auto_dps(m.c, m.lam, abs(m.s0 / complex(s0star_value)), site.kappa, m.n_max)
-    chain = GeronimusChain(m, dps=dps)
-    chain.apply(site.kappa, s0star_value)
+    kappa, s0star = site.kappa, site.s0star
+    c, lam = m.c.tolist(), m.lam.tolist()
+    try:
+        eta = abs(1 - m.s0 * _cf_m_function(c, lam, kappa) / s0star)
+    except ZeroDivisionError:
+        eta = math.nan
+    if eta >= _DOUBLE_ETA:
+        c_new, lam_new, w = _geronimus_step(c, lam, m.s0, kappa, s0star)
+    else:
+        # doubles convert to mpc exactly at any working precision
+        args = ([mp.mpc(z) for z in c], [mp.mpc(z) for z in lam],
+                mp.mpc(m.s0), mp.mpc(kappa), mp.mpc(s0star))
+        dps = _auto_dps(m.c, m.lam, abs(m.s0 / s0star), kappa, m.n_max)
+        if not math.isnan(eta):  # a breaking-down fraction gets the full budget
+            dps = _extended_dps(*args, dps)
+        with mp.workdps(dps):
+            c_new, lam_new, w = _geronimus_step(*args)
+            c_new = [complex(z) for z in c_new]
+            lam_new = [complex(z) for z in lam_new]
     notes = () if site.geronimus_guaranteed else ("existence-checked-numerically",)
-    step = chain.steps[-1]
     return TransformedCoeffs(
         base=m,
         sites=(site,),
         kinds=("geronimus",),
-        coeffs=chain.coeffs(),
-        a_seq=step["a_seq"],
+        coeffs=RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0star),
+        a_seq=_a_seq(w),
         notes=notes,
     )
 
@@ -439,7 +512,7 @@ def geronimus_eval(
     if n + 2 > m.n_max:
         raise PrefixError(f"degree {n} needs a prefix of length >= {n + 2}")
     # A_n only depends on the first n coefficients; truncating keeps the
-    # extended-precision budget proportional to n.
+    # R-ratio run (and, near the Cauchy value, its precision) sized to n.
     tc = geronimus(m.truncated(min(m.n_max, max(n + 2, 4))), site)
     return geronimus_eval_from(tc, n, z)
 
@@ -461,9 +534,8 @@ def cauchy_s0star(m: RecurrenceCoeffs, kappa: complex, quadrature_nodes: int = 4
     """s0star = integral dmu(t)/(t - kappa) for a preset family.
 
     Computed two independent ways: kind-matched Gauss-Chebyshev quadrature
-    with node doubling, and the Jacobi continued fraction; they must agree to
-    1e-10.  The continued-fraction value is returned (it is the one usable at
-    extended precision internally).
+    with node doubling, and the Jacobi continued fraction in double; they
+    must agree to 1e-10.  The continued-fraction value is returned.
     """
     if m.family is None or m.family.kind == "custom":
         raise ConfigurationError(
@@ -479,7 +551,7 @@ def cauchy_s0star(m: RecurrenceCoeffs, kappa: complex, quadrature_nodes: int = 4
     quad = adaptive_integral(
         m.family, lambda t: 1.0 / (t - kappa), stop=max(quadrature_nodes // 2, 512)
     )
-    cf = GeronimusChain(m).m_function(kappa) * m.s0
+    cf = _cf_m_function(m.c.tolist(), m.lam.tolist(), kappa) * m.s0
     if abs(quad - cf) > 1e-10 * max(1.0, abs(cf)):
         raise QuadratureError(
             f"quadrature and continued-fraction Cauchy transforms disagree: "

@@ -114,6 +114,16 @@ class TestTransform:
     def test_missing_op(self, capsys):
         assert main(["transform", "--family", "chebyshev1"]) == 2
 
+    def test_nan_coeff_file_exits_1_without_traceback(self, tmp_path):
+        doc = family_coeffs("chebyshev1", 8).to_dict()
+        doc["c"][3] = [float("nan"), 0.0]
+        src = tmp_path / "nan.json"
+        src.write_text(json.dumps(doc))
+        proc = run_cli(["transform", "--coeff-file", str(src), "--christoffel", "0+1i"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "c_4" in proc.stderr and "not finite" in proc.stderr
+
 
 class TestZeros:
     def test_kernel_csv(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,19 @@ class TestRecurrenceCoeffs:
     def test_quasi_definiteness(self):
         with pytest.raises(QuasiDefinitenessError):
             RecurrenceCoeffs(c=[0.0, 0.0, 0.0], lam=[0.25, 0.0])
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("c", [0.0, complex("nan"), float("inf")], "c_2 (c[1])"),
+            ("lam", [0.25, complex(0.25, float("-inf"))], "lambda_3 (lam[1])"),
+            ("s0", float("nan"), "s0"),
+        ],
+    )
+    def test_non_finite_rejected_with_index(self, field, value, name):
+        kwargs = {"c": [0.0, 0.0, 0.0], "lam": [0.25, 0.25], "s0": 1.0, field: value}
+        with pytest.raises(ConfigurationError, match=re.escape(name)):
+            RecurrenceCoeffs(**kwargs)
 
     def test_paper_index_accessors(self, cheb1):
         assert cheb1.c_n(1) == cheb1.c[0]

@@ -1,0 +1,202 @@
+"""Property tests of the ratio-and-difference kernel behind christoffel and
+geronimus, against a small mpmath LR/UL reference evaluated at two
+precisions.
+
+Prefixes are the four presets and seeded finite Nevai-class perturbations
+of them; sites are nonreal with Re kappa in [-1.5, 1.5] and |Im kappa| down
+to 1e-3.  Geronimus is checked with s0star drawn in the closed half-plane
+opposite kappa (the double-precision route when eta = |1 - S/s0star| >=
+1e-2) and with the double-rounded Cauchy value from cauchy_s0star (the
+extended-precision route).
+"""
+import cmath
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
+
+from darbouxjac import darboux
+from darbouxjac.core import CHEBYSHEV_KINDS, RecurrenceCoeffs, family_coeffs
+from darbouxjac.darboux import TransformPoint, cauchy_s0star, christoffel, geronimus
+from darbouxjac.errors import ExistenceError
+
+N_MAX = 48
+TOL = 1e-12
+TINY = 1e-290
+# reference: two precisions this far apart must agree to AGREE
+GUARD = 20
+AGREE = 1e-20
+
+PROPERTY = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+def nevai_prefix(kind: str, seed: int | None) -> RecurrenceCoeffs:
+    """The preset, or a real perturbation of its first 12 coefficients that
+    decays like 0.7^k (lambda stays positive, so the measure stays positive)."""
+    base = family_coeffs(kind, N_MAX)
+    if seed is None:
+        return base
+    rng = np.random.default_rng(seed)
+    k = np.arange(12)
+    c = base.c.copy()
+    lam = base.lam.copy()
+    c[:12] += 0.3 * 0.7**k * rng.uniform(-1, 1, 12)
+    lam[:12] *= 1 + 0.3 * 0.7**k * rng.uniform(-1, 1, 12)
+    return RecurrenceCoeffs(c=c, lam=lam, s0=base.s0)
+
+
+prefixes = st.builds(
+    nevai_prefix,
+    st.sampled_from(CHEBYSHEV_KINDS),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+
+
+@st.composite
+def kappas(draw):
+    re = draw(st.floats(-1.5, 1.5))
+    im = 10.0 ** draw(st.floats(-3.0, 0.0))
+    return complex(re, draw(st.sampled_from((1.0, -1.0))) * im)
+
+
+@st.composite
+def opposite_s0star(draw, kappa: complex) -> complex:
+    """|s0star| log-uniform on [0.5, 2], in the closed half-plane opposite kappa."""
+    mod = 10.0 ** draw(st.floats(math.log10(0.5), math.log10(2.0)))
+    angle = draw(st.floats(0.0, math.pi))
+    return mod * complex(math.cos(angle), -math.copysign(1.0, kappa.imag) * math.sin(angle))
+
+
+def log_radius(kappa: complex) -> float:
+    """log of the Bernstein-ellipse parameter of kappa around [-1, 1]."""
+    root = cmath.sqrt(kappa - 1) * cmath.sqrt(kappa + 1)
+    return math.log(max(abs(kappa + root), abs(kappa - root)))
+
+
+# ---------------------------------------------------------------------------
+# mpmath reference: one LR (Christoffel) or UL (Geronimus) step
+# ---------------------------------------------------------------------------
+
+def lr_step(c, lam, s0, kappa):
+    """J - kappa = L U, J_C = U L + kappa; the prefix shrinks by 2."""
+    u, ls, us = c[0] - kappa, [], []
+    us.append(u)
+    for k in range(1, len(c)):
+        ls.append(lam[k - 1] / u)
+        u = c[k] - kappa - ls[-1]
+        us.append(u)
+    out = len(c) - 2
+    c_out = [kappa + us[k] + ls[k] for k in range(out)]
+    lam_out = [us[k + 1] * ls[k] for k in range(out - 1)]
+    return c_out + lam_out + [(c[0] - kappa) * s0]
+
+
+def ul_step(c, lam, s0, kappa, s0star):
+    """J - kappa = U L with a_1 = s0/s0star, J_G = L U + kappa."""
+    out = len(c) - 2
+    a = s0 / s0star
+    c_out, lam_out = [kappa + a], []
+    for k in range(out - 1):
+        b = c[k] - kappa - a
+        lam_out.append(a * b)
+        a = lam[k] / b
+        c_out.append(kappa + b + a)
+    return c_out + lam_out + [s0star]
+
+
+def reference(step, m: RecurrenceCoeffs, *site):
+    """step on the exact double inputs at two precisions GUARD digits apart,
+    doubled until they agree to AGREE; the higher one is returned."""
+    def run():
+        args = [[mp.mpc(z) for z in m.c], [mp.mpc(z) for z in m.lam], mp.mpc(m.s0)]
+        return step(*args, *(mp.mpc(v) for v in site))
+
+    dps = 30
+    while dps <= 4000:
+        with mp.workdps(dps):
+            lo = run()
+        with mp.workdps(dps + GUARD):
+            hi = run()
+            if all(abs(a - b) <= AGREE * max(abs(b), TINY) for a, b in zip(lo, hi)):
+                return hi
+        dps *= 2
+    raise AssertionError("reference did not settle")
+
+
+def assert_entrywise(tc, ref) -> None:
+    got = list(tc.coeffs.c) + list(tc.coeffs.lam) + [tc.coeffs.s0]
+    assert len(got) == len(ref)
+    err = max(float(abs(g - r) / max(abs(r), TINY)) for g, r in zip(got, ref))
+    assert err <= TOL, err
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+@PROPERTY
+@given(prefixes, kappas())
+def test_christoffel_matches_lr_reference(m, kappa):
+    tc = christoffel(m, TransformPoint(kappa))
+    assert_entrywise(tc, reference(lr_step, m, kappa))
+
+
+def double_route(m: RecurrenceCoeffs, kappa: complex, s0star: complex) -> bool:
+    """geronimus's own routing test: eta = |1 - S/s0star| >= 1e-2."""
+    s = m.s0 * darboux._cf_m_function(m.c.tolist(), m.lam.tolist(), kappa)
+    return abs(1 - s / s0star) >= darboux._DOUBLE_ETA
+
+
+@PROPERTY
+@given(prefixes, kappas(), st.data())
+def test_geronimus_opposite_s0star_matches_ul_reference(m, kappa, data):
+    s0star = data.draw(opposite_s0star(kappa))
+    event("double route" if double_route(m, kappa, s0star) else "extended route")
+    tc = geronimus(m, TransformPoint(kappa, s0star=s0star))
+    assert_entrywise(tc, reference(ul_step, m, kappa, s0star))
+
+
+@PROPERTY
+@given(st.sampled_from(CHEBYSHEV_KINDS), kappas())
+def test_geronimus_cauchy_s0star_matches_ul_reference(kind, kappa):
+    # the quadrature cross-check inside cauchy_s0star cannot resolve the
+    # pole closer to the support than this
+    assume(log_radius(kappa) >= 0.01)
+    m = family_coeffs(kind, N_MAX)
+    s0star = cauchy_s0star(m, kappa)
+    assert not double_route(m, kappa, s0star)
+    tc = geronimus(m, TransformPoint(kappa, s0star=s0star))
+    assert_entrywise(tc, reference(ul_step, m, kappa, s0star))
+
+
+@PROPERTY
+@given(prefixes, kappas(), st.integers(1, N_MAX - 2), st.booleans(), st.data())
+def test_breakdown_raises_existence_error_at_its_index(m, kappa, n, is_christoffel, data):
+    """Setting c_n so that y_n(kappa) = 0 makes the transform fail at n."""
+    s0star = None if is_christoffel else data.draw(opposite_s0star(kappa))
+    offset = 0j if is_christoffel else m.s0 / s0star
+    c = m.c.copy()
+    w = kappa - c[0] + offset
+    for k in range(1, n - 1):
+        w = kappa - c[k] - m.lam[k - 1] / w
+    c[n - 1] = kappa + offset if n == 1 else kappa - m.lam[n - 2] / w
+    broken = RecurrenceCoeffs(c=c, lam=m.lam, s0=m.s0)
+    with pytest.raises(ExistenceError) as err:
+        if is_christoffel:
+            christoffel(broken, TransformPoint(kappa))
+        else:
+            geronimus(broken, TransformPoint(kappa, s0star=s0star))
+    assert err.value.index == n
