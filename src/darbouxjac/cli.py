@@ -11,6 +11,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -32,8 +33,6 @@ _COMPLEX_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$"
 )
-
-_SUITES = ("strips", "m-identities", "r1", "r2", "factorization", "ratio-asymptotics")
 
 
 def parse_complex(text: str) -> complex:
@@ -225,11 +224,8 @@ def _suite_m_identities(m, kappa, s0star):
 
 def _suite_r1(m, kappa, s0star):
     sys1 = rseq.R1System(m, TransformPoint(kappa), TransformPoint(np.conj(kappa)))
-    worst = 0.0
-    for n in range(1, 41):
-        rc = sys1.coeffs(n)
-        for z in rseq.sample_points(20):
-            worst = max(worst, sys1.residual(n, z, rc))
+    zs = rseq.sample_points(20)
+    worst = max(float(np.max(sys1.residual(n, zs))) for n in range(1, 41))
     return {"pass": worst <= 1e-9, "max_residual": worst}
 
 
@@ -239,12 +235,11 @@ def _suite_r2(m, kappa, s0star):
         kappa = complex(np.conj(kappa))
     pair = rseq.GeronimusPairQuasi(m, complex(np.conj(kappa)))
     sys2 = rseq.R2System(m, kappa)
+    zs = rseq.sample_points(20)
     worst = 0.0
     for n in range(1, 31):
         q = pair.quasi(n)
-        rc = sys2.coeffs(q, n)
-        for z in rseq.sample_points(20):
-            worst = max(worst, sys2.residual(q, rc, z))
+        worst = max(worst, float(np.max(sys2.residual(q, sys2.coeffs(q, n), zs))))
     return {"pass": worst <= 1e-9, "max_residual": worst}
 
 
@@ -291,11 +286,7 @@ def _suite_factorization(m, kappa, s0star):
     return {"pass": ok, "reconstruction_error": err, "agreement_error": agree}
 
 
-def _suite_ratio_asymptotics(m, kappa, s0star, fixtures, family):
-    table = fixtures.get("ratio_asymptotic", {})
-    if family not in table:
-        raise KeyError(family)
-    entry = table[family]
+def _suite_ratio_asymptotics(m, kappa, s0star, entry):
     z = complex(*entry["z"])
     n_check = int(entry["n_check"])
     kap = complex(*entry["kappa"])
@@ -316,6 +307,16 @@ def _suite_ratio_asymptotics(m, kappa, s0star, fixtures, family):
     }
 
 
+_SUITES = {
+    "strips": _suite_strips,
+    "m-identities": _suite_m_identities,
+    "r1": _suite_r1,
+    "r2": _suite_r2,
+    "factorization": _suite_factorization,
+    "ratio-asymptotics": _suite_ratio_asymptotics,  # needs its fixture entry
+}
+
+
 def cmd_verify(args) -> int:
     fixtures_path = _resolve_fixtures(args.fixtures)
     if not os.path.exists(fixtures_path):
@@ -327,32 +328,20 @@ def cmd_verify(args) -> int:
     kappa = args.kappa
     s0star = args.s0star
     suites = args.suite or list(_SUITES)
+    run = dict(_SUITES)
+    if "ratio-asymptotics" in suites:
+        entry = fixtures.get("ratio_asymptotic", {}).get(args.family or "custom")
+        if entry is None:
+            print(
+                f"error: fixtures carry no thresholds for family {args.family!r}",
+                file=sys.stderr,
+            )
+            return 3
+        run["ratio-asymptotics"] = partial(_suite_ratio_asymptotics, entry=entry)
     report = {"v": 1, "kappa": _fmt_c(kappa), "suites": {}}
     all_pass = True
     for name in suites:
-        if name == "strips":
-            res = _suite_strips(m, kappa, s0star)
-        elif name == "m-identities":
-            res = _suite_m_identities(m, kappa, s0star)
-        elif name == "r1":
-            res = _suite_r1(m, kappa, s0star)
-        elif name == "r2":
-            res = _suite_r2(m, kappa, s0star)
-        elif name == "factorization":
-            res = _suite_factorization(m, kappa, s0star)
-        elif name == "ratio-asymptotics":
-            try:
-                res = _suite_ratio_asymptotics(
-                    m, kappa, s0star, fixtures, args.family or "custom"
-                )
-            except KeyError:
-                print(
-                    f"error: fixtures carry no thresholds for family {args.family!r}",
-                    file=sys.stderr,
-                )
-                return 3
-        else:  # pragma: no cover - argparse restricts choices
-            continue
+        res = run[name](m, kappa, s0star)
         report["suites"][name] = res
         all_pass = bool(all_pass and res["pass"])
     report["pass"] = all_pass

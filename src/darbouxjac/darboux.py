@@ -181,7 +181,8 @@ def christoffel(
     through consecutive ratios only.  The usable prefix shrinks by 2.
 
     Accepts a Geronimus ``TransformedCoeffs`` taken at the *same* kappa, in
-    which case the kernel ratios come from the stored R-ratio sequence
+    which case the coefficients are the Geronimus input prefix and the kernel
+    ratios come from the stored R-ratio sequence
     (rho*_1 = -s_0/s0star, rho*_n = lambda_n / w_{n-1}); recomputing them by
     forward recurrence would be exponentially ill-conditioned because kappa
     belongs to the transformed spectrum.
@@ -214,22 +215,22 @@ def christoffel(
 
 
 def _christoffel_of_geronimus(tc: TransformedCoeffs, site: TransformPoint) -> TransformedCoeffs:
-    """Christoffel at the kappa of a preceding Geronimus step (inverse pair)."""
+    """Christoffel at the kappa of a preceding Geronimus step (inverse pair).
+
+    L^G[(z - kappa) p] = L[p], so the result is the Geronimus input itself,
+    returned entry for entry; only the kernel ratios are computed.
+    """
     base = tc.base
     gero = tc.coeffs
-    kappa = site.kappa
-    s0star = gero.s0
     n_in = gero.n_max
     w = -tc.a_seq[1:]  # w_n = R_n(kappa)/R_{n-1}(kappa)
     # rho*_n = P^{-*}_n(kappa)/P^{-*}_{n-1}(kappa); need n = 1..n_in-1
     rho = np.empty(n_in - 1, dtype=complex)
-    rho[0] = -base.s0 / s0star
+    rho[0] = -base.s0 / gero.s0
     rho[1:] = base.lam[: n_in - 2] / w[: n_in - 2]
     out_len = n_in - 2
-    c_out = gero.c[1 : out_len + 1] - rho[:out_len] + rho[1 : out_len + 1]
-    lam_out = gero.lam[: out_len - 1] * rho[1:out_len] / rho[: out_len - 1]
-    s0_out = (gero.c[0] - kappa) * s0star
-    coeffs = RecurrenceCoeffs(c=c_out, lam=lam_out, s0=s0_out)
+    # built explicitly: truncated() would carry base.family into the output
+    coeffs = RecurrenceCoeffs(c=base.c[:out_len], lam=base.lam[: out_len - 1], s0=base.s0)
     return TransformedCoeffs(
         base=gero,
         sites=(site,),
@@ -257,9 +258,8 @@ def kernel_eval(m: RecurrenceCoeffs, site: TransformPoint, n: int, z: complex) -
         raise ExistenceError(
             f"kernel polynomials do not exist at kappa={kappa}", exc.index
         ) from exc
-    p_n, p_n1, log_scale, _ = _scaled_run(m, n + 1, z, 1.0 + 0.0j, z - m.c[0])
-    val = (p_n1 - rho.r(n + 1) * p_n) / (z - kappa)
-    return val * math.exp(log_scale) if log_scale != 0.0 else val
+    p_n, p_n1, log_scale = _scaled_run(m, n + 1, z, 1.0 + 0.0j, z - m.c[0])
+    return (p_n1 - rho.r(n + 1) * p_n) / (z - kappa) * math.exp(log_scale)
 
 
 def christoffel_two(
@@ -525,9 +525,8 @@ def geronimus_eval_from(tc: TransformedCoeffs, n: int, z: complex) -> complex:
         return 1.0 + 0.0j
     m = tc.base
     a_n = tc.a_seq[n]
-    prev, cur, log_scale, _ = _scaled_run(m, n, z, 1.0 + 0.0j, z - m.c[0])
-    val = cur + a_n * prev
-    return val * math.exp(log_scale) if log_scale != 0.0 else val
+    prev, cur, log_scale = _scaled_run(m, n, z, 1.0 + 0.0j, z - m.c[0])
+    return (cur + a_n * prev) * math.exp(log_scale)
 
 
 def cauchy_s0star(m: RecurrenceCoeffs, kappa: complex, quadrature_nodes: int = 4096) -> complex:

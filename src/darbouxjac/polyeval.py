@@ -6,8 +6,14 @@ All three families satisfy the same second-order difference equation
 
 and differ only in initial data: (P_0, P_1) = (1, z - c_1),
 (Q_0, Q_1) = (0, s_0), and (R_0, R_1) = (1, z - c_1 + s_0/s0star).
-Magnitudes span hundreds of orders of magnitude in n, so evaluation keeps a
-running power-of-e exponent (``log_scale``) once values leave a safe window.
+
+``_scaled_run`` is the library's one double-precision evaluator of this
+recurrence.  It runs on an array of points at once, so callers pass all
+their points in one call.  Besides the values it can carry the derivative
+P'_n (Newton polishing of zeros) and the error envelope E_n (the zero
+certificate).  Magnitudes span hundreds of orders of magnitude in n, so each
+point keeps a running power-of-e exponent (``log_scale``), with one rescale
+window [1e-150, 1e150].
 """
 from __future__ import annotations
 
@@ -89,55 +95,86 @@ def _initial_pair(m: RecurrenceCoeffs, which: str, z: complex, s0star: complex |
     raise ConfigurationError(f"unknown solution family {which!r}")
 
 
-def _scaled_run(m: RecurrenceCoeffs, n: int, z: complex, y0: complex, y1: complex):
-    """Run the recurrence to degree n with rescaling.
+def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=False):
+    """Run the recurrence to degree n >= 1 at every point of z at once.
 
-    Returns (y_{n-1}, y_n, log_scale, peak_log) where the true values are
-    y * exp(log_scale) and peak_log is log of the largest |y_k| seen.
+    z is a scalar or an array; y0, y1 broadcast against it.  Returns
+    (y_{n-1}, y_n, log_scale), then y'_n if ``deriv`` and the error envelope
+    E_n if ``envelope``; the true values are the returned ones times
+    exp(log_scale), point by point, and a scalar z gives scalars.
+
+    y' and E start from the P initial data: P'_0 = 0, P'_1 = 1 and E_0 = 1,
+    E_1 = max(|z| + |c_1|, 1).  E runs the recurrence on absolute values, so
+    the rounding error of the forward evaluation is about n eps E_n.
+
+    Rescale rule: when |y_k| leaves [_SCALE_LO, _SCALE_HI] at a point, every
+    quantity carried at that point is divided by |y_k| and log|y_k| is added
+    to that point's log_scale.  An exact zero is left alone.
     """
     if n > m.n_max:
         raise PrefixError(f"degree {n} exceeds prefix length {m.n_max}")
-    prev, cur = complex(y0), complex(y1)
-    log_scale = 0.0
-    peak = max(abs(prev), abs(cur))
-    peak_log = math.log(peak) if peak > 0 else -math.inf
-    c, lam = m.c, m.lam
+    scalar = np.ndim(z) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    prev = np.array(np.broadcast_to(y0, z.shape), dtype=complex)
+    cur = np.array(np.broadcast_to(y1, z.shape), dtype=complex)
+    log_scale = np.zeros(z.shape)
+    c, lam = m.c[:n].tolist(), m.lam[: n - 1].tolist()
+    if deriv:
+        dprev, dcur = np.zeros_like(z), np.ones_like(z)
+    if envelope:
+        eprev, ecur = np.ones(z.shape), np.maximum(np.abs(z) + abs(c[0]), 1.0)
     for k in range(1, n):
-        prev, cur = cur, (z - c[k]) * cur - lam[k - 1] * prev
-        mag = abs(cur)
-        if mag > 0:
-            peak_log = max(peak_log, math.log(mag) + log_scale)
-        if mag > _SCALE_HI or (0 < mag < _SCALE_LO):
-            log_scale += math.log(mag)
-            prev /= mag
-            cur /= mag
-    return prev, cur, log_scale, peak_log
+        zc = z - c[k]
+        prev, cur = cur, zc * cur - lam[k - 1] * prev
+        carried = [prev, cur]
+        if deriv:
+            dprev, dcur = dcur, prev + zc * dcur - lam[k - 1] * dprev
+            carried += [dprev, dcur]
+        if envelope:
+            eprev, ecur = ecur, np.abs(zc) * ecur + abs(lam[k - 1]) * eprev
+            carried += [eprev, ecur]
+        mag = np.abs(cur)
+        # the negated test also sends NaN to the exact check below
+        if not (mag.max() <= _SCALE_HI and mag.min() >= _SCALE_LO):
+            out = (mag > _SCALE_HI) | ((mag > 0) & (mag < _SCALE_LO))
+            if out.any():
+                s = np.where(out, mag, 1.0)
+                log_scale += np.log(s)
+                for arr in carried:
+                    arr /= s
+    result = [prev, cur, log_scale]
+    if deriv:
+        result.append(dcur)
+    if envelope:
+        result.append(ecur)
+    return tuple(x[0].item() for x in result) if scalar else tuple(result)
 
 
-def _eval_scaled(m: RecurrenceCoeffs, which: str, n: int, z: complex, s0star=None):
+def _eval_scaled(m: RecurrenceCoeffs, which: str, n: int, z, s0star=None):
     y0, y1 = _initial_pair(m, which, z, s0star)
     if n == 0:
-        return y0, 0.0
-    prev, cur, log_scale, _ = _scaled_run(m, n, z, y0, y1)
+        return y0 + 0 * z, 0.0
+    _, cur, log_scale = _scaled_run(m, n, z, y0, y1)
     return cur, log_scale
 
 
 def eval_P(m: RecurrenceCoeffs, n: int, z: complex) -> complex:
-    """Value of the monic degree-n orthogonal polynomial P_n(z)."""
+    """Value of the monic degree-n orthogonal polynomial P_n(z); an array z
+    gives the values at every point."""
     val, log_scale = _eval_scaled(m, "P", n, z)
-    return val * math.exp(log_scale) if log_scale != 0.0 else val
+    return val * np.exp(log_scale)
 
 
 def eval_Q(m: RecurrenceCoeffs, n: int, z: complex) -> complex:
     """Second-kind polynomial Q_n(z); Q_0 = 0, Q_1 = s_0 (1 when normalized)."""
     val, log_scale = _eval_scaled(m, "Q", n, z)
-    return val * math.exp(log_scale) if log_scale != 0.0 else val
+    return val * np.exp(log_scale)
 
 
 def eval_R(m: RecurrenceCoeffs, n: int, z: complex, s0star: complex) -> complex:
     """R_n(z) = P_n(z) + Q_n(z)/s0star, the Geronimus denominator polynomial."""
     val, log_scale = _eval_scaled(m, "R", n, z, s0star)
-    return val * math.exp(log_scale) if log_scale != 0.0 else val
+    return val * np.exp(log_scale)
 
 
 def evaluate(m: RecurrenceCoeffs, n: int, z: complex, s0star: complex | None = None) -> EvalTriple:
@@ -149,7 +186,7 @@ def evaluate(m: RecurrenceCoeffs, n: int, z: complex, s0star: complex | None = N
     if n == 0:
         p, lp = 1.0 + 0.0j, 0.0
     else:
-        prev, p, lp, _ = _scaled_run(m, n, z, *_initial_pair(m, "P", z, None))
+        prev, p, lp = _scaled_run(m, n, z, *_initial_pair(m, "P", z, None))
         ratio = p / prev if prev != 0 else complex("inf")
     q, lq = _eval_scaled(m, "Q", n, z)
     r = None

@@ -36,7 +36,7 @@ from .errors import (
     QuadratureError,
     ResidualCheckError,
 )
-from .polyeval import eval_P, ratio_sequence
+from .polyeval import _eval_scaled, _scaled_run, eval_P, ratio_sequence
 
 __all__ = [
     "QuasiOrthogonal",
@@ -46,11 +46,9 @@ __all__ = [
     "sample_points",
     "r1_general",
     "r1_coeffs",
-    "r1_residual",
     "R1System",
     "geronimus_pair_quasi",
     "r2_coeffs",
-    "r2_residual",
     "R2System",
     "varying_measure_polys",
     "rational_eval",
@@ -117,19 +115,32 @@ def sample_points(count: int, seed: int = _SAMPLE_SEED) -> np.ndarray:
     return np.array(out)
 
 
-def _p_triplet(m: RecurrenceCoeffs, n: int, z: complex):
-    """(P_{n-1}, P_n, P_{n+1}) at z in one common scaled frame."""
-    c, lam = m.c, m.lam
-    p_prev, p = 1.0 + 0.0j, z - c[0]
-    for k in range(1, n + 1):
-        p_prev, p = p, (z - c[k]) * p - lam[k - 1] * p_prev
-        mag = abs(p)
-        if mag > 1e120 or 0 < mag < 1e-120:
-            p_prev /= mag
-            p /= mag
-    # after the loop: p == P_{n+1}, p_prev == P_n; rebuild P_{n-1}
-    p_nm1 = ((z - c[n]) * p_prev - p) / lam[n - 1]
-    return p_nm1, p_prev, p
+def _relative(z, total, *terms):
+    """|total| / max |term| at each point (0 where every term vanishes); a
+    float when the sample point z is a scalar.
+
+    Callers compute the terms on 1-d arrays even for one point, so a point
+    gets the same rounding alone as in a batch.
+    """
+    scale = np.maximum.reduce([np.abs(t) for t in terms])
+    res = np.divide(np.abs(total), scale, out=np.zeros(scale.shape), where=scale > 0)
+    return res if np.ndim(z) else float(res[0])
+
+
+def _ri_residual(m: RecurrenceCoeffs, n: int, z, tilde_A, rc: RICoefficients, rho_n):
+    """Relative residual of T_{n+1} - (z - alpha_n) P_n + beta_n (z - kappa1) P*_{n-1}
+    at each z, with T_{n+1} = P_{n+1} + tilde_A P_n and rho_n = P_n/P_{n-1} at kappa1.
+
+    (z - kappa1) P*_{n-1}(kappa1, z) = P_n(z) - rho_n P_{n-1}(z), so the
+    kernel term needs no division by z - kappa1.
+    """
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    p_nm1, p_n, _ = _scaled_run(m, n, zs, 1.0, zs - m.c[0])
+    p_np1 = (zs - m.c[n]) * p_n - m.lam[n - 1] * p_nm1
+    t1 = p_np1 + tilde_A * p_n
+    t2 = (zs - rc.alpha) * p_n
+    t3 = rc.beta * (p_n - rho_n * p_nm1)
+    return _relative(z, t1 - t2 + t3, t1, t2, t3)
 
 
 class R1System:
@@ -157,19 +168,11 @@ class R1System:
         alpha = self.m.c_n(n + 1) + w_next + ratio
         return RICoefficients(n=n, alpha=alpha, beta=beta)
 
-    def residual(self, n: int, z: complex, coeffs: RICoefficients | None = None) -> float:
-        """Relative residual of the relation at z; scale = max term magnitude.
-
-        (z - kappa1) P*_{n-1}(kappa1, z) = P_n(z) - rho_n P_{n-1}(z), so the
-        kernel term needs no division by z - kappa1.
-        """
+    def residual(self, n: int, z, coeffs: RICoefficients | None = None):
+        """Relative residual of the relation at z (a scalar or an array of
+        points); scale = max term magnitude."""
         rc = coeffs if coeffs is not None else self.coeffs(n)
-        p_nm1, p_n, p_np1 = _p_triplet(self.m, n, z)
-        t1 = p_np1 + self.gero.a_seq[n + 1] * p_n
-        t2 = (z - rc.alpha) * p_n
-        t3 = rc.beta * (p_n - self.rho[n - 1] * p_nm1)
-        scale = max(abs(t1), abs(t2), abs(t3))
-        return abs(t1 - t2 + t3) / scale if scale > 0 else 0.0
+        return _ri_residual(self.m, n, z, self.gero.a_seq[n + 1], rc, self.rho[n - 1])
 
 
 def r1_coeffs(
@@ -181,12 +184,6 @@ def r1_coeffs(
     alpha_n = c_{n+1} + R_{n+1}(k2)/R_n(k2) + lambda_{n+1} P_{n-1}(k1)/P_n(k1).
     """
     return R1System(m, k1, k2).coeffs(n)
-
-
-def r1_residual(
-    m: RecurrenceCoeffs, k1: TransformPoint, k2: TransformPoint, n: int, z: complex
-) -> float:
-    return R1System(m, k1, k2).residual(n, z)
 
 
 def r1_general(
@@ -208,16 +205,12 @@ def r1_general(
     alpha = m.c_n(n + 1) - q.tilde_A + ratio
     rc = RICoefficients(n=n, alpha=alpha, beta=beta)
     if check:
-        for z in sample_points(n + 2):
-            p_nm1, p_n, p_np1 = _p_triplet(m, n, z)
-            t1 = p_np1 + q.tilde_A * p_n
-            t2 = (z - alpha) * p_n
-            t3 = beta * (p_n - rho[n - 1] * p_nm1)
-            scale = max(abs(t1), abs(t2), abs(t3))
-            if scale > 0 and abs(t1 - t2 + t3) / scale > _CHECK_TOL:
-                raise ResidualCheckError(
-                    f"R_I identity residual {abs(t1 - t2 + t3) / scale:.2e} at n={n}, z={z}"
-                )
+        zs = sample_points(n + 2)
+        res = _ri_residual(m, n, zs, q.tilde_A, rc, rho[n - 1])
+        bad = np.flatnonzero(res > _CHECK_TOL)
+        if len(bad):
+            k = bad[0]
+            raise ResidualCheckError(f"R_I identity residual {res[k]:.2e} at n={n}, z={zs[k]}")
     return rc
 
 
@@ -296,20 +289,25 @@ class R2System:
         )
         return RIICoefficients(n=n, rho=rho_n, gamma=gamma, upsilon=upsilon)
 
-    def residual(self, q: QuasiOrthogonal, rc: RIICoefficients, z: complex) -> float:
+    def residual(self, q: QuasiOrthogonal, rc: RIICoefficients, z):
+        """Relative residual of the relation at z (a scalar or an array of
+        points); scale = max term magnitude."""
         n = rc.n
-        p_nm1, p_n, p_np1 = _p_triplet(self.m, n, z)
+        zs = np.atleast_1d(np.asarray(z, dtype=complex))
+        c, lam = self.m.c, self.m.lam
+        p_nm1, p_n, log_scale = _scaled_run(self.m, n, zs, 1.0, zs - c[0])
+        p_np1 = (zs - c[n]) * p_n - lam[n - 1] * p_nm1
+        kernel, kernel_scale = _eval_scaled(self.tc2.coeffs, "P", n - 1, zs)
         t1 = p_np1 + q.tilde_C * p_n + q.tilde_D * p_nm1
-        t2 = (rc.rho * z - rc.gamma) * p_n
+        t2 = (rc.rho * zs - rc.gamma) * p_n
         t3 = (
             rc.upsilon
-            * (z - self.kappa1)
-            * (z - self.kappa1_bar)
-            * eval_P(self.tc2.coeffs, n - 1, z)
+            * (zs - self.kappa1)
+            * (zs - self.kappa1_bar)
+            * kernel
+            * np.exp(kernel_scale - log_scale)
         )
-        # the three base values share a hidden scale factor; t3 does not
-        scale = max(abs(t1), abs(t2), abs(t3))
-        return abs(t1 - t2 + t3) / scale if scale > 0 else 0.0
+        return _relative(z, t1 - t2 + t3, t1, t2, t3)
 
 
 def r2_coeffs(
@@ -331,22 +329,13 @@ def r2_coeffs(
     sys = R2System(m, k1.kappa, kappa2)
     rc = sys.coeffs(q, n)
     if check:
-        for z in sample_points(n + 3):
-            res = sys.residual(q, rc, z)
-            if res > _CHECK_TOL:
-                raise ResidualCheckError(f"R_II identity residual {res:.2e} at n={n}, z={z}")
+        zs = sample_points(n + 3)
+        res = sys.residual(q, rc, zs)
+        bad = np.flatnonzero(res > _CHECK_TOL)
+        if len(bad):
+            k = bad[0]
+            raise ResidualCheckError(f"R_II identity residual {res[k]:.2e} at n={n}, z={zs[k]}")
     return rc
-
-
-def r2_residual(
-    m: RecurrenceCoeffs,
-    k1: TransformPoint,
-    q: QuasiOrthogonal,
-    rc: RIICoefficients,
-    z: complex,
-    kappa2: complex | None = None,
-) -> float:
-    return R2System(m, k1.kappa, kappa2).residual(q, rc, z)
 
 
 @dataclass(frozen=True)
@@ -437,20 +426,16 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
         )
         sys = R2System(sigma, kappas[j - 1])
         rc = sys.coeffs(q, j)
-        res = 0.0
-        for z in zs:
-            t1 = eval_P(prefixes[j + 1], j + 1, z)
-            t2 = (rc.rho * z - rc.gamma) * eval_P(sigma, j, z)
-            t3 = (
-                rc.upsilon
-                * (z - kappas[j - 1])
-                * (z - np.conj(kappas[j - 1]))
-                * eval_P(prefixes[j - 1], j - 1, z)
-            )
-            scale = max(abs(t1), abs(t2), abs(t3))
-            res = max(res, abs(t1 - t2 + t3) / scale if scale > 0 else 0.0)
+        t1 = eval_P(prefixes[j + 1], j + 1, zs)
+        t2 = (rc.rho * zs - rc.gamma) * eval_P(sigma, j, zs)
+        t3 = (
+            rc.upsilon
+            * (zs - kappas[j - 1])
+            * (zs - np.conj(kappas[j - 1]))
+            * eval_P(prefixes[j - 1], j - 1, zs)
+        )
         rii.append(rc)
-        residuals.append(res)
+        residuals.append(float(np.max(_relative(zs, t1 - t2 + t3, t1, t2, t3))))
     return VaryingMeasureResult(
         kappas=tuple(kappas),
         coeffs=final,

@@ -2,11 +2,11 @@
 m-function identities, Nevai diagnostics, and ratio asymptotics.
 
 Zeros of P_n are the eigenvalues of the n x n truncation of the Jacobi
-matrix; the eigensolver output is polished with two Newton steps driven by
-the recurrence, which also yields a residual certificate.  Cluster-zero
-distances |xi_n - kappa| for Geronimus transforms decay geometrically below
-double precision, so they are refined with mpmath Newton iteration at a
-precision that grows with n.
+matrix; the eigensolver output is polished with two Newton steps and then
+certified by the error envelope, each one run of polyeval's evaluator over
+all n zeros at once.  Cluster-zero distances |xi_n - kappa| for Geronimus
+transforms decay geometrically below double precision, so they are refined
+with mpmath Newton iteration at a precision that grows with n.
 """
 from __future__ import annotations
 
@@ -23,9 +23,16 @@ from .core import (
     symmetric_jacobi_matrix,
     symmetrize,
 )
-from .darboux import GeronimusChain, TransformPoint, christoffel, geronimus, _auto_dps
+from .darboux import (
+    _NO_GERONIMUS,
+    TransformPoint,
+    _auto_dps,
+    _ratio_run,
+    christoffel,
+    geronimus,
+)
 from .errors import ConfigurationError, EigenSolverError, PrefixError
-from .polyeval import ratio_sequence
+from .polyeval import _scaled_run, ratio_sequence
 
 __all__ = [
     "ZeroCloud",
@@ -141,61 +148,15 @@ class RatioAsymptoticReport:
     monotone_tail: tuple[bool, ...]
 
 
-def _newton_polish(m: RecurrenceCoeffs, n: int, z: complex, steps: int = 2) -> complex:
-    """Newton refinement of a zero of P_n using joint (P, P') recurrences."""
-    c, lam = m.c, m.lam
-    for _ in range(steps):
-        p_prev, p = 1.0 + 0.0j, z - c[0]
-        dp_prev, dp = 0.0j, 1.0 + 0.0j
-        for k in range(1, n):
-            zc = z - c[k]
-            p_prev, p = p, zc * p - lam[k - 1] * p_prev
-            dp_prev, dp = dp, p_prev + zc * dp - lam[k - 1] * dp_prev
-            mag = abs(p)
-            if mag > 1e120:
-                p_prev /= mag
-                p /= mag
-                dp_prev /= mag
-                dp /= mag
-        if dp == 0:
-            break
-        z = z - p / dp
-    return z
-
-
-def _residual_log(m: RecurrenceCoeffs, n: int, z: complex) -> tuple[float, float]:
-    """(log|P_n(z)|, log of the evaluation error envelope E_n(z)).
-
-    E runs the recurrence on absolute values; rounding errors of the forward
-    evaluation are bounded by ~n eps E_n, so |P_n| below 1e-8 E_n is the
-    strongest certificate the evaluation itself can support (a zero clustered
-    at a spectral point of the prefix cannot beat this floor).
-    """
-    c, lam = m.c, m.lam
-    p_prev, p = 1.0 + 0.0j, z - c[0]
-    e_prev, e = 1.0, max(abs(z) + abs(c[0]), 1.0)
-    log_scale = 0.0
-    for k in range(1, n):
-        zc = z - c[k]
-        p_prev, p = p, zc * p - lam[k - 1] * p_prev
-        e_prev, e = e, abs(zc) * e + abs(lam[k - 1]) * e_prev
-        mag = abs(p)
-        if mag > 1e150 or (0 < mag < 1e-150):
-            p_prev /= mag
-            p /= mag
-            e_prev /= mag
-            e /= mag
-            log_scale += math.log(mag)
-    mag = abs(p)
-    val_log = (math.log(mag) + log_scale) if mag > 0 else -math.inf
-    return val_log, math.log(e) + log_scale
-
-
 def zeros(m: RecurrenceCoeffs, n: int) -> ZeroCloud:
     """The n zeros of P_n: truncation eigenvalues polished by Newton steps.
 
     Each refined zero carries the residual certificate
-    |P_n(zero)| <= 1e-8 * max_k |P_k(zero)|.
+    |P_n(zero)| <= 1e-8 E_n(zero), E_n being the error envelope of the
+    evaluation (the recurrence run on absolute values): rounding errors of
+    the forward evaluation are bounded by ~n eps E_n, so this is the
+    strongest certificate the evaluation itself can support (a zero clustered
+    at a spectral point of the prefix cannot beat this floor).
     """
     if n > m.n_max:
         raise PrefixError(f"degree {n} exceeds prefix length {m.n_max}")
@@ -203,19 +164,20 @@ def zeros(m: RecurrenceCoeffs, n: int) -> ZeroCloud:
         return ZeroCloud(n=0, zeros=np.empty(0, dtype=complex), max_im=0.0)
     J = symmetric_jacobi_matrix(symmetrize(m), n)
     try:
-        vals = np.linalg.eigvals(J)
+        z = np.linalg.eigvals(J)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigensolver failed to converge at degree {n}") from exc
-    polished = np.array([_newton_polish(m, n, z) for z in vals])
-    for z in polished:
-        val_log, peak_log = _residual_log(m, n, z)
-        if val_log > math.log(_RESIDUAL_TOL) + peak_log:
-            raise EigenSolverError(
-                f"zero residual check failed at degree {n}: |P_n| too large at {z}"
-            )
-    order = np.lexsort((polished.imag, polished.real))
-    polished = polished[order]
-    return ZeroCloud(n=n, zeros=polished, max_im=float(np.max(polished.imag)))
+    for _ in range(2):
+        _, p, _, dp = _scaled_run(m, n, z, 1.0, z - m.c[0], deriv=True)
+        z = z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+    _, p, _, env = _scaled_run(m, n, z, 1.0, z - m.c[0], envelope=True)
+    bad = np.flatnonzero(~(np.abs(p) <= _RESIDUAL_TOL * env))
+    if len(bad):
+        raise EigenSolverError(
+            f"zero residual check failed at degree {n}: |P_n| too large at {z[bad[0]]}"
+        )
+    z = z[np.lexsort((z.imag, z.real))]
+    return ZeroCloud(n=n, zeros=z, max_im=float(np.max(z.imag)))
 
 
 def kernel_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> ZeroCloud:
@@ -364,19 +326,16 @@ def cluster_distance(
     if dps is None:
         dps = 60 + int(math.ceil(1.2 * n))
     work = m.truncated(min(m.n_max, max(n + 2, 4)))
-    chain_dps = max(dps, _auto_dps(work.c, work.lam, abs(m.s0 / site.s0star), site.kappa, work.n_max))
-    chain = GeronimusChain(work, dps=chain_dps)
-    with mp.workdps(chain_dps):
+    work_dps = max(
+        dps, _auto_dps(work.c, work.lam, abs(m.s0 / site.s0star), site.kappa, work.n_max)
+    )
+    with mp.workdps(work_dps):
+        c_mp = [mp.mpc(z) for z in work.c]
+        lam_mp = [mp.mpc(z) for z in work.lam]
         kappa = mp.mpc(site.kappa)
-        s0star = mp.mpc(site.s0star)
-        ws = []
-        w = kappa - chain._c[0] + chain._s0 / s0star
-        ws.append(w)
-        for k in range(2, n + 1):
-            w = (kappa - chain._c[k - 1]) - chain._lam[k - 2] / w
-            ws.append(w)
+        offset = mp.mpc(m.s0) / mp.mpc(site.s0star)
+        ws, _ = _ratio_run(c_mp, lam_mp, kappa, offset, n, _NO_GERONIMUS)
         a_n = -ws[n - 1]
-        c_mp, lam_mp = chain._c, chain._lam
 
         def p_pair(z):
             p_prev, p = mp.mpc(1), z - c_mp[0]

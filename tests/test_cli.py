@@ -269,6 +269,22 @@ class TestVerify:
         )
         assert rc == 3
 
+    def test_family_without_thresholds_exit_3(self, tmp_path, capsys):
+        from importlib import resources
+
+        ref = resources.files("darbouxjac").joinpath("fixtures/thresholds.json")
+        doc = json.loads(ref.read_text())
+        del doc["ratio_asymptotic"]["chebyshev2"]
+        fixtures = tmp_path / "partial.json"
+        fixtures.write_text(json.dumps(doc))
+        argv = ["verify", "--family", "chebyshev2", "--fixtures", str(fixtures)]
+        rc = main(argv + ["--suite", "m-identities", "--suite", "ratio-asymptotics"])
+        out = capsys.readouterr()
+        assert rc == 3
+        assert out.out == ""
+        assert "no thresholds for family 'chebyshev2'" in out.err
+        assert main(argv + ["--suite", "m-identities"]) == 0
+
     def test_tampered_fixtures_fail(self, tmp_path):
         from importlib import resources
 

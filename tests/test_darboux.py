@@ -153,6 +153,17 @@ class TestGeronimus:
                 assert np.max(np.abs(rt.coeffs.c - m.c[:L])) <= 1e-10
                 assert np.max(np.abs(rt.coeffs.lam - m.lam[: L - 1])) <= 1e-10
 
+    def test_roundtrip_is_exact(self, presets):
+        # L^G[(z - kappa) p] = L[p]: the inverse pair returns the base prefix
+        for m in presets.values():
+            g = geronimus(m, TransformPoint(0.3 + 0.5j, s0star=1.0))
+            rt = christoffel(g, TransformPoint(0.3 + 0.5j)).coeffs
+            L = rt.n_max
+            assert L == m.n_max - 4
+            assert np.array_equal(rt.c, m.c[:L])
+            assert np.array_equal(rt.lam, m.lam[: L - 1])
+            assert rt.s0 == m.s0 and rt.family is None
+
     def test_hypothesis_violation_checked_numerically(self, cheb1):
         # Im kappa > 0 with s0star in the upper half plane: outside the
         # guarantee, so the numerical existence path runs (and succeeds here)

@@ -3,7 +3,7 @@ import pytest
 
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
 from darbouxjac.errors import ConfigurationError, ZeroHitError
-from darbouxjac.polyeval import eval_P, eval_Q, eval_R, evaluate, ratio_sequence
+from darbouxjac.polyeval import _scaled_run, eval_P, eval_Q, eval_R, evaluate, ratio_sequence
 
 RNG = np.random.default_rng(0x5EED)
 
@@ -163,3 +163,55 @@ class TestEvaluate:
         expect = eval_R(cheb1, 3, 1j, 1.0)
         got = t.value_R * np.exp(t.log_scale)
         assert abs(got - expect) < 1e-13 * max(1.0, abs(expect))
+
+
+def naive_run(m, n, z):
+    """Unscaled (P_n, P'_n, E_n) by the plain loop, the reference for the
+    batched evaluator."""
+    p_prev, p = 1.0 + 0j, z - m.c[0]
+    d_prev, d = 0j, 1.0 + 0j
+    e_prev, e = 1.0, max(abs(z) + abs(m.c[0]), 1.0)
+    for k in range(1, n):
+        zc = z - m.c[k]
+        p_prev, p = p, zc * p - m.lam[k - 1] * p_prev
+        d_prev, d = d, p_prev + zc * d - m.lam[k - 1] * d_prev
+        e_prev, e = e, abs(zc) * e + abs(m.lam[k - 1]) * e_prev
+    return p, d, e
+
+
+class TestBatchedRun:
+    # |z| = 1e8 leaves the rescale window within 19 steps; the others never do
+    ZS = np.array([1e8 * np.exp(0.3j), 0.3 + 0.2j, -0.7 + 0j, 1e8j, 2 + 1j])
+
+    def run(self, m, n, z):
+        return _scaled_run(m, n, z, 1.0, z - m.c[0], deriv=True, envelope=True)
+
+    def test_batch_equals_points_alone(self, cheb1):
+        m = cheb1
+        batch = self.run(m, 256, self.ZS)
+        assert batch[2][0] > 1000 and batch[2][1] == 0  # one rescaled, one not
+        for i, z in enumerate(self.ZS):
+            alone = self.run(m, 256, complex(z))
+            assert all(type(x) in (complex, float) for x in alone)
+            assert tuple(x[i] for x in batch) == alone
+
+    def test_matches_scalar_eval_P_and_reference(self, cheb1):
+        m = cheb1
+        for n in (1, 2, 30, 256):
+            prev, cur, log_scale, dcur, ecur = self.run(m, n, self.ZS)
+            for i, z in enumerate(self.ZS):
+                if log_scale[i] < 700:  # P_n(z) is a finite double
+                    expect = eval_P(m, n, complex(z))
+                    assert abs(cur[i] * np.exp(log_scale[i]) - expect) <= 1e-13 * abs(expect)
+            if n <= 30:  # the unscaled reference is finite up to here
+                for i, z in enumerate(self.ZS):
+                    p, d, e = naive_run(m, n, complex(z))
+                    f = np.exp(log_scale[i])
+                    assert abs(cur[i] * f - p) <= 1e-13 * abs(p)
+                    assert abs(dcur[i] * f - d) <= 1e-13 * abs(d)
+                    assert abs(ecur[i] * f - e) <= 1e-13 * e
+
+    def test_eval_P_accepts_arrays(self, cheb1):
+        zs = np.array([0.3 + 0.7j, 2.5, -1.2 + 0.1j])
+        got = eval_P(cheb1, 17, zs)
+        assert np.array_equal(got, [eval_P(cheb1, 17, z) for z in zs])

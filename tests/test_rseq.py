@@ -269,3 +269,24 @@ def test_cauchy_default_for_r1_kappa2(cheb1):
     sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
     expect = cauchy_s0star(cheb1, -1j)
     assert abs(sys1.k2.s0star - expect) < 1e-12
+
+
+class TestBatchedResiduals:
+    def test_r1_array_equals_points(self, cheb1):
+        sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(1 - 1j))
+        for n in (1, 10, 40):
+            batch = sys1.residual(n, ZS)
+            assert batch.shape == ZS.shape
+            assert list(batch) == [sys1.residual(n, z) for z in ZS]
+            assert isinstance(sys1.residual(n, ZS[0]), float)
+
+    def test_r2_array_equals_points(self, cheb1):
+        pair = GeronimusPairQuasi(cheb1, 1 - 1j)
+        sys2 = R2System(cheb1, 1j)
+        for n in (1, 8, 30):
+            q = pair.quasi(n)
+            rc = sys2.coeffs(q, n)
+            batch = sys2.residual(q, rc, ZS)
+            assert batch.shape == ZS.shape
+            assert list(batch) == [sys2.residual(q, rc, z) for z in ZS]
+            assert isinstance(sys2.residual(q, rc, ZS[0]), float)

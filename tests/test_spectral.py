@@ -3,9 +3,10 @@ import pytest
 
 from darbouxjac.core import family_coeffs, symmetrize
 from darbouxjac.darboux import TransformPoint, christoffel, geronimus
-from darbouxjac.errors import ConfigurationError, PrefixError
+from darbouxjac.errors import ConfigurationError, EigenSolverError, PrefixError
 from darbouxjac.factorization import build_JC, build_JG, lu_factor, ul_factor
 from darbouxjac.polyeval import eval_P
+from darbouxjac import spectral
 from darbouxjac.spectral import (
     ZeroCloud,
     cluster_distance,
@@ -47,6 +48,18 @@ class TestZeros:
             for z in cloud.zeros:
                 scale = max(1.0, abs(z)) ** n
                 assert abs(eval_P(cheb3, n, z)) <= 1e-8 * scale
+
+    def test_certificate_rejects_a_bad_eigenvalue(self, cheb1, monkeypatch):
+        eigvals = np.linalg.eigvals
+
+        def one_wrong(a):
+            vals = eigvals(a)
+            vals[3] = 3 + 3j
+            return vals
+
+        monkeypatch.setattr(spectral.np.linalg, "eigvals", one_wrong)
+        with pytest.raises(EigenSolverError, match="at degree 10"):
+            zeros(cheb1, 10)
 
     def test_count_equals_degree(self, cheb4):
         assert len(zeros(cheb4, 17).zeros) == 17
