@@ -29,6 +29,7 @@ from .errors import (
     DarbouxError,
     DegeneracyError,
     EigenSolverError,
+    EvaluationRangeError,
     ExistenceError,
     FactorBreakdownError,
     PoleError,

@@ -19,9 +19,11 @@ Which precision runs:
   most ~1/eta.  For eta >= 1e-2 the kernel runs in double; below it the same
   kernel runs in mpmath at 30 + log10(1/eta) digits, eta being resolved at a
   precision that can see it and the digits capped by ``_auto_dps``.
-* ``GeronimusChain`` (``geronimus_cauchy``, conjugate-pair chains) steps at
-  the exact Cauchy value, where R_n is the minimal solution itself, so it
-  keeps a precision budget sized to the prefix length.
+* ``GeronimusChain`` (conjugate-pair chains) and ``geronimus_cauchy`` step
+  at the exact Cauchy value S, where R_n is the minimal solution itself.
+  There ``_cauchy_run`` runs the ratios *and* the differences backward from
+  the continued-fraction tail (Pincherle; Gautschi, SIAM Review 9, 1967),
+  which is stable, so these steps run in double with no precision budget.
 
 ``cauchy_s0star`` returns the continued fraction evaluated in double
 (backward evaluation is stable), cross-checked against quadrature.
@@ -43,7 +45,7 @@ from .errors import (
     QuadratureError,
     ZeroHitError,
 )
-from .polyeval import eval_P, ratio_sequence, _scaled_run
+from .polyeval import _scaled_run, _unscaled, eval_P, ratio_sequence
 
 __all__ = [
     "TransformPoint",
@@ -259,7 +261,7 @@ def kernel_eval(m: RecurrenceCoeffs, site: TransformPoint, n: int, z: complex) -
             f"kernel polynomials do not exist at kappa={kappa}", exc.index
         ) from exc
     p_n, p_n1, log_scale = _scaled_run(m, n + 1, z, 1.0 + 0.0j, z - m.c[0])
-    return (p_n1 - rho.r(n + 1) * p_n) / (z - kappa) * math.exp(log_scale)
+    return _unscaled((p_n1 - rho.r(n + 1) * p_n) / (z - kappa), log_scale, n)
 
 
 def christoffel_two(
@@ -362,20 +364,62 @@ def _cf_m_function(c, lam, z):
     return 1 / (c[0] - z - t)
 
 
-def _geronimus_step(c, lam, s0, kappa, s0star):
-    """One Geronimus step on coefficient lists: (c, lam, w) of the result,
-    w[k] = R_{k+1}(kappa)/R_k(kappa), in the number type of the inputs.
+def _cauchy_run(c, lam, kappa, what: str):
+    """(w, e, offset) of ``_ratio_run`` at the Cauchy value s0star = s0 m(J; kappa),
+    where R_n is the minimal solution: one backward pass, stable in double.
 
-    c^{-*}_1 = kappa + s_0/s0star, c^{-*}_{k+1} = c_{k+1} + e[k],
-    lambda^{-*}_2 = -w[0] s_0/s0star, lambda^{-*}_{k+2} = lambda_{k+1} w[k]/w[k-1].
+    With t_{N+1} = _tail_seed, D_j = c[j-1] - kappa - t_{j+1} and
+    t_j = lam[j-2]/D_j for j = N..2 (the continued fraction of
+    ``_cf_m_function``), w[k] = R_{k+1}/R_k = -t_{k+2}, e[k] = t_{k+1} - t_{k+2}
+    and offset = s0/s0star = c[0] - kappa - t_2.  The differences
+    d_j = t_j - t_{j+1} run backward from d_N = 0 (the seed is the tail map's
+    fixed point) with exact inputs, as in ``_ratio_run``:
+
+        d_j = ((lam[j-2] - lam[j-1]) + t_{j+1} ((c[j] - c[j-1]) + d_{j+1})) / D_j.
+
+    Raises ExistenceError(what, j - 2) when D_j cancels to within
+    _BREAKDOWN_RTOL of its terms (R_{j-2}(kappa) = 0).
     """
-    offset = s0 / s0star
+    n = len(c)
+    t = _tail_seed(c[-1], lam[-1], kappa)
+    d = 0 * t
+    w, e = [], []  # from the far end
+    for j in range(n, 1, -1):
+        head = c[j - 1] - kappa
+        big = head - t  # D_j
+        if abs(big) < _BREAKDOWN_RTOL * max(abs(head), abs(t)):
+            raise ExistenceError(what, j - 2)
+        if j < n:
+            d = ((lam[j - 2] - lam[j - 1]) + t * ((c[j] - c[j - 1]) + d)) / big
+            e.append(d)
+        t = lam[j - 2] / big
+        w.append(-t)
+    return w[::-1], [0 * t] + e[::-1], c[0] - kappa - t
+
+
+def _geronimus_step(c, lam, s0, kappa, s0star=None):
+    """One Geronimus step on coefficient lists: (c, lam, s0star, w) of the
+    result, w[k] = R_{k+1}(kappa)/R_k(kappa), in the number type of the inputs.
+    s0star None steps at the Cauchy value through ``_cauchy_run``.
+
+    c^{-*}_1 = kappa + s_0/s0star (= c_1 + w[0]), c^{-*}_{k+1} = c_{k+1} + e[k],
+    lambda^{-*}_2 = -w[0] s_0/s0star, lambda^{-*}_{k+2} = lambda_{k+1} w[k]/w[k-1]
+    taken as lambda_{k+1} (1 + e[k]/w[k-1]): equal ratios (a constant tail)
+    then give lambda_{k+1} exactly, not a rounding bias repeated in every entry.
+    """
     out_len = len(c) - 2
-    w, e = _ratio_run(c, lam, kappa, offset, out_len + 1, _NO_GERONIMUS)
-    c_new = [kappa + offset] + [c[k] + e[k] for k in range(1, out_len)]
+    if s0star is None:
+        w, e, offset = _cauchy_run(c, lam, kappa, _NO_GERONIMUS)
+        s0star = s0 * (1 / offset)  # bit for bit s0 * _cf_m_function
+        first = c[0] + w[0]
+    else:
+        offset = s0 / s0star
+        w, e = _ratio_run(c, lam, kappa, offset, out_len + 1, _NO_GERONIMUS)
+        first = kappa + offset
+    c_new = [first] + [c[k] + e[k] for k in range(1, out_len)]
     lam_new = [-w[0] * offset]
-    lam_new += [lam[k - 1] * w[k] / w[k - 1] for k in range(1, out_len - 1)]
-    return c_new, lam_new, w
+    lam_new += [lam[k - 1] * (1 + e[k] / w[k - 1]) for k in range(1, out_len - 1)]
+    return c_new, lam_new, s0star, w
 
 
 def _a_seq(w) -> np.ndarray:
@@ -384,58 +428,41 @@ def _a_seq(w) -> np.ndarray:
 
 
 class GeronimusChain:
-    """Iterated Geronimus transformations carried in extended precision.
+    """Iterated Geronimus transformations in double precision.
 
-    Keeps the current prefix as mpmath numbers so that step k+1 sees step k's
-    coefficients (and Cauchy-transform normalizations) at full working
-    precision; exports IEEE doubles on demand.  Steps taken at the Cauchy
-    value follow the minimal solution, hence the budget sized to the length.
+    ``apply(kappa)`` steps at the Cauchy value s0star = integral d(current
+    measure)/(t - kappa), where R_n is the minimal solution, through the
+    backward run ``_cauchy_run``; there is no precision budget.  An explicit
+    s0star goes through ``geronimus`` and its routing.
     """
 
-    def __init__(self, m: RecurrenceCoeffs, dps: int | None = None):
-        if dps is None:
-            dps = _auto_dps(m.c, m.lam, 1.0, 2.0 + 2.0j, m.n_max)
-        self.dps = dps
+    def __init__(self, m: RecurrenceCoeffs):
         self.base = m
-        with mp.workdps(self.dps):
-            self._c = [mp.mpc(z) for z in m.c]
-            self._lam = [mp.mpc(z) for z in m.lam]
-            self._s0 = mp.mpc(m.s0)
+        self._c, self._lam, self._s0 = m.c.tolist(), m.lam.tolist(), complex(m.s0)
         self.steps: list[dict] = []
 
     @property
     def n_max(self) -> int:
         return len(self._c)
 
-    def cauchy_s0(self, z: complex):
-        """integral d(current measure)/(t - z) = s0 * m(J; z), as mpc."""
-        with mp.workdps(self.dps):
-            return self._s0 * _cf_m_function(self._c, self._lam, mp.mpc(z))
-
     def apply(self, kappa: complex, s0star=None) -> None:
         """One Geronimus step; s0star None means the Cauchy-transform value."""
-        with mp.workdps(self.dps):
-            kappa_mp = mp.mpc(kappa)
-            s0star_mp = mp.mpc(s0star) if s0star is not None else self.cauchy_s0(kappa)
-            if s0star_mp == 0:
-                raise ConfigurationError("s0star = 0: the transformed OPS does not exist")
+        kappa = complex(kappa)
+        if s0star is None:
             if len(self._c) - 2 < 2:
                 raise PrefixError("prefix too short for another Geronimus step")
-            c_new, lam_new, w = _geronimus_step(
-                self._c, self._lam, self._s0, kappa_mp, s0star_mp
-            )
-            self.steps.append(
-                {"kappa": complex(kappa), "s0star": complex(s0star_mp), "a_seq": _a_seq(w)}
-            )
-            self._c, self._lam, self._s0 = c_new, lam_new, s0star_mp
+            c_new, lam_new, s0star, w = _geronimus_step(self._c, self._lam, self._s0, kappa)
+            a_seq = _a_seq(w)
+        else:
+            site = TransformPoint(kappa, s0star=s0star, allow_real=True)
+            tc = geronimus(self.coeffs(), site)
+            c_new, lam_new, a_seq = tc.coeffs.c.tolist(), tc.coeffs.lam.tolist(), tc.a_seq
+            s0star = site.s0star
+        self.steps.append({"kappa": kappa, "s0star": s0star, "a_seq": a_seq})
+        self._c, self._lam, self._s0 = c_new, lam_new, s0star
 
     def coeffs(self) -> RecurrenceCoeffs:
-        with mp.workdps(self.dps):
-            return RecurrenceCoeffs(
-                c=[complex(z) for z in self._c],
-                lam=[complex(z) for z in self._lam],
-                s0=complex(self._s0),
-            )
+        return RecurrenceCoeffs(c=self._c, lam=self._lam, s0=self._s0)
 
 
 def _extended_dps(c, lam, s0, kappa, s0star, budget: int) -> int:
@@ -480,7 +507,7 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
     except ZeroDivisionError:
         eta = math.nan
     if eta >= _DOUBLE_ETA:
-        c_new, lam_new, w = _geronimus_step(c, lam, m.s0, kappa, s0star)
+        c_new, lam_new, _, w = _geronimus_step(c, lam, m.s0, kappa, s0star)
     else:
         # doubles convert to mpc exactly at any working precision
         args = ([mp.mpc(z) for z in c], [mp.mpc(z) for z in lam],
@@ -489,7 +516,7 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
         if not math.isnan(eta):  # a breaking-down fraction gets the full budget
             dps = _extended_dps(*args, dps)
         with mp.workdps(dps):
-            c_new, lam_new, w = _geronimus_step(*args)
+            c_new, lam_new, _, w = _geronimus_step(*args)
             c_new = [complex(z) for z in c_new]
             lam_new = [complex(z) for z in lam_new]
     notes = () if site.geronimus_guaranteed else ("existence-checked-numerically",)
@@ -526,7 +553,7 @@ def geronimus_eval_from(tc: TransformedCoeffs, n: int, z: complex) -> complex:
     m = tc.base
     a_n = tc.a_seq[n]
     prev, cur, log_scale = _scaled_run(m, n, z, 1.0 + 0.0j, z - m.c[0])
-    return (cur + a_n * prev) * math.exp(log_scale)
+    return _unscaled(cur + a_n * prev, log_scale, n)
 
 
 def cauchy_s0star(m: RecurrenceCoeffs, kappa: complex, quadrature_nodes: int = 4096) -> complex:
@@ -571,17 +598,15 @@ def geronimus_cauchy(
     kappa = complex(kappa)
     s0star = cauchy_s0star(m, kappa, quadrature_nodes)
     site = TransformPoint(kappa=kappa, s0star=s0star, allow_real=(kappa.imag == 0))
-    # The continued fraction is re-evaluated inside the high-precision chain:
-    # a double-rounded s0star would derail the minimal-solution ratios.
-    dps = _auto_dps(m.c, m.lam, abs(m.s0 / s0star), kappa, m.n_max)
-    chain = GeronimusChain(m, dps=dps)
-    chain.apply(kappa, s0star=None)
-    step = chain.steps[-1]
+    if m.n_max < 4:
+        raise PrefixError("geronimus needs a prefix of length >= 4")
+    # at the exact Cauchy value (s0star above is its rounding): backward run
+    c_new, lam_new, s0star, w = _geronimus_step(m.c.tolist(), m.lam.tolist(), m.s0, kappa)
     return TransformedCoeffs(
         base=m,
         sites=(site,),
         kinds=("geronimus",),
-        coeffs=chain.coeffs(),
-        a_seq=step["a_seq"],
+        coeffs=RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0star),
+        a_seq=_a_seq(w),
         notes=("s0star-from-cauchy-transform",),
     )

@@ -26,6 +26,14 @@ class ZeroHitError(DarbouxError, ArithmeticError):
         super().__init__(f"{which}_{index} vanishes at the evaluation point")
 
 
+class EvaluationRangeError(DarbouxError, OverflowError):
+    """A polynomial value of degree n lies beyond the double range."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"the degree-{index} value lies beyond the double range")
+
+
 class ExistenceError(DarbouxError, ArithmeticError):
     """A transformed OPS does not exist (vanishing denominator at index n)."""
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RecurrenceCoeffs
-from .errors import ConfigurationError, PrefixError, ZeroHitError
+from .errors import ConfigurationError, EvaluationRangeError, PrefixError, ZeroHitError
 
 __all__ = [
     "EvalTriple",
@@ -150,6 +150,18 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
     return tuple(x[0].item() for x in result) if scalar else tuple(result)
 
 
+def _unscaled(val, log_scale, n: int):
+    """val * exp(log_scale); EvaluationRangeError(n) beyond the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = val * np.exp(log_scale)
+        if not np.all(np.isfinite(out)):  # exp(log_scale) alone may overflow
+            half = np.exp(np.divide(log_scale, 2))
+            out = np.where(np.isfinite(out), out, val * half * half)[()]
+    if not np.all(np.isfinite(out)):
+        raise EvaluationRangeError(n)
+    return out
+
+
 def _eval_scaled(m: RecurrenceCoeffs, which: str, n: int, z, s0star=None):
     y0, y1 = _initial_pair(m, which, z, s0star)
     if n == 0:
@@ -161,20 +173,17 @@ def _eval_scaled(m: RecurrenceCoeffs, which: str, n: int, z, s0star=None):
 def eval_P(m: RecurrenceCoeffs, n: int, z: complex) -> complex:
     """Value of the monic degree-n orthogonal polynomial P_n(z); an array z
     gives the values at every point."""
-    val, log_scale = _eval_scaled(m, "P", n, z)
-    return val * np.exp(log_scale)
+    return _unscaled(*_eval_scaled(m, "P", n, z), n)
 
 
 def eval_Q(m: RecurrenceCoeffs, n: int, z: complex) -> complex:
     """Second-kind polynomial Q_n(z); Q_0 = 0, Q_1 = s_0 (1 when normalized)."""
-    val, log_scale = _eval_scaled(m, "Q", n, z)
-    return val * np.exp(log_scale)
+    return _unscaled(*_eval_scaled(m, "Q", n, z), n)
 
 
 def eval_R(m: RecurrenceCoeffs, n: int, z: complex, s0star: complex) -> complex:
     """R_n(z) = P_n(z) + Q_n(z)/s0star, the Geronimus denominator polynomial."""
-    val, log_scale = _eval_scaled(m, "R", n, z, s0star)
-    return val * np.exp(log_scale)
+    return _unscaled(*_eval_scaled(m, "R", n, z, s0star), n)
 
 
 def evaluate(m: RecurrenceCoeffs, n: int, z: complex, s0star: complex | None = None) -> EvalTriple:

@@ -24,10 +24,10 @@ from .core import RecurrenceCoeffs
 from .darboux import (
     GeronimusChain,
     TransformPoint,
-    cauchy_s0star,
     christoffel,
     christoffel_two,
     geronimus,
+    geronimus_cauchy,
 )
 from .errors import (
     ConfigurationError,
@@ -150,13 +150,11 @@ class R1System:
     def __init__(self, m: RecurrenceCoeffs, k1: TransformPoint, k2: TransformPoint):
         self.m = m
         self.kappa1 = complex(k1.kappa)
-        s0star = k2.s0star
-        if s0star is None:
-            s0star = cauchy_s0star(m, k2.kappa)
-            k2 = TransformPoint(k2.kappa, s0star=s0star, allow_real=k2.allow_real)
-        self.k2 = k2
         self.rho = ratio_sequence(m, self.kappa1, "P").values  # rho[n-1] = P_n/P_{n-1}
-        self.gero = geronimus(m, k2)
+        # s0star None: the exact Cauchy value, stepped in double; at its double
+        # rounding (eta ~ 1e-16) geronimus would take the mpmath route
+        self.gero = geronimus(m, k2) if k2.s0star is not None else geronimus_cauchy(m, k2.kappa)
+        self.k2 = self.gero.sites[0]
 
     def coeffs(self, n: int) -> RICoefficients:
         if n < 1:
@@ -393,16 +391,11 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
     prefixes = [m]
     pair_quasis = []
     applied: list[complex] = []
-    for k, kap in enumerate(kappas, start=1):
-        s0star = chain.cauchy_s0(kap)
-        applied_1 = applied + [kap]
-        _quad_crosscheck(m, applied_1, complex(s0star))
-        chain.apply(kap, s0star)
-        kap_bar = complex(np.conj(kap))
-        s0starstar = chain.cauchy_s0(kap_bar)
-        applied = applied_1 + [kap_bar]
-        _quad_crosscheck(m, applied, complex(s0starstar))
-        chain.apply(kap_bar, s0starstar)
+    for kap in kappas:
+        for site in (kap, complex(np.conj(kap))):
+            chain.apply(site)
+            applied.append(site)
+            _quad_crosscheck(m, applied, chain.steps[-1]["s0star"])
         prefixes.append(chain.coeffs())
         pair_quasis.append(
             (chain.steps[-2]["a_seq"], chain.steps[-1]["a_seq"])

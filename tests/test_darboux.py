@@ -14,7 +14,7 @@ from darbouxjac.darboux import (
     geronimus_eval_from,
     kernel_eval,
 )
-from darbouxjac.errors import ConfigurationError, ExistenceError
+from darbouxjac.errors import ConfigurationError, EvaluationRangeError, ExistenceError
 from darbouxjac.polyeval import eval_P
 
 RNG = np.random.default_rng(0x5EED)
@@ -236,6 +236,16 @@ class TestGeronimusCauchy:
         assert abs(out.s0.imag) < 1e-15
         assert out.s0.real > 0
 
+    def test_chain_with_explicit_s0star_steps_through_geronimus(self, cheb1):
+        site = TransformPoint(1j, s0star=2 - 1j)
+        chain = GeronimusChain(cheb1)
+        chain.apply(site.kappa, site.s0star)
+        direct = geronimus(cheb1, site)
+        assert np.array_equal(chain.coeffs().c, direct.coeffs.c)
+        assert np.array_equal(chain.coeffs().lam, direct.coeffs.lam)
+        assert chain.coeffs().s0 == site.s0star == chain.steps[-1]["s0star"]
+        assert np.array_equal(chain.steps[-1]["a_seq"], direct.a_seq)
+
     def test_needs_family(self, cheb1):
         bare = RecurrenceCoeffs(c=cheb1.c, lam=cheb1.lam)
         with pytest.raises(ConfigurationError):
@@ -256,3 +266,16 @@ def test_geronimus_nevai_invariance(cheb1):
     tc = geronimus(cheb1, TransformPoint(1j, s0star=1.0))
     assert abs(tc.coeffs.lam_n(200) - 0.25) < 1e-6
     assert abs(tc.coeffs.c_n(200)) < 1e-6
+
+
+class TestEvaluationRange:
+    def test_kernel_eval_beyond_double_range_raises(self, cheb1):
+        with pytest.raises(EvaluationRangeError) as err:
+            kernel_eval(cheb1, TransformPoint(1j), 200, 1e8j)
+        assert err.value.index == 200
+
+    def test_geronimus_eval_from_beyond_double_range_raises(self, cheb1):
+        tc = geronimus(cheb1, TransformPoint(1j, s0star=1.0))
+        with pytest.raises(EvaluationRangeError) as err:
+            geronimus_eval_from(tc, 200, 1e8j)
+        assert err.value.index == 200

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
-from darbouxjac.errors import ConfigurationError, ZeroHitError
-from darbouxjac.polyeval import _scaled_run, eval_P, eval_Q, eval_R, evaluate, ratio_sequence
+from darbouxjac.errors import ConfigurationError, EvaluationRangeError, ZeroHitError
+from darbouxjac.polyeval import (
+    _scaled_run,
+    _unscaled,
+    eval_P,
+    eval_Q,
+    eval_R,
+    evaluate,
+    ratio_sequence,
+)
 
 RNG = np.random.default_rng(0x5EED)
 
@@ -215,3 +223,30 @@ class TestBatchedRun:
         zs = np.array([0.3 + 0.7j, 2.5, -1.2 + 0.1j])
         got = eval_P(cheb1, 17, zs)
         assert np.array_equal(got, [eval_P(cheb1, 17, z) for z in zs])
+
+
+class TestEvaluationRange:
+    @pytest.mark.parametrize(
+        "evaluate_at",
+        [
+            lambda m, z: eval_P(m, 256, z),
+            lambda m, z: eval_Q(m, 256, z),
+            lambda m, z: eval_R(m, 256, z, 1.0),
+            lambda m, z: eval_P(m, 256, np.array([0.3, z])),
+        ],
+    )
+    def test_value_beyond_double_range_raises(self, cheb1, evaluate_at):
+        # |P_256(1e8 i)| ~ 1e2048: no inf/nan and no numpy warning
+        with np.errstate(all="raise"):
+            with pytest.raises(EvaluationRangeError) as err:
+                evaluate_at(cheb1, 1e8j)
+        assert err.value.index == 256
+        assert isinstance(err.value, OverflowError)
+
+    def test_large_value_inside_range_is_returned(self, cheb1):
+        val = eval_P(cheb1, 100, 1e3)
+        assert abs(val / naive_eval(cheb1, "P", 100, 1e3 + 0j) - 1) < 1e-13
+
+    def test_scale_factor_overflow_alone_is_not_an_error(self):
+        # exp(750) overflows on its own, 1e-150 exp(750) ~ 5.3e175 does not
+        assert abs(_unscaled(1e-150 + 0j, 750.0, 5) / 5.258494541454803e175 - 1) < 1e-12

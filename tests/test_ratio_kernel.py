@@ -7,10 +7,13 @@ of them; sites are nonreal with Re kappa in [-1.5, 1.5] and |Im kappa| down
 to 1e-3.  Geronimus is checked with s0star drawn in the closed half-plane
 opposite kappa (the double-precision route when eta = |1 - S/s0star| >=
 1e-2) and with the double-rounded Cauchy value from cauchy_s0star (the
-extended-precision route).
+extended-precision route).  The GeronimusChain step at the Cauchy value
+(the backward run) is checked against the UL step taken at the reference's
+own Cauchy value.
 """
 import cmath
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +23,13 @@ from hypothesis import strategies as st
 
 from darbouxjac import darboux
 from darbouxjac.core import CHEBYSHEV_KINDS, RecurrenceCoeffs, family_coeffs
-from darbouxjac.darboux import TransformPoint, cauchy_s0star, christoffel, geronimus
+from darbouxjac.darboux import (
+    GeronimusChain,
+    TransformPoint,
+    cauchy_s0star,
+    christoffel,
+    geronimus,
+)
 from darbouxjac.errors import ExistenceError
 
 N_MAX = 48
@@ -117,14 +126,27 @@ def ul_step(c, lam, s0, kappa, s0star):
     return c_out + lam_out + [s0star]
 
 
-def reference(step, m: RecurrenceCoeffs, *site):
+def ul_cauchy_step(c, lam, s0, kappa):
+    """ul_step at s0star = s0 m(J; kappa), the continued fraction taken at
+    the working precision."""
+    return ul_step(c, lam, s0, kappa, s0 * darboux._cf_m_function(c, lam, kappa))
+
+
+def ul_cauchy_pair(c, lam, s0, kappa):
+    """ul_cauchy_step at kappa, then at conj kappa on its output."""
+    out = ul_cauchy_step(c, lam, s0, kappa)
+    n = len(c) - 2
+    return ul_cauchy_step(out[:n], out[n:-1], out[-1], mp.conj(kappa))
+
+
+def reference(step, m: RecurrenceCoeffs, *site, dps: int = 30):
     """step on the exact double inputs at two precisions GUARD digits apart,
-    doubled until they agree to AGREE; the higher one is returned."""
+    starting at dps and doubled until they agree to AGREE; the higher one is
+    returned."""
     def run():
         args = [[mp.mpc(z) for z in m.c], [mp.mpc(z) for z in m.lam], mp.mpc(m.s0)]
         return step(*args, *(mp.mpc(v) for v in site))
 
-    dps = 30
     while dps <= 4000:
         with mp.workdps(dps):
             lo = run()
@@ -134,6 +156,15 @@ def reference(step, m: RecurrenceCoeffs, *site):
                 return hi
         dps *= 2
     raise AssertionError("reference did not settle")
+
+
+def resolving_dps(kappa: complex) -> int:
+    """30 digits beyond those that resolve kappa's smaller part against
+    max(1, |kappa|).  An exactly vanishing entry such as kappa + t_2 + lam/t_2
+    otherwise comes out as Re kappa = 1e-150 at 60 and at 80 digits alike,
+    the parts that cancel it being below both precisions."""
+    small = min((abs(x) for x in (kappa.real, kappa.imag) if x), default=1.0)
+    return 30 + max(0, math.ceil(math.log10(max(1.0, abs(kappa))) - math.log10(small)))
 
 
 def assert_entrywise(tc, ref) -> None:
@@ -200,3 +231,65 @@ def test_breakdown_raises_existence_error_at_its_index(m, kappa, n, is_christoff
         else:
             geronimus(broken, TransformPoint(kappa, s0star=s0star))
     assert err.value.index == n
+
+
+@PROPERTY
+@given(prefixes, kappas())
+def test_chain_cauchy_step_matches_ul_reference(m, kappa):
+    chain = GeronimusChain(m)
+    chain.apply(kappa)
+    ref = reference(ul_cauchy_step, m, kappa, dps=resolving_dps(kappa))
+    assert_entrywise(SimpleNamespace(coeffs=chain.coeffs()), ref)
+
+
+@PROPERTY
+@given(prefixes, kappas())
+def test_chain_conjugate_pair_keeps_lambda_real_positive(m, kappa):
+    """Steps at kappa and conj kappa give the positive measure dmu/|t - kappa|^2."""
+    chain = GeronimusChain(m)
+    chain.apply(kappa)
+    chain.apply(kappa.conjugate())
+    lam = chain.coeffs().lam
+    assert np.all(np.abs(lam.imag) <= 1e-10 * np.abs(lam))
+    assert np.all(lam.real > 0)
+
+
+@PROPERTY
+@given(prefixes, kappas(), st.integers(2, N_MAX - 1))
+def test_chain_breakdown_raises_existence_error_at_its_index(m, kappa, j):
+    """Setting c_j so that D_j = c_j - kappa - t_{j+1} vanishes in the backward
+    run makes the Cauchy step fail at n = j - 2 (R_{j-2}(kappa) = 0)."""
+    c, lam = m.c.tolist(), m.lam.tolist()
+    t = darboux._tail_seed(c[-1], lam[-1], kappa)
+    for i in range(N_MAX, j, -1):  # t_i = lam_i / (c_i - kappa - t_{i+1})
+        t = lam[i - 2] / (c[i - 1] - kappa - t)
+    c[j - 1] = kappa + t
+    broken = RecurrenceCoeffs(c=c, lam=m.lam, s0=m.s0)
+    with pytest.raises(ExistenceError) as err:
+        GeronimusChain(broken).apply(kappa)
+    assert err.value.index == j - 2
+
+
+@pytest.mark.parametrize("kind", CHEBYSHEV_KINDS)
+def test_chain_conjugate_pair_near_support_matches_ul_reference(kind):
+    """256 terms at |Im kappa| = 1e-3: the second step's continued fraction
+    sums the first step's rounding over the whole prefix, so a bias that is
+    the same in every entry (lambda_k w_k / w_{k-1} with w_k = w_{k-1} on a
+    constant tail) would cost 6e-12.
+
+    lambda and s0 never vanish and are compared entrywise; c is compared
+    against its largest entry, since some c_k are exactly 0 (c_2 of the
+    chebyshev2 pair, a Bernstein-Szego weight) and come out at 1e-16.
+    """
+    m = family_coeffs(kind, 256)
+    kappa = 0.5 - 1e-3j
+    chain = GeronimusChain(m)
+    chain.apply(kappa)
+    chain.apply(kappa.conjugate())
+    got = chain.coeffs()
+    ref = reference(ul_cauchy_pair, m, kappa)
+    ref_c, ref_rest = ref[: got.n_max], ref[got.n_max :]
+    err = max(float(abs(g - r) / abs(r)) for g, r in zip([*got.lam, got.s0], ref_rest))
+    assert err <= TOL, err
+    err_c = max(float(abs(g - r)) for g, r in zip(got.c, ref_c)) / max(abs(r) for r in ref_c)
+    assert err_c <= TOL, err_c
