@@ -172,8 +172,9 @@ def cmd_zeros(args) -> int:
             site = TransformPoint(
                 args.kappa, s0star=args.s0star, allow_real=(args.kappa.imag == 0)
             )
-            cloud = spectral.geronimus_zero_cloud(base, site, n)
+            # first: it raises PrefixError for a degree outside 1..n_max-2
             _, dist, log_dist = spectral.cluster_distance(base, site, n)
+            cloud = spectral.geronimus_zero_cloud(base, site, n)
             extra = (dist, log_dist)
         for z in cloud.zeros:
             row = [n, float(z.real), float(z.imag)]

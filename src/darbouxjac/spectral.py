@@ -5,15 +5,14 @@ Zeros of P_n are the eigenvalues of the n x n truncation of the Jacobi
 matrix; the eigensolver output is polished with two Newton steps and then
 certified by the error envelope, each one run of polyeval's evaluator over
 all n zeros at once.  Cluster-zero distances |xi_n - kappa| for Geronimus
-transforms decay geometrically below double precision, so they are refined
-with mpmath Newton iteration at a precision that grows with n.
+transforms decay far below double resolution; Newton iteration in the shifted
+variable h = z - kappa finds them in double, from ratio differences carried as products.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-import mpmath as mp
 import numpy as np
 
 from .core import (
@@ -23,16 +22,9 @@ from .core import (
     symmetric_jacobi_matrix,
     symmetrize,
 )
-from .darboux import (
-    _NO_GERONIMUS,
-    TransformPoint,
-    _auto_dps,
-    _ratio_run,
-    christoffel,
-    geronimus,
-)
+from .darboux import TransformPoint, christoffel, geronimus
 from .errors import ConfigurationError, EigenSolverError, PrefixError
-from .polyeval import _scaled_run, ratio_sequence
+from .polyeval import _SCALE_HI, _SCALE_LO, _scaled_run, _unscaled, ratio_sequence
 
 __all__ = [
     "ZeroCloud",
@@ -189,9 +181,7 @@ def kernel_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> Zero
     # -1/Im(P_{n-1}/P_n) is positive for kappa above the axis and negative
     # below; store the strip half-width
     bound = abs(1.0 / (1.0 / rho_n).imag)
-    return ZeroCloud(
-        n=n, zeros=cloud.zeros, max_im=cloud.max_im, strip_bound=float(bound)
-    )
+    return replace(cloud, strip_bound=float(bound))
 
 
 def geronimus_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> ZeroCloud:
@@ -202,13 +192,7 @@ def geronimus_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> Z
     w_n = -tc.a_seq[n]  # R_n/R_{n-1} at kappa
     bound = abs(1.0 / (1.0 / w_n).imag)
     cluster = complex(cloud.zeros[np.argmin(np.abs(cloud.zeros - site.kappa))])
-    return ZeroCloud(
-        n=n,
-        zeros=cloud.zeros,
-        max_im=cloud.max_im,
-        strip_bound=float(bound),
-        cluster_candidate=cluster,
-    )
+    return replace(cloud, strip_bound=float(bound), cluster_candidate=cluster)
 
 
 def strip_check(cloud: ZeroCloud, bound: float, side: str = "upper") -> StripReport:
@@ -313,51 +297,65 @@ def truncation_spectrum(J: SymmetricJacobi, size: int) -> np.ndarray:
 
 
 def cluster_distance(
-    m: RecurrenceCoeffs, site: TransformPoint, n: int, dps: int | None = None
+    m: RecurrenceCoeffs, site: TransformPoint, n: int
 ) -> tuple[complex, float, float]:
     """(xi_n, |xi_n - kappa|, ln|xi_n - kappa|) for the Geronimus transform.
 
-    xi_n is the zero of P^{-*}_n(kappa, .) nearest kappa, found by mpmath
-    Newton iteration started at kappa; |xi_n - kappa| decays geometrically
-    below double resolution, hence the extended precision.
+    xi_n is the zero of P^{-*}_n(kappa, .) nearest kappa, found by Newton
+    iteration from kappa in h = z - kappa, in double.  With rho[k] = P_{k+1}/P_k
+    and w[k] = R_{k+1}/R_k at kappa (w from ``geronimus``),
+    P^{-*}_n(z)/P_{n-1}(z) = Delta[n-1] + d[n-1], where d = rho - w and
+    Delta = rho(z) - rho obey d[0] = -s0/s0star, Delta[0] = h and
+    d[k] = lam[k-1] d[k-1] / (rho[k-1] w[k-1]),
+    Delta[k] = h + lam[k-1] Delta[k-1] / (rho[k-1] (rho[k-1] + Delta[k-1])).
+    d keeps its relative accuracy however small; below |d| = 1e-150 the first-order
+    h = -d[n-1]/rho'_{n-1}(kappa) is exact, and under the double range dist is 0.0.
     """
     if site.s0star is None:
         raise ConfigurationError("cluster_distance needs a Geronimus site with s0star")
-    if dps is None:
-        dps = 60 + int(math.ceil(1.2 * n))
-    work = m.truncated(min(m.n_max, max(n + 2, 4)))
-    work_dps = max(
-        dps, _auto_dps(work.c, work.lam, abs(m.s0 / site.s0star), site.kappa, work.n_max)
-    )
-    with mp.workdps(work_dps):
-        c_mp = [mp.mpc(z) for z in work.c]
-        lam_mp = [mp.mpc(z) for z in work.lam]
-        kappa = mp.mpc(site.kappa)
-        offset = mp.mpc(m.s0) / mp.mpc(site.s0star)
-        ws, _ = _ratio_run(c_mp, lam_mp, kappa, offset, n, _NO_GERONIMUS)
-        a_n = -ws[n - 1]
+    if n < 1 or n + 2 > m.n_max:
+        raise PrefixError(f"cluster distance needs 1 <= n <= n_max - 2 = {m.n_max - 2} (n={n})")
+    kappa = site.kappa
+    w = (-geronimus(m.truncated(min(m.n_max, max(n + 2, 4))), site).a_seq[1:n]).tolist()
+    rho = ratio_sequence(m, kappa, "P", n_terms=n).values.tolist()
+    lam = m.lam[: n - 1].tolist()
+    d, log_d = -m.s0 / site.s0star, 0.0
+    for k in range(1, n):
+        d = lam[k - 1] * d / (rho[k - 1] * w[k - 1])
+        if not _SCALE_LO <= abs(d) <= _SCALE_HI:
+            log_d += math.log(abs(d))
+            d /= abs(d)
 
-        def p_pair(z):
-            p_prev, p = mp.mpc(1), z - c_mp[0]
-            dp_prev, dp = mp.mpc(0), mp.mpc(1)
-            for k in range(1, n):
-                zc = z - c_mp[k]
-                p_prev, p = p, zc * p - lam_mp[k - 1] * p_prev
-                dp_prev, dp = dp, p_prev + zc * dp - lam_mp[k - 1] * dp_prev
-            return p + a_n * p_prev, dp + a_n * dp_prev
+    def shifted(h):
+        """(Delta[n-1], rho'_{n-1}(z), sum over k < n-1 of rho'_k(z)/rho_k(z))."""
+        delta, deriv, total = h, 1.0, 0.0
+        for k in range(1, n):
+            r = rho[k - 1] + delta
+            total += deriv / r
+            delta = h + lam[k - 1] * delta / (rho[k - 1] * r)
+            deriv = 1 + lam[k - 1] * deriv / (r * r)
+        return delta, deriv, total
 
-        z = kappa
-        tol = mp.mpf(10) ** (-(dps - 10))
-        for _ in range(80):
-            val, der = p_pair(z)
-            if der == 0:
-                break
-            step = val / der
-            z = z - step
-            if abs(step) <= tol * max(abs(z), mp.mpf(1)):
-                break
-        dist = abs(z - kappa)
-        return complex(z), float(dist), float(mp.log(dist)) if dist > 0 else -math.inf
+    log_abs = log_d + math.log(abs(d))
+    if log_abs < math.log(_SCALE_LO):
+        log_h = log_abs - math.log(abs(shifted(0.0)[1]))
+        return kappa, math.exp(log_h), log_h
+    d = _unscaled(d, log_d, n)
+    h, last = 0j, math.inf
+    for _ in range(80):
+        delta, deriv, total = shifted(h)
+        if delta + d == 0:
+            break
+        step = 1 / (total + deriv / (delta + d))
+        # past sqrt(eps), a step that does not shrink is rounding noise
+        if abs(step) >= last and last <= 1e-8 * abs(h):
+            break
+        h -= step
+        last = abs(step)
+        if last <= 1e-14 * abs(h):
+            break
+    dist = abs(h)
+    return kappa + h, dist, math.log(dist) if dist > 0 else -math.inf
 
 
 def zero_dynamics(
@@ -391,11 +389,11 @@ def zero_dynamics(
     dist = np.empty(len(n_list))
     log_dist = np.empty(len(n_list))
     for i, n in enumerate(n_list):
+        _, dist[i], log_dist[i] = cluster_distance(m, site, n)
         cloud = zeros(tc.coeffs, n)
         k_near = int(np.argmin(np.abs(cloud.zeros - site.kappa)))
         rest = np.delete(cloud.zeros, k_near)
         max_im[i] = float(np.max(rest.imag)) if len(rest) else 0.0
-        _, dist[i], log_dist[i] = cluster_distance(m, site, n)
     slope, intercept = np.polyfit(np.asarray(n_list, dtype=float), log_dist, 1)
     pred = slope * np.asarray(n_list, dtype=float) + intercept
     ss_res = float(np.sum((log_dist - pred) ** 2))

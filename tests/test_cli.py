@@ -191,6 +191,16 @@ class TestZeros:
         first = lines[1].split(",")
         assert abs(np.log(float(first[3])) - float(first[4])) < 1e-9
 
+    @pytest.mark.parametrize("n_list", ["0", "-1", "63"])
+    def test_geronimus_degree_out_of_range_exits_1(self, n_list):
+        proc = run_cli(
+            ["zeros", "--family", "chebyshev1", "--n-max", "64", "--kind", "geronimus",
+             "--kappa", "0+1i", "--s0star", "1+0i", f"--n-list={n_list}"]
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"n={n_list}" in proc.stderr
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "z.json"
         main(

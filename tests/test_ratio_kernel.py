@@ -9,7 +9,9 @@ opposite kappa (the double-precision route when eta = |1 - S/s0star| >=
 1e-2) and with the double-rounded Cauchy value from cauchy_s0star (the
 extended-precision route).  The GeronimusChain step at the Cauchy value
 (the backward run) is checked against the UL step taken at the reference's
-own Cauchy value.
+own Cauchy value.  Cluster distances (the double shifted Newton of
+spectral.cluster_distance) are checked against an mpmath Newton iteration
+on the UL step's output, also with s0star near the Cauchy value.
 """
 import cmath
 import math
@@ -18,7 +20,7 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import HealthCheck, assume, event, given, reject, settings
 from hypothesis import strategies as st
 
 from darbouxjac import darboux
@@ -31,6 +33,7 @@ from darbouxjac.darboux import (
     geronimus,
 )
 from darbouxjac.errors import ExistenceError
+from darbouxjac.spectral import cluster_distance
 
 N_MAX = 48
 TOL = 1e-12
@@ -126,6 +129,30 @@ def ul_step(c, lam, s0, kappa, s0star):
     return c_out + lam_out + [s0star]
 
 
+def cluster_step(n: int):
+    """Step giving [|xi - kappa|], xi the zero of ul_step's P_n reached by
+    Newton iteration from kappa, stopped once a step is below 1e-30 |xi - kappa|;
+    [nan] (no agreement) when the working precision cannot get there."""
+    def step(c, lam, s0, kappa, s0star):
+        out = ul_step(c, lam, s0, kappa, s0star)
+        g_c, g_lam = out[: len(c) - 2], out[len(c) - 2 : -1]
+        z = kappa
+        for _ in range(100):
+            p_prev, p, d_prev, d = 1, z - g_c[0], 0, 1
+            for k in range(1, n):
+                zc = z - g_c[k]
+                p_prev, p, d_prev, d = (
+                    p, zc * p - g_lam[k - 1] * p_prev, d, p + zc * d - g_lam[k - 1] * d_prev
+                )
+            dz = p / d
+            z -= dz
+            if abs(dz) <= 1e-30 * abs(z - kappa):
+                return [abs(z - kappa)]
+        return [mp.nan]
+
+    return step
+
+
 def ul_cauchy_step(c, lam, s0, kappa):
     """ul_step at s0star = s0 m(J; kappa), the continued fraction taken at
     the working precision."""
@@ -167,6 +194,15 @@ def resolving_dps(kappa: complex) -> int:
     return 30 + max(0, math.ceil(math.log10(max(1.0, abs(kappa))) - math.log10(small)))
 
 
+@st.composite
+def near_cauchy_s0star(draw, m: RecurrenceCoeffs, kappa: complex) -> complex:
+    """S (1 + eta e^{i theta}), S the prefix's Cauchy value, eta log-uniform
+    on [1e-8, 1e-3]: geronimus's extended-precision route."""
+    s = m.s0 * darboux._cf_m_function(m.c.tolist(), m.lam.tolist(), kappa)
+    eta = 10.0 ** draw(st.floats(-8.0, -3.0))
+    return s * (1 + eta * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))))
+
+
 def assert_entrywise(tc, ref) -> None:
     got = list(tc.coeffs.c) + list(tc.coeffs.lam) + [tc.coeffs.s0]
     assert len(got) == len(ref)
@@ -182,7 +218,7 @@ def assert_entrywise(tc, ref) -> None:
 @given(prefixes, kappas())
 def test_christoffel_matches_lr_reference(m, kappa):
     tc = christoffel(m, TransformPoint(kappa))
-    assert_entrywise(tc, reference(lr_step, m, kappa))
+    assert_entrywise(tc, reference(lr_step, m, kappa, dps=resolving_dps(kappa)))
 
 
 def double_route(m: RecurrenceCoeffs, kappa: complex, s0star: complex) -> bool:
@@ -197,7 +233,7 @@ def test_geronimus_opposite_s0star_matches_ul_reference(m, kappa, data):
     s0star = data.draw(opposite_s0star(kappa))
     event("double route" if double_route(m, kappa, s0star) else "extended route")
     tc = geronimus(m, TransformPoint(kappa, s0star=s0star))
-    assert_entrywise(tc, reference(ul_step, m, kappa, s0star))
+    assert_entrywise(tc, reference(ul_step, m, kappa, s0star, dps=resolving_dps(kappa)))
 
 
 @PROPERTY
@@ -210,7 +246,7 @@ def test_geronimus_cauchy_s0star_matches_ul_reference(kind, kappa):
     s0star = cauchy_s0star(m, kappa)
     assert not double_route(m, kappa, s0star)
     tc = geronimus(m, TransformPoint(kappa, s0star=s0star))
-    assert_entrywise(tc, reference(ul_step, m, kappa, s0star))
+    assert_entrywise(tc, reference(ul_step, m, kappa, s0star, dps=resolving_dps(kappa)))
 
 
 @PROPERTY
@@ -231,6 +267,35 @@ def test_breakdown_raises_existence_error_at_its_index(m, kappa, n, is_christoff
         else:
             geronimus(broken, TransformPoint(kappa, s0star=s0star))
     assert err.value.index == n
+
+
+@PROPERTY
+@given(prefixes, kappas(), st.integers(1, N_MAX - 2), st.booleans(), st.data())
+def test_cluster_distance_matches_newton_reference(m, kappa, n, near_cauchy, data):
+    s0star = data.draw(near_cauchy_s0star(m, kappa) if near_cauchy else opposite_s0star(kappa))
+    event("near-Cauchy s0star" if near_cauchy else "opposite s0star")
+    xi, dist, log_dist = cluster_distance(m, TransformPoint(kappa, s0star=s0star), n)
+    try:
+        ref = reference(cluster_step(n), m.truncated(n + 2), kappa, s0star,
+                        dps=resolving_dps(kappa))[0]
+    except AssertionError:
+        # Newton from kappa converges at no precision: no zero attracts it
+        # (kappa on the symmetry axis of a symmetric prefix, small n)
+        reject()
+    assert abs(dist - ref) <= TOL * ref, float(abs(dist - ref) / ref)
+    assert log_dist == math.log(dist)
+    assert abs(abs(xi - kappa) - dist) <= 1e-15 * max(abs(kappa), dist)
+
+
+def test_cluster_distance_below_double_range():
+    """|xi_300 - kappa| ~ e^-753 underflows; its log stays exact."""
+    m = family_coeffs("chebyshev1", 1024)
+    kappa, n = 1.5 + 1j, 300
+    xi, dist, log_dist = cluster_distance(m, TransformPoint(kappa, s0star=1.0), n)
+    # 400 digits resolve e^-753 = 1e-327 against |kappa| from the start
+    ref = reference(cluster_step(n), m.truncated(n + 2), kappa, 1.0, dps=400)[0]
+    assert dist == 0.0 and xi == kappa
+    assert abs(log_dist - mp.log(ref)) <= TOL * abs(mp.log(ref))
 
 
 @PROPERTY

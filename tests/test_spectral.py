@@ -163,6 +163,22 @@ class TestZeroDynamics:
         assert 0 < d60 < 1e-40
         assert abs(ld60 - np.log(d60)) < 1e-6
 
+    # P^{-*}_0 = 1 has no zero, and degree n needs n + 2 coefficients
+    @pytest.mark.parametrize("n", [0, -1, 63, 65])
+    def test_cluster_distance_degree_out_of_range(self, n):
+        cheb1_64 = family_coeffs("chebyshev1", 64)
+        with pytest.raises(PrefixError, match=f"n={n}"):
+            cluster_distance(cheb1_64, TransformPoint(1j, s0star=1.0), n)
+
+    def test_cluster_distance_top_degree(self):
+        cheb1_64 = family_coeffs("chebyshev1", 64)
+        _, dist, log_dist = cluster_distance(cheb1_64, TransformPoint(1j, s0star=1.0), 62)
+        assert 0 < dist < 1e-40 and abs(log_dist - np.log(dist)) < 1e-12
+
+    def test_geronimus_dynamics_degree_zero(self, cheb1):
+        with pytest.raises(PrefixError, match="n=0"):
+            zero_dynamics(cheb1, TransformPoint(1j, s0star=1.0), "geronimus", [0, 5])
+
 
 class TestRatioLimit:
     def test_at_one(self):
