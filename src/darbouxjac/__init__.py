@@ -71,6 +71,7 @@ from .spectral import (
     truncation_spectrum,
     verify_m_identities,
     zero_dynamics,
+    zero_sweep,
     zeros,
 )
 

@@ -158,29 +158,23 @@ def cmd_transform(args) -> int:
 
 def cmd_zeros(args) -> int:
     base = _load_base(args)
-    rows = []
     cluster_cols = args.kind == "geronimus"
-    for n in args.n_list:
-        if args.kind == "plain":
-            cloud = spectral.zeros(base, n)
-            extra = None
-        elif args.kind == "christoffel":
-            site = TransformPoint(args.kappa, allow_real=(args.kappa.imag == 0))
-            cloud = spectral.kernel_zero_cloud(base, site, n)
-            extra = None
-        else:
-            site = TransformPoint(
-                args.kappa, s0star=args.s0star, allow_real=(args.kappa.imag == 0)
-            )
-            # first: it raises PrefixError for a degree outside 1..n_max-2
-            _, dist, log_dist = spectral.cluster_distance(base, site, n)
-            cloud = spectral.geronimus_zero_cloud(base, site, n)
-            extra = (dist, log_dist)
-        for z in cloud.zeros:
-            row = [n, float(z.real), float(z.imag)]
-            if cluster_cols:
-                row += [extra[0], extra[1]]
-            rows.append(row)
+    s0star = args.s0star if cluster_cols else None
+    site = TransformPoint(args.kappa, s0star=s0star, allow_real=(args.kappa.imag == 0))
+    extras = [()] * len(args.n_list)
+    if args.kind == "plain":
+        clouds = spectral.zero_sweep(base, args.n_list)
+    elif args.kind == "christoffel":
+        clouds = spectral.kernel_zero_sweep(base, site, args.n_list)
+    else:
+        # first: it raises PrefixError for a degree outside 1..n_max-2
+        extras = [spectral.cluster_distance(base, site, n)[1:] for n in args.n_list]
+        clouds = spectral.geronimus_zero_sweep(base, site, args.n_list)
+    rows = [
+        [cloud.n, float(z.real), float(z.imag), *extra]
+        for cloud, extra in zip(clouds, extras)
+        for z in cloud.zeros
+    ]
     header = ["n", "re", "im"] + (["cluster_dist", "ln_cluster_dist"] if cluster_cols else [])
     if args.format == "csv":
         lines = [",".join(header)]
@@ -199,22 +193,16 @@ def cmd_zeros(args) -> int:
 
 def _suite_strips(m, kappa, s0star):
     side = "upper" if kappa.imag > 0 else "lower"
-    site_c = TransformPoint(kappa)
-    site_g = TransformPoint(kappa, s0star=s0star)
+    degrees = range(1, 31)
+    kernel = spectral.kernel_zero_sweep(m, TransformPoint(kappa), degrees)
+    gero = spectral.geronimus_zero_sweep(m, TransformPoint(kappa, s0star=s0star), degrees)
     worst = 0.0
     ok = True
-    for n in range(1, 31):
-        for cloud in (
-            spectral.kernel_zero_cloud(m, site_c, n),
-            spectral.geronimus_zero_cloud(m, site_g, n),
-        ):
-            rep = spectral.strip_check(cloud, cloud.strip_bound, side)
-            ok = ok and rep.ok
-            if rep.violators:
-                worst = max(
-                    worst,
-                    max(abs(v.imag) - cloud.strip_bound for v in rep.violators),
-                )
+    for cloud in kernel + gero:
+        rep = spectral.strip_check(cloud, cloud.strip_bound, side)
+        ok = ok and rep.ok
+        if rep.violators:
+            worst = max(worst, max(abs(v.imag) - cloud.strip_bound for v in rep.violators))
     return {"pass": ok, "max_violation": worst}
 
 

@@ -95,7 +95,7 @@ def _initial_pair(m: RecurrenceCoeffs, which: str, z: complex, s0star: complex |
     raise ConfigurationError(f"unknown solution family {which!r}")
 
 
-def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=False):
+def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=False, _stop=None):
     """Run the recurrence to degree n >= 1 at every point of z at once.
 
     z is a scalar or an array; y0, y1 broadcast against it.  Returns
@@ -103,13 +103,22 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
     E_n if ``envelope``; the true values are the returned ones times
     exp(log_scale), point by point, and a scalar z gives scalars.
 
+    ``_stop`` gives each point of an array z its own degree (ascending, each in
+    1..n): its outputs are then those of the run to that degree.  Finished
+    points are sliced off the front when the step count reaches their degree,
+    so a point's values do not depend on the other points in the call.
+
     y' and E start from the P initial data: P'_0 = 0, P'_1 = 1 and E_0 = 1,
-    E_1 = max(|z| + |c_1|, 1).  E runs the recurrence on absolute values, so
-    the rounding error of the forward evaluation is about n eps E_n.
+    E_1 = max(|z| + |c_1|, 1).  E runs the recurrence on |z| + |c_k| and
+    |lambda_k|, so n eps E_n bounds both the rounding error of the forward
+    evaluation and the change in P_n when z and the coefficients move by a
+    relative eps (a zero cannot be resolved below that).
 
     Rescale rule: when |y_k| leaves [_SCALE_LO, _SCALE_HI] at a point, every
     quantity carried at that point is divided by |y_k| and log|y_k| is added
-    to that point's log_scale.  An exact zero is left alone.
+    to that point's log_scale.  A value below 1e-290 is a zero hit, not
+    decay, and is left alone: dividing by it would overflow the other carried
+    quantities.
     """
     if n > m.n_max:
         raise PrefixError(f"degree {n} exceeds prefix length {m.n_max}")
@@ -122,8 +131,29 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
     if deriv:
         dprev, dcur = np.zeros_like(z), np.ones_like(z)
     if envelope:
-        eprev, ecur = np.ones(z.shape), np.maximum(np.abs(z) + abs(c[0]), 1.0)
-    for k in range(1, n):
+        az = np.abs(z)
+        eprev, ecur = np.ones(z.shape), np.maximum(az + abs(c[0]), 1.0)
+    # points [done:] are still running; the g-th group of equal degree ends at ends[g]
+    if _stop is None:
+        ends, next_stop = [len(z)], n
+    else:
+        ends = (np.flatnonzero(np.diff(_stop)) + 1).tolist() + [len(z)]
+        next_stop = int(_stop[0])
+    parts, done = [], 0
+    for k in range(1, n + 1):
+        if k == next_stop:
+            j = ends[len(parts)] - done
+            now = [prev, cur, log_scale] + ([dcur] if deriv else []) + ([ecur] if envelope else [])
+            parts.append([arr[:j] for arr in now])
+            done += j
+            if done == ends[-1]:
+                break
+            z, prev, cur, log_scale = z[j:], prev[j:], cur[j:], log_scale[j:]
+            if deriv:
+                dprev, dcur = dprev[j:], dcur[j:]
+            if envelope:
+                az, eprev, ecur = az[j:], eprev[j:], ecur[j:]
+            next_stop = int(_stop[done])
         zc = z - c[k]
         prev, cur = cur, zc * cur - lam[k - 1] * prev
         carried = [prev, cur]
@@ -131,22 +161,18 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
             dprev, dcur = dcur, prev + zc * dcur - lam[k - 1] * dprev
             carried += [dprev, dcur]
         if envelope:
-            eprev, ecur = ecur, np.abs(zc) * ecur + abs(lam[k - 1]) * eprev
+            eprev, ecur = ecur, (az + abs(c[k])) * ecur + abs(lam[k - 1]) * eprev
             carried += [eprev, ecur]
         mag = np.abs(cur)
         # the negated test also sends NaN to the exact check below
         if not (mag.max() <= _SCALE_HI and mag.min() >= _SCALE_LO):
-            out = (mag > _SCALE_HI) | ((mag > 0) & (mag < _SCALE_LO))
+            out = (mag > _SCALE_HI) | ((mag > _ZERO_HIT) & (mag < _SCALE_LO))
             if out.any():
                 s = np.where(out, mag, 1.0)
                 log_scale += np.log(s)
                 for arr in carried:
                     arr /= s
-    result = [prev, cur, log_scale]
-    if deriv:
-        result.append(dcur)
-    if envelope:
-        result.append(ecur)
+    result = parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
     return tuple(x[0].item() for x in result) if scalar else tuple(result)
 
 

@@ -2,11 +2,18 @@
 m-function identities, Nevai diagnostics, and ratio asymptotics.
 
 Zeros of P_n are the eigenvalues of the n x n truncation of the Jacobi
-matrix; the eigensolver output is polished with two Newton steps and then
-certified by the error envelope, each one run of polyeval's evaluator over
-all n zeros at once.  Cluster-zero distances |xi_n - kappa| for Geronimus
-transforms decay far below double resolution; Newton iteration in the shifted
-variable h = z - kappa finds them in double, from ratio differences carried as products.
+matrix: for a real prefix with positive lambda the truncation is real
+symmetric and its eigenvalues (the Gauss nodes, Golub & Welsch 1969) come
+from eigvalsh; any other prefix goes to LAPACK eigvals.  A degree sweep runs
+the eigensolver once per degree, then polishes with two Newton steps and
+certifies by the error envelope, each one run of polyeval's evaluator over
+the zeros of every degree at once.  The kernel and Geronimus sweeps build
+their transform once per site for the whole degree list.
+
+Cluster-zero distances |xi_n - kappa| for Geronimus transforms decay far
+below double resolution; Newton iteration in the shifted variable
+h = z - kappa finds them in double, from ratio differences carried as
+products.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from .core import (
     symmetric_jacobi_matrix,
     symmetrize,
 )
-from .darboux import TransformPoint, christoffel, geronimus
+from .darboux import TransformedCoeffs, TransformPoint, christoffel, geronimus
 from .errors import ConfigurationError, EigenSolverError, PrefixError
 from .polyeval import _SCALE_HI, _SCALE_LO, _scaled_run, _unscaled, ratio_sequence
 
@@ -35,8 +42,11 @@ __all__ = [
     "DynamicsReport",
     "RatioAsymptoticReport",
     "zeros",
+    "zero_sweep",
     "kernel_zero_cloud",
+    "kernel_zero_sweep",
     "geronimus_zero_cloud",
+    "geronimus_zero_sweep",
     "strip_check",
     "zero_dynamics",
     "cluster_distance",
@@ -140,59 +150,137 @@ class RatioAsymptoticReport:
     monotone_tail: tuple[bool, ...]
 
 
-def zeros(m: RecurrenceCoeffs, n: int) -> ZeroCloud:
-    """The n zeros of P_n: truncation eigenvalues polished by Newton steps.
+def _eigvals(J: SymmetricJacobi, size: int) -> np.ndarray:
+    """Eigenvalues of the size x size truncation of J, unsorted.
+
+    A truncation with real b and real a is real symmetric (a real prefix with
+    positive lambda): its eigenvalues are the Gauss nodes, taken by the
+    symmetric solver eigvalsh.  Any other truncation goes to LAPACK eigvals.
+    """
+    M = symmetric_jacobi_matrix(J, size)
+    if J.b[:size].imag.any() or J.a[: size - 1].imag.any():
+        return np.linalg.eigvals(M)
+    return np.linalg.eigvalsh(M.real).astype(complex)
+
+
+def zero_sweep(m: RecurrenceCoeffs, n_list) -> tuple[ZeroCloud, ...]:
+    """The zero clouds of P_n for every n in n_list, in the order given.
+
+    Each degree's zeros are the eigenvalues of the n x n truncation of the
+    Jacobi matrix (``_eigvals``); then two Newton steps and the certificate
+    each run once over the zeros of all degrees together, one run of
+    polyeval's evaluator to the largest degree that reads every zero's P_n
+    at its own step.  A zero's values do not depend on the other degrees in
+    the sweep, so a sweep gives the clouds that one call per degree gives.
 
     Each refined zero carries the residual certificate
     |P_n(zero)| <= 1e-8 E_n(zero), E_n being the error envelope of the
-    evaluation (the recurrence run on absolute values): rounding errors of
-    the forward evaluation are bounded by ~n eps E_n, so this is the
-    strongest certificate the evaluation itself can support (a zero clustered
-    at a spectral point of the prefix cannot beat this floor).
+    evaluation (the recurrence run on |z| + |c_k| and |lambda_k|): rounding
+    errors of the forward evaluation, and the change in P_n when the zero and
+    the coefficients move by a relative eps, are bounded by ~n eps E_n, so
+    this is the strongest certificate the evaluation itself can support (a
+    zero clustered at a spectral point of the prefix cannot beat this floor).
+    Degree 0 gives an empty cloud.
     """
-    if n > m.n_max:
-        raise PrefixError(f"degree {n} exceeds prefix length {m.n_max}")
-    if n == 0:
-        return ZeroCloud(n=0, zeros=np.empty(0, dtype=complex), max_im=0.0)
-    J = symmetric_jacobi_matrix(symmetrize(m), n)
-    try:
-        z = np.linalg.eigvals(J)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigensolver failed to converge at degree {n}") from exc
-    for _ in range(2):
-        _, p, _, dp = _scaled_run(m, n, z, 1.0, z - m.c[0], deriv=True)
-        z = z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
-    _, p, _, env = _scaled_run(m, n, z, 1.0, z - m.c[0], envelope=True)
-    bad = np.flatnonzero(~(np.abs(p) <= _RESIDUAL_TOL * env))
-    if len(bad):
-        raise EigenSolverError(
-            f"zero residual check failed at degree {n}: |P_n| too large at {z[bad[0]]}"
-        )
-    z = z[np.lexsort((z.imag, z.real))]
-    return ZeroCloud(n=n, zeros=z, max_im=float(np.max(z.imag)))
+    n_list = tuple(int(n) for n in n_list)
+    for n in n_list:
+        if n < 0:
+            raise PrefixError(f"degree must be nonnegative (n={n})")
+        if n > m.n_max:
+            raise PrefixError(f"degree {n} exceeds prefix length {m.n_max}")
+    degrees = sorted({n for n in n_list if n > 0})
+    clouds = {0: ZeroCloud(n=0, zeros=np.empty(0, dtype=complex), max_im=0.0)}
+    if degrees:
+        J = symmetrize(m)
+        blocks = []
+        for n in degrees:
+            try:
+                blocks.append(_eigvals(J, n))
+            except np.linalg.LinAlgError as exc:
+                raise EigenSolverError(f"eigensolver failed to converge at degree {n}") from exc
+        z = np.concatenate(blocks)
+        stop = np.repeat(degrees, degrees)
+        top = degrees[-1]
+        for _ in range(2):
+            _, p, _, dp = _scaled_run(m, top, z, 1.0, z - m.c[0], deriv=True, _stop=stop)
+            z = z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+        _, p, _, env = _scaled_run(m, top, z, 1.0, z - m.c[0], envelope=True, _stop=stop)
+        bad = np.flatnonzero(~(np.abs(p) <= _RESIDUAL_TOL * env))
+        if len(bad):
+            raise EigenSolverError(
+                f"zero residual check failed at degree {stop[bad[0]]}: "
+                f"|P_n| too large at {z[bad[0]]}"
+            )
+        for n, zn in zip(degrees, np.split(z, np.cumsum(degrees)[:-1])):
+            zn = zn[np.lexsort((zn.imag, zn.real))]
+            clouds[n] = ZeroCloud(n=n, zeros=zn, max_im=float(np.max(zn.imag)))
+    return tuple(clouds[n] for n in n_list)
+
+
+def zeros(m: RecurrenceCoeffs, n: int) -> ZeroCloud:
+    """The n zeros of P_n, certified: the one-degree case of ``zero_sweep``."""
+    return zero_sweep(m, (n,))[0]
+
+
+def _kernel_cloud(tc: TransformedCoeffs, cloud: ZeroCloud) -> ZeroCloud:
+    """The cloud of P*_n(kappa, .) with its strip half-width
+    -1/Im(P_n(kappa)/P_{n+1}(kappa)).
+
+    For a real positive base measure, P_n/P_{n+1}(z) = sum_j w_j/(z - x_j)
+    over the zeros x_j of P_{n+1}, with w_j > 0 summing to 1.  Every zero z of
+    P*_n solves P_n(z)/P_{n+1}(z) = P_n(kappa)/P_{n+1}(kappa); taking imaginary
+    parts, -Im(P_n/P_{n+1}(kappa)) = Im z sum_j w_j/|z - x_j|^2 and
+    |z - x_j| >= |Im z| give 0 < Im z <= -1/Im(P_n(kappa)/P_{n+1}(kappa)) for
+    kappa above the axis (mirrored below it).
+    """
+    rho = tc.ratio_seq[cloud.n]  # P_{n+1}/P_n at kappa
+    return replace(cloud, strip_bound=float(abs(1.0 / (1.0 / rho).imag)))
+
+
+def _geronimus_cloud(tc: TransformedCoeffs, cloud: ZeroCloud) -> ZeroCloud:
+    """The cloud of P^{-*}_n(kappa, .) with bound -1/Im(R_{n-1}(kappa)/R_n(kappa))
+    and the zero nearest kappa as cluster candidate."""
+    w_n = -tc.a_seq[cloud.n]  # R_n/R_{n-1} at kappa
+    bound = abs(1.0 / (1.0 / w_n).imag)
+    cluster = complex(cloud.zeros[np.argmin(np.abs(cloud.zeros - tc.sites[-1].kappa))])
+    return replace(cloud, strip_bound=float(bound), cluster_candidate=cluster)
+
+
+def _check_geronimus_degrees(n_list) -> None:
+    for n in n_list:
+        if n < 1:
+            raise PrefixError(f"P^{{-*}}_n has no zero nearest kappa below degree 1 (n={n})")
 
 
 def kernel_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> ZeroCloud:
     """Zeros of the kernel polynomial P*_n(kappa, .) with the strip bound
-    -1/Im(P_{n-1}(kappa)/P_n(kappa))."""
+    -1/Im(P_n(kappa)/P_{n+1}(kappa)) (derived in ``_kernel_cloud``)."""
     tc = christoffel(m, site)
-    cloud = zeros(tc.coeffs, n)
-    rho_n = tc.ratio_seq[n - 1]  # P_n/P_{n-1} at kappa
-    # -1/Im(P_{n-1}/P_n) is positive for kappa above the axis and negative
-    # below; store the strip half-width
-    bound = abs(1.0 / (1.0 / rho_n).imag)
-    return replace(cloud, strip_bound=float(bound))
+    return _kernel_cloud(tc, zeros(tc.coeffs, n))
+
+
+def kernel_zero_sweep(m: RecurrenceCoeffs, site: TransformPoint, n_list) -> tuple[ZeroCloud, ...]:
+    """``kernel_zero_cloud`` for every n in n_list, from one transform and one sweep."""
+    tc = christoffel(m, site)
+    return tuple(_kernel_cloud(tc, cloud) for cloud in zero_sweep(tc.coeffs, n_list))
 
 
 def geronimus_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> ZeroCloud:
-    """Zeros of P^{-*}_n(kappa, .) with bound -1/Im(R_{n-1}(kappa)/R_n(kappa))
+    """Zeros of P^{-*}_n(kappa, .), n >= 1, with bound -1/Im(R_{n-1}(kappa)/R_n(kappa))
     and the zero nearest kappa recorded as cluster candidate."""
+    _check_geronimus_degrees((n,))
     tc = geronimus(m, site)
-    cloud = zeros(tc.coeffs, n)
-    w_n = -tc.a_seq[n]  # R_n/R_{n-1} at kappa
-    bound = abs(1.0 / (1.0 / w_n).imag)
-    cluster = complex(cloud.zeros[np.argmin(np.abs(cloud.zeros - site.kappa))])
-    return replace(cloud, strip_bound=float(bound), cluster_candidate=cluster)
+    return _geronimus_cloud(tc, zeros(tc.coeffs, n))
+
+
+def geronimus_zero_sweep(
+    m: RecurrenceCoeffs, site: TransformPoint, n_list
+) -> tuple[ZeroCloud, ...]:
+    """``geronimus_zero_cloud`` for every n in n_list, from one transform and one sweep."""
+    n_list = tuple(int(n) for n in n_list)
+    _check_geronimus_degrees(n_list)
+    tc = geronimus(m, site)
+    return tuple(_geronimus_cloud(tc, cloud) for cloud in zero_sweep(tc.coeffs, n_list))
 
 
 def strip_check(cloud: ZeroCloud, bound: float, side: str = "upper") -> StripReport:
@@ -287,9 +375,8 @@ def verify_m_identities(m: RecurrenceCoeffs, site: TransformPoint, order: int) -
 
 def truncation_spectrum(J: SymmetricJacobi, size: int) -> np.ndarray:
     """Eigenvalues of the size x size complex-symmetric truncation, sorted."""
-    M = symmetric_jacobi_matrix(J, size)
     try:
-        vals = np.linalg.eigvals(M)
+        vals = _eigvals(J, size)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigensolver failed at truncation size {size}") from exc
     order = np.lexsort((vals.imag, vals.real))
@@ -310,6 +397,8 @@ def cluster_distance(
     Delta[k] = h + lam[k-1] Delta[k-1] / (rho[k-1] (rho[k-1] + Delta[k-1])).
     d keeps its relative accuracy however small; below |d| = 1e-150 the first-order
     h = -d[n-1]/rho'_{n-1}(kappa) is exact, and under the double range dist is 0.0.
+    An iteration that has not converged after 80 steps raises EigenSolverError
+    naming n (kappa on a symmetry axis of the zeros can hold Newton on it).
     """
     if site.s0star is None:
         raise ConfigurationError("cluster_distance needs a Geronimus site with s0star")
@@ -354,6 +443,8 @@ def cluster_distance(
         last = abs(step)
         if last <= 1e-14 * abs(h):
             break
+    else:
+        raise EigenSolverError(f"cluster-distance Newton iteration did not converge (n={n})")
     dist = abs(h)
     return kappa + h, dist, math.log(dist) if dist > 0 else -math.inf
 
@@ -379,20 +470,18 @@ def zero_dynamics(
         )
     n_list = tuple(int(n) for n in n_list)
     if kind == "christoffel":
-        tc = christoffel(m, site)
-        max_im = np.array([zeros(tc.coeffs, n).max_im for n in n_list])
+        clouds = kernel_zero_sweep(m, site, n_list)
+        max_im = np.array([cloud.max_im for cloud in clouds])
         return DynamicsReport(
             kind=kind, kappa=site.kappa, n_list=n_list, max_im=max_im, diagnostics=diag
         )
-    tc = geronimus(m, site)
-    max_im = np.empty(len(n_list))
     dist = np.empty(len(n_list))
     log_dist = np.empty(len(n_list))
     for i, n in enumerate(n_list):
         _, dist[i], log_dist[i] = cluster_distance(m, site, n)
-        cloud = zeros(tc.coeffs, n)
-        k_near = int(np.argmin(np.abs(cloud.zeros - site.kappa)))
-        rest = np.delete(cloud.zeros, k_near)
+    max_im = np.empty(len(n_list))
+    for i, cloud in enumerate(geronimus_zero_sweep(m, site, n_list)):
+        rest = np.delete(cloud.zeros, np.argmin(np.abs(cloud.zeros - site.kappa)))
         max_im[i] = float(np.max(rest.imag)) if len(rest) else 0.0
     slope, intercept = np.polyfit(np.asarray(n_list, dtype=float), log_dist, 1)
     pred = slope * np.asarray(n_list, dtype=float) + intercept

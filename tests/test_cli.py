@@ -201,6 +201,16 @@ class TestZeros:
         assert "Traceback" not in proc.stderr
         assert f"n={n_list}" in proc.stderr
 
+    @pytest.mark.parametrize("kind", ["plain", "christoffel"])
+    def test_negative_degree_exits_1(self, kind):
+        proc = run_cli(
+            ["zeros", "--family", "chebyshev1", "--n-max", "64", f"--kind={kind}",
+             "--kappa", "0+1i", "--n-list=4,-1"]
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "n=-1" in proc.stderr
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "z.json"
         main(

@@ -19,7 +19,10 @@ from darbouxjac.spectral import (
     strip_check,
     truncation_spectrum,
     verify_m_identities,
+    geronimus_zero_sweep,
+    kernel_zero_sweep,
     zero_dynamics,
+    zero_sweep,
     zeros,
 )
 
@@ -49,17 +52,76 @@ class TestZeros:
                 scale = max(1.0, abs(z)) ** n
                 assert abs(eval_P(cheb3, n, z)) <= 1e-8 * scale
 
-    def test_certificate_rejects_a_bad_eigenvalue(self, cheb1, monkeypatch):
-        eigvals = np.linalg.eigvals
+    @staticmethod
+    def spoil_eigenvalue(monkeypatch, degrees):
+        """Make the eigen helper return one wrong eigenvalue at these degrees."""
+        eigvals = spectral._eigvals
 
-        def one_wrong(a):
-            vals = eigvals(a)
-            vals[3] = 3 + 3j
+        def one_wrong(J, size):
+            vals = eigvals(J, size)
+            if size in degrees:
+                vals[3] = 3 + 3j
             return vals
 
-        monkeypatch.setattr(spectral.np.linalg, "eigvals", one_wrong)
+        monkeypatch.setattr(spectral, "_eigvals", one_wrong)
+
+    def test_certificate_rejects_a_bad_eigenvalue(self, cheb1, monkeypatch):
+        self.spoil_eigenvalue(monkeypatch, {10})
         with pytest.raises(EigenSolverError, match="at degree 10"):
             zeros(cheb1, 10)
+
+    def test_certificate_rejects_a_bad_eigenvalue_complex_prefix(self, cheb1, monkeypatch):
+        tc = christoffel(cheb1, TransformPoint(0.3 + 0.5j))
+        self.spoil_eigenvalue(monkeypatch, {10})
+        with pytest.raises(EigenSolverError, match="at degree 10"):
+            zeros(tc.coeffs, 10)
+
+    def test_sweep_names_the_lowest_failing_degree(self, cheb1, monkeypatch):
+        self.spoil_eigenvalue(monkeypatch, {10, 20})
+        with pytest.raises(EigenSolverError, match="at degree 10"):
+            zero_sweep(cheb1, [30, 20, 10, 5])
+
+    def test_certificate_accepts_a_zero_next_to_a_diagonal_entry(self):
+        # chebyshev1 kernel polynomials at kappa = 0.001i: P*_3 has a zero about
+        # 9e-9 from c_3 = 166.67i, where z - c_3 cancels; |P_3| there is set by
+        # the rounding of z, which the envelope covers through |z| + |c_3|
+        tc = christoffel(family_coeffs("chebyshev1", 48), TransformPoint(0.001j))
+        cloud = zeros(tc.coeffs, 3)
+        assert abs(cloud.zeros[1] - tc.coeffs.c[2]) < 1e-8
+
+    def test_certificate_at_a_zero_hit_of_the_recurrence(self):
+        # chebyshev2 kernel polynomials at kappa = 5.25e-304+1i: at the zero
+        # 0.0202i of P_21, |P_21| is about 1e-300, which must not be taken
+        # for decay and divided out (the envelope overflowed to inf)
+        m = family_coeffs("chebyshev2", 48)
+        tc = christoffel(m, TransformPoint(5.253335446131127e-304 + 1j))
+        with np.errstate(over="raise"):
+            cloud = zeros(tc.coeffs, 21)
+        assert np.min(np.abs(cloud.zeros - 0.020229691768502152j)) < 1e-15
+
+    def test_real_prefix_takes_the_symmetric_solver(self, cheb1, monkeypatch):
+        def refuse(a):
+            raise AssertionError("eigvals called on a real symmetric truncation")
+
+        monkeypatch.setattr(spectral.np.linalg, "eigvals", refuse)
+        assert len(zeros(cheb1, 40).zeros) == 40
+        with pytest.raises(AssertionError):
+            zeros(christoffel(cheb1, TransformPoint(1j)).coeffs, 40)
+
+    def test_sweep_keeps_the_order_given(self, cheb1):
+        clouds = zero_sweep(cheb1, [7, 0, 3, 7])
+        assert [c.n for c in clouds] == [7, 0, 3, 7]
+        assert np.array_equal(clouds[0].zeros, clouds[3].zeros)
+        assert len(clouds[1].zeros) == 0
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_degree(self, cheb1, n):
+        with pytest.raises(PrefixError, match=f"n={n}"):
+            zeros(cheb1, n)
+        with pytest.raises(PrefixError, match=f"n={n}"):
+            zero_sweep(cheb1, [4, n])
+        with pytest.raises(PrefixError, match=f"n={n}"):
+            kernel_zero_cloud(cheb1, TransformPoint(1j), n)
 
     def test_count_equals_degree(self, cheb4):
         assert len(zeros(cheb4, 17).zeros) == 17
@@ -103,6 +165,45 @@ class TestStrips:
         for n in (1, 7, 15, 30):
             cloud = geronimus_zero_cloud(cheb1, site, n)
             assert strip_check(cloud, cloud.strip_bound, "upper").ok
+
+    # sites where the strip bound -1/Im(P_{n-1}(kappa)/P_n(kappa)), one degree
+    # too low, was violated at these degrees
+    @pytest.mark.parametrize(
+        "kind, kappa, degrees",
+        [("chebyshev1", 0.3 + 0.5j, [1]), ("chebyshev2", 0.1 + 0.01j, [12, 14, 16, 18, 27, 29])],
+    )
+    def test_kernel_strip_at_sites_of_the_shifted_bound(self, presets, kind, kappa, degrees):
+        for n in degrees:
+            cloud = kernel_zero_cloud(presets[kind], TransformPoint(kappa), n)
+            assert strip_check(cloud, cloud.strip_bound, "upper").ok
+
+    def test_kernel_strip_bound_degree_one(self, cheb1):
+        # P*_1(kappa, z) = z + 1/(2 kappa) for Chebyshev T, and P_1/P_2 = 2z/(2z^2 - 1)
+        kappa = 0.3 + 0.5j
+        cloud = kernel_zero_cloud(cheb1, TransformPoint(kappa), 1)
+        assert abs(cloud.zeros[0] + 1 / (2 * kappa)) < 1e-15
+        assert abs(cloud.strip_bound + 1 / (2 * kappa / (2 * kappa**2 - 1)).imag) < 1e-14
+
+    def test_sweeps_match_single_clouds(self, cheb1):
+        site = TransformPoint(0.3 + 0.5j, s0star=0.8 - 0.4j)
+        degrees = [9, 1, 30]
+        for sweep, single in (
+            (kernel_zero_sweep, kernel_zero_cloud),
+            (geronimus_zero_sweep, geronimus_zero_cloud),
+        ):
+            for n, cloud in zip(degrees, sweep(cheb1, site, degrees)):
+                one = single(cheb1, site, n)
+                assert np.array_equal(cloud.zeros, one.zeros)
+                assert (cloud.strip_bound, cloud.cluster_candidate) == (
+                    one.strip_bound, one.cluster_candidate)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_geronimus_degree_below_one(self, cheb1, n):
+        site = TransformPoint(1j, s0star=1.0)
+        with pytest.raises(PrefixError, match=f"n={n}"):
+            geronimus_zero_cloud(cheb1, site, n)
+        with pytest.raises(PrefixError, match=f"n={n}"):
+            geronimus_zero_sweep(cheb1, site, [5, n])
 
     def test_lower_half_plane(self, cheb1):
         site = TransformPoint(-1j)
@@ -169,6 +270,14 @@ class TestZeroDynamics:
         cheb1_64 = family_coeffs("chebyshev1", 64)
         with pytest.raises(PrefixError, match=f"n={n}"):
             cluster_distance(cheb1_64, TransformPoint(1j, s0star=1.0), n)
+
+    def test_cluster_distance_raises_when_newton_does_not_converge(self):
+        # kappa on the symmetry axis of the zeros +-0.699-0.106i: the iteration
+        # cannot leave the axis
+        cheb1_4 = family_coeffs("chebyshev1", 4)
+        site = TransformPoint(1j, s0star=-4.5e-53 + 0.70781j)
+        with pytest.raises(EigenSolverError, match="n=2"):
+            cluster_distance(cheb1_4, site, 2)
 
     def test_cluster_distance_top_degree(self):
         cheb1_64 = family_coeffs("chebyshev1", 64)
