@@ -1,8 +1,9 @@
 """Command-line front end: transform / zeros / verify.
 
-Exit codes: 0 pass, 1 check or existence failure, 2 usage error,
-3 fixtures/environment error.  Complex literals must carry both parts
-("0+1i", "1.5-2i"); outputs are deterministic for a fixed configuration.
+Exit codes: 0 pass, 1 check or existence failure (a malformed --coeff-file
+included), 2 usage error, 3 fixtures/environment error (an unreadable
+--coeff-file included).  Complex literals must carry both parts ("0+1i",
+"1.5-2i"); outputs are deterministic for a fixed configuration.
 """
 from __future__ import annotations
 
@@ -232,7 +233,18 @@ def _suite_r2(m, kappa, s0star):
     return {"pass": worst <= 1e-9, "max_residual": worst}
 
 
+def _leading_gap(J, S, nb: int = 50) -> float:
+    """Largest entry gap between the leading nb entries of J and S that both
+    carry (off-diagonals up to sign)."""
+    nd, na = min(nb, len(J.b), len(S.b)), min(nb, len(J.a), len(S.a))
+    gap_a = np.minimum(np.abs(J.a[:na] - S.a[:na]), np.abs(J.a[:na] + S.a[:na]))
+    return float(max(np.max(np.abs(J.b[:nd] - S.b[:nd])), np.max(gap_a, initial=0.0)))
+
+
 def _suite_factorization(m, kappa, s0star):
+    # the transforms first: they raise PrefixError on a prefix too short
+    S = symmetrize(christoffel(m, TransformPoint(kappa)).coeffs)
+    SG = symmetrize(geronimus(m, TransformPoint(kappa, s0star=s0star)).coeffs)
     J = symmetrize(m)
     f = lu_factor(J, kappa)
     diag, off = f.reconstruct()
@@ -248,29 +260,7 @@ def _suite_factorization(m, kappa, s0star):
         float(np.max(np.abs(gdiag - (J.b[:nrows] - kappa)))),
         float(np.max(np.abs(goff - J.a[: nrows - 1]))),
     )
-    JC = build_JC(f)
-    S = symmetrize(christoffel(m, TransformPoint(kappa)).coeffs)
-    nb = 50
-    agree = float(np.max(np.abs(JC.b[:nb] - S.b[:nb])))
-    agree = max(
-        agree,
-        float(
-            np.max(
-                np.minimum(np.abs(JC.a[:nb] - S.a[:nb]), np.abs(JC.a[:nb] + S.a[:nb]))
-            )
-        ),
-    )
-    JG = build_JG(u)
-    SG = symmetrize(geronimus(m, TransformPoint(kappa, s0star=s0star)).coeffs)
-    agree = max(agree, float(np.max(np.abs(JG.b[:nb] - SG.b[:nb]))))
-    agree = max(
-        agree,
-        float(
-            np.max(
-                np.minimum(np.abs(JG.a[:nb] - SG.a[:nb]), np.abs(JG.a[:nb] + SG.a[:nb]))
-            )
-        ),
-    )
+    agree = max(_leading_gap(build_JC(f), S), _leading_gap(build_JG(u), SG))
     ok = err <= 1e-12 * scale and agree <= 1e-10
     return {"pass": ok, "reconstruction_error": err, "agreement_error": agree}
 
@@ -397,6 +387,9 @@ def main(argv=None) -> int:
     except DarbouxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an unreadable --coeff-file or unwritable --output
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -136,22 +136,28 @@ class RecurrenceCoeffs:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RecurrenceCoeffs":
-        if d.get("v") != 1 or d.get("kind", "recurrence") != "recurrence":
+        schema = (d.get("v"), d.get("kind", "recurrence")) if isinstance(d, dict) else None
+        if schema != (1, "recurrence"):
             raise ConfigurationError("unsupported coefficient schema")
+        try:
+            c = [complex(re, im) for re, im in d["c"]]
+            lam = [complex(re, im) for re, im in d["lambda"]]
+            s0 = complex(*d["s0"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed coefficient data: {exc!r}") from None
         fam = d.get("family")
-        return cls(
-            c=[complex(re, im) for re, im in d["c"]],
-            lam=[complex(re, im) for re, im in d["lambda"]],
-            s0=complex(*d["s0"]),
-            family=Family(fam) if fam else None,
-        )
+        return cls(c=c, lam=lam, s0=s0, family=Family(fam) if fam else None)
 
     def dumps(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
     def loads(cls, text: str) -> "RecurrenceCoeffs":
-        return cls.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"coefficient file is not JSON: {exc}") from None
+        return cls.from_dict(d)
 
 
 @dataclass(frozen=True, eq=False)

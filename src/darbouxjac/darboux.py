@@ -16,9 +16,13 @@ Which precision runs:
 * ``geronimus`` measures eta = |1 - S/s0star|, with S the continued-fraction
   Cauchy value of the prefix at kappa.  R_n carries weight ~eta on the
   dominant solution, so forward iteration amplifies rounding errors by at
-  most ~1/eta.  For eta >= 1e-2 the kernel runs in double; below it the same
-  kernel runs in mpmath at 30 + log10(1/eta) digits, eta being resolved at a
-  precision that can see it and the digits capped by ``_auto_dps``.
+  most ~1/eta.  For eta >= 1e-2 the kernel runs in double.  Below it (this
+  includes s0star = fl(S), the CLI default) eta is measured again in
+  double-double (``_dd.DDComplex``, unit roundoff ~1e-32) and, for
+  eta >= 1e-18, the same kernel runs in double-double.  Closer still, or
+  when the double-double run leaves the double range, it runs in mpmath at
+  30 + log10(1/eta) digits, eta being resolved at a precision that can see
+  it and the digits capped by ``_auto_dps``; mpmath is imported only there.
 * ``GeronimusChain`` (conjugate-pair chains) and ``geronimus_cauchy`` step
   at the exact Cauchy value S, where R_n is the minimal solution itself.
   There ``_cauchy_run`` runs the ratios *and* the differences backward from
@@ -30,17 +34,20 @@ Which precision runs:
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
+from ._dd import DDComplex
 from ._quadrature import adaptive_integral
 from .core import RecurrenceCoeffs
 from .errors import (
     ConfigurationError,
+    EvaluationRangeError,
     ExistenceError,
+    PoleError,
     PrefixError,
     QuadratureError,
     ZeroHitError,
@@ -133,8 +140,8 @@ def _ratio_run(c, lam, kappa, offset, count: int, what: str):
 
     Every input of the e-recurrence is exact, so e[k] keeps its relative
     accuracy however small it is.  e[0] is 0 by convention.  The same code
-    runs on Python complex and on mpmath mpc (in the caller's working
-    precision).
+    runs on Python complex, on ``DDComplex`` and on mpmath mpc (in the
+    caller's working precision).
 
     Raises ExistenceError(what, n) when y_n(kappa) cancels to within
     _BREAKDOWN_RTOL of the terms that make it up (n = k + 1).
@@ -312,14 +319,17 @@ def christoffel_two(
 
 
 # ---------------------------------------------------------------------------
-# Geronimus transformation (R-ratio runs: double, or mpmath near the minimal
-# solution)
+# Geronimus transformation (R-ratio runs: double, or double-double and at
+# last mpmath near the minimal solution)
 # ---------------------------------------------------------------------------
 
 _NO_GERONIMUS = "Geronimus transform does not exist for this (kappa, s0star)"
 # eta = |1 - S/s0star| at or above this runs the R-ratio kernel in double:
 # rounding errors then grow by at most ~1/eta = 100.
 _DOUBLE_ETA = 1e-2
+# Below _DOUBLE_ETA and at or above this the kernel runs in double-double:
+# its rounding errors (~1e-32) then grow to at most ~1e-14.
+_DD_ETA = 1e-18
 # Digits kept beyond log10(1/eta) by the extended-precision R-ratio run, and
 # the first precision at which eta is resolved.
 _GUARD_DIGITS = 30
@@ -336,18 +346,33 @@ def _auto_dps(c, lam, s0_over_s0star_mag: float, kappa: complex, length: int) ->
     max_a = float(np.max(np.sqrt(np.abs(lam)))) if len(lam) else 0.0
     min_lam = float(np.min(np.abs(lam))) if len(lam) else 1.0
     bound = abs(kappa) + max_c + 2.0 * max_a + min(s0_over_s0star_mag, 1e3)
-    amp = max(bound * bound / max(min_lam, 1e-300), 2.0)
+    # bound * bound overflows past |kappa| ~ 1e154; the digits cap below anyway
+    amp = min(max(bound * bound / max(min_lam, 1e-300), 2.0), 1e308)
     digits = 80 + int(math.ceil(length * math.log10(amp)))
     return int(min(max(digits, 60), 6000))
 
 
-def _tail_seed(c_tail, lam_tail, z):
+def _tail_seed(c_tail, lam_tail, z, depth: int = 0):
     """Smaller-modulus root of t^2 - (c-z) t + lambda: the continued-fraction
-    tail value of a constant-coefficient Jacobi matrix."""
+    tail value of a constant-coefficient Jacobi matrix.
+
+    Taken as lambda over the larger root, whose discriminant is scaled by
+    max(|c-z|/2, |lambda|^(1/2)) so that no square leaves the double range
+    however large |z| is; EvaluationRangeError(depth) if the root still
+    cannot be represented.
+    """
     half = (c_tail - z) / 2
-    disc = (half * half - lam_tail) ** 0.5
-    t_plus, t_minus = half + disc, half - disc
-    return t_plus if abs(t_plus) < abs(t_minus) else t_minus
+    try:
+        scale = max(abs(half), abs(lam_tail) ** 0.5)
+    except OverflowError:
+        raise EvaluationRangeError(depth) from None
+    h = half / scale
+    disc = (h * h - lam_tail / scale / scale) ** 0.5 * scale
+    big = half + disc if abs(half + disc) >= abs(half - disc) else half - disc
+    t = lam_tail / big
+    if not cmath.isfinite(complex(t)):
+        raise EvaluationRangeError(depth)
+    return t
 
 
 def _cf_m_function(c, lam, z):
@@ -355,10 +380,10 @@ def _cf_m_function(c, lam, z):
 
     Uses the full stored depth and seeds the tail with the asymptotic value
     from the last stored coefficients (exact for constant tails).  Runs on
-    Python complex or on mpmath mpc, like ``_ratio_run``.
+    Python complex, ``DDComplex`` or mpmath mpc, like ``_ratio_run``.
     """
     depth = len(c)
-    t = _tail_seed(c[-1], lam[-1], z)
+    t = _tail_seed(c[-1], lam[-1], z, depth)
     for j in range(depth, 1, -1):  # t_j = lambda_j / (c_j - z - t_{j+1})
         t = lam[j - 2] / (c[j - 1] - z - t)
     return 1 / (c[0] - z - t)
@@ -378,10 +403,11 @@ def _cauchy_run(c, lam, kappa, what: str):
         d_j = ((lam[j-2] - lam[j-1]) + t_{j+1} ((c[j] - c[j-1]) + d_{j+1})) / D_j.
 
     Raises ExistenceError(what, j - 2) when D_j cancels to within
-    _BREAKDOWN_RTOL of its terms (R_{j-2}(kappa) = 0).
+    _BREAKDOWN_RTOL of its terms (R_{j-2}(kappa) = 0), and PoleError when
+    the offset is 0 (m(J; kappa) infinite).
     """
     n = len(c)
-    t = _tail_seed(c[-1], lam[-1], kappa)
+    t = _tail_seed(c[-1], lam[-1], kappa, n)
     d = 0 * t
     w, e = [], []  # from the far end
     for j in range(n, 1, -1):
@@ -394,7 +420,10 @@ def _cauchy_run(c, lam, kappa, what: str):
             e.append(d)
         t = lam[j - 2] / big
         w.append(-t)
-    return w[::-1], [0 * t] + e[::-1], c[0] - kappa - t
+    offset = c[0] - kappa - t
+    if not offset:
+        raise PoleError(f"the continued fraction has a pole at kappa={kappa}: no Cauchy value")
+    return w[::-1], [0 * t] + e[::-1], offset
 
 
 def _geronimus_step(c, lam, s0, kappa, s0star=None):
@@ -465,6 +494,26 @@ class GeronimusChain:
         return RecurrenceCoeffs(c=self._c, lam=self._lam, s0=self._s0)
 
 
+def _dd_step(c, lam, s0, kappa, s0star):
+    """(c, lam, w) of a Geronimus step in double-double, eta re-measured on the
+    double-double inputs first; None when that eta is below _DD_ETA or nan,
+    or an output leaves the double range."""
+    # doubles convert to DDComplex exactly
+    c, lam = [DDComplex(z) for z in c], [DDComplex(z) for z in lam]
+    s0, kappa, s0star = DDComplex(complex(s0)), DDComplex(kappa), DDComplex(s0star)
+    try:
+        eta = abs(1 - s0 * _cf_m_function(c, lam, kappa) / s0star)
+    except ZeroDivisionError:
+        eta = math.nan
+    if eta >= _DD_ETA:
+        c_new, lam_new, _, w = _geronimus_step(c, lam, s0, kappa, s0star)
+        c_new = [complex(z) for z in c_new]
+        lam_new = [complex(z) for z in lam_new]
+        if all(map(cmath.isfinite, c_new + lam_new)):
+            return c_new, lam_new, w
+    return None
+
+
 def _extended_dps(c, lam, s0, kappa, s0star, budget: int) -> int:
     """Digits for an R-ratio run whose eta = |1 - S/s0star| is below
     _DOUBLE_ETA: _GUARD_DIGITS + log10(1/eta), at most ``budget``.
@@ -473,6 +522,8 @@ def _extended_dps(c, lam, s0, kappa, s0star, budget: int) -> int:
     rising precision until it stands 10 digits clear of that precision's
     resolution.
     """
+    import mpmath as mp
+
     dps = min(_ETA_DPS, budget)
     while True:
         with mp.workdps(dps):
@@ -485,6 +536,22 @@ def _extended_dps(c, lam, s0, kappa, s0star, budget: int) -> int:
     return min(_GUARD_DIGITS + int(math.ceil(-float(mp.log10(eta)))), budget)
 
 
+def _mpmath_step(m: RecurrenceCoeffs, kappa: complex, s0star: complex, breaking_down: bool):
+    """(c, lam, w) of a Geronimus step in mpmath at ``_extended_dps`` digits
+    (``_auto_dps`` when the double continued fraction broke down)."""
+    import mpmath as mp
+
+    # doubles convert to mpc exactly at any working precision
+    args = ([mp.mpc(z) for z in m.c.tolist()], [mp.mpc(z) for z in m.lam.tolist()],
+            mp.mpc(m.s0), mp.mpc(kappa), mp.mpc(s0star))
+    dps = _auto_dps(m.c, m.lam, abs(m.s0 / s0star), kappa, m.n_max)
+    if not breaking_down:
+        dps = _extended_dps(*args, dps)
+    with mp.workdps(dps):
+        c_new, lam_new, _, w = _geronimus_step(*args)
+        return [complex(z) for z in c_new], [complex(z) for z in lam_new], w
+
+
 def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
     """Geronimus transform of the prefix at (site.kappa, site.s0star).
 
@@ -492,7 +559,8 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
     c^{-*}_{n+1} = c_{n+1} - R_n(k)/R_{n-1}(k) + R_{n+1}(k)/R_n(k), with
     c^{-*}_1 = c_1 - A_1 and lambda^{-*}_2 = -R_1(k) s_0/s0star; the result's
     s0 is s0star.  The R-ratio run is double unless s0star lies within
-    _DOUBLE_ETA of the Cauchy value (see module docstring).
+    _DOUBLE_ETA of the Cauchy value; there it is double-double down to
+    eta = _DD_ETA and mpmath below (see module docstring).
     """
     if site.s0star is None or site.s0star == 0:
         raise ConfigurationError(
@@ -509,16 +577,9 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
     if eta >= _DOUBLE_ETA:
         c_new, lam_new, _, w = _geronimus_step(c, lam, m.s0, kappa, s0star)
     else:
-        # doubles convert to mpc exactly at any working precision
-        args = ([mp.mpc(z) for z in c], [mp.mpc(z) for z in lam],
-                mp.mpc(m.s0), mp.mpc(kappa), mp.mpc(s0star))
-        dps = _auto_dps(m.c, m.lam, abs(m.s0 / s0star), kappa, m.n_max)
-        if not math.isnan(eta):  # a breaking-down fraction gets the full budget
-            dps = _extended_dps(*args, dps)
-        with mp.workdps(dps):
-            c_new, lam_new, _, w = _geronimus_step(*args)
-            c_new = [complex(z) for z in c_new]
-            lam_new = [complex(z) for z in lam_new]
+        c_new, lam_new, w = _dd_step(c, lam, m.s0, kappa, s0star) or _mpmath_step(
+            m, kappa, s0star, breaking_down=math.isnan(eta)
+        )
     notes = () if site.geronimus_guaranteed else ("existence-checked-numerically",)
     return TransformedCoeffs(
         base=m,

@@ -33,6 +33,7 @@ from .errors import (
     ConfigurationError,
     DegeneracyError,
     PoleError,
+    PrefixError,
     QuadratureError,
     ResidualCheckError,
 )
@@ -151,14 +152,16 @@ class R1System:
         self.m = m
         self.kappa1 = complex(k1.kappa)
         self.rho = ratio_sequence(m, self.kappa1, "P").values  # rho[n-1] = P_n/P_{n-1}
-        # s0star None: the exact Cauchy value, stepped in double; at its double
-        # rounding (eta ~ 1e-16) geronimus would take the mpmath route
+        # s0star None: the exact Cauchy value, stepped backward in double (its
+        # double rounding, eta ~ 1e-16, would need a double-double step)
         self.gero = geronimus(m, k2) if k2.s0star is not None else geronimus_cauchy(m, k2.kappa)
         self.k2 = self.gero.sites[0]
 
     def coeffs(self, n: int) -> RICoefficients:
         if n < 1:
             raise ConfigurationError("R_I coefficients are defined for n >= 1")
+        if n + 3 > self.m.n_max:
+            raise PrefixError(f"R_I coefficients at n={n} need a prefix of length >= {n + 3}")
         lam_next = self.m.lam_n(n + 1)
         ratio = lam_next / self.rho[n - 1]  # lambda_{n+1} P_{n-1}/P_n at kappa1
         beta = -ratio
@@ -238,6 +241,8 @@ class GeronimusPairQuasi:
         self.coeffs = chain.coeffs()
 
     def quasi(self, n: int) -> QuasiOrthogonal:
+        if n + 1 >= len(self.Ap):  # the second step's prefix is 4 shorter
+            raise PrefixError(f"the conjugate pair at n={n} needs a prefix of length >= {n + 5}")
         return QuasiOrthogonal(
             order=2,
             degree=n + 1,
@@ -272,6 +277,8 @@ class R2System:
             raise ConfigurationError("R_II needs an order-2 quasi-orthogonal record")
         if q.degree != n + 1:
             raise ConfigurationError(f"quasi-orthogonal degree {q.degree} != n+1 = {n + 1}")
+        if n + 3 > self.m.n_max:
+            raise PrefixError(f"R_II coefficients at n={n} need a prefix of length >= {n + 3}")
         lam_next = self.m.lam_n(n + 1)
         den = self.kernel_rho[n - 1] * self.rho[n - 1] - lam_next
         if abs(den) <= 1e-12 * abs(lam_next):

@@ -30,7 +30,7 @@ from .core import (
     symmetrize,
 )
 from .darboux import TransformedCoeffs, TransformPoint, christoffel, geronimus
-from .errors import ConfigurationError, EigenSolverError, PrefixError
+from .errors import ConfigurationError, EigenSolverError, EvaluationRangeError, PrefixError
 from .polyeval import _SCALE_HI, _SCALE_LO, _scaled_run, _unscaled, ratio_sequence
 
 __all__ = [
@@ -397,8 +397,10 @@ def cluster_distance(
     Delta[k] = h + lam[k-1] Delta[k-1] / (rho[k-1] (rho[k-1] + Delta[k-1])).
     d keeps its relative accuracy however small; below |d| = 1e-150 the first-order
     h = -d[n-1]/rho'_{n-1}(kappa) is exact, and under the double range dist is 0.0.
-    An iteration that has not converged after 80 steps raises EigenSolverError
-    naming n (kappa on a symmetry axis of the zeros can hold Newton on it).
+    An iteration that has not converged after 80 steps, or that lands on a pole
+    of the ratios, raises EigenSolverError naming n (kappa on a symmetry axis
+    of the zeros can hold Newton on it); a single step of d that leaves the
+    double range (|kappa| near 1e300) raises EvaluationRangeError.
     """
     if site.s0star is None:
         raise ConfigurationError("cluster_distance needs a Geronimus site with s0star")
@@ -412,6 +414,8 @@ def cluster_distance(
     for k in range(1, n):
         d = lam[k - 1] * d / (rho[k - 1] * w[k - 1])
         if not _SCALE_LO <= abs(d) <= _SCALE_HI:
+            if not 0 < abs(d) < math.inf:  # one step left the double range
+                raise EvaluationRangeError(k + 1)
             log_d += math.log(abs(d))
             d /= abs(d)
 
@@ -432,10 +436,15 @@ def cluster_distance(
     d = _unscaled(d, log_d, n)
     h, last = 0j, math.inf
     for _ in range(80):
-        delta, deriv, total = shifted(h)
-        if delta + d == 0:
-            break
-        step = 1 / (total + deriv / (delta + d))
+        try:
+            delta, deriv, total = shifted(h)
+            if delta + d == 0:
+                break
+            step = 1 / (total + deriv / (delta + d))
+        except ZeroDivisionError:  # an iterate on a pole of some rho_k(z)
+            raise EigenSolverError(
+                f"cluster-distance Newton iteration met a pole (n={n})"
+            ) from None
         # past sqrt(eps), a step that does not shrink is rounding noise
         if abs(step) >= last and last <= 1e-8 * abs(h):
             break

@@ -124,6 +124,43 @@ class TestTransform:
         assert "Traceback" not in proc.stderr
         assert "c_4" in proc.stderr and "not finite" in proc.stderr
 
+    @pytest.mark.parametrize("s0star", [["--s0star=1-1i"], []])
+    def test_far_site_exits_without_traceback(self, s0star):
+        """|kappa| past 1.3e154 used to overflow squaring (c - kappa)/2 in the
+        continued-fraction tail seed."""
+        proc = run_cli(
+            ["transform", "--family=chebyshev1", "--n-max=8", "--geronimus=1e160+1i", *s0star]
+        )
+        assert proc.returncode in (0, 1)
+        assert "Traceback" not in proc.stderr
+
+    def test_missing_coeff_file_exits_3(self, tmp_path, capsys):
+        rc = main(["transform", f"--coeff-file={tmp_path / 'nope.json'}", "--christoffel=0+1i"])
+        assert rc == 3
+        assert "nope.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["not json", "[1, 2]", '{"v": 1, "c": [1]}', '{"v": 1, "c": [[0, 0]]}']
+    )
+    def test_malformed_coeff_file_exits_1(self, tmp_path, capsys, text):
+        src = tmp_path / "bad.json"
+        src.write_text(text)
+        assert main(["transform", f"--coeff-file={src}", "--christoffel=0+1i"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_import_and_christoffel_leave_mpmath_unloaded(self, tmp_path):
+        """mpmath is only loaded by the Geronimus fallback below eta = 1e-18."""
+        code = (
+            "import sys, darbouxjac\n"
+            "from darbouxjac import cli\n"
+            f"rc = cli.main(['transform', '--family=chebyshev1', '--christoffel=0+1i', "
+            f"'--output={tmp_path / 'c.json'}'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'mpmath' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestZeros:
     def test_kernel_csv(self, tmp_path):

@@ -1,0 +1,80 @@
+"""Fuzz of the command line, in process: every argv exits 0, 1, 2 or 3
+(SystemExit included) and no other exception escapes ``cli.main``.
+
+Inputs: the three subcommands on a preset or a missing --coeff-file,
+--n-max in 2..16, --n / --n-list values around that range, complex literals
+whose parts have magnitude 1e-300..1e300 (or are 0) with either sign,
+optional --then-* steps, and verify suites.
+"""
+import contextlib
+import io
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from darbouxjac import cli
+from darbouxjac.core import CHEBYSHEV_KINDS
+
+FUZZ = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+parts = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((1.0, -1.0)), st.floats(-300, 300)),
+)
+
+
+@st.composite
+def literals(draw) -> str:
+    re, im = draw(parts), draw(parts)
+    return f"{re!r}{'-' if im < 0 else '+'}{abs(im)!r}i"
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    cmd = draw(st.sampled_from(("transform", "zeros", "verify")))
+    if draw(st.integers(0, 9)) == 0:
+        base = "--coeff-file=does-not-exist/coeffs.json"
+    else:
+        base = f"--family={draw(st.sampled_from(CHEBYSHEV_KINDS))}"
+    argv = [cmd, base, f"--n-max={draw(st.integers(2, 16))}"]
+
+    def maybe(flag):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(literals())}")
+
+    if cmd == "transform":
+        for flag in ("--christoffel", "--geronimus", "--s0star",
+                     "--then-christoffel", "--then-geronimus", "--then-s0star"):
+            maybe(flag)
+        if draw(st.booleans()):
+            argv.append(f"--n={draw(st.integers(-2, 20))}")
+    elif cmd == "zeros":
+        argv.append(f"--kind={draw(st.sampled_from(('plain', 'christoffel', 'geronimus')))}")
+        maybe("--kappa")
+        maybe("--s0star")
+        ns = draw(st.lists(st.integers(-2, 20), min_size=1, max_size=3))
+        listed = ",".join(map(str, ns)) if draw(st.booleans()) else f"{ns[0]}:{ns[-1]}"
+        argv.append(f"--n-list={listed}")
+    else:
+        for suite in draw(st.lists(st.sampled_from(sorted(cli._SUITES)), max_size=2)):
+            argv.append(f"--suite={suite}")
+        maybe("--kappa")
+        maybe("--s0star")
+    return argv
+
+
+@FUZZ
+@given(argvs())
+def test_cli_exits_with_a_documented_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (code, argv)

@@ -1,6 +1,8 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
+from darbouxjac import darboux
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
 from darbouxjac.darboux import (
     GeronimusChain,
@@ -279,3 +281,34 @@ class TestEvaluationRange:
         with pytest.raises(EvaluationRangeError) as err:
             geronimus_eval_from(tc, 200, 1e8j)
         assert err.value.index == 200
+
+
+class TestTailSeedFarFromSupport:
+    """The tail seed lam/(larger root) never squares (c - z)/2, which
+    overflowed the double range once |kappa| passed ~1.3e154."""
+
+    @pytest.mark.parametrize("kappa", [1e100 + 1j, 1e160 + 1j, -1e300 - 1e300j, 0.3 + 0.5j])
+    def test_smaller_root_matches_extended_precision(self, kappa):
+        got = darboux._tail_seed(0.0, 0.25, kappa)
+        with mp.workdps(50):
+            half = -mp.mpc(kappa) / 2
+            disc = mp.sqrt(half * half - mp.mpf(0.25))
+            ref = mp.mpf(0.25) / max(half + disc, half - disc, key=abs)  # no cancellation
+            assert abs(got - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("kappa", [1e160 + 1j, -1e300 - 1e300j])
+    def test_geronimus_cauchy_and_chain_at_far_site(self, kappa):
+        m = family_coeffs("chebyshev1", 8)
+        tc = geronimus(m, TransformPoint(kappa, s0star=1 - 1j))
+        assert np.all(np.isfinite(tc.coeffs.c)) and np.all(np.isfinite(tc.coeffs.lam))
+        assert abs(cauchy_s0star(m, kappa) + 1 / kappa) <= 1e-15 / abs(kappa)
+        chain = GeronimusChain(m)
+        chain.apply(kappa)
+        assert abs(chain.steps[0]["s0star"] + 1 / kappa) <= 1e-15 / abs(kappa)
+
+    @pytest.mark.parametrize(
+        "c_tail, lam_tail", [(1.5e308, 0.25), (0.0, 1.5e308 + 1.5e308j)]
+    )
+    def test_unrepresentable_root_raises(self, c_tail, lam_tail):
+        with pytest.raises(EvaluationRangeError):
+            darboux._tail_seed(c_tail, lam_tail, -1.5e308 if lam_tail == 0.25 else 1j)

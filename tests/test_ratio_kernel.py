@@ -6,9 +6,10 @@ Prefixes are the four presets and seeded finite Nevai-class perturbations
 of them; sites are nonreal with Re kappa in [-1.5, 1.5] and |Im kappa| down
 to 1e-3.  Geronimus is checked with s0star drawn in the closed half-plane
 opposite kappa (the double-precision route when eta = |1 - S/s0star| >=
-1e-2) and with the double-rounded Cauchy value from cauchy_s0star (the
-extended-precision route).  The GeronimusChain step at the Cauchy value
-(the backward run) is checked against the UL step taken at the reference's
+1e-2), with the double-rounded Cauchy value from cauchy_s0star and with
+s0star a few ulps from it (the double-double route, eta >= 1e-18), and with
+that route forced down to its mpmath fallback.  The GeronimusChain step at
+the Cauchy value (the backward run) is checked against the UL step taken at the reference's
 own Cauchy value.  Cluster distances (the double shifted Newton of
 spectral.cluster_distance) are checked against an mpmath Newton iteration
 on the UL step's output, also with s0star near the Cauchy value.
@@ -358,3 +359,76 @@ def test_chain_conjugate_pair_near_support_matches_ul_reference(kind):
     assert err <= TOL, err
     err_c = max(float(abs(g - r)) for g, r in zip(got.c, ref_c)) / max(abs(r) for r in ref_c)
     assert err_c <= TOL, err_c
+
+
+# ---------------------------------------------------------------------------
+# the double-double route: s0star at or a few ulps from fl(S)
+# ---------------------------------------------------------------------------
+
+def forbid_mpmath(monkeypatch) -> None:
+    def fail(*args, **kwargs):
+        raise AssertionError("geronimus fell back to mpmath")
+
+    monkeypatch.setattr(darboux, "_mpmath_step", fail)
+
+
+@st.composite
+def ulps_from_cauchy(draw, m: RecurrenceCoeffs, kappa: complex) -> complex:
+    """fl(S) itself, or fl(S)(1 + eta e^{i theta}) with eta log-uniform on
+    [1e-16, 1e-14]: eta about 1e-17..1e-14."""
+    s = m.s0 * darboux._cf_m_function(m.c.tolist(), m.lam.tolist(), kappa)
+    if draw(st.booleans()):
+        return s
+    eta = 10.0 ** draw(st.floats(-16.0, -14.0))
+    return s * (1 + eta * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))))
+
+
+@PROPERTY
+@given(prefixes, kappas(), st.data())
+def test_geronimus_within_ulps_of_cauchy_matches_ul_reference(m, kappa, data):
+    s0star = data.draw(ulps_from_cauchy(m, kappa))
+    assert not double_route(m, kappa, s0star)
+    tc = geronimus(m, TransformPoint(kappa, s0star=s0star))
+    assert_entrywise(tc, reference(ul_step, m, kappa, s0star, dps=resolving_dps(kappa)))
+
+
+# kappa per preset: away from the support, close to it, and off the axis
+CAUCHY_SITES = {
+    "chebyshev1": 0.3 + 0.5j,
+    "chebyshev2": 1j,
+    "chebyshev3": -0.7 + 0.05j,
+    "chebyshev4": 1.2 + 0.3j,
+}
+
+
+@pytest.mark.parametrize("n_max", [256, 1024])
+@pytest.mark.parametrize("kind", CHEBYSHEV_KINDS)
+def test_geronimus_at_rounded_cauchy_value_long_prefix(kind, n_max, monkeypatch):
+    """fl(S) on the presets, the CLI default: double-double, no fallback."""
+    forbid_mpmath(monkeypatch)
+    m = family_coeffs(kind, n_max)
+    kappa = CAUCHY_SITES[kind]
+    s0star = cauchy_s0star(m, kappa)
+    tc = geronimus(m, TransformPoint(kappa, s0star=s0star))
+    assert_entrywise(tc, reference(ul_step, m, kappa, s0star, dps=resolving_dps(kappa)))
+
+
+@pytest.mark.parametrize("kind", CHEBYSHEV_KINDS)
+def test_geronimus_mpmath_fallback_matches_double_double(kind, monkeypatch):
+    """Raising _DD_ETA above every eta sends fl(S) to the mpmath route."""
+    m = family_coeffs(kind, 256)
+    kappa = CAUCHY_SITES[kind]
+    site = TransformPoint(kappa, s0star=cauchy_s0star(m, kappa))
+    dd = geronimus(m, site)
+    monkeypatch.setattr(darboux, "_DD_ETA", 1.0)
+    calls = []
+    real_step = darboux._mpmath_step
+    monkeypatch.setattr(
+        darboux, "_mpmath_step", lambda *a, **k: calls.append(1) or real_step(*a, **k)
+    )
+    fallback = geronimus(m, site)
+    assert calls
+    assert_entrywise(
+        fallback, list(dd.coeffs.c) + list(dd.coeffs.lam) + [dd.coeffs.s0]
+    )
+    assert np.max(np.abs(fallback.a_seq - dd.a_seq) / np.maximum(np.abs(dd.a_seq), TINY)) <= TOL
