@@ -10,12 +10,12 @@ split run on both parts at once.  Addition is the "sloppy" one of Hida, Li &
 Bailey: its error is ~1e-32 relative to the operands, not to the sum, which
 is all the ratio kernels need (their inputs are exact).
 
-Only what ``darboux._ratio_run``, ``_cf_m_function``, ``_tail_seed`` and
-``_geronimus_step`` use is provided: ``+ - * /``, unary ``-``, ``abs`` (of
-the leading part), ``** 0.5``, truth, and ``complex()``; the other operand
-may be a ``DDComplex``, a complex, a float or an int.  Overflow shows as inf
-or nan in the result (the split overflows beyond about 1e300), never as an
-exception; ``abs`` and division by zero raise as they do on complex.
+Only what ``darboux._ratio_run``, ``_cf_m_function`` and ``_tail_seed``
+use is provided: ``+ - * /``, ``abs`` (of the leading part), ``** 0.5``,
+truth, and ``complex()``; the other operand may be a ``DDComplex``, a
+complex, a float or an int.  Overflow shows as inf or nan in the result (the
+split overflows beyond about 1e300), never as an exception; ``abs`` and
+division by zero raise as they do on complex.
 """
 from __future__ import annotations
 
@@ -43,9 +43,6 @@ class DDComplex:
 
     def __abs__(self) -> float:
         return abs(self.hi)
-
-    def __neg__(self) -> DDComplex:
-        return DDComplex(-self.hi, -self.lo)
 
     def __add__(self, other) -> DDComplex:
         if type(other) is DDComplex:

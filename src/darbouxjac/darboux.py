@@ -19,10 +19,18 @@ Which precision runs:
   most ~1/eta.  For eta >= 1e-2 the kernel runs in double.  Below it (this
   includes s0star = fl(S), the CLI default) eta is measured again in
   double-double (``_dd.DDComplex``, unit roundoff ~1e-32) and, for
-  eta >= 1e-18, the same kernel runs in double-double.  Closer still, or
-  when the double-double run leaves the double range, it runs in mpmath at
-  30 + log10(1/eta) digits, eta being resolved at a precision that can see
-  it and the digits capped by ``_auto_dps``; mpmath is imported only there.
+  eta >= 1e-18, the same kernel runs in double-double only while the minimal
+  solution f still carries R_n = f_n (1 + delta g_n), delta = s0/s0star -
+  1/m(J; kappa) and g_n = q_n/f_n growing with the dominance of a second
+  solution q: up to the first n with |delta g_n| >= 1, plus two steps (the
+  crossover k*, ``_crossover``).  From there the dominant part carries R_n,
+  the forward map contracts again, and the run continues in double from the
+  head's last ratios; the result is as accurate as on the eta >= 1e-2 route
+  (~1e-13 entrywise).  Closer still, or when the run leaves the double
+  range, it runs in mpmath at 30 + log10(1/eta) digits, eta being resolved
+  at a precision that can see it and the digits capped by ``_auto_dps``;
+  mpmath is imported only there.  The route taken is logged at DEBUG on the
+  ``darbouxjac`` logger.
 * ``GeronimusChain`` (conjugate-pair chains) and ``geronimus_cauchy`` step
   at the exact Cauchy value S, where R_n is the minimal solution itself.
   There ``_cauchy_run`` runs the ratios *and* the differences backward from
@@ -35,6 +43,7 @@ Which precision runs:
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 
@@ -66,6 +75,8 @@ __all__ = [
     "geronimus_cauchy",
     "cauchy_s0star",
 ]
+
+_log = logging.getLogger("darbouxjac")
 
 # Relative cancellation threshold for ratio/pivot breakdown detection.
 _BREAKDOWN_RTOL = 1e-13
@@ -125,7 +136,7 @@ class TransformedCoeffs:
 # Ratio-and-difference kernel shared by both transforms
 # ---------------------------------------------------------------------------
 
-def _ratio_run(c, lam, kappa, offset, count: int, what: str):
+def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None, rtol=_BREAKDOWN_RTOL):
     """Ratios w[k] = y_{k+1}(kappa)/y_k(kappa) and differences e[k] = w[k] - w[k-1].
 
     y solves the monic recurrence with y_0 = 1, y_1 = kappa - c[0] + offset
@@ -143,24 +154,32 @@ def _ratio_run(c, lam, kappa, offset, count: int, what: str):
     runs on Python complex, on ``DDComplex`` and on mpmath mpc (in the
     caller's working precision).
 
-    Raises ExistenceError(what, n) when y_n(kappa) cancels to within
-    _BREAKDOWN_RTOL of the terms that make it up (n = k + 1).
+    ``head = (ws, es)``, the first K >= 2 ratios and differences of the run
+    (from a run in another precision), restarts it at k = K: the returned
+    lists are copies of ``head`` continued up to ``count``.
+
+    Raises ExistenceError(what, n) when y_n(kappa) cancels to within ``rtol``
+    (_BREAKDOWN_RTOL for double) of the terms that make it up (n = k + 1).
     """
-    term1 = kappa - c[0]
-    w = term1 + offset
-    # Without an offset the cancellation at n = 1 is kappa against c_1.
-    scale = max(abs(term1), abs(offset)) if offset else max(abs(kappa), abs(c[0]), 1)
-    if abs(w) < _BREAKDOWN_RTOL * scale:
-        raise ExistenceError(what, 1)
-    ws, es = [w], [0 * w]
-    inv_prev = e = None
-    for k in range(1, count):
+    if head is None:
+        term1 = kappa - c[0]
+        w = term1 + offset
+        # Without an offset the cancellation at n = 1 is kappa against c_1.
+        scale = max(abs(term1), abs(offset)) if offset else max(abs(kappa), abs(c[0]), 1)
+        if abs(w) < rtol * scale:
+            raise ExistenceError(what, 1)
+        ws, es = [w], [0 * w]
+        inv_prev = e = None
+    else:
+        ws, es = list(head[0]), list(head[1])
+        w, e, inv_prev = ws[-1], es[-1], 1 / ws[-2]
+    for k in range(len(ws), count):
         inv = 1 / w  # one division per step: it dominates the mpc cost
         term1 = kappa - c[k]
         term2 = lam[k - 1] * inv
         w = term1 - term2
         scale = max(abs(term1), abs(term2))
-        if abs(w) < _BREAKDOWN_RTOL * scale or scale == 0:
+        if abs(w) < rtol * scale or scale == 0:
             raise ExistenceError(what, k + 1)
         if k == 1:
             e = (c[0] - c[1]) - offset - term2
@@ -216,7 +235,9 @@ def christoffel(
     rho = np.array(w)
     c_out = m.c[1 : out_len + 1] + np.array(e[1 : out_len + 1])
     lam_out = m.lam[: out_len - 1] * rho[1:out_len] / rho[: out_len - 1]
-    s0_out = (m.c[0] - kappa) * m.s0
+    # in Python complex: past the double range it is inf, caught by
+    # RecurrenceCoeffs, without a numpy overflow warning
+    s0_out = (complex(m.c[0]) - kappa) * m.s0
     coeffs = RecurrenceCoeffs(c=c_out, lam=lam_out, s0=s0_out)
     return TransformedCoeffs(
         base=m, sites=(site,), kinds=("christoffel",), coeffs=coeffs, ratio_seq=rho
@@ -327,9 +348,14 @@ _NO_GERONIMUS = "Geronimus transform does not exist for this (kappa, s0star)"
 # eta = |1 - S/s0star| at or above this runs the R-ratio kernel in double:
 # rounding errors then grow by at most ~1/eta = 100.
 _DOUBLE_ETA = 1e-2
-# Below _DOUBLE_ETA and at or above this the kernel runs in double-double:
-# its rounding errors (~1e-32) then grow to at most ~1e-14.
+# Below _DOUBLE_ETA and at or above this the kernel runs in double-double up
+# to the crossover (``_crossover``): its rounding errors (~1e-32) grow to at
+# most ~1e-14 there, and double takes over where they no longer grow.
 _DD_ETA = 1e-18
+# _BREAKDOWN_RTOL of the double-double run: far from the support at the
+# Cauchy value, R_1 = kappa - c_1 + s_0/s0star ~ lambda_1/kappa cancels to
+# 1e-14 of its terms at |kappa| = 1e7 and is still resolved.
+_DD_BREAKDOWN_RTOL = 1e-29
 # Digits kept beyond log10(1/eta) by the extended-precision R-ratio run, and
 # the first precision at which eta is resolved.
 _GUARD_DIGITS = 30
@@ -436,19 +462,25 @@ def _geronimus_step(c, lam, s0, kappa, s0star=None):
     taken as lambda_{k+1} (1 + e[k]/w[k-1]): equal ratios (a constant tail)
     then give lambda_{k+1} exactly, not a rounding bias repeated in every entry.
     """
-    out_len = len(c) - 2
     if s0star is None:
         w, e, offset = _cauchy_run(c, lam, kappa, _NO_GERONIMUS)
         s0star = s0 * (1 / offset)  # bit for bit s0 * _cf_m_function
         first = c[0] + w[0]
     else:
         offset = s0 / s0star
-        w, e = _ratio_run(c, lam, kappa, offset, out_len + 1, _NO_GERONIMUS)
+        w, e = _ratio_run(c, lam, kappa, offset, len(c) - 1, _NO_GERONIMUS)
         first = kappa + offset
+    return (*_geronimus_coeffs(c, lam, w, e, offset, first), s0star, w)
+
+
+def _geronimus_coeffs(c, lam, w, e, offset, first):
+    """(c, lam) of the Geronimus step from its R-ratio run (w, e), its
+    offset s0/s0star and first = c^{-*}_1; formulas in ``_geronimus_step``."""
+    out_len = len(c) - 2
     c_new = [first] + [c[k] + e[k] for k in range(1, out_len)]
     lam_new = [-w[0] * offset]
     lam_new += [lam[k - 1] * (1 + e[k] / w[k - 1]) for k in range(1, out_len - 1)]
-    return c_new, lam_new, s0star, w
+    return c_new, lam_new
 
 
 def _a_seq(w) -> np.ndarray:
@@ -494,23 +526,61 @@ class GeronimusChain:
         return RecurrenceCoeffs(c=self._c, lam=self._lam, s0=self._s0)
 
 
-def _dd_step(c, lam, s0, kappa, s0star):
-    """(c, lam, w) of a Geronimus step in double-double, eta re-measured on the
-    double-double inputs first; None when that eta is below _DD_ETA or nan,
-    or an output leaves the double range."""
-    # doubles convert to DDComplex exactly
-    c, lam = [DDComplex(z) for z in c], [DDComplex(z) for z in lam]
-    s0, kappa, s0star = DDComplex(complex(s0)), DDComplex(kappa), DDComplex(s0star)
+def _crossover(c, lam, kappa, delta, count: int) -> int:
+    """Where the R-ratio run at offset 1/m(J; kappa) + delta may leave
+    double-double: the first k with |delta g_k| >= 1, plus two; ``count``
+    (no switch) when there is none before it or the Cauchy run breaks down.
+
+    R = f + delta q, with f the minimal solution (R at the Cauchy value, its
+    ratios w^S from the backward ``_cauchy_run``) and q the solution with
+    q_0 = 0, q_1 = 1, so R_k = f_k (1 + delta g_k) with g_k = q_k/f_k.  The
+    Casoratian f_j q_{j+1} - f_{j+1} q_j = lam_0 ... lam_{j-1} makes g_k the
+    sum of h_j = 1/w^S_0 prod_{i<j} lam_i/(w^S_i w^S_{i+1}) over j < k.  Once
+    |delta g_k| passes 1 the dominant part carries R, the forward ratio map
+    contracts, and double is as accurate as on the eta >= _DOUBLE_ETA route.
+    """
     try:
-        eta = abs(1 - s0 * _cf_m_function(c, lam, kappa) / s0star)
+        ws = _cauchy_run(c, lam, kappa, _NO_GERONIMUS)[0]
+        h, g = 1 / ws[0], 0j
+        for k in range(1, count):
+            g += h  # g_k
+            if not cmath.isfinite(g):
+                break
+            if abs(delta * g) >= 1:
+                return min(k + 2, count)
+            h *= lam[k - 1] / (ws[k - 1] * ws[k])
+    except (ArithmeticError, PoleError):  # ExistenceError, division, abs overflow
+        pass
+    return count
+
+
+def _dd_step(c, lam, s0, kappa, s0star):
+    """(c, lam, w, eta, k*) of a Geronimus step whose R-ratio run is
+    double-double up to the crossover k* (``_crossover``) and double from
+    there, eta = |1 - S/s0star| re-measured on the double-double inputs
+    first; None when that eta is below _DD_ETA or nan, or an output leaves
+    the double range."""
+    # doubles convert to DDComplex exactly
+    c_dd, lam_dd = [DDComplex(z) for z in c], [DDComplex(z) for z in lam]
+    s0, kappa_dd, s0star = DDComplex(complex(s0)), DDComplex(kappa), DDComplex(s0star)
+    try:
+        m_dd = _cf_m_function(c_dd, lam_dd, kappa_dd)
+        eta = abs(1 - s0 * m_dd / s0star)
     except ZeroDivisionError:
-        eta = math.nan
-    if eta >= _DD_ETA:
-        c_new, lam_new, _, w = _geronimus_step(c, lam, s0, kappa, s0star)
-        c_new = [complex(z) for z in c_new]
-        lam_new = [complex(z) for z in lam_new]
-        if all(map(cmath.isfinite, c_new + lam_new)):
-            return c_new, lam_new, w
+        return None
+    if not eta >= _DD_ETA:
+        return None
+    offset = s0 / s0star
+    count = len(c) - 1
+    k_star = _crossover(c, lam, kappa, complex(offset - 1 / m_dd), count)
+    w, e = _ratio_run(
+        c_dd, lam_dd, kappa_dd, offset, k_star, _NO_GERONIMUS, rtol=_DD_BREAKDOWN_RTOL
+    )
+    head = [complex(z) for z in w], [complex(z) for z in e]
+    w, e = _ratio_run(c, lam, kappa, complex(offset), count, _NO_GERONIMUS, head=head)
+    c_new, lam_new = _geronimus_coeffs(c, lam, w, e, complex(offset), complex(kappa_dd + offset))
+    if all(map(cmath.isfinite, c_new + lam_new)):
+        return c_new, lam_new, w, eta, k_star
     return None
 
 
@@ -537,8 +607,8 @@ def _extended_dps(c, lam, s0, kappa, s0star, budget: int) -> int:
 
 
 def _mpmath_step(m: RecurrenceCoeffs, kappa: complex, s0star: complex, breaking_down: bool):
-    """(c, lam, w) of a Geronimus step in mpmath at ``_extended_dps`` digits
-    (``_auto_dps`` when the double continued fraction broke down)."""
+    """(c, lam, w, digits) of a Geronimus step in mpmath at ``_extended_dps``
+    digits (``_auto_dps`` when the double continued fraction broke down)."""
     import mpmath as mp
 
     # doubles convert to mpc exactly at any working precision
@@ -549,7 +619,7 @@ def _mpmath_step(m: RecurrenceCoeffs, kappa: complex, s0star: complex, breaking_
         dps = _extended_dps(*args, dps)
     with mp.workdps(dps):
         c_new, lam_new, _, w = _geronimus_step(*args)
-        return [complex(z) for z in c_new], [complex(z) for z in lam_new], w
+        return [complex(z) for z in c_new], [complex(z) for z in lam_new], w, dps
 
 
 def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
@@ -559,8 +629,11 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
     c^{-*}_{n+1} = c_{n+1} - R_n(k)/R_{n-1}(k) + R_{n+1}(k)/R_n(k), with
     c^{-*}_1 = c_1 - A_1 and lambda^{-*}_2 = -R_1(k) s_0/s0star; the result's
     s0 is s0star.  The R-ratio run is double unless s0star lies within
-    _DOUBLE_ETA of the Cauchy value; there it is double-double down to
-    eta = _DD_ETA and mpmath below (see module docstring).
+    _DOUBLE_ETA of the Cauchy value; there it is double-double up to the
+    dominance crossover k* and double after it, down to eta = _DD_ETA, and
+    mpmath below (see module docstring).  The route, eta and k* are logged
+    at DEBUG on the ``darbouxjac`` logger (record attributes ``route``,
+    ``eta``, ``k_star``).
     """
     if site.s0star is None or site.s0star == 0:
         raise ConfigurationError(
@@ -574,12 +647,19 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
         eta = abs(1 - m.s0 * _cf_m_function(c, lam, kappa) / s0star)
     except ZeroDivisionError:
         eta = math.nan
+    k_star = None
     if eta >= _DOUBLE_ETA:
         c_new, lam_new, _, w = _geronimus_step(c, lam, m.s0, kappa, s0star)
+        route = "double"
+    elif dd := _dd_step(c, lam, m.s0, kappa, s0star):
+        c_new, lam_new, w, eta, k_star = dd
+        route = (f"double-double to k*={k_star} of {len(w)}, then double"
+                 if k_star < len(w) else "double-double")
     else:
-        c_new, lam_new, w = _dd_step(c, lam, m.s0, kappa, s0star) or _mpmath_step(
-            m, kappa, s0star, breaking_down=math.isnan(eta)
-        )
+        c_new, lam_new, w, dps = _mpmath_step(m, kappa, s0star, breaking_down=math.isnan(eta))
+        route = f"mpmath at {dps} digits"
+    _log.debug("geronimus at kappa=%s: %s (eta=%.3g)", kappa, route, eta,
+               extra={"route": route, "eta": eta, "k_star": k_star})
     notes = () if site.geronimus_guaranteed else ("existence-checked-numerically",)
     return TransformedCoeffs(
         base=m,

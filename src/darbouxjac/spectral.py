@@ -234,16 +234,21 @@ def _kernel_cloud(tc: TransformedCoeffs, cloud: ZeroCloud) -> ZeroCloud:
     kappa above the axis (mirrored below it).
     """
     rho = tc.ratio_seq[cloud.n]  # P_{n+1}/P_n at kappa
-    return replace(cloud, strip_bound=float(abs(1.0 / (1.0 / rho).imag)))
+    return replace(cloud, strip_bound=_strip_bound(rho))
+
+
+def _strip_bound(ratio: np.complex128) -> float:
+    """|1/Im(1/ratio)|, inf for a real ratio (a real kappa: no strip)."""
+    im = float((1.0 / ratio).imag)
+    return abs(1.0 / im) if im else math.inf
 
 
 def _geronimus_cloud(tc: TransformedCoeffs, cloud: ZeroCloud) -> ZeroCloud:
     """The cloud of P^{-*}_n(kappa, .) with bound -1/Im(R_{n-1}(kappa)/R_n(kappa))
     and the zero nearest kappa as cluster candidate."""
     w_n = -tc.a_seq[cloud.n]  # R_n/R_{n-1} at kappa
-    bound = abs(1.0 / (1.0 / w_n).imag)
     cluster = complex(cloud.zeros[np.argmin(np.abs(cloud.zeros - tc.sites[-1].kappa))])
-    return replace(cloud, strip_bound=float(bound), cluster_candidate=cluster)
+    return replace(cloud, strip_bound=_strip_bound(w_n), cluster_candidate=cluster)
 
 
 def _check_geronimus_degrees(n_list) -> None:

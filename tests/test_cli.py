@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from darbouxjac.cli import main, parse_complex, parse_n_list
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
+from darbouxjac.darboux import cauchy_s0star
+from test_ratio_kernel import assert_entrywise, reference, resolving_dps, ul_step
 
 
 def run_cli(args, **kwargs):
@@ -134,6 +138,27 @@ class TestTransform:
         assert proc.returncode in (0, 1)
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("kappa", ["1e7+1i", "3e6+2i", "1e10+1i"])
+    def test_geronimus_at_cauchy_value_far_from_support(self, kappa):
+        """R_1 = kappa - c_1 + s_0/s0star ~ lambda_1/kappa cancels to 1e-14 of
+        its terms and less here; that once read as a breakdown at n = 1."""
+        proc = run_cli(["transform", "--family=chebyshev1", "--n-max=16", f"--geronimus={kappa}"])
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        m, k = family_coeffs("chebyshev1", 16), parse_complex(kappa)
+        ref = reference(ul_step, m, k, cauchy_s0star(m, k), dps=resolving_dps(k))
+        assert_entrywise(SimpleNamespace(coeffs=RecurrenceCoeffs.loads(proc.stdout)), ref)
+
+    def test_christoffel_s0_beyond_double_range_warns_nothing(self, capsys):
+        """s0 = (c_1 - kappa) s0star overflows: exit 1 on the non-finite s0,
+        without a numpy overflow warning."""
+        argv = ["transform", "--family=chebyshev4", "--n-max=13", "--geronimus=0.0-1.0i",
+                "--s0star=0.0-1.5e+120i", "--then-christoffel=-8.3e+265-1.6e-158i"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert "not finite" in capsys.readouterr().err
+
     def test_missing_coeff_file_exits_3(self, tmp_path, capsys):
         rc = main(["transform", f"--coeff-file={tmp_path / 'nope.json'}", "--christoffel=0+1i"])
         assert rc == 3
@@ -186,6 +211,20 @@ class TestZeros:
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 5 + 10 + 15
         assert all(float(r[2]) > 0 for r in rows)
+
+    def test_kernel_at_real_kappa_warns_nothing(self, capsys):
+        """A real kappa has no strip (bound inf), found without dividing by 0."""
+        argv = ["zeros", "--family=chebyshev3", "--n-max=12", "--kind=christoffel",
+                "--kappa=0.0+0.0i", "--n-list=4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "n,re,im"
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert np.all(rows[:, 0] == 4) and np.all(rows[:, 2] == 0)
+        expected = [-0.9510565162951535, -0.5877852522924731, 0.5877852522924731, 0.9510565162951535]
+        assert np.allclose(rows[:, 1], expected, rtol=0, atol=1e-12)
 
     def test_rows_sorted(self, tmp_path):
         out = tmp_path / "z.csv"

@@ -1,5 +1,7 @@
 """Fuzz of the command line, in process: every argv exits 0, 1, 2 or 3
-(SystemExit included) and no other exception escapes ``cli.main``.
+(SystemExit included), no other exception escapes ``cli.main`` and no
+RuntimeWarning is raised (numpy overflow or division warnings would reach
+stderr).
 
 Inputs: the three subcommands on a preset or a missing --coeff-file,
 --n-max in 2..16, --n / --n-list values around that range, complex literals
@@ -8,8 +10,9 @@ optional --then-* steps, and verify suites.
 """
 import contextlib
 import io
+import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from darbouxjac import cli
@@ -71,8 +74,17 @@ def argvs(draw) -> list[str]:
 
 @FUZZ
 @given(argvs())
+# far from the support at the Cauchy value (once a false breakdown at n = 1)
+@example(["transform", "--family=chebyshev1", "--n-max=16", "--geronimus=1e7+1i"])
+# once numpy warnings: an overflowing Christoffel s0, a real kernel site
+@example(["transform", "--family=chebyshev4", "--n-max=13", "--geronimus=0.0-1.0i",
+          "--s0star=0.0-1.5e+120i", "--then-christoffel=-8.3e+265-1.6e-158i"])
+@example(["zeros", "--family=chebyshev3", "--n-max=12", "--kind=christoffel",
+          "--kappa=0.0+0.0i", "--n-list=4"])
 def test_cli_exits_with_a_documented_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             code = cli.main(argv)
         except SystemExit as exc:

@@ -1,3 +1,5 @@
+import logging
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -200,6 +202,24 @@ class TestGeronimus:
                 )
                 scale = max(abs(v) for v in vals) * max(1.0, abs(z))
                 assert abs(resid) <= 1e-9 * scale
+
+    def test_route_logged_at_debug(self, cheb4, caplog, monkeypatch):
+        """double far from S, double-double then double at fl(S), mpmath when
+        _DD_ETA is raised past eta; stdout is not touched."""
+        kappa = 1.2 + 0.3j
+        cauchy = cauchy_s0star(cheb4, kappa)
+        caplog.set_level(logging.DEBUG, logger="darbouxjac")
+        geronimus(cheb4, TransformPoint(kappa, s0star=1 - 1j))
+        geronimus(cheb4, TransformPoint(kappa, s0star=cauchy))
+        monkeypatch.setattr(darboux, "_DD_ETA", 1.0)
+        geronimus(cheb4.truncated(32), TransformPoint(kappa, s0star=cauchy))
+        double, crossover, fallback = caplog.records
+        assert all(r.name == "darbouxjac" and r.levelno == logging.DEBUG for r in caplog.records)
+        assert double.route == "double" and double.k_star is None and double.eta >= 1e-2
+        assert 3 <= crossover.k_star < cheb4.n_max - 1 and crossover.eta < 1e-14
+        assert crossover.route == f"double-double to k*={crossover.k_star} of 255, then double"
+        assert fallback.route.startswith("mpmath at ") and fallback.k_star is None
+        assert f"k*={crossover.k_star}" in crossover.getMessage()
 
     def test_geronimus_eval_degree_zero(self, cheb1):
         assert geronimus_eval(cheb1, TransformPoint(1j, s0star=1.0), 0, 0.4) == 1

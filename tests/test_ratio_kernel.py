@@ -7,14 +7,17 @@ of them; sites are nonreal with Re kappa in [-1.5, 1.5] and |Im kappa| down
 to 1e-3.  Geronimus is checked with s0star drawn in the closed half-plane
 opposite kappa (the double-precision route when eta = |1 - S/s0star| >=
 1e-2), with the double-rounded Cauchy value from cauchy_s0star and with
-s0star a few ulps from it (the double-double route, eta >= 1e-18), and with
-that route forced down to its mpmath fallback.  The GeronimusChain step at
-the Cauchy value (the backward run) is checked against the UL step taken at the reference's
-own Cauchy value.  Cluster distances (the double shifted Newton of
-spectral.cluster_distance) are checked against an mpmath Newton iteration
-on the UL step's output, also with s0star near the Cauchy value.
+s0star a few ulps from it (double-double up to the dominance crossover,
+then double; eta >= 1e-18), with that route forced to stay double-double
+throughout, and with it forced down to its mpmath fallback.  The
+GeronimusChain step at the Cauchy value (the backward run) is checked
+against the UL step taken at the reference's own Cauchy value.  Cluster
+distances (the double shifted Newton of spectral.cluster_distance) are
+checked against an mpmath Newton iteration on the UL step's output, also
+with s0star near the Cauchy value.
 """
 import cmath
+import logging
 import math
 from types import SimpleNamespace
 
@@ -56,10 +59,10 @@ PROPERTY = settings(
 # inputs
 # ---------------------------------------------------------------------------
 
-def nevai_prefix(kind: str, seed: int | None) -> RecurrenceCoeffs:
+def nevai_prefix(kind: str, seed: int | None, n_max: int = N_MAX) -> RecurrenceCoeffs:
     """The preset, or a real perturbation of its first 12 coefficients that
     decays like 0.7^k (lambda stays positive, so the measure stays positive)."""
-    base = family_coeffs(kind, N_MAX)
+    base = family_coeffs(kind, n_max)
     if seed is None:
         return base
     rng = np.random.default_rng(seed)
@@ -432,3 +435,111 @@ def test_geronimus_mpmath_fallback_matches_double_double(kind, monkeypatch):
         fallback, list(dd.coeffs.c) + list(dd.coeffs.lam) + [dd.coeffs.s0]
     )
     assert np.max(np.abs(fallback.a_seq - dd.a_seq) / np.maximum(np.abs(dd.a_seq), TINY)) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# the crossover: double-double up to k*, double after it
+# ---------------------------------------------------------------------------
+
+def no_crossover(monkeypatch) -> None:
+    """Keep the whole R-ratio run in double-double, as with no crossover."""
+    monkeypatch.setattr(darboux, "_crossover", lambda c, lam, kappa, delta, count: count)
+
+
+def geronimus_k_star(m: RecurrenceCoeffs, site: TransformPoint) -> tuple:
+    """geronimus's output and the k* it reports at DEBUG."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("darbouxjac")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        tc = geronimus(m, site)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return tc, records[-1].k_star
+
+
+# fl(S) sites whose crossover falls late in a 256-term run (k* = 163, 130)
+# and early (k* = 27)
+CROSSOVER_SITES = [
+    ("chebyshev1", -0.800117 + 0.0698723j),
+    ("chebyshev3", 0.928724 + 0.0559869j),
+    ("chebyshev4", 1.2 + 0.3j),
+]
+
+
+@pytest.mark.parametrize("n_max", [256, 1024])
+@pytest.mark.parametrize("kind, kappa", CROSSOVER_SITES)
+def test_crossover_at_rounded_cauchy_value_matches_ul_reference(kind, kappa, n_max, monkeypatch):
+    """fl(S): the run leaves double-double inside the prefix, and the double
+    tail keeps 1e-12 entrywise."""
+    forbid_mpmath(monkeypatch)
+    m = family_coeffs(kind, n_max)
+    site = TransformPoint(kappa, s0star=cauchy_s0star(m, kappa))
+    tc, k_star = geronimus_k_star(m, site)
+    assert 3 <= k_star < n_max - 1
+    assert_entrywise(tc, reference(ul_step, m, kappa, site.s0star, dps=resolving_dps(kappa)))
+
+
+# the early crossover site is CAUCHY_SITES["chebyshev4"]
+@pytest.mark.parametrize("kind, kappa", CROSSOVER_SITES[:2] + list(CAUCHY_SITES.items()))
+def test_crossover_agrees_with_double_double_throughout(kind, kappa, monkeypatch):
+    """Moving the switch to the end of the run changes no entry by 1e-12."""
+    m = family_coeffs(kind, 256)
+    site = TransformPoint(kappa, s0star=cauchy_s0star(m, kappa))
+    switched = geronimus(m, site)
+    no_crossover(monkeypatch)
+    throughout = geronimus(m, site)
+    c, lam = throughout.coeffs.c, throughout.coeffs.lam
+    assert_entrywise(switched, [*c, *lam, throughout.coeffs.s0])
+    a = throughout.a_seq
+    assert np.max(np.abs(switched.a_seq - a) / np.maximum(np.abs(a), TINY)) <= TOL
+
+
+def test_crossover_stays_double_double_when_the_cauchy_run_breaks_down():
+    """A prefix whose backward run at kappa hits D_j = 0 gives no w^S to
+    place the crossover with: the whole run stays double-double."""
+    m = family_coeffs("chebyshev1", 64)
+    kappa, j = 0.3 + 0.5j, 20
+    c, lam = m.c.tolist(), m.lam.tolist()
+    t = darboux._tail_seed(c[-1], lam[-1], kappa)
+    for i in range(len(c), j, -1):
+        t = lam[i - 2] / (c[i - 1] - kappa - t)
+    c[j - 1] = kappa + t
+    with pytest.raises(ExistenceError):
+        darboux._cauchy_run(c, lam, kappa, "")
+    assert darboux._crossover(c, lam, kappa, 1.0, len(c) - 1) == len(c) - 1
+
+
+long_prefixes = st.builds(
+    nevai_prefix,
+    st.sampled_from(CHEBYSHEV_KINDS),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    st.just(128),
+)
+
+
+@PROPERTY
+@given(long_prefixes, kappas(), st.data())
+def test_crossover_within_ulps_of_cauchy_matches_ul_reference(m, kappa, data):
+    """128-term Nevai prefixes, where the crossover falls inside the prefix
+    for most sites away from the support."""
+    site = TransformPoint(kappa, s0star=data.draw(ulps_from_cauchy(m, kappa)))
+    tc, k_star = geronimus_k_star(m, site)
+    event("switched to double" if k_star < m.n_max - 1 else "double-double throughout")
+    assert_entrywise(tc, reference(ul_step, m, kappa, site.s0star, dps=resolving_dps(kappa)))
+
+
+@pytest.mark.parametrize("kappa", [1e7 + 1j, 3e6 + 2j, 1e10 + 1j])
+def test_geronimus_at_cauchy_value_far_from_support(kappa, monkeypatch):
+    """R_1 = kappa - c_1 + s_0/s0star ~ lambda_1/kappa is 1e-14..1e-21 of its
+    terms here: resolved in double-double, not a breakdown at n = 1."""
+    forbid_mpmath(monkeypatch)
+    m = family_coeffs("chebyshev1", 16)
+    site = TransformPoint(kappa, s0star=cauchy_s0star(m, kappa))
+    tc = geronimus(m, site)
+    assert_entrywise(tc, reference(ul_step, m, kappa, site.s0star, dps=resolving_dps(kappa)))
