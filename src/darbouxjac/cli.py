@@ -214,8 +214,8 @@ def _suite_m_identities(m, kappa, s0star):
 
 def _suite_r1(m, kappa, s0star):
     sys1 = rseq.R1System(m, TransformPoint(kappa), TransformPoint(np.conj(kappa)))
-    zs = rseq.sample_points(20)
-    worst = max(float(np.max(sys1.residual(n, zs))) for n in range(1, 41))
+    res = sys1.residuals(range(1, 41), rseq.sample_points(20))
+    worst = max(map(float, res.max(axis=1)))
     return {"pass": worst <= 1e-9, "max_residual": worst}
 
 
@@ -225,11 +225,12 @@ def _suite_r2(m, kappa, s0star):
         kappa = complex(np.conj(kappa))
     pair = rseq.GeronimusPairQuasi(m, complex(np.conj(kappa)))
     sys2 = rseq.R2System(m, kappa)
-    zs = rseq.sample_points(20)
-    worst = 0.0
+    qs, rcs = [], []
     for n in range(1, 31):
-        q = pair.quasi(n)
-        worst = max(worst, float(np.max(sys2.residual(q, sys2.coeffs(q, n), zs))))
+        qs.append(pair.quasi(n))
+        rcs.append(sys2.coeffs(qs[-1], n))
+    res = sys2.residuals(qs, rcs, rseq.sample_points(20))
+    worst = max(0.0, *map(float, res.max(axis=1)))
     return {"pass": worst <= 1e-9, "max_residual": worst}
 
 

@@ -12,6 +12,12 @@ two-point kernel polynomial.  Iterating conjugate-pair Geronimus steps at
 kappa_1, kappa_2, ... produces polynomials orthogonal to varying measures
 dmu / prod |t - kappa_j|^2, whose diagonal satisfies an R_II recurrence and
 whose quotients by prod (t - kappa_j) are orthogonal rational functions.
+
+``R1System.residuals`` and ``R2System.residuals`` check a relation for a whole
+degree list in one run of polyeval's evaluator (plus one for the R_II kernel):
+the sample points are tiled once per degree and each copy stops at its own
+degree.  The one-degree ``residual`` methods and the checks of ``r1_general``
+and ``r2_coeffs`` run the same code for one degree.
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ from .errors import (
     QuadratureError,
     ResidualCheckError,
 )
-from .polyeval import _eval_scaled, _scaled_run, eval_P, ratio_sequence
+from .polyeval import _scaled_run, eval_P, ratio_sequence
 
 __all__ = [
     "QuasiOrthogonal",
@@ -117,30 +123,56 @@ def sample_points(count: int, seed: int = _SAMPLE_SEED) -> np.ndarray:
 
 
 def _relative(z, total, *terms):
-    """|total| / max |term| at each point (0 where every term vanishes); a
-    float when the sample point z is a scalar.
+    """|total| / max |term| at each point (0 where every term vanishes); the
+    last axis runs over the sample points, dropped when z is a scalar.
 
-    Callers compute the terms on 1-d arrays even for one point, so a point
-    gets the same rounding alone as in a batch.
+    Callers compute the terms on arrays even for one point, so a point gets
+    the same rounding alone as in a batch.
     """
     scale = np.maximum.reduce([np.abs(t) for t in terms])
     res = np.divide(np.abs(total), scale, out=np.zeros(scale.shape), where=scale > 0)
-    return res if np.ndim(z) else float(res[0])
+    return res if np.ndim(z) else res[..., 0]
 
 
-def _ri_residual(m: RecurrenceCoeffs, n: int, z, tilde_A, rc: RICoefficients, rho_n):
-    """Relative residual of T_{n+1} - (z - alpha_n) P_n + beta_n (z - kappa1) P*_{n-1}
-    at each z, with T_{n+1} = P_{n+1} + tilde_A P_n and rho_n = P_n/P_{n-1} at kappa1.
+def _check_degree(what: str, n: int, n_max: int | None = None) -> None:
+    """ConfigurationError below degree 1, PrefixError past n_max - 3."""
+    if n < 1:
+        raise ConfigurationError(f"{what} coefficients are defined for n >= 1 (n={n})")
+    if n_max is not None and n + 3 > n_max:
+        raise PrefixError(f"{what} coefficients at n={n} need a prefix of length >= {n + 3}")
+
+
+def _degree_runs(m: RecurrenceCoeffs, ns: np.ndarray, zs: np.ndarray):
+    """The points, P_{n-1}, P_n and log scale as (len(ns), len(zs)) arrays, rows
+    in the order of ns: one _scaled_run over zs tiled once per degree, each copy
+    stopping at its own degree.  The points come as a full array, so a product
+    with one point takes the (FMA) numpy loop of a 1-d run, not a broadcast one."""
+    z, shape = np.tile(zs, len(ns)), (len(ns), len(zs))
+    if not z.size:
+        return [np.zeros(shape, dtype=complex)] * 4
+    order = np.argsort(ns, kind="stable")
+    stop = np.repeat(ns[order], len(zs))
+    out = _scaled_run(m, int(stop[-1]), z, 1.0, z - m.c[0], _stop=stop)
+    return [z.reshape(shape)] + [x.reshape(shape)[np.argsort(order)] for x in out]
+
+
+def _column(records, name: str) -> np.ndarray:
+    return np.array([getattr(r, name) for r in records], dtype=complex)[:, None]
+
+
+def _ri_residuals(m: RecurrenceCoeffs, ns: np.ndarray, z, tilde_A, alpha, beta, rho_n):
+    """Relative residuals of T_{n+1} - (z - alpha_n) P_n + beta_n (z - kappa1) P*_{n-1}
+    for each degree in ns (rows) at each z, with T_{n+1} = P_{n+1} + tilde_A P_n
+    and rho_n = P_n/P_{n-1} at kappa1; the coefficients are scalars or columns.
 
     (z - kappa1) P*_{n-1}(kappa1, z) = P_n(z) - rho_n P_{n-1}(z), so the
     kernel term needs no division by z - kappa1.
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    p_nm1, p_n, _ = _scaled_run(m, n, zs, 1.0, zs - m.c[0])
-    p_np1 = (zs - m.c[n]) * p_n - m.lam[n - 1] * p_nm1
+    zs, p_nm1, p_n, _ = _degree_runs(m, ns, np.atleast_1d(np.asarray(z, dtype=complex)))
+    p_np1 = (zs - m.c[ns, None]) * p_n - m.lam[ns - 1, None] * p_nm1
     t1 = p_np1 + tilde_A * p_n
-    t2 = (zs - rc.alpha) * p_n
-    t3 = rc.beta * (p_n - rho_n * p_nm1)
+    t2 = (zs - alpha) * p_n
+    t3 = beta * (p_n - rho_n * p_nm1)
     return _relative(z, t1 - t2 + t3, t1, t2, t3)
 
 
@@ -158,10 +190,7 @@ class R1System:
         self.k2 = self.gero.sites[0]
 
     def coeffs(self, n: int) -> RICoefficients:
-        if n < 1:
-            raise ConfigurationError("R_I coefficients are defined for n >= 1")
-        if n + 3 > self.m.n_max:
-            raise PrefixError(f"R_I coefficients at n={n} need a prefix of length >= {n + 3}")
+        _check_degree("R_I", n, self.m.n_max)
         lam_next = self.m.lam_n(n + 1)
         ratio = lam_next / self.rho[n - 1]  # lambda_{n+1} P_{n-1}/P_n at kappa1
         beta = -ratio
@@ -169,11 +198,24 @@ class R1System:
         alpha = self.m.c_n(n + 1) + w_next + ratio
         return RICoefficients(n=n, alpha=alpha, beta=beta)
 
+    def residuals(self, n_list, z, coeffs=None):
+        """Relative residuals (scale = max term magnitude) for each degree of
+        n_list (rows; any order, repeats allowed) at each z (columns; a scalar z
+        gives one per degree), in one evaluator run.  ``coeffs``, one
+        RICoefficients per degree, replaces ``self.coeffs(n)``."""
+        ns = np.array(n_list, dtype=int).reshape(-1)
+        for n in ns.tolist():
+            _check_degree("R_I", n, self.m.n_max)
+        rcs = coeffs if coeffs is not None else [self.coeffs(n) for n in ns.tolist()]
+        return _ri_residuals(
+            self.m, ns, z, self.gero.a_seq[ns + 1, None], _column(rcs, "alpha"),
+            _column(rcs, "beta"), self.rho[ns - 1, None],
+        )
+
     def residual(self, n: int, z, coeffs: RICoefficients | None = None):
-        """Relative residual of the relation at z (a scalar or an array of
-        points); scale = max term magnitude."""
-        rc = coeffs if coeffs is not None else self.coeffs(n)
-        return _ri_residual(self.m, n, z, self.gero.a_seq[n + 1], rc, self.rho[n - 1])
+        """The one-degree case of ``residuals`` (a float for a scalar z)."""
+        res = self.residuals((n,), z, None if coeffs is None else (coeffs,))[0]
+        return res if np.ndim(z) else float(res)
 
 
 def r1_coeffs(
@@ -200,6 +242,7 @@ def r1_general(
         raise ConfigurationError("r1_general needs an order-1 quasi-orthogonal record")
     if q.degree != n + 1:
         raise ConfigurationError(f"quasi-orthogonal degree {q.degree} != n+1 = {n + 1}")
+    _check_degree("R_I", n)
     rho = ratio_sequence(m, k1.kappa, "P", n_terms=n).values
     ratio = m.lam_n(n + 1) / rho[n - 1]
     beta = -ratio
@@ -207,7 +250,7 @@ def r1_general(
     rc = RICoefficients(n=n, alpha=alpha, beta=beta)
     if check:
         zs = sample_points(n + 2)
-        res = _ri_residual(m, n, zs, q.tilde_A, rc, rho[n - 1])
+        res = _ri_residuals(m, np.array([n]), zs, q.tilde_A, alpha, beta, rho[n - 1])[0]
         bad = np.flatnonzero(res > _CHECK_TOL)
         if len(bad):
             k = bad[0]
@@ -241,8 +284,10 @@ class GeronimusPairQuasi:
         self.coeffs = chain.coeffs()
 
     def quasi(self, n: int) -> QuasiOrthogonal:
-        if n + 1 >= len(self.Ap):  # the second step's prefix is 4 shorter
-            raise PrefixError(f"the conjugate pair at n={n} needs a prefix of length >= {n + 5}")
+        if n < 0:
+            raise PrefixError(f"the conjugate pair has no quasi-orthogonal data at n={n} < 0")
+        if n + 1 >= len(self.Ap):  # A' is 2 shorter than the base prefix
+            raise PrefixError(f"the conjugate pair at n={n} needs a prefix of length >= {n + 4}")
         return QuasiOrthogonal(
             order=2,
             degree=n + 1,
@@ -277,8 +322,7 @@ class R2System:
             raise ConfigurationError("R_II needs an order-2 quasi-orthogonal record")
         if q.degree != n + 1:
             raise ConfigurationError(f"quasi-orthogonal degree {q.degree} != n+1 = {n + 1}")
-        if n + 3 > self.m.n_max:
-            raise PrefixError(f"R_II coefficients at n={n} need a prefix of length >= {n + 3}")
+        _check_degree("R_II", n, self.m.n_max)
         lam_next = self.m.lam_n(n + 1)
         den = self.kernel_rho[n - 1] * self.rho[n - 1] - lam_next
         if abs(den) <= 1e-12 * abs(lam_next):
@@ -294,25 +338,29 @@ class R2System:
         )
         return RIICoefficients(n=n, rho=rho_n, gamma=gamma, upsilon=upsilon)
 
-    def residual(self, q: QuasiOrthogonal, rc: RIICoefficients, z):
-        """Relative residual of the relation at z (a scalar or an array of
-        points); scale = max term magnitude."""
-        n = rc.n
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        c, lam = self.m.c, self.m.lam
-        p_nm1, p_n, log_scale = _scaled_run(self.m, n, zs, 1.0, zs - c[0])
-        p_np1 = (zs - c[n]) * p_n - lam[n - 1] * p_nm1
-        kernel, kernel_scale = _eval_scaled(self.tc2.coeffs, "P", n - 1, zs)
-        t1 = p_np1 + q.tilde_C * p_n + q.tilde_D * p_nm1
-        t2 = (rc.rho * zs - rc.gamma) * p_n
-        t3 = (
-            rc.upsilon
-            * (zs - self.kappa1)
-            * (zs - self.kappa1_bar)
-            * kernel
-            * np.exp(kernel_scale - log_scale)
-        )
+    def residuals(self, qs, rcs, z):
+        """Relative residuals (scale = max term magnitude) for each (q, rc) pair
+        (rows) at each z (columns; a scalar z gives one per pair): one evaluator
+        run for P_n over the degrees and one for the kernel P**_{n-1} of tc2."""
+        for rc in rcs:
+            _check_degree("R_II", rc.n, self.m.n_max)
+        ns = np.array([rc.n for rc in rcs], dtype=int)
+        points = np.atleast_1d(np.asarray(z, dtype=complex))
+        zs, p_nm1, p_n, log_scale = _degree_runs(self.m, ns, points)
+        p_np1 = (zs - self.m.c[ns, None]) * p_n - self.m.lam[ns - 1, None] * p_nm1
+        kernel, kernel_scale = np.ones_like(p_n), np.zeros(p_n.shape)  # degree 0 at n = 1
+        if (up := ns > 1).any():
+            _, _, kernel[up], kernel_scale[up] = _degree_runs(self.tc2.coeffs, ns[up] - 1, points)
+        t1 = p_np1 + _column(qs, "tilde_C") * p_n + _column(qs, "tilde_D") * p_nm1
+        t2 = (_column(rcs, "rho") * zs - _column(rcs, "gamma")) * p_n
+        t3 = _column(rcs, "upsilon") * (zs - self.kappa1) * (zs - self.kappa1_bar) * kernel
+        t3 = t3 * np.exp(kernel_scale - log_scale)
         return _relative(z, t1 - t2 + t3, t1, t2, t3)
+
+    def residual(self, q: QuasiOrthogonal, rc: RIICoefficients, z):
+        """The one-degree case of ``residuals`` (a float for a scalar z)."""
+        res = self.residuals((q,), (rc,), z)[0]
+        return res if np.ndim(z) else float(res)
 
 
 def r2_coeffs(

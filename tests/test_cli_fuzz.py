@@ -4,7 +4,9 @@ RuntimeWarning is raised (numpy overflow or division warnings would reach
 stderr).
 
 Inputs: the three subcommands on a preset or a missing --coeff-file,
---n-max in 2..16, --n / --n-list values around that range, complex literals
+--n-max in 2..16 or 30..48 (where the r2 and r1 verify suites, which need
+34 and 43 terms, pass from PrefixError to their degree sweeps), --n /
+--n-list values in -2..20, complex literals
 whose parts have magnitude 1e-300..1e300 (or are 0) with either sign,
 optional --then-* steps, and verify suites.
 """
@@ -45,7 +47,8 @@ def argvs(draw) -> list[str]:
         base = "--coeff-file=does-not-exist/coeffs.json"
     else:
         base = f"--family={draw(st.sampled_from(CHEBYSHEV_KINDS))}"
-    argv = [cmd, base, f"--n-max={draw(st.integers(2, 16))}"]
+    n_max = draw(st.one_of(st.integers(2, 16), st.integers(30, 48)))
+    argv = [cmd, base, f"--n-max={n_max}"]
 
     def maybe(flag):
         if draw(st.booleans()):
@@ -81,6 +84,11 @@ def argvs(draw) -> list[str]:
           "--s0star=0.0-1.5e+120i", "--then-christoffel=-8.3e+265-1.6e-158i"])
 @example(["zeros", "--family=chebyshev3", "--n-max=12", "--kind=christoffel",
           "--kappa=0.0+0.0i", "--n-list=4"])
+# the r1 and r2 suites one term short of their degree sweeps, and on them
+@example(["verify", "--family=chebyshev2", "--n-max=42", "--suite=r1", "--kappa=0.3+0.5i"])
+@example(["verify", "--family=chebyshev2", "--n-max=33", "--suite=r2", "--kappa=0.3+0.5i"])
+@example(["verify", "--family=chebyshev2", "--n-max=43", "--suite=r1", "--suite=r2",
+          "--kappa=0.3+0.5i"])
 def test_cli_exits_with_a_documented_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
             warnings.catch_warnings():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from darbouxjac._quadrature import gauss_nodes
 from darbouxjac.core import family_coeffs
 from darbouxjac.darboux import GeronimusChain, TransformPoint, cauchy_s0star
-from darbouxjac.errors import ConfigurationError, PoleError
-from darbouxjac.polyeval import eval_P
+from darbouxjac.errors import ConfigurationError, PoleError, PrefixError
+from darbouxjac.polyeval import _scaled_run, eval_P
 from darbouxjac.rseq import (
     GeronimusPairQuasi,
     QuasiOrthogonal,
@@ -20,6 +22,7 @@ from darbouxjac.rseq import (
     sample_points,
     varying_measure_polys,
 )
+from test_ratio_kernel import N_MAX, PROPERTY, kappas, opposite_s0star, prefixes
 
 ZS = sample_points(20)
 
@@ -290,3 +293,176 @@ class TestBatchedResiduals:
             assert batch.shape == ZS.shape
             assert list(batch) == [sys2.residual(q, rc, z) for z in ZS]
             assert isinstance(sys2.residual(q, rc, ZS[0]), float)
+
+
+# ---------------------------------------------------------------------------
+# degree sweeps against the per-degree loop
+# ---------------------------------------------------------------------------
+
+def relative(total, *terms):
+    scale = np.maximum.reduce([np.abs(t) for t in terms])
+    return np.divide(np.abs(total), scale, out=np.zeros(scale.shape), where=scale > 0)
+
+
+def loop_r1(sys1: R1System, n: int, zs):
+    """The R_I residual at degree n alone: one evaluator run to n."""
+    m, rc = sys1.m, sys1.coeffs(n)
+    p_nm1, p_n, _ = _scaled_run(m, n, zs, 1.0, zs - m.c[0])
+    p_np1 = (zs - m.c[n]) * p_n - m.lam[n - 1] * p_nm1
+    t1 = p_np1 + sys1.gero.a_seq[n + 1] * p_n
+    t2 = (zs - rc.alpha) * p_n
+    t3 = rc.beta * (p_n - sys1.rho[n - 1] * p_nm1)
+    return relative(t1 - t2 + t3, t1, t2, t3)
+
+
+def loop_r2(sys2: R2System, q: QuasiOrthogonal, rc: RIICoefficients, zs):
+    """The R_II residual at degree rc.n alone: one evaluator run to n and one
+    to n - 1 for the kernel (none at n = 1, where the kernel is 1)."""
+    m, n, kern = sys2.m, rc.n, sys2.tc2.coeffs
+    p_nm1, p_n, log_scale = _scaled_run(m, n, zs, 1.0, zs - m.c[0])
+    p_np1 = (zs - m.c[n]) * p_n - m.lam[n - 1] * p_nm1
+    if n == 1:
+        kernel, kernel_scale = np.ones_like(zs), 0.0
+    else:
+        _, kernel, kernel_scale = _scaled_run(kern, n - 1, zs, 1.0, zs - kern.c[0])
+    t1 = p_np1 + q.tilde_C * p_n + q.tilde_D * p_nm1
+    t2 = (rc.rho * zs - rc.gamma) * p_n
+    t3 = (
+        rc.upsilon * (zs - sys2.kappa1) * (zs - sys2.kappa1_bar) * kernel
+        * np.exp(kernel_scale - log_scale)
+    )
+    return relative(t1 - t2 + t3, t1, t2, t3)
+
+
+def assert_r1_sweep_is_the_loop(sys1: R1System, degrees, zs):
+    sweep = sys1.residuals(degrees, zs)
+    assert sweep.shape == (len(degrees), len(zs))
+    for n, row in zip(degrees, sweep):
+        assert np.array_equal(row, loop_r1(sys1, n, zs)), n
+        assert np.array_equal(row, sys1.residual(n, zs)), n
+    # one point alone gets the rounding it gets in the batch
+    single = sys1.residuals(degrees, zs[0])
+    assert single.shape == (len(degrees),)
+    assert np.array_equal(single, sweep[:, 0])
+    assert all(sys1.residual(n, zs[0]) == row[0] for n, row in zip(degrees, sweep))
+
+
+def assert_r2_sweep_is_the_loop(sys2: R2System, qs, rcs, zs):
+    sweep = sys2.residuals(qs, rcs, zs)
+    assert sweep.shape == (len(rcs), len(zs))
+    for q, rc, row in zip(qs, rcs, sweep):
+        assert np.array_equal(row, loop_r2(sys2, q, rc, zs)), rc.n
+        assert np.array_equal(row, sys2.residual(q, rc, zs)), rc.n
+    single = sys2.residuals(qs, rcs, zs[0])
+    assert single.shape == (len(rcs),)
+    assert np.array_equal(single, sweep[:, 0])
+    assert all(sys2.residual(q, rc, zs[0]) == row[0] for q, rc, row in zip(qs, rcs, sweep))
+
+
+def pair_data(m, kappa: complex, degrees):
+    """The CLI r2 suite's setup: kernel pair at kappa, Geronimus pair at its
+    conjugate, and the quasi-orthogonal data and coefficients per degree."""
+    pair = GeronimusPairQuasi(m, np.conj(kappa))
+    sys2 = R2System(m, kappa)
+    qs = [pair.quasi(n) for n in degrees]
+    return sys2, qs, [sys2.coeffs(q, n) for q, n in zip(qs, degrees)]
+
+
+points = st.builds(sample_points, st.integers(1, 6), st.integers(0, 2**16))
+
+
+@PROPERTY
+@given(prefixes, kappas(), kappas(), st.lists(st.integers(1, N_MAX - 3), min_size=1, max_size=8),
+       points, st.data())
+def test_r1_sweep_is_bitwise_the_per_degree_loop(m, k1, k2, degrees, zs, data):
+    # s0star given: the Cauchy default cross-checks by quadrature, on presets only
+    k2 = TransformPoint(k2, s0star=data.draw(opposite_s0star(k2)))
+    assert_r1_sweep_is_the_loop(R1System(m, TransformPoint(k1), k2), degrees, zs)
+
+
+@PROPERTY
+@given(prefixes, kappas(), st.lists(st.integers(1, N_MAX - 5), min_size=1, max_size=8), points)
+def test_r2_sweep_is_bitwise_the_per_degree_loop(m, kappa, degrees, zs):
+    assert_r2_sweep_is_the_loop(*pair_data(m, kappa, degrees), zs)
+
+
+class TestSweeps:
+    def test_r1_unsorted_and_repeated_degrees(self, cheb1):
+        sys1 = R1System(cheb1, TransformPoint(0.3 + 0.5j), TransformPoint(0.3 - 0.5j))
+        assert_r1_sweep_is_the_loop(sys1, [17, 3, 40, 3, 1, 17, 2], ZS)
+
+    def test_r2_unsorted_and_repeated_degrees(self, cheb2):
+        degrees = [12, 1, 30, 12, 2, 1]
+        assert_r2_sweep_is_the_loop(*pair_data(cheb2, -0.4 + 0.2j, degrees), ZS)
+
+    def test_r2_at_degree_one_has_a_kernel_of_degree_zero(self, cheb3):
+        for degrees in ([1], [1, 1], [4, 1]):
+            assert_r2_sweep_is_the_loop(*pair_data(cheb3, 0.5 + 0.3j, degrees), ZS)
+
+    def test_empty_degree_list(self, cheb1):
+        sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
+        assert sys1.residuals([], ZS).shape == (0, len(ZS))
+        assert R2System(cheb1, 1j).residuals([], [], ZS).shape == (0, len(ZS))
+
+    def test_r1_top_degree_and_one_past_it(self):
+        m = family_coeffs("chebyshev4", 24)
+        sys1 = R1System(m, TransformPoint(0.2 + 0.7j), TransformPoint(0.2 - 0.7j))
+        top = m.n_max - 3
+        assert_r1_sweep_is_the_loop(sys1, [top, 1, top], ZS[:5])
+        for degrees in ([top + 1], [2, top + 1, top]):
+            with pytest.raises(PrefixError, match=f"n={top + 1}"):
+                sys1.residuals(degrees, ZS)
+        with pytest.raises(PrefixError, match=f"n={top + 1}"):
+            sys1.residual(top + 1, ZS, sys1.coeffs(top))
+
+    def test_r2_top_degree_and_one_past_it(self):
+        m = family_coeffs("chebyshev2", 24)
+        sys2 = R2System(m, 0.1 + 0.6j)
+        top = m.n_max - 3  # beyond what a GeronimusPairQuasi of this prefix reaches
+
+        def quasi(n):
+            return QuasiOrthogonal(order=2, degree=n + 1, tilde_C=0.2 - 0.1j, tilde_D=0.3 + 0.05j)
+
+        q = quasi(top)
+        assert_r2_sweep_is_the_loop(sys2, [q], [sys2.coeffs(q, top)], ZS[:5])
+        with pytest.raises(PrefixError, match=f"n={top + 1}"):
+            sys2.coeffs(quasi(top + 1), top + 1)
+        past = RIICoefficients(n=top + 1, rho=1.5, gamma=0.1, upsilon=0.5)
+        with pytest.raises(PrefixError, match=f"n={top + 1}"):
+            sys2.residuals([quasi(top + 1)], [past], ZS)
+
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_degrees_below_one_raise_configuration_error(self, cheb1, n):
+        sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
+        for call in (lambda: sys1.coeffs(n), lambda: sys1.residuals([2, n], ZS)):
+            with pytest.raises(ConfigurationError, match=f"n={n}"):
+                call()
+        sys2 = R2System(cheb1, 1j)
+        q = QuasiOrthogonal(order=2, degree=n + 1, tilde_C=0.1, tilde_D=0.2)
+        with pytest.raises(ConfigurationError, match=f"n={n}"):
+            sys2.coeffs(q, n)
+        bad = RIICoefficients(n=n, rho=1.5, gamma=0.1, upsilon=0.5)
+        with pytest.raises(ConfigurationError, match=f"n={n}"):
+            sys2.residuals([q], [bad], ZS)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_r1_general_below_degree_one(self, cheb1, n):
+        q = QuasiOrthogonal(order=1, degree=n + 1, tilde_A=0.3j)
+        with pytest.raises(ConfigurationError, match=f"n={n}"):
+            r1_general(cheb1, TransformPoint(1j), q, n)
+
+    @pytest.mark.parametrize("n", [-1, -3, -64])
+    def test_quasi_below_zero_raises_prefix_error(self, cheb1, n):
+        with pytest.raises(PrefixError, match=f"n={n}"):
+            GeronimusPairQuasi(cheb1, 1j).quasi(n)
+
+    def test_quasi_names_the_prefix_length_it_needs(self):
+        with pytest.raises(PrefixError, match=r"n=30 needs a prefix of length >= 34"):
+            GeronimusPairQuasi(family_coeffs("chebyshev2", 33), 0.3 - 0.5j).quasi(30)
+        assert GeronimusPairQuasi(family_coeffs("chebyshev2", 34), 0.3 - 0.5j).quasi(30).degree == 31
+
+    def test_scalar_point_gives_a_float(self, cheb1):
+        sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
+        assert type(sys1.residual(5, ZS[3])) is float
+        sys2, (q,), (rc,) = pair_data(cheb1, 1j, [5])
+        assert type(sys2.residual(q, rc, ZS[3])) is float
