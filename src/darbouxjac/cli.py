@@ -171,18 +171,19 @@ def cmd_zeros(args) -> int:
         # first: it raises PrefixError for a degree outside 1..n_max-2
         extras = [spectral.cluster_distance(base, site, n)[1:] for n in args.n_list]
         clouds = spectral.geronimus_zero_sweep(base, site, args.n_list)
-    rows = [
-        [cloud.n, float(z.real), float(z.imag), *extra]
+    parts = [
+        (cloud.n, cloud.zeros.real.tolist(), cloud.zeros.imag.tolist(), extra)
         for cloud, extra in zip(clouds, extras)
-        for z in cloud.zeros
     ]
     header = ["n", "re", "im"] + (["cluster_dist", "ln_cluster_dist"] if cluster_cols else [])
     if args.format == "csv":
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        for n, res, ims, extra in parts:
+            tail = "".join(f",{v!r}" for v in extra)
+            lines += [f"{n},{re!r},{im!r}{tail}" for re, im in zip(res, ims)]
         _write_out("\n".join(lines) + "\n", args.output)
     else:
+        rows = [[n, re, im, *extra] for n, res, ims, extra in parts for re, im in zip(res, ims)]
         doc = {"v": 1, "columns": header, "rows": rows}
         _write_out(json.dumps(doc, sort_keys=True) + "\n", args.output)
     return 0
@@ -223,8 +224,10 @@ def _suite_r2(m, kappa, s0star):
     kappa = complex(kappa)
     if kappa.imag < 0:
         kappa = complex(np.conj(kappa))
-    pair = rseq.GeronimusPairQuasi(m, complex(np.conj(kappa)))
-    sys2 = rseq.R2System(m, kappa)
+    pair = rseq.GeronimusPairQuasi(m, complex(np.conj(kappa)))  # its Cauchy value reads the tail
+    # R2System runs forward recurrences only: on the 34 terms that degrees up
+    # to 31 read, its leading entries are those of the full prefix
+    sys2 = rseq.R2System(m.truncated(min(m.n_max, 34)), kappa)
     qs, rcs = [], []
     for n in range(1, 31):
         qs.append(pair.quasi(n))

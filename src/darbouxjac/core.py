@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, PrefixError, QuasiDefinitenessError
+from .errors import ConfigurationError, EvaluationRangeError, PrefixError, QuasiDefinitenessError
 
 __all__ = [
     "CHEBYSHEV_KINDS",
@@ -284,7 +284,8 @@ def moments(m: RecurrenceCoeffs, count: int) -> np.ndarray:
 
     Computed by repeated tridiagonal matrix-vector products on a truncation
     large enough that the boundary is never reached (a length-j path from
-    index 0 back to 0 visits indices <= j/2).
+    index 0 back to 0 visits indices <= j/2).  A moment beyond the double
+    range raises EvaluationRangeError(j).
     """
     if count < 0:
         raise ConfigurationError("count must be nonnegative")
@@ -302,10 +303,14 @@ def moments(m: RecurrenceCoeffs, count: int) -> np.ndarray:
     sub = m.lam[: size - 1]
     v = np.zeros(size, dtype=complex)
     v[0] = 1.0
-    for j in range(1, count + 1):
-        w = diag * v
-        w[:-1] += v[1:]          # superdiagonal of ones
-        w[1:] += sub * v[:-1]    # subdiagonal lambda
-        v = w
-        out[j] = v[0] * m.s0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, count + 1):
+            w = diag * v
+            w[:-1] += v[1:]          # superdiagonal of ones
+            w[1:] += sub * v[:-1]    # subdiagonal lambda
+            v = w
+            out[j] = v[0] * m.s0
+    bad = np.flatnonzero(~np.isfinite(out))
+    if len(bad):
+        raise EvaluationRangeError(int(bad[0]))
     return out

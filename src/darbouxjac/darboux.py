@@ -234,9 +234,10 @@ def christoffel(
     )
     rho = np.array(w)
     c_out = m.c[1 : out_len + 1] + np.array(e[1 : out_len + 1])
-    lam_out = m.lam[: out_len - 1] * rho[1:out_len] / rho[: out_len - 1]
-    # in Python complex: past the double range it is inf, caught by
-    # RecurrenceCoeffs, without a numpy overflow warning
+    # past the double range lambda and s0 are inf, caught by RecurrenceCoeffs
+    # (s0 in Python complex), without a numpy overflow warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_out = m.lam[: out_len - 1] * rho[1:out_len] / rho[: out_len - 1]
     s0_out = (complex(m.c[0]) - kappa) * m.s0
     coeffs = RecurrenceCoeffs(c=c_out, lam=lam_out, s0=s0_out)
     return TransformedCoeffs(
@@ -737,17 +738,25 @@ def geronimus_cauchy(
     s0star = integral dmu/|t - kappa|^2 lands on a positive measure.
     """
     kappa = complex(kappa)
-    s0star = cauchy_s0star(m, kappa, quadrature_nodes)
-    site = TransformPoint(kappa=kappa, s0star=s0star, allow_real=(kappa.imag == 0))
+    return _cauchy_geronimus(m, kappa, cauchy_s0star(m, kappa, quadrature_nodes))
+
+
+def _cauchy_geronimus(m: RecurrenceCoeffs, kappa: complex, s0star=None) -> TransformedCoeffs:
+    """The Geronimus step at the exact Cauchy value s0 m(J; kappa) of any
+    prefix, one backward run in double as in ``GeronimusChain.apply``; the
+    site records s0star (a rounding of that value), by default the
+    continued-fraction value the run returns."""
     if m.n_max < 4:
         raise PrefixError("geronimus needs a prefix of length >= 4")
-    # at the exact Cauchy value (s0star above is its rounding): backward run
-    c_new, lam_new, s0star, w = _geronimus_step(m.c.tolist(), m.lam.tolist(), m.s0, kappa)
+    c_new, lam_new, s0_new, w = _geronimus_step(m.c.tolist(), m.lam.tolist(), m.s0, kappa)
+    site = TransformPoint(
+        kappa=kappa, s0star=s0_new if s0star is None else s0star, allow_real=(kappa.imag == 0)
+    )
     return TransformedCoeffs(
         base=m,
         sites=(site,),
         kinds=("geronimus",),
-        coeffs=RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0star),
+        coeffs=RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0_new),
         a_seq=_a_seq(w),
         notes=("s0star-from-cauchy-transform",),
     )

@@ -13,7 +13,10 @@ their points in one call.  Besides the values it can carry the derivative
 P'_n (Newton polishing of zeros) and the error envelope E_n (the zero
 certificate).  Magnitudes span hundreds of orders of magnitude in n, so each
 point keeps a running power-of-e exponent (``log_scale``), with one rescale
-window [1e-150, 1e150].
+window [1e-150, 1e150].  The array dtype follows the inputs: real points
+(the Gauss nodes of a real prefix) over real initial data and a real prefix
+run in float64 and give back the complex arrays the complex run gives, bit
+for bit.
 """
 from __future__ import annotations
 
@@ -95,13 +98,18 @@ def _initial_pair(m: RecurrenceCoeffs, which: str, z: complex, s0star: complex |
     raise ConfigurationError(f"unknown solution family {which!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the double range ends as NaN
 def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=False, _stop=None):
     """Run the recurrence to degree n >= 1 at every point of z at once.
 
     z is a scalar or an array; y0, y1 broadcast against it.  Returns
     (y_{n-1}, y_n, log_scale), then y'_n if ``deriv`` and the error envelope
     E_n if ``envelope``; the true values are the returned ones times
-    exp(log_scale), point by point, and a scalar z gives scalars.
+    exp(log_scale), point by point, and a scalar z gives scalars.  A z of
+    real dtype, with y0, y1, c_1..c_n and lambda_2..lambda_n real-valued,
+    runs in float64; every other input runs in complex.  Either way y and y'
+    come back complex, equal bit for bit (in their real parts) to the complex
+    run of the same values.
 
     ``_stop`` gives each point of an array z its own degree (ascending, each in
     1..n): its outputs are then those of the run to that degree.  Finished
@@ -123,11 +131,14 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
     if n > m.n_max:
         raise PrefixError(f"degree {n} exceeds prefix length {m.n_max}")
     scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    prev = np.array(np.broadcast_to(y0, z.shape), dtype=complex)
-    cur = np.array(np.broadcast_to(y1, z.shape), dtype=complex)
+    c, lam = m.c[:n], m.lam[: n - 1]
+    real = not np.iscomplexobj(z) and not any(np.any(np.imag(x)) for x in (y0, y1, c, lam))
+    dtype, part = (float, np.real) if real else (complex, np.asarray)
+    z = np.atleast_1d(np.asarray(part(z), dtype=dtype))
+    prev = np.array(np.broadcast_to(part(y0), z.shape), dtype=dtype)
+    cur = np.array(np.broadcast_to(part(y1), z.shape), dtype=dtype)
     log_scale = np.zeros(z.shape)
-    c, lam = m.c[:n].tolist(), m.lam[: n - 1].tolist()
+    c, lam = part(c).tolist(), part(lam).tolist()
     if deriv:
         dprev, dcur = np.zeros_like(z), np.ones_like(z)
     if envelope:
@@ -156,13 +167,12 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
             next_stop = int(_stop[done])
         zc = z - c[k]
         prev, cur = cur, zc * cur - lam[k - 1] * prev
-        carried = [prev, cur]
+        values = [prev, cur]
         if deriv:
             dprev, dcur = dcur, prev + zc * dcur - lam[k - 1] * dprev
-            carried += [dprev, dcur]
+            values += [dprev, dcur]
         if envelope:
             eprev, ecur = ecur, (az + abs(c[k])) * ecur + abs(lam[k - 1]) * eprev
-            carried += [eprev, ecur]
         mag = np.abs(cur)
         # the negated test also sends NaN to the exact check below
         if not (mag.max() <= _SCALE_HI and mag.min() >= _SCALE_LO):
@@ -170,9 +180,20 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
             if out.any():
                 s = np.where(out, mag, 1.0)
                 log_scale += np.log(s)
-                for arr in carried:
-                    arr /= s
+                if envelope:
+                    eprev /= s
+                    ecur /= s
+                if real:  # numpy divides complex by real as a product with 1/s
+                    s = 1.0 / s
+                    for arr in values:
+                        arr *= s
+                else:
+                    for arr in values:
+                        arr /= s
     result = parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
+    if real:  # hand back the complex arrays of the complex run
+        floats = {2, len(result) - 1} if envelope else {2}
+        result = [x if i in floats else x.astype(complex) for i, x in enumerate(result)]
     return tuple(x[0].item() for x in result) if scalar else tuple(result)
 
 

@@ -30,6 +30,7 @@ from .core import RecurrenceCoeffs
 from .darboux import (
     GeronimusChain,
     TransformPoint,
+    _cauchy_geronimus,
     christoffel,
     christoffel_two,
     geronimus,
@@ -160,6 +161,7 @@ def _column(records, name: str) -> np.ndarray:
     return np.array([getattr(r, name) for r in records], dtype=complex)[:, None]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the double range: a NaN residual
 def _ri_residuals(m: RecurrenceCoeffs, ns: np.ndarray, z, tilde_A, alpha, beta, rho_n):
     """Relative residuals of T_{n+1} - (z - alpha_n) P_n + beta_n (z - kappa1) P*_{n-1}
     for each degree in ns (rows) at each z, with T_{n+1} = P_{n+1} + tilde_A P_n
@@ -185,8 +187,14 @@ class R1System:
         self.kappa1 = complex(k1.kappa)
         self.rho = ratio_sequence(m, self.kappa1, "P").values  # rho[n-1] = P_n/P_{n-1}
         # s0star None: the exact Cauchy value, stepped backward in double (its
-        # double rounding, eta ~ 1e-16, would need a double-double step)
-        self.gero = geronimus(m, k2) if k2.s0star is not None else geronimus_cauchy(m, k2.kappa)
+        # double rounding, eta ~ 1e-16, would need a double-double step); a
+        # preset also cross-checks it by quadrature against its weight
+        if k2.s0star is not None:
+            self.gero = geronimus(m, k2)
+        elif m.family is None or m.family.kind == "custom":
+            self.gero = _cauchy_geronimus(m, k2.kappa)
+        else:
+            self.gero = geronimus_cauchy(m, k2.kappa)
         self.k2 = self.gero.sites[0]
 
     def coeffs(self, n: int) -> RICoefficients:
@@ -338,6 +346,7 @@ class R2System:
         )
         return RIICoefficients(n=n, rho=rho_n, gamma=gamma, upsilon=upsilon)
 
+    @np.errstate(over="ignore", invalid="ignore")  # past the double range: a NaN residual
     def residuals(self, qs, rcs, z):
         """Relative residuals (scale = max term magnitude) for each (q, rc) pair
         (rows) at each z (columns; a scalar z gives one per pair): one evaluator

@@ -5,10 +5,13 @@ Zeros of P_n are the eigenvalues of the n x n truncation of the Jacobi
 matrix: for a real prefix with positive lambda the truncation is real
 symmetric and its eigenvalues (the Gauss nodes, Golub & Welsch 1969) come
 from eigvalsh; any other prefix goes to LAPACK eigvals.  A degree sweep runs
-the eigensolver once per degree, then polishes with two Newton steps and
-certifies by the error envelope, each one run of polyeval's evaluator over
-the zeros of every degree at once.  The kernel and Geronimus sweeps build
-their transform once per site for the whole degree list.
+the eigensolver once per degree, then polishes and certifies by the error
+envelope, each Newton step and the certificate one run of polyeval's
+evaluator over the zeros of every degree at once.  Gauss nodes are perfectly
+conditioned, so they take one Newton step, in real arithmetic; eigvals
+zeros (kernel and Geronimus transforms, conditioning unknown) take two.
+The kernel and Geronimus sweeps build their transform once per site for
+the whole degree list.
 
 Cluster-zero distances |xi_n - kappa| for Geronimus transforms decay far
 below double resolution; Newton iteration in the shifted variable
@@ -150,37 +153,58 @@ class RatioAsymptoticReport:
     monotone_tail: tuple[bool, ...]
 
 
-def _eigvals(J: SymmetricJacobi, size: int) -> np.ndarray:
-    """Eigenvalues of the size x size truncation of J, unsorted.
+def _real_symmetric(J: SymmetricJacobi, size: int) -> bool:
+    """True when the size x size truncation of J has real b and real a (a
+    real prefix with positive lambda): a real symmetric matrix."""
+    return not (J.b[:size].imag.any() or J.a[: size - 1].imag.any())
 
-    A truncation with real b and real a is real symmetric (a real prefix with
-    positive lambda): its eigenvalues are the Gauss nodes, taken by the
-    symmetric solver eigvalsh.  Any other truncation goes to LAPACK eigvals.
+
+def _eigvals(J: SymmetricJacobi, size: int) -> np.ndarray:
+    """Eigenvalues of the size x size truncation of J, unsorted, complex.
+
+    A real symmetric truncation has the Gauss nodes as eigenvalues, taken by
+    the symmetric solver eigvalsh.  Any other truncation goes to LAPACK eigvals.
     """
     M = symmetric_jacobi_matrix(J, size)
-    if J.b[:size].imag.any() or J.a[: size - 1].imag.any():
-        return np.linalg.eigvals(M)
-    return np.linalg.eigvalsh(M.real).astype(complex)
+    if _real_symmetric(J, size):
+        return np.linalg.eigvalsh(M.real).astype(complex)
+    return np.linalg.eigvals(M)
+
+
+@np.errstate(invalid="ignore")  # a NaN value goes on to fail the certificate
+def _newton(m: RecurrenceCoeffs, z: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """One Newton step z - P_n(z)/P'_n(z) at every point, n = its stop degree,
+    in one evaluator run; a real z stays real."""
+    _, p, _, dp = _scaled_run(m, int(stop[-1]), z, 1.0, z - m.c[0], deriv=True, _stop=stop)
+    if not np.iscomplexobj(z):
+        p, dp = p.real, dp.real
+    return z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
 
 
 def zero_sweep(m: RecurrenceCoeffs, n_list) -> tuple[ZeroCloud, ...]:
     """The zero clouds of P_n for every n in n_list, in the order given.
 
     Each degree's zeros are the eigenvalues of the n x n truncation of the
-    Jacobi matrix (``_eigvals``); then two Newton steps and the certificate
-    each run once over the zeros of all degrees together, one run of
-    polyeval's evaluator to the largest degree that reads every zero's P_n
-    at its own step.  A zero's values do not depend on the other degrees in
-    the sweep, so a sweep gives the clouds that one call per degree gives.
+    Jacobi matrix (``_eigvals``), polished by Newton steps; each step is one
+    run of polyeval's evaluator over the zeros of many degrees, every zero
+    read at its own degree.  The Gauss nodes of a real symmetric truncation
+    (eigvalsh) are perfectly conditioned and eigvalsh is backward stable, so
+    one step, in real arithmetic, takes them to the rounding floor of the
+    evaluation (a second only re-rounds there).  The eigenvalues of any other
+    truncation (eigvals: kernel and Geronimus transforms, conditioning
+    unknown) take two.  The two routes are polished apart, so a zero's value
+    depends on neither the other degrees of the sweep nor their route: a
+    sweep gives the clouds that one call per degree gives.
 
     Each refined zero carries the residual certificate
-    |P_n(zero)| <= 1e-8 E_n(zero), E_n being the error envelope of the
-    evaluation (the recurrence run on |z| + |c_k| and |lambda_k|): rounding
-    errors of the forward evaluation, and the change in P_n when the zero and
-    the coefficients move by a relative eps, are bounded by ~n eps E_n, so
-    this is the strongest certificate the evaluation itself can support (a
-    zero clustered at a spectral point of the prefix cannot beat this floor).
-    Degree 0 gives an empty cloud.
+    |P_n(zero)| <= 1e-8 E_n(zero), checked in one more run over every zero,
+    E_n being the error envelope of the evaluation (the recurrence run on
+    |z| + |c_k| and |lambda_k|): rounding errors of the forward evaluation,
+    and the change in P_n when the zero and the coefficients move by a
+    relative eps, are bounded by ~n eps E_n, so this is the strongest
+    certificate the evaluation itself can support (a zero clustered at a
+    spectral point of the prefix cannot beat this floor).  Degree 0 gives an
+    empty cloud.
     """
     n_list = tuple(int(n) for n in n_list)
     for n in n_list:
@@ -200,16 +224,20 @@ def zero_sweep(m: RecurrenceCoeffs, n_list) -> tuple[ZeroCloud, ...]:
                 raise EigenSolverError(f"eigensolver failed to converge at degree {n}") from exc
         z = np.concatenate(blocks)
         stop = np.repeat(degrees, degrees)
-        top = degrees[-1]
-        for _ in range(2):
-            _, p, _, dp = _scaled_run(m, top, z, 1.0, z - m.c[0], deriv=True, _stop=stop)
-            z = z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
-        _, p, _, env = _scaled_run(m, top, z, 1.0, z - m.c[0], envelope=True, _stop=stop)
+        sym = np.repeat([_real_symmetric(J, n) for n in degrees], degrees)
+        if sym.all():  # the certificate then runs in real arithmetic too
+            z = _newton(m, z.real, stop)
+        else:
+            if sym.any():
+                z[sym] = _newton(m, z[sym].real, stop[sym])
+            rest = ~sym
+            z[rest] = _newton(m, _newton(m, z[rest], stop[rest]), stop[rest])
+        _, p, _, env = _scaled_run(m, degrees[-1], z, 1.0, z - m.c[0], envelope=True, _stop=stop)
         bad = np.flatnonzero(~(np.abs(p) <= _RESIDUAL_TOL * env))
         if len(bad):
             raise EigenSolverError(
                 f"zero residual check failed at degree {stop[bad[0]]}: "
-                f"|P_n| too large at {z[bad[0]]}"
+                f"|P_n| too large at {complex(z[bad[0]])}"
             )
         for n, zn in zip(degrees, np.split(z, np.cumsum(degrees)[:-1])):
             zn = zn[np.lexsort((zn.imag, zn.real))]

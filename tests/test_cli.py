@@ -11,7 +11,13 @@ import pytest
 from darbouxjac.cli import main, parse_complex, parse_n_list
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
 from darbouxjac.darboux import cauchy_s0star
-from test_ratio_kernel import assert_entrywise, reference, resolving_dps, ul_step
+from test_ratio_kernel import (
+    assert_entrywise,
+    nevai_prefix,
+    reference,
+    resolving_dps,
+    ul_step,
+)
 
 
 def run_cli(args, **kwargs):
@@ -352,6 +358,16 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert list(doc["suites"]) == ["m-identities"]
         assert doc["suites"]["m-identities"]["max_residual"] <= 1e-9
+
+    def test_r1_suite_on_a_coeff_file(self, tmp_path, capsys):
+        # the Cauchy value of a prefix with no preset weight (exit 1 before:
+        # the quadrature cross-check of cauchy_s0star needs the weight)
+        path = tmp_path / "nevai.json"
+        path.write_text(json.dumps(nevai_prefix("chebyshev2", 3, 64).to_dict()))
+        for suite in ("r1", "r2"):
+            argv = ["verify", f"--coeff-file={path}", f"--suite={suite}", "--kappa=0.3+0.5i"]
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["suites"][suite]["pass"]
 
     def test_missing_fixtures_exit_3(self, tmp_path):
         rc = main(

@@ -3,22 +3,31 @@
 RuntimeWarning is raised (numpy overflow or division warnings would reach
 stderr).
 
-Inputs: the three subcommands on a preset or a missing --coeff-file,
---n-max in 2..16 or 30..48 (where the r2 and r1 verify suites, which need
-34 and 43 terms, pass from PrefixError to their degree sweeps), --n /
---n-list values in -2..20, complex literals
+Inputs: the three subcommands on a preset, a missing --coeff-file or one
+of three coefficient files (a real Nevai perturbation of 48 terms, whose
+zeros take the symmetric route and whose r1 suite steps at the Cauchy value
+without a preset weight; 48 entries of magnitude 1e299..1e300 with either
+sign; a malformed document), --n-max in 2..16 or 30..48 (where the r2 and
+r1 verify suites, which need 34 and 43 terms, pass from PrefixError to their
+degree sweeps), --n / --n-list values in -2..20, complex literals
 whose parts have magnitude 1e-300..1e300 (or are 0) with either sign,
 optional --then-* steps, and verify suites.
 """
 import contextlib
 import io
+import json
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from darbouxjac import cli
-from darbouxjac.core import CHEBYSHEV_KINDS
+from darbouxjac.core import CHEBYSHEV_KINDS, RecurrenceCoeffs
+from test_ratio_kernel import nevai_prefix
+
+COEFF_FILES = ("nevai", "huge", "malformed")
 
 FUZZ = settings(
     max_examples=300,
@@ -43,8 +52,11 @@ def literals(draw) -> str:
 @st.composite
 def argvs(draw) -> list[str]:
     cmd = draw(st.sampled_from(("transform", "zeros", "verify")))
-    if draw(st.integers(0, 9)) == 0:
+    pick = draw(st.integers(0, 9))
+    if pick == 0:
         base = "--coeff-file=does-not-exist/coeffs.json"
+    elif pick <= 3:  # a placeholder for the path of a session file
+        base = f"--coeff-file={{{draw(st.sampled_from(COEFF_FILES))}}}"
     else:
         base = f"--family={draw(st.sampled_from(CHEBYSHEV_KINDS))}"
     n_max = draw(st.one_of(st.integers(2, 16), st.integers(30, 48)))
@@ -75,8 +87,26 @@ def argvs(draw) -> list[str]:
     return argv
 
 
+@pytest.fixture(scope="session")
+def coeff_files(tmp_path_factory) -> dict[str, str]:
+    """Paths of the three coefficient files, by name."""
+    rng = np.random.default_rng(7)
+    signs = rng.choice((-1.0, 1.0), 95)
+    huge = RecurrenceCoeffs(c=signs[:48] * 10.0 ** rng.uniform(299, 300, 48),
+                            lam=signs[48:] * 10.0 ** rng.uniform(299, 300, 47))
+    docs = {
+        "nevai": json.dumps(nevai_prefix("chebyshev2", 3).to_dict()),
+        "huge": json.dumps(huge.to_dict()),
+        "malformed": '{"v": 1, "kind": "recurrence", "c": [[0.0, 0.0], [0.0]], "lambda": "x"}',
+    }
+    root = tmp_path_factory.mktemp("coeff-files")
+    for name, text in docs.items():
+        (root / f"{name}.json").write_text(text, encoding="utf-8")
+    return {name: str(root / f"{name}.json") for name in docs}
+
+
 @FUZZ
-@given(argvs())
+@given(argv=argvs())
 # far from the support at the Cauchy value (once a false breakdown at n = 1)
 @example(["transform", "--family=chebyshev1", "--n-max=16", "--geronimus=1e7+1i"])
 # once numpy warnings: an overflowing Christoffel s0, a real kernel site
@@ -89,7 +119,14 @@ def argvs(draw) -> list[str]:
 @example(["verify", "--family=chebyshev2", "--n-max=33", "--suite=r2", "--kappa=0.3+0.5i"])
 @example(["verify", "--family=chebyshev2", "--n-max=43", "--suite=r1", "--suite=r2",
           "--kappa=0.3+0.5i"])
-def test_cli_exits_with_a_documented_code(argv):
+# the r1 suite at the Cauchy value of a prefix with no preset weight (exit 1
+# before it took the continued-fraction value); values past the double range
+@example(["verify", "--coeff-file={nevai}", "--suite=r1", "--kappa=0.3+0.5i"])
+@example(["zeros", "--coeff-file={huge}", "--n-list=1:10"])
+@example(["verify", "--coeff-file={huge}", "--suite=r1", "--suite=r2"])
+@example(["transform", "--coeff-file={huge}", "--christoffel=0.0+1.0i"])
+def test_cli_exits_with_a_documented_code(coeff_files, argv):
+    argv = [argv[0], argv[1].format(**coeff_files), *argv[2:]]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
             warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from darbouxjac._quadrature import gauss_nodes
-from darbouxjac.core import family_coeffs
+from darbouxjac.cli import _suite_r2
+from darbouxjac.core import RecurrenceCoeffs, family_coeffs
 from darbouxjac.darboux import GeronimusChain, TransformPoint, cauchy_s0star
 from darbouxjac.errors import ConfigurationError, PoleError, PrefixError
 from darbouxjac.polyeval import _scaled_run, eval_P
@@ -22,7 +23,8 @@ from darbouxjac.rseq import (
     sample_points,
     varying_measure_polys,
 )
-from test_ratio_kernel import N_MAX, PROPERTY, kappas, opposite_s0star, prefixes
+from test_ratio_kernel import N_MAX, PROPERTY, kappas, nevai_prefix, opposite_s0star, prefixes
+from test_zero_sweep import long_prefixes
 
 ZS = sample_points(20)
 
@@ -272,6 +274,48 @@ def test_cauchy_default_for_r1_kappa2(cheb1):
     sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
     expect = cauchy_s0star(cheb1, -1j)
     assert abs(sys1.k2.s0star - expect) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["chebyshev1", "chebyshev2", "chebyshev3", "chebyshev4"])
+def test_cauchy_default_without_a_preset_weight(kind):
+    """A prefix with no family (a coefficient file) steps at its
+    continued-fraction Cauchy value: the step of the preset, bit for bit,
+    without the quadrature cross-check that needs the weight."""
+    m = family_coeffs(kind, 64)
+    bare = RecurrenceCoeffs(c=m.c, lam=m.lam, s0=m.s0)
+    k1, k2 = TransformPoint(0.3 + 0.5j), TransformPoint(0.3 - 0.5j)
+    preset, custom = R1System(m, k1, k2), R1System(bare, k1, k2)
+    assert np.array_equal(custom.gero.a_seq, preset.gero.a_seq)
+    assert np.array_equal(custom.gero.coeffs.c, preset.gero.coeffs.c)
+    assert abs(custom.k2.s0star - cauchy_s0star(m, k2.kappa)) <= 1e-15
+    assert np.max(custom.residuals(range(1, 41), ZS)) <= 1e-9
+
+
+def test_cauchy_default_on_a_nevai_prefix():
+    m = nevai_prefix("chebyshev2", 3, 64)
+    sys1 = R1System(m, TransformPoint(0.3 + 0.5j), TransformPoint(0.3 - 0.5j))
+    assert np.max(sys1.residuals(range(1, 41), ZS)) <= 1e-9
+
+
+def old_suite_r2(m, kappa):
+    """cli._suite_r2 as it was, R2System on the full prefix."""
+    pair = GeronimusPairQuasi(m, np.conj(kappa))
+    sys2 = R2System(m, kappa)
+    qs = [pair.quasi(n) for n in range(1, 31)]
+    rcs = [sys2.coeffs(q, n) for n, q in enumerate(qs, 1)]
+    res = sys2.residuals(qs, rcs, sample_points(20))
+    worst = max(0.0, *map(float, res.max(axis=1)))
+    return {"pass": worst <= 1e-9, "max_residual": worst}
+
+
+@PROPERTY
+@given(long_prefixes, kappas())
+def test_r2_suite_on_the_short_prefix_is_the_full_one(m, kappa):
+    """The r2 suite builds R2System on the 34 terms it reads; its report is
+    the one of the full 256-term prefix, bit for bit."""
+    if kappa.imag < 0:
+        kappa = kappa.conjugate()
+    assert _suite_r2(m, kappa, None) == old_suite_r2(m, kappa)
 
 
 class TestBatchedResiduals:
