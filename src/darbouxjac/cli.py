@@ -26,7 +26,7 @@ from .core import (
     symmetric_jacobi_matrix,
     symmetrize,
 )
-from .darboux import TransformPoint, cauchy_s0star, christoffel, geronimus
+from .darboux import TransformPoint, _cf_m_function, cauchy_s0star, christoffel, geronimus
 from .errors import DarbouxError
 from .factorization import build_JC, build_JG, lu_factor, ul_factor
 
@@ -91,8 +91,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
+    if isinstance(obj, (np.floating, float)):  # strict JSON: no NaN or Infinity
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -137,7 +137,11 @@ def cmd_transform(args) -> int:
             )
         else:
             coeffs_in = current.coeffs if hasattr(current, "coeffs") else current
-            if s0star is None:
+            if s0star is None and (coeffs_in.family is None or coeffs_in.family.kind == "custom"):
+                # no weight to cross-check by quadrature: the continued fraction alone
+                s0star = _cf_m_function(coeffs_in.c.tolist(), coeffs_in.lam.tolist(), kappa)
+                s0star *= coeffs_in.s0
+            elif s0star is None:
                 s0star = cauchy_s0star(coeffs_in, kappa)
             site = TransformPoint(kappa, s0star=s0star, allow_real=allow_real)
             current = geronimus(coeffs_in, site)
@@ -213,11 +217,17 @@ def _suite_m_identities(m, kappa, s0star):
     return {"pass": rep.max_residual <= 1e-9, "max_residual": rep.max_residual}
 
 
+def _residual_entry(degrees, res) -> dict:
+    """Pass and worst of (degrees x points) residuals; a worst past the double
+    range is written null, with the first degree where one occurs."""
+    rows = res.max(axis=1, initial=0.0)
+    entry, bad = {"pass": rows.max() <= 1e-9, "max_residual": rows.max()}, ~np.isfinite(rows)
+    return {**entry, "nonfinite_degree": degrees[np.argmax(bad)]} if bad.any() else entry
+
+
 def _suite_r1(m, kappa, s0star):
     sys1 = rseq.R1System(m, TransformPoint(kappa), TransformPoint(np.conj(kappa)))
-    res = sys1.residuals(range(1, 41), rseq.sample_points(20))
-    worst = max(map(float, res.max(axis=1)))
-    return {"pass": worst <= 1e-9, "max_residual": worst}
+    return _residual_entry(range(1, 41), sys1.residuals(range(1, 41), rseq.sample_points(20)))
 
 
 def _suite_r2(m, kappa, s0star):
@@ -232,9 +242,7 @@ def _suite_r2(m, kappa, s0star):
     for n in range(1, 31):
         qs.append(pair.quasi(n))
         rcs.append(sys2.coeffs(qs[-1], n))
-    res = sys2.residuals(qs, rcs, rseq.sample_points(20))
-    worst = max(0.0, *map(float, res.max(axis=1)))
-    return {"pass": worst <= 1e-9, "max_residual": worst}
+    return _residual_entry(range(1, 31), sys2.residuals(qs, rcs, rseq.sample_points(20)))
 
 
 def _leading_gap(J, S, nb: int = 50) -> float:

@@ -12,11 +12,11 @@ recurrence.  It runs on an array of points at once, so callers pass all
 their points in one call.  Besides the values it can carry the derivative
 P'_n (Newton polishing of zeros) and the error envelope E_n (the zero
 certificate).  Magnitudes span hundreds of orders of magnitude in n, so each
-point keeps a running power-of-e exponent (``log_scale``), with one rescale
-window [1e-150, 1e150].  The array dtype follows the inputs: real points
-(the Gauss nodes of a real prefix) over real initial data and a real prefix
-run in float64 and give back the complex arrays the complex run gives, bit
-for bit.
+point keeps a power-of-two scale (``log_scale``), tested against the window
+[1e-150, 1e150] only as often as its values can leave it.  The array dtype
+follows the inputs: real points (the Gauss nodes of a real prefix) over real
+initial data and a real prefix run in float64 and give back the complex
+arrays the complex run gives, bit for bit.
 """
 from __future__ import annotations
 
@@ -38,12 +38,14 @@ __all__ = [
     "ratio_sequence",
 ]
 
-# Rescale once |y_n| leaves this window; generic values grow like |z|^n while
-# monic Chebyshev values decay like 2^-n.
+# Rescale once max(|y_{k-1}|, |y_k|) leaves this window; generic values grow
+# like |z|^n while monic Chebyshev values decay like 2^-n.
 _SCALE_HI = 1e150
 _SCALE_LO = 1e-150
 # |r_n| below this is a genuine zero hit, not underflow.
 _ZERO_HIT = 1e-290
+# Between window tests values may grow to 1e290 (room for y', E) or sink to _ZERO_HIT.
+_ROOM = 1e140
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,21 @@ def _initial_pair(m: RecurrenceCoeffs, which: str, z: complex, s0star: complex |
     raise ConfigurationError(f"unknown solution family {which!r}")
 
 
+def _stride(zmax, c, lam) -> int:
+    """Steps between window tests: the largest s with g^s <= _ROOM (else 1),
+    g >= 2 bounding the factor by which one step can grow (a + max|lambda_k|,
+    a = max|z| + max|c_k|) or shrink ((a + 1)/min|lambda_k|) max(|y_{k-1}|, |y_k|)."""
+    a, lam = zmax + np.abs(c).max(), np.abs(lam)
+    g = a + lam.max(initial=0.0) + (a + 1) / lam.min(initial=np.inf)
+    return max(1, int(math.log(_ROOM) // math.log(g))) if 1 < g < math.inf else 1
+
+
+def _ldexp(arr, e):
+    """arr *= 2**e in place, exactly, on real and imaginary parts alike."""
+    for part in (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,):
+        np.ldexp(part, e, out=part)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a value past the double range ends as NaN
 def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=False, _stop=None):
     """Run the recurrence to degree n >= 1 at every point of z at once.
@@ -122,11 +139,13 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
     evaluation and the change in P_n when z and the coefficients move by a
     relative eps (a zero cannot be resolved below that).
 
-    Rescale rule: when |y_k| leaves [_SCALE_LO, _SCALE_HI] at a point, every
-    quantity carried at that point is divided by |y_k| and log|y_k| is added
-    to that point's log_scale.  A value below 1e-290 is a zero hit, not
-    decay, and is left alone: dividing by it would overflow the other carried
-    quantities.
+    Rescale rule: every ``_stride`` steps, each point whose K = max(|y_{k-1}|,
+    |y_k|) has left [_SCALE_LO, _SCALE_HI] (below 1e-290 it is a zero hit, left
+    alone) has its carried values multiplied by 2^-e, e the exponent of K.
+    Short of subnormal parts that is exact, so the steps that test change
+    values by a power of two only; at the end they are unscaled when K lies in
+    the window and have K in [0.5, 1) otherwise, and log_scale is the exponent
+    of the power of two left over times log 2.
     """
     if n > m.n_max:
         raise PrefixError(f"degree {n} exceeds prefix length {m.n_max}")
@@ -137,7 +156,8 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
     z = np.atleast_1d(np.asarray(part(z), dtype=dtype))
     prev = np.array(np.broadcast_to(part(y0), z.shape), dtype=dtype)
     cur = np.array(np.broadcast_to(part(y1), z.shape), dtype=dtype)
-    log_scale = np.zeros(z.shape)
+    scale = np.zeros(z.shape, dtype=int)
+    stride = _stride(np.max(np.abs(z), initial=0.0), c, lam)
     c, lam = part(c).tolist(), part(lam).tolist()
     if deriv:
         dprev, dcur = np.zeros_like(z), np.ones_like(z)
@@ -154,43 +174,40 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
     for k in range(1, n + 1):
         if k == next_stop:
             j = ends[len(parts)] - done
-            now = [prev, cur, log_scale] + ([dcur] if deriv else []) + ([ecur] if envelope else [])
+            now = [prev, cur, scale] + ([dcur] if deriv else []) + ([ecur] if envelope else [])
             parts.append([arr[:j] for arr in now])
             done += j
             if done == ends[-1]:
                 break
-            z, prev, cur, log_scale = z[j:], prev[j:], cur[j:], log_scale[j:]
+            z, prev, cur, scale = z[j:], prev[j:], cur[j:], scale[j:]
             if deriv:
                 dprev, dcur = dprev[j:], dcur[j:]
             if envelope:
                 az, eprev, ecur = az[j:], eprev[j:], ecur[j:]
             next_stop = int(_stop[done])
+        if (k - 1) % stride == 0:
+            mag = np.maximum(np.abs(prev), np.abs(cur))
+            # the negated test also sends NaN to the exact check below
+            if not (mag.max() <= _SCALE_HI and mag.min() >= _SCALE_LO):
+                e = np.frexp(mag)[1] * ((mag > _SCALE_HI) | ((mag > _ZERO_HIT) & (mag < _SCALE_LO)))
+                scale += e
+                carried = [prev, cur] + ([dprev, dcur] if deriv else [])
+                for arr in carried + ([eprev, ecur] if envelope else []):
+                    _ldexp(arr, -e)
         zc = z - c[k]
         prev, cur = cur, zc * cur - lam[k - 1] * prev
-        values = [prev, cur]
         if deriv:
             dprev, dcur = dcur, prev + zc * dcur - lam[k - 1] * dprev
-            values += [dprev, dcur]
         if envelope:
             eprev, ecur = ecur, (az + abs(c[k])) * ecur + abs(lam[k - 1]) * eprev
-        mag = np.abs(cur)
-        # the negated test also sends NaN to the exact check below
-        if not (mag.max() <= _SCALE_HI and mag.min() >= _SCALE_LO):
-            out = (mag > _SCALE_HI) | ((mag > _ZERO_HIT) & (mag < _SCALE_LO))
-            if out.any():
-                s = np.where(out, mag, 1.0)
-                log_scale += np.log(s)
-                if envelope:
-                    eprev /= s
-                    ecur /= s
-                if real:  # numpy divides complex by real as a product with 1/s
-                    s = 1.0 / s
-                    for arr in values:
-                        arr *= s
-                else:
-                    for arr in values:
-                        arr /= s
     result = parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
+    mag, scale = np.maximum(np.abs(result[0]), np.abs(result[1])), result[2]
+    v = np.ldexp(mag, scale)  # K unscaled
+    shift = np.where(((v > _SCALE_HI) | (v < _SCALE_LO)) & (0 < mag) & (mag < np.inf),
+                     -np.frexp(mag)[1], scale)
+    for arr in result[:2] + result[3:]:
+        _ldexp(arr, shift)
+    result[2] = (scale - shift) * math.log(2)
     if real:  # hand back the complex arrays of the complex run
         floats = {2, len(result) - 1} if envelope else {2}
         result = [x if i in floats else x.astype(complex) for i, x in enumerate(result)]

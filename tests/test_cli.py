@@ -8,9 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from darbouxjac import rseq
 from darbouxjac.cli import main, parse_complex, parse_n_list
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
-from darbouxjac.darboux import cauchy_s0star
+from darbouxjac.darboux import TransformPoint, _cf_m_function, cauchy_s0star, geronimus
 from test_ratio_kernel import (
     assert_entrywise,
     nevai_prefix,
@@ -154,6 +155,19 @@ class TestTransform:
         m, k = family_coeffs("chebyshev1", 16), parse_complex(kappa)
         ref = reference(ul_step, m, k, cauchy_s0star(m, k), dps=resolving_dps(k))
         assert_entrywise(SimpleNamespace(coeffs=RecurrenceCoeffs.loads(proc.stdout)), ref)
+
+    def test_geronimus_at_the_cauchy_value_of_a_coeff_file(self, tmp_path, capsys):
+        """Without --s0star a prefix with no preset weight steps at s0 m(J; kappa)
+        from the continued fraction (exit 1 before: the quadrature cross-check
+        of cauchy_s0star needs the weight)."""
+        m, kappa = nevai_prefix("chebyshev2", 3), 0.3 + 0.5j
+        path = tmp_path / "nevai.json"
+        path.write_text(json.dumps(m.to_dict()))
+        assert main(["transform", f"--coeff-file={path}", "--geronimus=0.3+0.5i"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        s0star = _cf_m_function(m.c.tolist(), m.lam.tolist(), kappa) * m.s0
+        assert doc.pop("provenance")["sites"][0]["s0star"] == [s0star.real, s0star.imag]
+        assert doc == geronimus(m, TransformPoint(kappa, s0star=s0star)).coeffs.to_dict()
 
     def test_christoffel_s0_beyond_double_range_warns_nothing(self, capsys):
         """s0 = (c_1 - kappa) s0star overflows: exit 1 on the non-finite s0,
@@ -368,6 +382,25 @@ class TestVerify:
             argv = ["verify", f"--coeff-file={path}", f"--suite={suite}", "--kappa=0.3+0.5i"]
             assert main(argv) == 0
             assert json.loads(capsys.readouterr().out)["suites"][suite]["pass"]
+
+    def test_nonfinite_residual_is_null_with_its_degree(self, monkeypatch, capsys):
+        """A residual past the double range fails its suite in strict JSON:
+        null, and the first degree where one occurs."""
+        residuals = rseq.R1System.residuals
+
+        def nan_from_degree_7(self, ns, z, coeffs=None):
+            res = residuals(self, ns, z, coeffs)
+            res[6:, 3] = np.nan
+            return res
+
+        monkeypatch.setattr(rseq.R1System, "residuals", nan_from_degree_7)
+        assert main(["verify", "--family=chebyshev1", "--suite=r1", "--kappa=0.3+0.5i"]) == 1
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["suites"]["r1"] == {"pass": False, "max_residual": None, "nonfinite_degree": 7}
 
     def test_missing_fixtures_exit_3(self, tmp_path):
         rc = main(

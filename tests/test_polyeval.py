@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from darbouxjac.core import RecurrenceCoeffs, family_coeffs
+from darbouxjac import polyeval
+from darbouxjac.core import CHEBYSHEV_KINDS, RecurrenceCoeffs, family_coeffs
+from darbouxjac.darboux import TransformPoint, christoffel
 from darbouxjac.errors import ConfigurationError, EvaluationRangeError, ZeroHitError
 from darbouxjac.polyeval import (
     _scaled_run,
+    _stride,
     _unscaled,
     eval_P,
     eval_Q,
@@ -12,6 +19,7 @@ from darbouxjac.polyeval import (
     evaluate,
     ratio_sequence,
 )
+from test_ratio_kernel import PROPERTY, kappas, nevai_prefix
 
 RNG = np.random.default_rng(0x5EED)
 
@@ -250,3 +258,136 @@ class TestEvaluationRange:
     def test_scale_factor_overflow_alone_is_not_an_error(self):
         # exp(750) overflows on its own, 1e-150 exp(750) ~ 5.3e175 does not
         assert abs(_unscaled(1e-150 + 0j, 750.0, 5) / 5.258494541454803e175 - 1) < 1e-12
+
+
+def per_step_run(m, n, z, deriv, envelope):
+    """Reference loop: the window tested after every step on |y_n| alone, and
+    every carried value divided by it."""
+    z = np.asarray(z, dtype=complex)
+    prev, cur, log_scale = np.ones_like(z), z - m.c[0], np.zeros(z.shape)
+    dprev, dcur = np.zeros_like(z), np.ones_like(z)
+    az = np.abs(z)
+    eprev, ecur = np.ones(z.shape), np.maximum(az + abs(m.c[0]), 1.0)
+    for k in range(1, n):
+        zc = z - m.c[k]
+        prev, cur = cur, zc * cur - m.lam[k - 1] * prev
+        dprev, dcur = dcur, prev + zc * dcur - m.lam[k - 1] * dprev
+        eprev, ecur = ecur, (az + abs(m.c[k])) * ecur + abs(m.lam[k - 1]) * eprev
+        mag = np.abs(cur)
+        out = (mag > 1e150) | ((mag > 1e-290) & (mag < 1e-150))
+        if out.any():
+            s = np.where(out, mag, 1.0)
+            log_scale += np.log(s)
+            for arr in (prev, cur, dprev, dcur, eprev, ecur):
+                arr /= s
+    return (prev, cur, log_scale) + ((dcur,) if deriv else ()) + ((ecur,) if envelope else ())
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# at least 1e-8 off the axes: a part of z^k below 1e-300 |z^k| is subnormal
+# at the unit scale the stride-1 run keeps, and its bits follow the scale
+angles = st.floats(-math.pi, math.pi).filter(lambda t: abs(math.sin(2 * t)) > 1e-8)
+
+
+class TestRescaleStride:
+    @pytest.mark.parametrize("deriv, envelope", [(True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("kind", CHEBYSHEV_KINDS)
+    def test_points_inside_the_window_match_the_per_step_loop(self, kind, deriv, envelope):
+        """Values that never leave [1e-150, 1e150] are never scaled: the run is
+        the per-step loop bit for bit, with log_scale 0."""
+        m = nevai_prefix(kind, 5, 256)
+        z = np.array([0.3 + 0.2j, -0.7 + 0j, 2 + 1j, 0.5j, -1.1 - 0.05j, 1e-8])
+        assert _stride(np.max(np.abs(z)), m.c, m.lam) > 100
+        for n in (1, 2, 40, 256):
+            expect = per_step_run(m, n, z, deriv, envelope)
+            assert not expect[2].any()  # the loop never rescaled these points
+            got = _scaled_run(m, n, z, 1.0, z - m.c[0], deriv, envelope)
+            assert all(same_bits(a, b) for a, b in zip(got, expect))
+
+    @PROPERTY
+    @given(
+        st.sampled_from(CHEBYSHEV_KINDS),
+        st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        st.one_of(st.none(), kappas()),
+        st.sampled_from(("none", "one", "all")),
+        st.floats(0.0, 300.0),
+        st.floats(-8.0, 200.0),
+        st.lists(st.tuples(st.floats(0.0, 1.0), angles), min_size=1, max_size=12),
+        st.booleans(),
+        st.data(),
+    )
+    def test_default_stride_is_bitwise_stride_one(
+        self, kind, seed, kappa, shrink, decades, top, points, real, data
+    ):
+        """Values, P', E and log_scale do not depend on the stride (|z| from
+        1e-8 to 1e200, lambda scaled down to 1e-300, real and transformed
+        prefixes, each point stopping at its own degree up to 256)."""
+        m = nevai_prefix(kind, seed, 256)
+        if kappa is not None:
+            m = christoffel(m, TransformPoint(kappa)).coeffs
+        lam = m.lam.copy()
+        if shrink == "one":
+            lam[data.draw(st.integers(0, len(lam) - 1))] *= 10.0**-decades
+        elif shrink == "all":
+            lam *= 10.0**-decades
+        m = RecurrenceCoeffs(c=m.c, lam=lam, s0=m.s0)
+        mods = np.array([10.0 ** (-8.0 + f * (top + 8.0)) for f, _ in points])
+        if real:
+            z = mods * np.sign([phase for _, phase in points])
+        else:
+            z = mods * np.exp(1j * np.array([phase for _, phase in points]))
+        degrees = st.lists(st.integers(1, m.n_max), min_size=len(z), max_size=len(z))
+        stop = np.sort(data.draw(degrees))
+        args = (m, int(stop[-1]), z, 1.0, z - m.c[0], True, True)
+        default = _scaled_run(*args, _stop=stop)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyeval, "_ROOM", 1.0)
+            one = _scaled_run(*args, _stop=stop)
+        assert all(same_bits(a, b) for a, b in zip(default, one))
+
+    def test_batch_rescaled_at_other_steps(self, cheb1):
+        """|z| = 10 alone tests every 80 steps, next to |z| = 1e60 every other
+        step: the values rescale at other steps and come back the same."""
+        z = np.array([10 * np.exp(0.3j), 1e60j, -12.0 + 0j])
+        assert _stride(10.0, cheb1.c, cheb1.lam) > 40 and _stride(1e60, cheb1.c, cheb1.lam) == 2
+        batch = _scaled_run(cheb1, 256, z, 1.0, z - cheb1.c[0], True, True)
+        for i in (0, 2):
+            alone = _scaled_run(cheb1, 256, z[i], 1.0, z[i] - cheb1.c[0], True, True)
+            assert batch[2][i] > 500 and all(same_bits(x[i], a) for x, a in zip(batch, alone))
+
+    @PROPERTY
+    @given(
+        st.sampled_from(CHEBYSHEV_KINDS),
+        st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        st.one_of(st.none(), kappas()),
+        st.floats(-8.0, 300.0),
+        st.floats(0.0, 300.0),
+        st.integers(2, 256),
+    )
+    def test_stride_is_the_longest_the_bound_allows(self, kind, seed, kappa, zlog, decades, n):
+        """g^stride <= _ROOM < g^(stride + 1), or stride 1 when g > _ROOM, where g =
+        a + max|lambda| + (a + 1)/min|lambda| and a = max|z| + max|c|: one step
+        grows max(|y_{k-1}|, |y_k|) by at most a + max|lambda| and shrinks it by
+        at most (a + 1)/min|lambda|."""
+        m = nevai_prefix(kind, seed, 256)
+        if kappa is not None:
+            m = christoffel(m, TransformPoint(kappa)).coeffs
+        n = min(n, m.n_max)
+        c, lam = m.c[:n], m.lam[: n - 1] * 10.0**-decades
+        a = 10.0**zlog + np.max(np.abs(c))
+        with np.errstate(over="ignore"):  # as inside _scaled_run: g = inf gives 1
+            g = a + np.max(np.abs(lam)) + (a + 1) / np.min(np.abs(lam))
+            stride = _stride(10.0**zlog, c, lam)
+        log_room = math.log(polyeval._ROOM)
+        assert stride == 1 or stride * math.log(g) <= log_room
+        assert (stride + 1) * math.log(g) > log_room
+
+    @pytest.mark.parametrize("zmax, entries", [(1.0, 1e300), (1e150, 0.25)])
+    def test_no_headroom_tests_every_step(self, zmax, entries):
+        """The fuzz's +-1e300 coefficients and |z| ~ 1e150 leave no room."""
+        c = np.full(48, entries)
+        assert _stride(zmax, c, np.full(47, entries)) == 1
