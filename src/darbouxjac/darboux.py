@@ -18,12 +18,14 @@ Which precision runs:
   dominant solution, so forward iteration amplifies rounding errors by at
   most ~1/eta.  For eta >= 1e-2 the kernel runs in double.  Below it (this
   includes s0star = fl(S), the CLI default) eta is measured again in
-  double-double (``_dd.DDComplex``, unit roundoff ~1e-32) and, for
-  eta >= 1e-18, the same kernel runs in double-double only while the minimal
-  solution f still carries R_n = f_n (1 + delta g_n), delta = s0/s0star -
-  1/m(J; kappa) and g_n = q_n/f_n growing with the dominance of a second
-  solution q: up to the first n with |delta g_n| >= 1, plus two steps (the
-  crossover k*, ``_crossover``).  From there the dominant part carries R_n,
+  double-double (the (hi, lo) pair arithmetic of ``_dd``, unit roundoff
+  ~1e-32) and, for eta >= 1e-18, the kernel runs in double-double
+  (``_dd_ratio_run``: only the ratio and difference recurrences are scalar
+  loops, the rest numpy pair arrays) only while the minimal solution f
+  still carries R_n = f_n (1 + delta g_n), delta = s0/s0star - 1/m(J; kappa)
+  and g_n = q_n/f_n growing with the dominance of a second solution q: up
+  to the first n with |delta g_n| >= 1, plus two steps (the crossover k*,
+  ``_crossover``).  From there the dominant part carries R_n,
   the forward map contracts again, and the run continues in double from the
   head's last ratios; the result is as accurate as on the eta >= 1e-2 route
   (~1e-13 entrywise).  Closer still, or when the run leaves the double
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dd import DDComplex
+from . import _dd as dd
 from ._quadrature import adaptive_integral
 from .core import RecurrenceCoeffs
 from .errors import (
@@ -151,8 +153,8 @@ def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None, rtol=_BR
 
     Every input of the e-recurrence is exact, so e[k] keeps its relative
     accuracy however small it is.  e[0] is 0 by convention.  The same code
-    runs on Python complex, on ``DDComplex`` and on mpmath mpc (in the
-    caller's working precision).
+    runs on Python complex and on mpmath mpc (in the caller's working
+    precision); ``_dd_ratio_run`` is its double-double form.
 
     ``head = (ws, es)``, the first K >= 2 ratios and differences of the run
     (from a run in another precision), restarts it at k = K: the returned
@@ -407,7 +409,8 @@ def _cf_m_function(c, lam, z):
 
     Uses the full stored depth and seeds the tail with the asymptotic value
     from the last stored coefficients (exact for constant tails).  Runs on
-    Python complex, ``DDComplex`` or mpmath mpc, like ``_ratio_run``.
+    Python complex or mpmath mpc, like ``_ratio_run``; ``_dd_cf_inverse`` is
+    its double-double form.
     """
     depth = len(c)
     t = _tail_seed(c[-1], lam[-1], z, depth)
@@ -416,9 +419,10 @@ def _cf_m_function(c, lam, z):
     return 1 / (c[0] - z - t)
 
 
-def _cauchy_run(c, lam, kappa, what: str):
+def _cauchy_run(c, lam, kappa, what: str, diffs: bool = True):
     """(w, e, offset) of ``_ratio_run`` at the Cauchy value s0star = s0 m(J; kappa),
-    where R_n is the minimal solution: one backward pass, stable in double.
+    where R_n is the minimal solution: one backward pass, stable in double
+    (with ``diffs`` False the differences are skipped and e is [0]).
 
     With t_{N+1} = _tail_seed, D_j = c[j-1] - kappa - t_{j+1} and
     t_j = lam[j-2]/D_j for j = N..2 (the continued fraction of
@@ -442,7 +446,7 @@ def _cauchy_run(c, lam, kappa, what: str):
         big = head - t  # D_j
         if abs(big) < _BREAKDOWN_RTOL * max(abs(head), abs(t)):
             raise ExistenceError(what, j - 2)
-        if j < n:
+        if diffs and j < n:
             d = ((lam[j - 2] - lam[j - 1]) + t * ((c[j] - c[j - 1]) + d)) / big
             e.append(d)
         t = lam[j - 2] / big
@@ -541,7 +545,7 @@ def _crossover(c, lam, kappa, delta, count: int) -> int:
     contracts, and double is as accurate as on the eta >= _DOUBLE_ETA route.
     """
     try:
-        ws = _cauchy_run(c, lam, kappa, _NO_GERONIMUS)[0]
+        ws = _cauchy_run(c, lam, kappa, _NO_GERONIMUS, diffs=False)[0]
         h, g = 1 / ws[0], 0j
         for k in range(1, count):
             g += h  # g_k
@@ -555,31 +559,102 @@ def _crossover(c, lam, kappa, delta, count: int) -> int:
     return count
 
 
+def _dd_cf_inverse(c, lam, kappa):
+    """1/m(J; kappa) = c[0] - kappa - t_2 as a pair: the continued fraction of
+    ``_cf_m_function`` in double, refined to double-double.
+
+    With T_j its double values and D_j = (c[j-1] - kappa) - T_{j+1} a pair,
+    the errors d_j = t_j - T_j obey d_j = r_j + (lam[j-2]/D_j^2) d_{j+1} to
+    second order, r_j = lam[j-2]/D_j - T_j.  The residuals are numpy pair
+    arrays; the error run contracts as the continued fraction does and runs
+    in double.  The tail seed ``_tail_seed`` is polished by one Newton step
+    on t^2 - (c - kappa) t + lambda = 0, and its lo part is d_{N+1}.
+    """
+    lam_rev = np.asarray(lam[-1::-1])  # lam[j-2] for j = N..2
+    ch, cl = dd.add(np.asarray(c), 0j, -kappa, 0j)  # c[k] - kappa
+    t = _tail_seed(c[-1], lam[-1], kappa, len(c))
+    res = dd.add(*dd.mul(t, 0j, *dd.add(t, 0j, -ch[-1], -cl[-1])), lam[-1], 0j)[0]
+    t, d = dd.add(t, 0j, -res / (2 * t - ch[-1]), 0j)
+    ts = [t]  # T_{N+1}, T_N, ..., T_2
+    for lam_j, ch_j in zip(lam_rev.tolist(), ch[-1:0:-1].tolist()):
+        ts.append(lam_j / (ch_j - ts[-1]))
+    ts = np.array(ts)
+    dh, dl = dd.add(ch[-1:0:-1], cl[-1:0:-1], -ts[:-1], 0j)  # D_j
+    r = dd.add(*dd.div(lam_rev, 0j, dh, dl), -ts[1:], 0j)[0]
+    for r_j, g_j in zip(r.tolist(), (lam_rev / (dh * dh)).tolist()):
+        d = r_j + g_j * d
+    return dd.add(*dd.add(ch[0], cl[0], -ts[-1], 0j), -d, 0j)
+
+
+def _dd_ratio_run(c, lam, kappa, offset, count: int, what: str):
+    """``_ratio_run`` in double-double, offset a pair: (w, e) as lists of
+    hi + lo.
+
+    Only the ratio recurrence w[k] = (kappa - c[k]) - lam[k-1]/w[k-1] runs
+    as a scalar loop, one pair division and subtraction per step, with
+    ``_ratio_run``'s breakdown test at _DD_BREAKDOWN_RTOL.  Then 1/w,
+    alpha[k] = (c[k-1] - c[k]) + (lam[k-2] - lam[k-1])/w[k-1] (lam[-1] = 0,
+    less the offset at k = 1) and beta[k] = lam[k-2]/(w[k-2] w[k-1]) are
+    numpy pair arrays, and the difference recurrence e[k] = alpha[k] +
+    beta[k] e[k-1] costs one pair mul and add per step.
+    """
+    c, lam = np.asarray(c[:count], dtype=complex), np.asarray(lam[: count - 1], dtype=complex)
+    ph, pl = (x.tolist() for x in dd.add(kappa, 0j, -c, 0j))  # kappa - c[k]
+    wh, wl = dd.add(ph[0], pl[0], *offset)
+    if abs(wh) < _DD_BREAKDOWN_RTOL * max(abs(ph[0]), abs(offset[0])):
+        raise ExistenceError(what, 1)
+    hs, ls = [wh], [wl]
+    for k in range(1, count):
+        qh, ql = dd.div(lam[k - 1], 0j, wh, wl)
+        wh, wl = dd.add(ph[k], pl[k], -qh, -ql)
+        scale = max(abs(ph[k]), abs(qh))
+        if abs(wh) < _DD_BREAKDOWN_RTOL * scale or scale == 0:
+            raise ExistenceError(what, k + 1)
+        hs.append(wh)
+        ls.append(wl)
+    wh, wl = np.array(hs), np.array(ls)
+    ih, il = dd.div(1.0, 0j, wh, wl)
+    lam_prev = np.concatenate(([0j], lam[:-1]))
+    alpha = dd.add(*dd.add(c[:-1], 0j, -c[1:], 0j),
+                   *dd.mul(*dd.add(lam_prev, 0j, -lam, 0j), ih[:-1], il[:-1]))
+    bh, bl = dd.mul(*dd.mul(lam[:-1], 0j, ih[:-2], il[:-2]), ih[1:-1], il[1:-1])
+    ah, al = alpha[0].tolist(), alpha[1].tolist()
+    bh, bl = bh.tolist(), bl.tolist()
+    es = [0j]
+    if count > 1:
+        eh, el = dd.add(ah[0], al[0], -offset[0], -offset[1])
+        es.append(eh + el)
+    for k in range(2, count):
+        eh, el = dd.add(ah[k - 1], al[k - 1], *dd.mul(bh[k - 2], bl[k - 2], eh, el))
+        es.append(eh + el)
+    return (wh + wl).tolist(), es
+
+
+# overflow in the pair arithmetic ends as inf or nan, refused below
+@np.errstate(all="ignore")
 def _dd_step(c, lam, s0, kappa, s0star):
     """(c, lam, w, eta, k*) of a Geronimus step whose R-ratio run is
     double-double up to the crossover k* (``_crossover``) and double from
-    there, eta = |1 - S/s0star| re-measured on the double-double inputs
-    first; None when that eta is below _DD_ETA or nan, or an output leaves
-    the double range."""
-    # doubles convert to DDComplex exactly
-    c_dd, lam_dd = [DDComplex(z) for z in c], [DDComplex(z) for z in lam]
-    s0, kappa_dd, s0star = DDComplex(complex(s0)), DDComplex(kappa), DDComplex(s0star)
+    there, eta = |1 - S/s0star| re-measured in double-double first; None
+    when that eta is below _DD_ETA or nan, or an output leaves the double
+    range."""
+    offset = dd.div(complex(s0), 0j, s0star, 0j)
     try:
-        m_dd = _cf_m_function(c_dd, lam_dd, kappa_dd)
-        eta = abs(1 - s0 * m_dd / s0star)
+        inv_m = _dd_cf_inverse(c, lam, kappa)
+        ratio = dd.div(*offset, *inv_m)  # s0 m(J; kappa) / s0star
     except ZeroDivisionError:
         return None
+    eta = abs(dd.add(1.0, 0j, -ratio[0], -ratio[1])[0])
     if not eta >= _DD_ETA:
         return None
-    offset = s0 / s0star
     count = len(c) - 1
-    k_star = _crossover(c, lam, kappa, complex(offset - 1 / m_dd), count)
-    w, e = _ratio_run(
-        c_dd, lam_dd, kappa_dd, offset, k_star, _NO_GERONIMUS, rtol=_DD_BREAKDOWN_RTOL
-    )
-    head = [complex(z) for z in w], [complex(z) for z in e]
-    w, e = _ratio_run(c, lam, kappa, complex(offset), count, _NO_GERONIMUS, head=head)
-    c_new, lam_new = _geronimus_coeffs(c, lam, w, e, complex(offset), complex(kappa_dd + offset))
+    delta = dd.add(*offset, -inv_m[0], -inv_m[1])
+    k_star = _crossover(c, lam, kappa, delta[0] + delta[1], count)
+    head = _dd_ratio_run(c, lam, kappa, offset, k_star, _NO_GERONIMUS)
+    first = dd.add(kappa, 0j, *offset)
+    offset = offset[0] + offset[1]
+    w, e = _ratio_run(c, lam, kappa, offset, count, _NO_GERONIMUS, head=head)
+    c_new, lam_new = _geronimus_coeffs(c, lam, w, e, offset, first[0] + first[1])
     if all(map(cmath.isfinite, c_new + lam_new)):
         return c_new, lam_new, w, eta, k_star
     return None

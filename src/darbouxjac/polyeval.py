@@ -131,7 +131,10 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
     ``_stop`` gives each point of an array z its own degree (ascending, each in
     1..n): its outputs are then those of the run to that degree.  Finished
     points are sliced off the front when the step count reaches their degree,
-    so a point's values do not depend on the other points in the call.
+    so a point's values do not depend on the other points in the call, short
+    of parts that are subnormal at some scale: the stride follows the call's
+    largest |z|, and the scale a part is carried at can change its rounding
+    there (such a part is below ~1e-300 of its value).
 
     y' and E start from the P initial data: P'_0 = 0, P'_1 = 1 and E_0 = 1,
     E_1 = max(|z| + |c_1|, 1).  E runs the recurrence on |z| + |c_k| and
@@ -144,7 +147,8 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
     alone) has its carried values multiplied by 2^-e, e the exponent of K.
     Short of subnormal parts that is exact, so the steps that test change
     values by a power of two only; at the end they are unscaled when K lies in
-    the window and have K in [0.5, 1) otherwise, and log_scale is the exponent
+    the window and have K in [0.5, 1) otherwise (a call none of whose points
+    was scaled or left the window skips this), and log_scale is the exponent
     of the power of two left over times log 2.
     """
     if n > m.n_max:
@@ -202,12 +206,15 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
             eprev, ecur = ecur, (az + abs(c[k])) * ecur + abs(lam[k - 1]) * eprev
     result = parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
     mag, scale = np.maximum(np.abs(result[0]), np.abs(result[1])), result[2]
-    v = np.ldexp(mag, scale)  # K unscaled
-    shift = np.where(((v > _SCALE_HI) | (v < _SCALE_LO)) & (0 < mag) & (mag < np.inf),
-                     -np.frexp(mag)[1], scale)
-    for arr in result[:2] + result[3:]:
-        _ldexp(arr, shift)
-    result[2] = (scale - shift) * math.log(2)
+    # a call with no point scaled and every K in the window is in final form
+    if scale.any() or not (mag.max() <= _SCALE_HI and mag.min() >= _SCALE_LO):
+        v = np.ldexp(mag, scale)  # K unscaled
+        shift = np.where(((v > _SCALE_HI) | (v < _SCALE_LO)) & (0 < mag) & (mag < np.inf),
+                         -np.frexp(mag)[1], scale)
+        for arr in result[:2] + result[3:]:
+            _ldexp(arr, shift)
+        scale = scale - shift
+    result[2] = scale * math.log(2)
     if real:  # hand back the complex arrays of the complex run
         floats = {2, len(result) - 1} if envelope else {2}
         result = [x if i in floats else x.astype(complex) for i, x in enumerate(result)]

@@ -11,11 +11,15 @@ sign; a malformed document), --n-max in 2..16 or 30..48 (where the r2 and
 r1 verify suites, which need 34 and 43 terms, pass from PrefixError to their
 degree sweeps), --n / --n-list values in -2..20, complex literals
 whose parts have magnitude 1e-300..1e300 (or are 0) with either sign,
-optional --then-* steps, and verify suites.
+optional --then-* steps, and verify suites, and an optional --output: a
+writable file (which must then hold exactly the bytes the same argv writes
+to stdout), a directory, or a path under a missing directory.
 """
 import contextlib
 import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -28,6 +32,7 @@ from darbouxjac.core import CHEBYSHEV_KINDS, RecurrenceCoeffs
 from test_ratio_kernel import nevai_prefix
 
 COEFF_FILES = ("nevai", "huge", "malformed")
+OUTPUTS = ("file", "dir", "missing")
 
 FUZZ = settings(
     max_examples=300,
@@ -84,6 +89,8 @@ def argvs(draw) -> list[str]:
             argv.append(f"--suite={suite}")
         maybe("--kappa")
         maybe("--s0star")
+    if draw(st.integers(0, 3)) == 0:  # a placeholder for an --output path
+        argv.append(f"--output={{{draw(st.sampled_from(OUTPUTS))}}}")
     return argv
 
 
@@ -103,6 +110,20 @@ def coeff_files(tmp_path_factory) -> dict[str, str]:
     for name, text in docs.items():
         (root / f"{name}.json").write_text(text, encoding="utf-8")
     return {name: str(root / f"{name}.json") for name in docs}
+
+
+def run(argv) -> tuple[int, str]:
+    """Exit code and stdout of cli.main, any RuntimeWarning an error."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (code, argv)
+    return code, out.getvalue()
 
 
 @FUZZ
@@ -125,13 +146,29 @@ def coeff_files(tmp_path_factory) -> dict[str, str]:
 @example(["zeros", "--coeff-file={huge}", "--n-list=1:10"])
 @example(["verify", "--coeff-file={huge}", "--suite=r1", "--suite=r2"])
 @example(["transform", "--coeff-file={huge}", "--christoffel=0.0+1.0i"])
-def test_cli_exits_with_a_documented_code(coeff_files, argv):
+# --output: a file, a directory, a path under a missing directory
+@example(["zeros", "--family=chebyshev1", "--n-list=1:10", "--output={file}"])
+@example(["verify", "--family=chebyshev1", "--suite=r1", "--kappa=0.3+0.5i", "--output={file}"])
+@example(["transform", "--family=chebyshev2", "--geronimus=0.0+1.0i", "--output={dir}"])
+@example(["zeros", "--family=chebyshev3", "--n-list=2", "--output={missing}"])
+def test_cli_exits_with_a_documented_code(coeff_files, tmp_path_factory, argv):
     argv = [argv[0], argv[1].format(**coeff_files), *argv[2:]]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2, 3), (code, argv)
+    if not argv[-1].startswith("--output="):
+        run(argv)
+        return
+    output = argv[-1][len("--output={") : -1]
+    root = tmp_path_factory.getbasetemp() / "cli-output"
+    root.mkdir(exist_ok=True)
+    fd, path = tempfile.mkstemp(dir=root)
+    os.close(fd)
+    try:
+        where = {"file": path, "dir": str(root), "missing": str(root / "missing" / "out")}
+        code, stdout = run(argv[:-1] + [f"--output={where[output]}"])
+        if output != "file":
+            return
+        with open(path, "rb") as fh:
+            written = fh.read()
+        code_stdout, to_stdout = run(argv[:-1])
+        assert stdout == "" and code == code_stdout and written == to_stdout.encode("utf-8")
+    finally:
+        os.remove(path)

@@ -288,6 +288,26 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def assert_normalised(result) -> None:
+    """The final normalisation of ``_scaled_run``, applied to its own output,
+    changes no bit: values and P' are unscaled with log_scale 0 when K =
+    max(|y_{n-1}|, |y_n|) lies in [1e-150, 1e150], else K is in [0.5, 1) (0,
+    inf and nan are left unscaled).  A run that skips the normalisation
+    returns such a fixed point, so it returns what the full rule would."""
+    out = [np.array(x, ndmin=1) for x in result]
+    mag = np.maximum(np.abs(out[0]), np.abs(out[1]))
+    scale = np.rint(out[2] / math.log(2)).astype(int)
+    with np.errstate(over="ignore"):
+        v = np.ldexp(mag, scale)
+    shift = np.where(((v > 1e150) | (v < 1e-150)) & (0 < mag) & (mag < np.inf),
+                     -np.frexp(mag)[1], scale)
+    again = [x.copy() for x in out]
+    for arr in again[:2] + again[3:]:
+        polyeval._ldexp(arr, shift)
+    again[2] = (scale - shift) * math.log(2)
+    assert all(same_bits(a, b) for a, b in zip(again, out))
+
+
 # at least 1e-8 off the axes: a part of z^k below 1e-300 |z^k| is subnormal
 # at the unit scale the stride-1 run keeps, and its bits follow the scale
 angles = st.floats(-math.pi, math.pi).filter(lambda t: abs(math.sin(2 * t)) > 1e-8)
@@ -307,6 +327,7 @@ class TestRescaleStride:
             assert not expect[2].any()  # the loop never rescaled these points
             got = _scaled_run(m, n, z, 1.0, z - m.c[0], deriv, envelope)
             assert all(same_bits(a, b) for a, b in zip(got, expect))
+            assert_normalised(got)
 
     @PROPERTY
     @given(
@@ -348,6 +369,7 @@ class TestRescaleStride:
             mp.setattr(polyeval, "_ROOM", 1.0)
             one = _scaled_run(*args, _stop=stop)
         assert all(same_bits(a, b) for a, b in zip(default, one))
+        assert_normalised(default)
 
     def test_batch_rescaled_at_other_steps(self, cheb1):
         """|z| = 10 alone tests every 80 steps, next to |z| = 1e60 every other
@@ -358,6 +380,8 @@ class TestRescaleStride:
         for i in (0, 2):
             alone = _scaled_run(cheb1, 256, z[i], 1.0, z[i] - cheb1.c[0], True, True)
             assert batch[2][i] > 500 and all(same_bits(x[i], a) for x, a in zip(batch, alone))
+            assert_normalised(alone)
+        assert_normalised(batch)
 
     @PROPERTY
     @given(
@@ -385,6 +409,14 @@ class TestRescaleStride:
         log_room = math.log(polyeval._ROOM)
         assert stride == 1 or stride * math.log(g) <= log_room
         assert (stride + 1) * math.log(g) > log_room
+
+    @pytest.mark.parametrize("n, z", [(1, 1e200j), (2, 1e100 + 1e100j), (3, np.array([0.3, 1e90j]))])
+    def test_unscaled_values_outside_the_window_are_normalised(self, cheb1, n, z):
+        """No window test sees the last step, so a run that never rescaled
+        can still end with K outside the window: it is normalised then."""
+        out = _scaled_run(cheb1, n, z, 1.0, z - cheb1.c[0], True, True)
+        assert np.max(out[2]) > 300
+        assert_normalised(out)
 
     @pytest.mark.parametrize("zmax, entries", [(1.0, 1e300), (1e150, 0.25)])
     def test_no_headroom_tests_every_step(self, zmax, entries):
