@@ -217,17 +217,28 @@ def _suite_m_identities(m, kappa, s0star):
     return {"pass": rep.max_residual <= 1e-9, "max_residual": rep.max_residual}
 
 
-def _residual_entry(degrees, res) -> dict:
+def _residual_entry(degrees, res, lead, z) -> dict:
     """Pass and worst of (degrees x points) residuals; a worst past the double
-    range is written null, with the first degree where one occurs."""
+    range is written null, with the first degree where one occurs.  Sample
+    points absorbed by the coefficient scale of the terms ``lead`` the check
+    reads (max|z| <= eps max(|c_k|, |lambda_k|^1/2): z - c_k rounds to -c_k,
+    and every residual is that of one point) fail the check, the scale written
+    as ``unresolved_scale``."""
     rows = res.max(axis=1, initial=0.0)
     entry, bad = {"pass": rows.max() <= 1e-9, "max_residual": rows.max()}, ~np.isfinite(rows)
-    return {**entry, "nonfinite_degree": degrees[np.argmax(bad)]} if bad.any() else entry
+    if bad.any():
+        entry["nonfinite_degree"] = degrees[np.argmax(bad)]
+    scale = max(np.abs(lead.c).max(), np.sqrt(np.abs(lead.lam).max(initial=0.0)))
+    if np.abs(z).max() <= np.finfo(float).eps * scale:
+        entry.update({"pass": False, "unresolved_scale": scale})
+    return entry
 
 
 def _suite_r1(m, kappa, s0star):
     sys1 = rseq.R1System(m, TransformPoint(kappa), TransformPoint(np.conj(kappa)))
-    return _residual_entry(range(1, 41), sys1.residuals(range(1, 41), rseq.sample_points(20)))
+    z, degrees = rseq.sample_points(20), range(1, 41)
+    # degree n reads c_{n+1} and lambda_{n+1}
+    return _residual_entry(degrees, sys1.residuals(degrees, z), m.truncated(min(m.n_max, 41)), z)
 
 
 def _suite_r2(m, kappa, s0star):
@@ -242,7 +253,8 @@ def _suite_r2(m, kappa, s0star):
     for n in range(1, 31):
         qs.append(pair.quasi(n))
         rcs.append(sys2.coeffs(qs[-1], n))
-    return _residual_entry(range(1, 31), sys2.residuals(qs, rcs, rseq.sample_points(20)))
+    z = rseq.sample_points(20)
+    return _residual_entry(range(1, 31), sys2.residuals(qs, rcs, z), sys2.m, z)
 
 
 def _leading_gap(J, S, nb: int = 50) -> float:
@@ -254,9 +266,11 @@ def _leading_gap(J, S, nb: int = 50) -> float:
 
 
 def _suite_factorization(m, kappa, s0star):
-    # the transforms first: they raise PrefixError on a prefix too short
-    S = symmetrize(christoffel(m, TransformPoint(kappa)).coeffs)
-    SG = symmetrize(geronimus(m, TransformPoint(kappa, s0star=s0star)).coeffs)
+    # the transforms first: they raise PrefixError on a prefix too short; the
+    # 50 leading entries _leading_gap reads are functions of 53 terms of m
+    lead = m.truncated(min(m.n_max, 53))
+    S = symmetrize(christoffel(lead, TransformPoint(kappa)).coeffs)
+    SG = symmetrize(geronimus(lead, TransformPoint(kappa, s0star=s0star)).coeffs)
     J = symmetrize(m)
     f = lu_factor(J, kappa)
     diag, off = f.reconstruct()

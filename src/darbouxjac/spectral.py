@@ -10,8 +10,12 @@ envelope, each Newton step and the certificate one run of polyeval's
 evaluator over the zeros of every degree at once.  Gauss nodes are perfectly
 conditioned, so they take one Newton step, in real arithmetic; eigvals
 zeros (kernel and Geronimus transforms, conditioning unknown) take two.
-The kernel and Geronimus sweeps build their transform once per site for
-the whole degree list.
+The kernel and Geronimus sweeps build their transform once per site, on
+the leading max(n_list) + 3 terms.  On a real base with positive lambda,
+their degrees n >= 32 replace eigvals by Aberth iteration on the secular
+equation of the base Gauss rule with a moved corner entry
+(``_corner_roots``), falling back to eigvals when that run fails a check;
+the zeros then take the same two Newton steps and certificate.
 
 Cluster-zero distances |xi_n - kappa| for Geronimus transforms decay far
 below double resolution; Newton iteration in the shifted variable
@@ -20,6 +24,7 @@ products.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -61,8 +66,21 @@ __all__ = [
     "ratio_asymptotic_check",
 ]
 
+_log = logging.getLogger("darbouxjac")
+
 _RESIDUAL_TOL = 1e-8
 _STRIP_SLACK = 1e-9
+# Transformed zero sweeps on a real base (``_corner_roots``): degrees below
+# this take eigvals, which is the faster of the two up to n = 30 or so.
+_SECULAR_MIN_DEGREE = 32
+# Aberth iterations before a degree falls back to eigvals.
+_ABERTH_MAX_ITER = 50
+# An Aberth root has converged once its step is at most this times the scale
+# max|x_j| + |delta| of the secular equation.
+_ABERTH_TOL = 1e-13
+# A secular solve falls back when its root sum misses the trace by more than
+# this, relative to sum|roots| + sum|b_k|.
+_TRACE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -171,17 +189,32 @@ def _eigvals(J: SymmetricJacobi, size: int) -> np.ndarray:
     return np.linalg.eigvals(M)
 
 
+def _eigenvalues(J: SymmetricJacobi, n: int) -> np.ndarray:
+    """``_eigvals`` of the n x n truncation, a solver failure raised as
+    EigenSolverError naming n."""
+    try:
+        return _eigvals(J, n)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigensolver failed to converge at degree {n}") from exc
+
+
 @np.errstate(invalid="ignore")  # a NaN value goes on to fail the certificate
-def _newton(m: RecurrenceCoeffs, z: np.ndarray, stop: np.ndarray) -> np.ndarray:
+def _newton(m: RecurrenceCoeffs, z: np.ndarray, stop: np.ndarray, weights: bool = False):
     """One Newton step z - P_n(z)/P'_n(z) at every point, n = its stop degree,
-    in one evaluator run; a real z stays real."""
-    _, p, _, dp = _scaled_run(m, int(stop[-1]), z, 1.0, z - m.c[0], deriv=True, _stop=stop)
+    in one evaluator run; a real z stays real.  With ``weights``, also
+    P_{n-1}(z)/P'_n(z) from the same run: at the Gauss nodes x_j of a real
+    prefix, the residues q_j^2 of P_{n-1}/P_n = sum_j q_j^2/(t - x_j)
+    (Christoffel-Darboux), which are positive and sum to 1."""
+    prev, p, _, dp = _scaled_run(m, int(stop[-1]), z, 1.0, z - m.c[0], deriv=True, _stop=stop)
     if not np.iscomplexobj(z):
-        p, dp = p.real, dp.real
-    return z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+        prev, p, dp = prev.real, p.real, dp.real
+    step = np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+    if weights:
+        return z - step, np.divide(prev, dp, out=np.zeros_like(prev), where=dp != 0)
+    return z - step
 
 
-def zero_sweep(m: RecurrenceCoeffs, n_list) -> tuple[ZeroCloud, ...]:
+def zero_sweep(m: RecurrenceCoeffs, n_list, _starts=None) -> tuple[ZeroCloud, ...]:
     """The zero clouds of P_n for every n in n_list, in the order given.
 
     Each degree's zeros are the eigenvalues of the n x n truncation of the
@@ -205,6 +238,10 @@ def zero_sweep(m: RecurrenceCoeffs, n_list) -> tuple[ZeroCloud, ...]:
     certificate the evaluation itself can support (a zero clustered at a
     spectral point of the prefix cannot beat this floor).  Degree 0 gives an
     empty cloud.
+
+    ``_starts`` maps degrees to eigenvalues of their (not real symmetric)
+    truncations found another way (``_corner_roots``), which take the place
+    of eigvals and are polished like its output.
     """
     n_list = tuple(int(n) for n in n_list)
     for n in n_list:
@@ -216,13 +253,8 @@ def zero_sweep(m: RecurrenceCoeffs, n_list) -> tuple[ZeroCloud, ...]:
     clouds = {0: ZeroCloud(n=0, zeros=np.empty(0, dtype=complex), max_im=0.0)}
     if degrees:
         J = symmetrize(m)
-        blocks = []
-        for n in degrees:
-            try:
-                blocks.append(_eigvals(J, n))
-            except np.linalg.LinAlgError as exc:
-                raise EigenSolverError(f"eigensolver failed to converge at degree {n}") from exc
-        z = np.concatenate(blocks)
+        starts = _starts or {}
+        z = np.concatenate([starts[n] if n in starts else _eigenvalues(J, n) for n in degrees])
         stop = np.repeat(degrees, degrees)
         sym = np.repeat([_real_symmetric(J, n) for n in degrees], degrees)
         if sym.all():  # the certificate then runs in real arithmetic too
@@ -245,9 +277,9 @@ def zero_sweep(m: RecurrenceCoeffs, n_list) -> tuple[ZeroCloud, ...]:
     return tuple(clouds[n] for n in n_list)
 
 
-def zeros(m: RecurrenceCoeffs, n: int) -> ZeroCloud:
+def zeros(m: RecurrenceCoeffs, n: int, _starts=None) -> ZeroCloud:
     """The n zeros of P_n, certified: the one-degree case of ``zero_sweep``."""
-    return zero_sweep(m, (n,))[0]
+    return zero_sweep(m, (n,), _starts)[0]
 
 
 def _kernel_cloud(tc: TransformedCoeffs, cloud: ZeroCloud) -> ZeroCloud:
@@ -285,35 +317,159 @@ def _check_geronimus_degrees(n_list) -> None:
             raise PrefixError(f"P^{{-*}}_n has no zero nearest kappa below degree 1 (n={n})")
 
 
+@np.errstate(all="ignore")  # a run that leaves the double range falls back to eigvals
+def _aberth(x, q2, delta, z, known=None):
+    """Roots of the secular equation f(t) = 1 + delta sum_j q2_j/(x_j - t) = 0
+    by Ehrlich-Aberth iteration from the starts z, all roots at once.
+
+    The roots are those of p(t) = f(t) prod_j (x_j - t), whose logarithmic
+    derivative is f'/f - sum_j 1/(x_j - t), f' = delta sum_j q2_j/(x_j - t)^2;
+    ``known``, a root of p already known, enters only the Aberth sum over the
+    other roots (deflation).  A root stops moving once its step is at most
+    _ABERTH_TOL (max|x_j| + |delta|).  Returns (roots, iterations, converged);
+    a run that hits _ABERTH_MAX_ITER, or whose step leaves the double range,
+    returns converged False.
+    """
+    z = np.array(z, dtype=complex)
+    run = np.arange(len(z))
+    tol = _ABERTH_TOL * (np.max(np.abs(x)) + abs(delta))
+    for it in range(1, _ABERTH_MAX_ITER + 1):
+        zr = z[run]
+        d = 1.0 / (x - zr[:, None])
+        logd = delta * ((d * d) @ q2) / (1.0 + delta * (d @ q2)) - d.sum(axis=1)
+        if known is not None:
+            logd -= 1.0 / (zr - known)
+        g = zr[:, None] - z
+        np.divide(1.0, g, out=g, where=g != 0)  # a root's own (or a coincident) term left out
+        step = 1.0 / (logd - g.sum(axis=1))
+        z[run] = zr - step
+        if not np.isfinite(step).all():
+            return z, it, False
+        run = run[np.abs(step) > tol]
+        if not len(run):
+            return z, it, True
+    return z, _ABERTH_MAX_ITER, False
+
+
+def _corner_roots(m: RecurrenceCoeffs, J: SymmetricJacobi, degrees, shift: int, delta, known):
+    """Eigenvalues of the transformed truncations J_n, n in degrees, as roots
+    of the base's secular equation, where that route applies.
+
+    The degree-n transformed polynomial is P_{n+shift} - delta[n] P_{n+shift-1}
+    over the base m (kernel: shift 1, delta[n] = rho_{n+1}, and a factor
+    z - kappa, kappa = ``known``; Geronimus: shift 0, delta[n] = -A_n): the
+    characteristic polynomial of the base truncation of size s = n + shift
+    with its last diagonal entry moved by delta[n].  On a real symmetric base
+    truncation with Gauss nodes x_j, its roots solve
+    1 + delta[n] sum_j q_j^2/(x_j - t) = 0 (Golub, SIAM Review 15, 1973),
+    q_j^2 = P_{s-1}(x_j)/P'_s(x_j).  The nodes are the eigvalsh ones after
+    the plain sweep's real Newton step, the q_j^2 come from that same run, and
+    ``_aberth`` starts each root at x_j + delta[n] q_j^2 (the divide-and-conquer
+    start of Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005;
+    with ``known`` deflated, the start nearest it is dropped).
+
+    Returns ({n: roots}, {n: route}, {n: Aberth iterations}).  A degree takes
+    eigvals instead below _SECULAR_MIN_DEGREE (the measured crossover), on a
+    complex base, when its run does not converge within _ABERTH_MAX_ITER or
+    leaves the double range, and when the root sum misses trace(J_n) by more
+    than _TRACE_RTOL (sum|roots| + sum|b_k|), as two starts that converge to
+    one root would; a real symmetric J_n takes eigvalsh.
+    """
+    base = symmetrize(m)
+    roots, routes, iters, todo = {}, {}, {}, []
+    for n in degrees:
+        if _real_symmetric(J, n):
+            routes[n] = "eigvalsh"
+        elif n < _SECULAR_MIN_DEGREE:
+            routes[n] = "eigvals: below crossover"
+        elif not _real_symmetric(base, n + shift):
+            routes[n] = "eigvals: complex base"
+        else:
+            todo.append(n)
+    if not todo:
+        return roots, routes, iters
+    sizes = [n + shift for n in todo]
+    x = np.concatenate([_eigenvalues(base, s).real for s in sizes])
+    x, q2 = _newton(m, x, np.repeat(sizes, sizes), weights=True)
+    split = np.cumsum(sizes)[:-1]
+    for n, xn, qn in zip(todo, np.split(x, split), np.split(q2, split)):
+        start = xn + delta[n] * qn
+        if known is not None:
+            start = np.delete(start, np.argmin(np.abs(start - known)))
+        z, iters[n], done = _aberth(xn, qn, delta[n], start, known)
+        b = J.b[:n]
+        if not done:
+            routes[n] = "eigvals: " + ("iteration cap" if np.isfinite(z).all() else "double range")
+        elif abs(z.sum() - b.sum()) > _TRACE_RTOL * (np.abs(z).sum() + np.abs(b).sum()):
+            routes[n] = "eigvals: trace"
+        else:
+            routes[n], roots[n] = "secular", z
+    return roots, routes, iters
+
+
+def _leading(m: RecurrenceCoeffs, n_list) -> RecurrenceCoeffs:
+    """The leading max(n_list) + 3 terms of m (at least 4): all that the
+    transforms read for the zeros and strip bounds of those degrees."""
+    return m.truncated(min(m.n_max, max(max(n_list, default=0) + 3, 4)))
+
+
+def _secular_starts(tc: TransformedCoeffs, n_list, shift: int, delta) -> dict:
+    """``_corner_roots`` for the degrees of n_list that tc.coeffs holds, as
+    the ``_starts`` of ``zero_sweep``, with one DEBUG record on the
+    ``darbouxjac`` logger: record attributes ``routes`` and
+    ``aberth_iterations`` (by degree) and ``fallbacks`` (the degrees whose
+    secular run fell back to eigvals)."""
+    kind, kappa = tc.kinds[-1], tc.sites[-1].kappa
+    degrees = sorted({n for n in map(int, n_list) if 0 < n <= tc.coeffs.n_max})
+    roots, routes, iters = _corner_roots(
+        tc.base, symmetrize(tc.coeffs), degrees, shift, delta, kappa if shift else None
+    )
+    fallbacks = len(iters) - len(roots)
+    _log.debug("%s zeros at kappa=%s: %d of %d degrees secular, %d fell back to eigvals",
+               kind, kappa, len(roots), len(degrees), fallbacks,
+               extra={"routes": routes, "aberth_iterations": iters, "fallbacks": fallbacks})
+    return roots
+
+
 def kernel_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> ZeroCloud:
     """Zeros of the kernel polynomial P*_n(kappa, .) with the strip bound
-    -1/Im(P_n(kappa)/P_{n+1}(kappa)) (derived in ``_kernel_cloud``)."""
+    -1/Im(P_n(kappa)/P_{n+1}(kappa)) (derived in ``_kernel_cloud``), by the
+    route of ``kernel_zero_sweep`` (the transform of the whole prefix, whose
+    leading terms are those of the sweep's)."""
     tc = christoffel(m, site)
-    return _kernel_cloud(tc, zeros(tc.coeffs, n))
+    starts = _secular_starts(tc, (n,), 1, tc.ratio_seq)
+    return _kernel_cloud(tc, zeros(tc.coeffs, n, _starts=starts))
 
 
 def kernel_zero_sweep(m: RecurrenceCoeffs, site: TransformPoint, n_list) -> tuple[ZeroCloud, ...]:
-    """``kernel_zero_cloud`` for every n in n_list, from one transform and one sweep."""
-    tc = christoffel(m, site)
-    return tuple(_kernel_cloud(tc, cloud) for cloud in zero_sweep(tc.coeffs, n_list))
+    """``kernel_zero_cloud`` for every n in n_list, from one transform of the
+    leading terms and one sweep."""
+    n_list = tuple(int(n) for n in n_list)
+    tc = christoffel(_leading(m, n_list), site)
+    clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list, 1, tc.ratio_seq))
+    return tuple(_kernel_cloud(tc, cloud) for cloud in clouds)
 
 
 def geronimus_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> ZeroCloud:
     """Zeros of P^{-*}_n(kappa, .), n >= 1, with bound -1/Im(R_{n-1}(kappa)/R_n(kappa))
-    and the zero nearest kappa recorded as cluster candidate."""
+    and the zero nearest kappa recorded as cluster candidate, by the route of
+    ``geronimus_zero_sweep`` (the transform of the whole prefix)."""
     _check_geronimus_degrees((n,))
     tc = geronimus(m, site)
-    return _geronimus_cloud(tc, zeros(tc.coeffs, n))
+    starts = _secular_starts(tc, (n,), 0, -tc.a_seq)
+    return _geronimus_cloud(tc, zeros(tc.coeffs, n, _starts=starts))
 
 
 def geronimus_zero_sweep(
     m: RecurrenceCoeffs, site: TransformPoint, n_list
 ) -> tuple[ZeroCloud, ...]:
-    """``geronimus_zero_cloud`` for every n in n_list, from one transform and one sweep."""
+    """``geronimus_zero_cloud`` for every n in n_list, from one transform of
+    the leading terms and one sweep."""
     n_list = tuple(int(n) for n in n_list)
     _check_geronimus_degrees(n_list)
-    tc = geronimus(m, site)
-    return tuple(_geronimus_cloud(tc, cloud) for cloud in zero_sweep(tc.coeffs, n_list))
+    tc = geronimus(_leading(m, n_list), site)
+    clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list, 0, -tc.a_seq))
+    return tuple(_geronimus_cloud(tc, cloud) for cloud in clouds)
 
 
 def strip_check(cloud: ZeroCloud, bound: float, side: str = "upper") -> StripReport:
@@ -381,6 +537,9 @@ def verify_m_identities(m: RecurrenceCoeffs, site: TransformPoint, order: int) -
     m(J_G;z) = m(J;z)/(s0star (z-kappa)) - 1/(z-kappa).
     """
     kappa = site.kappa
+    # the moments read the leading order + 2 terms of m and of each transform,
+    # whose leading entries are functions of the leading terms of m only
+    m = m.truncated(min(m.n_max, max(order + 4, 4)))
     s = moments(m, order + 1)
     tc = christoffel(m, site)
     s_c = moments(tc.coeffs, order)

@@ -8,17 +8,24 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from darbouxjac import rseq
+from hypothesis import given
+from hypothesis import strategies as st
+
+from darbouxjac import cli, rseq
 from darbouxjac.cli import main, parse_complex, parse_n_list
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
 from darbouxjac.darboux import TransformPoint, _cf_m_function, cauchy_s0star, geronimus
 from test_ratio_kernel import (
+    PROPERTY,
     assert_entrywise,
+    kappas,
     nevai_prefix,
+    opposite_s0star,
     reference,
     resolving_dps,
     ul_step,
 )
+from test_zero_sweep import long_prefixes
 
 
 def run_cli(args, **kwargs):
@@ -401,6 +408,19 @@ class TestVerify:
 
         doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert doc["suites"]["r1"] == {"pass": False, "max_residual": None, "nonfinite_degree": 7}
+
+    @PROPERTY
+    @given(long_prefixes, kappas(), st.data())
+    def test_suites_on_leading_terms_report_as_on_the_full_prefix(self, m, kappa, data):
+        """m-identities and factorization build their transforms on the 24 and
+        53 leading terms they read; with truncation made the identity they run
+        on the full prefix, and every entry of both reports is the same."""
+        s0star = data.draw(opposite_s0star(kappa))
+        suites = (cli._suite_m_identities, cli._suite_factorization)
+        lead = [suite(m, kappa, s0star) for suite in suites]
+        with pytest.MonkeyPatch.context() as mp_:
+            mp_.setattr(RecurrenceCoeffs, "truncated", lambda self, n_max: self)
+            assert [suite(m, kappa, s0star) for suite in suites] == lead
 
     def test_missing_fixtures_exit_3(self, tmp_path):
         rc = main(

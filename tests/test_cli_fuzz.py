@@ -126,6 +126,21 @@ def run(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def test_r1_on_coefficients_past_the_sample_scale_fails(coeff_files, capsys):
+    """On the +-1e300 file z - c_k rounds to -c_k at every sample point, so
+    every r1 residual is 0.0; the suite reports that its points cannot
+    resolve the prefix instead of passing."""
+    argv = ["verify", f"--coeff-file={coeff_files['huge']}", "--suite=r1", "--kappa=0.3+0.5i"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    entry = json.loads(out)["suites"]["r1"]
+    assert entry["pass"] is False and entry["max_residual"] == 0.0
+    assert entry["unresolved_scale"] > 1e299
+    assert "Traceback" not in err
+
+
 @FUZZ
 @given(argv=argvs())
 # far from the support at the Cauchy value (once a false breakdown at n = 1)

@@ -14,6 +14,7 @@ evaluator bit for bit against its complex run.
 import contextlib
 import io
 import json
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -193,13 +194,18 @@ def test_mixed_routes_polish_apart():
         assert np.array_equal(cloud.zeros, two_pass(mixed, [cloud.n])[cloud.n])
 
 
-@pytest.mark.parametrize("transformed, runs", [(False, 2), (True, 3)])
-def test_evaluator_runs_per_sweep(transformed, runs, monkeypatch):
+@pytest.mark.parametrize(
+    "route, runs",
+    [("plain", [False] * 2), ("transformed", [True] * 3), ("kernel", [False] + [True] * 3)],
+)
+def test_evaluator_runs_per_sweep(route, runs, monkeypatch):
     """Gauss nodes: one Newton run and the certificate; eigvals zeros: two and
-    the certificate, whatever the number of degrees."""
+    the certificate, whatever the number of degrees.  A kernel sweep on a real
+    base adds one real run, the base rule of its secular degrees (40, 62)."""
     m = family_coeffs("chebyshev3", 64)
-    if transformed:
-        m = christoffel(m, TransformPoint(0.3 + 0.5j)).coeffs
+    site = TransformPoint(0.3 + 0.5j)
+    if route == "transformed":
+        m = christoffel(m, site).coeffs
     calls = []
 
     def counted(*args, **kwargs):
@@ -207,8 +213,168 @@ def test_evaluator_runs_per_sweep(transformed, runs, monkeypatch):
         return _scaled_run(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "_scaled_run", counted)
-    zero_sweep(m, [3, 17, 40, 62])
-    assert calls == [transformed] * runs
+    if route == "kernel":
+        kernel_zero_sweep(m, site, [3, 17, 40, 62])
+    else:
+        zero_sweep(m, [3, 17, 40, 62])
+    assert calls == runs
+
+
+def transformed_sweeps(m, kappa, s0star, degrees):
+    """(sweep clouds, transform) for the kernel and the Geronimus sweep."""
+    kernel = TransformPoint(kappa)
+    gero = TransformPoint(kappa, s0star=s0star)
+    return (
+        (kernel_zero_sweep(m, kernel, degrees), christoffel(m, kernel)),
+        (geronimus_zero_sweep(m, gero, degrees), geronimus(m, gero)),
+    )
+
+
+def newton_floor(m, n, zeros) -> float:
+    """The largest step one more Newton step would take from these polished
+    zeros of P_n: the rounding floor of the polish at degree n."""
+    _, p, _, dp = _scaled_run(m, n, zeros, 1.0, zeros - m.c[0], deriv=True)
+    return float(np.max(np.abs(p / dp)))
+
+
+def assert_same_set(zeros_a, zeros_b, atol=0.0):
+    """Each zero of a has its own nearest zero of b within
+    1e-14 max(1, |z|) + atol."""
+    dist = np.abs(zeros_a[:, None] - zeros_b[None, :])
+    near = dist.argmin(axis=1)
+    assert len(set(near.tolist())) == len(zeros_a)
+    gap = dist[np.arange(len(zeros_a)), near] - 1e-14 * np.maximum(1.0, np.abs(zeros_a))
+    assert gap.max(initial=0.0) <= atol, (gap.max(), atol)
+
+
+def sweep_records(caplog) -> list:
+    """The DEBUG records of the transformed sweeps, in order."""
+    return [r for r in caplog.records if hasattr(r, "routes")]
+
+
+secular_degrees = st.lists(st.integers(32, 128), min_size=1, max_size=2)
+
+
+@PROPERTY
+@given(long_prefixes, kappas(), st.data(), secular_degrees)
+def test_secular_route_matches_eigvals(m, kappa, data, degrees):
+    """Kernel and Geronimus zeros from the corner-modified secular solve
+    equal the eigvals ones (two_pass) as sets, within 1e-14 max(1, |z|) plus
+    four times the floor of the Newton polish that both routes end with.
+    That floor is below 1e-15 away from the support, but next to it the
+    polish cannot do better than ~1e-12 from any start: at kappa = 0.001i,
+    chebyshev1, degree 32, the kernel zeros of both routes are off by up to
+    1.1e-12 from a 40-digit Newton run on the same coefficients (the floor
+    here is 7.4e-13 and the two routes differ by 6.2e-13)."""
+    s0star = data.draw(opposite_s0star(kappa))
+    for clouds, tc in transformed_sweeps(m, kappa, s0star, degrees):
+        before = two_pass(tc.coeffs, degrees)
+        for cloud in clouds:
+            floor = newton_floor(tc.coeffs, cloud.n, before[cloud.n])
+            assert_same_set(cloud.zeros, before[cloud.n], 4 * floor)
+
+
+@PROPERTY
+@given(long_prefixes, kappas(), st.data(), secular_degrees)
+def test_one_degree_clouds_are_the_sweeps(m, kappa, data, degrees):
+    s0star = data.draw(opposite_s0star(kappa))
+    site = TransformPoint(kappa, s0star=s0star)
+    for sweep, single in (
+        (kernel_zero_sweep, spectral.kernel_zero_cloud),
+        (geronimus_zero_sweep, spectral.geronimus_zero_cloud),
+    ):
+        for n, cloud in zip(degrees, sweep(m, site, degrees)):
+            one = single(m, site, n)
+            assert np.array_equal(cloud.zeros, one.zeros)
+            assert (cloud.strip_bound, cloud.cluster_candidate) == (
+                one.strip_bound, one.cluster_candidate)
+
+
+@PROPERTY
+@given(long_prefixes, kappas(), st.data(), st.lists(st.integers(1, 64), min_size=1, max_size=3))
+def test_iteration_cap_zero_gives_the_eigvals_clouds(m, kappa, data, degrees):
+    """With no Aberth iteration allowed every degree falls back, and the
+    clouds are the two-pass eigvals clouds bit for bit."""
+    s0star = data.draw(opposite_s0star(kappa))
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(spectral, "_ABERTH_MAX_ITER", 0)
+        for clouds, tc in transformed_sweeps(m, kappa, s0star, degrees):
+            before = two_pass(tc.coeffs, degrees)
+            for cloud in clouds:
+                assert np.array_equal(cloud.zeros, before[cloud.n])
+
+
+@pytest.mark.parametrize("real_base", [True, False])
+def test_real_base_takes_the_secular_route(real_base, monkeypatch, caplog):
+    """On a real base the degrees from 32 up call no eigvals; on a complex
+    base every degree does."""
+    m = family_coeffs("chebyshev1", 256)
+    if not real_base:
+        m = christoffel(m, TransformPoint(2 + 1j)).coeffs
+    degrees = [10, 40, 90]
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvals(a)
+
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    caplog.set_level("DEBUG", logger="darbouxjac")
+    site = TransformPoint(0.3 + 0.5j, s0star=0.8 - 0.4j)
+    for sweep in (kernel_zero_sweep, geronimus_zero_sweep):
+        calls.clear()
+        sweep(m, site, degrees)
+        record = sweep_records(caplog)[-1]
+        if real_base:
+            assert calls == [10]
+            assert record.routes == {
+                10: "eigvals: below crossover", 40: "secular", 90: "secular"}
+            assert record.fallbacks == 0 and set(record.aberth_iterations) == {40, 90}
+        else:
+            assert calls == degrees
+            assert record.routes == {10: "eigvals: below crossover",
+                                     40: "eigvals: complex base", 90: "eigvals: complex base"}
+            assert record.aberth_iterations == {}
+
+
+def test_equal_starts_trip_the_trace_check(monkeypatch, caplog):
+    """Two roots started together converge to one zero; the root sum then
+    misses the trace, and the degree falls back to eigvals."""
+    m = family_coeffs("chebyshev2", 256)
+    site = TransformPoint(-0.4 + 0.3j, s0star=1.0 - 0.5j)
+    aberth = spectral._aberth
+
+    def equal_starts(x, q2, delta, z, known=None):
+        z = z.copy()
+        z[1] = z[0]
+        return aberth(x, q2, delta, z, known)
+
+    monkeypatch.setattr(spectral, "_aberth", equal_starts)
+    caplog.set_level("DEBUG", logger="darbouxjac")
+    sweeps = transformed_sweeps(m, site.kappa, site.s0star, [48, 96])
+    assert [r.routes for r in sweep_records(caplog)] == [
+        {48: "eigvals: trace", 96: "eigvals: trace"}] * 2
+    for clouds, tc in sweeps:
+        before = two_pass(tc.coeffs, [48, 96])
+        for cloud in clouds:
+            assert np.array_equal(cloud.zeros, before[cloud.n])
+
+
+@pytest.mark.parametrize("kappa", [1000j, 0.5 + 0.001j, 1.2 + 1e-6j])
+def test_far_and_near_support_sites_warn_nothing(kappa):
+    """Sites far from and next to the support: no RuntimeWarning, whichever
+    route each degree takes, and the eigvals zeros as sets (with the floor of
+    ``test_secular_route_matches_eigvals``)."""
+    m = family_coeffs("chebyshev3", 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sweeps = transformed_sweeps(m, kappa, 0.8 - 0.4j, [40, 120])
+    for clouds, tc in sweeps:
+        before = two_pass(tc.coeffs, [40, 120])
+        for cloud in clouds:
+            floor = newton_floor(tc.coeffs, cloud.n, before[cloud.n])
+            assert_same_set(cloud.zeros, before[cloud.n], 4 * floor)
 
 
 def old_zeros_text(clouds, extras, cluster_cols: bool, fmt: str) -> str:
