@@ -26,7 +26,7 @@ from .core import (
     symmetric_jacobi_matrix,
     symmetrize,
 )
-from .darboux import TransformPoint, _cf_m_function, cauchy_s0star, christoffel, geronimus
+from .darboux import TransformPoint, cauchy_s0star, christoffel, geronimus
 from .errors import DarbouxError
 from .factorization import build_JC, build_JG, lu_factor, ul_factor
 
@@ -137,11 +137,7 @@ def cmd_transform(args) -> int:
             )
         else:
             coeffs_in = current.coeffs if hasattr(current, "coeffs") else current
-            if s0star is None and (coeffs_in.family is None or coeffs_in.family.kind == "custom"):
-                # no weight to cross-check by quadrature: the continued fraction alone
-                s0star = _cf_m_function(coeffs_in.c.tolist(), coeffs_in.lam.tolist(), kappa)
-                s0star *= coeffs_in.s0
-            elif s0star is None:
+            if s0star is None:
                 s0star = cauchy_s0star(coeffs_in, kappa)
             site = TransformPoint(kappa, s0star=s0star, allow_real=allow_real)
             current = geronimus(coeffs_in, site)

@@ -34,13 +34,16 @@ Which precision runs:
   mpmath is imported only there.  The route taken is logged at DEBUG on the
   ``darbouxjac`` logger.
 * ``GeronimusChain`` (conjugate-pair chains) and ``geronimus_cauchy`` step
-  at the exact Cauchy value S, where R_n is the minimal solution itself.
-  There ``_cauchy_run`` runs the ratios *and* the differences backward from
-  the continued-fraction tail (Pincherle; Gautschi, SIAM Review 9, 1967),
+  at the exact Cauchy value S, where R_n is the minimal solution.  There
+  ``_cauchy_run`` reads the ratios from the continued-fraction tails and
+  runs the differences backward (Pincherle; Gautschi, SIAM Review 9, 1967),
   which is stable, so these steps run in double with no precision budget.
 
-``cauchy_s0star`` returns the continued fraction evaluated in double
-(backward evaluation is stable), cross-checked against quadrature.
+The continued fraction m(J; kappa) is one backward run of its tails,
+``_tails``, made once per step: ``geronimus`` reads eta from it and hands it
+to ``_dd_cf_inverse`` and ``_crossover``.  ``cauchy_s0star`` returns
+s0 m(J; kappa) for any prefix; a preset's weight cross-checks it by
+quadrature, as it does the s0star of ``geronimus_cauchy``.
 """
 from __future__ import annotations
 
@@ -404,30 +407,42 @@ def _tail_seed(c_tail, lam_tail, z, depth: int = 0):
     return t
 
 
-def _cf_m_function(c, lam, z):
-    """m(J; z) = ((J - z)^{-1} e_0, e_0) via the Jacobi continued fraction.
+def _tails(c, lam, z) -> list:
+    """[t_{N+1}, t_N, ..., t_2] (N = len(c)) of the Jacobi continued fraction
+    m(J; z) = 1/(c[0] - z - t_2): t_{N+1} = ``_tail_seed`` (exact for constant
+    tails), t_j = lam[j-2]/D_j with D_j = (c[j-1] - z) - t_{j+1}.  Python
+    complex or mpmath mpc, like ``_ratio_run``; the list stops at t_{j+1}
+    when D_j is exactly 0."""
+    t = _tail_seed(c[-1], lam[-1], z, len(c))
+    ts = [t]
+    try:
+        for lam_j, c_j in zip(lam[-1::-1], c[-1:0:-1]):
+            t = lam_j / ((c_j - z) - t)
+            ts.append(t)
+    except ZeroDivisionError:
+        pass
+    return ts
 
-    Uses the full stored depth and seeds the tail with the asymptotic value
-    from the last stored coefficients (exact for constant tails).  Runs on
-    Python complex or mpmath mpc, like ``_ratio_run``; ``_dd_cf_inverse`` is
-    its double-double form.
-    """
-    depth = len(c)
-    t = _tail_seed(c[-1], lam[-1], z, depth)
-    for j in range(depth, 1, -1):  # t_j = lambda_j / (c_j - z - t_{j+1})
-        t = lam[j - 2] / (c[j - 1] - z - t)
-    return 1 / (c[0] - z - t)
+
+def _cf_m_function(c, lam, z, ts=None):
+    """m(J; z) = ((J - z)^{-1} e_0, e_0) from the tails ``ts`` of ``_tails``
+    (run here when None); PoleError when a denominator is 0."""
+    ts = _tails(c, lam, z) if ts is None else ts
+    inv = c[0] - z - ts[-1]
+    if len(ts) < len(c) or not inv:
+        raise PoleError(f"the continued fraction has a pole at kappa={z}: no Cauchy value")
+    return 1 / inv
 
 
-def _cauchy_run(c, lam, kappa, what: str, diffs: bool = True):
+def _cauchy_run(c, lam, kappa, what: str, ts=None, diffs: bool = True):
     """(w, e, offset) of ``_ratio_run`` at the Cauchy value s0star = s0 m(J; kappa),
-    where R_n is the minimal solution: one backward pass, stable in double
-    (with ``diffs`` False the differences are skipped and e is [0]).
+    where R_n is the minimal solution: the backward run ``_tails`` (``ts``,
+    run here when None), stable in double (with ``diffs`` False the
+    differences are skipped and e is [0]).
 
-    With t_{N+1} = _tail_seed, D_j = c[j-1] - kappa - t_{j+1} and
-    t_j = lam[j-2]/D_j for j = N..2 (the continued fraction of
-    ``_cf_m_function``), w[k] = R_{k+1}/R_k = -t_{k+2}, e[k] = t_{k+1} - t_{k+2}
-    and offset = s0/s0star = c[0] - kappa - t_2.  The differences
+    With the tails t_j and D_j = c[j-1] - kappa - t_{j+1} of ``_tails``,
+    w[k] = R_{k+1}/R_k = -t_{k+2}, e[k] = t_{k+1} - t_{k+2} and
+    offset = s0/s0star = c[0] - kappa - t_2.  The differences
     d_j = t_j - t_{j+1} run backward from d_N = 0 (the seed is the tail map's
     fixed point) with exact inputs, as in ``_ratio_run``:
 
@@ -437,11 +452,11 @@ def _cauchy_run(c, lam, kappa, what: str, diffs: bool = True):
     _BREAKDOWN_RTOL of its terms (R_{j-2}(kappa) = 0), and PoleError when
     the offset is 0 (m(J; kappa) infinite).
     """
+    ts = _tails(c, lam, kappa) if ts is None else ts
     n = len(c)
-    t = _tail_seed(c[-1], lam[-1], kappa, n)
-    d = 0 * t
-    w, e = [], []  # from the far end
-    for j in range(n, 1, -1):
+    d = 0 * ts[0]
+    e = []  # from the far end
+    for j, t in zip(range(n, 1, -1), ts):  # t = t_{j+1}
         head = c[j - 1] - kappa
         big = head - t  # D_j
         if abs(big) < _BREAKDOWN_RTOL * max(abs(head), abs(t)):
@@ -449,12 +464,10 @@ def _cauchy_run(c, lam, kappa, what: str, diffs: bool = True):
         if diffs and j < n:
             d = ((lam[j - 2] - lam[j - 1]) + t * ((c[j] - c[j - 1]) + d)) / big
             e.append(d)
-        t = lam[j - 2] / big
-        w.append(-t)
-    offset = c[0] - kappa - t
+    offset = c[0] - kappa - ts[-1]
     if not offset:
         raise PoleError(f"the continued fraction has a pole at kappa={kappa}: no Cauchy value")
-    return w[::-1], [0 * t] + e[::-1], offset
+    return [-t for t in ts[:0:-1]], [0 * ts[-1]] + e[::-1], offset
 
 
 def _geronimus_step(c, lam, s0, kappa, s0star=None):
@@ -469,7 +482,7 @@ def _geronimus_step(c, lam, s0, kappa, s0star=None):
     """
     if s0star is None:
         w, e, offset = _cauchy_run(c, lam, kappa, _NO_GERONIMUS)
-        s0star = s0 * (1 / offset)  # bit for bit s0 * _cf_m_function
+        s0star = s0 * (1 / offset)  # bit for bit cauchy_s0star
         first = c[0] + w[0]
     else:
         offset = s0 / s0star
@@ -531,21 +544,22 @@ class GeronimusChain:
         return RecurrenceCoeffs(c=self._c, lam=self._lam, s0=self._s0)
 
 
-def _crossover(c, lam, kappa, delta, count: int) -> int:
+def _crossover(c, lam, kappa, ts, delta, count: int) -> int:
     """Where the R-ratio run at offset 1/m(J; kappa) + delta may leave
     double-double: the first k with |delta g_k| >= 1, plus two; ``count``
     (no switch) when there is none before it or the Cauchy run breaks down.
 
     R = f + delta q, with f the minimal solution (R at the Cauchy value, its
-    ratios w^S from the backward ``_cauchy_run``) and q the solution with
-    q_0 = 0, q_1 = 1, so R_k = f_k (1 + delta g_k) with g_k = q_k/f_k.  The
-    Casoratian f_j q_{j+1} - f_{j+1} q_j = lam_0 ... lam_{j-1} makes g_k the
-    sum of h_j = 1/w^S_0 prod_{i<j} lam_i/(w^S_i w^S_{i+1}) over j < k.  Once
-    |delta g_k| passes 1 the dominant part carries R, the forward ratio map
-    contracts, and double is as accurate as on the eta >= _DOUBLE_ETA route.
+    ratios w^S = -t from the tails ``ts`` under ``_cauchy_run``'s breakdown
+    test) and q the solution with q_0 = 0, q_1 = 1, so R_k = f_k (1 + delta
+    g_k) with g_k = q_k/f_k.  The Casoratian f_j q_{j+1} - f_{j+1} q_j =
+    lam_0 ... lam_{j-1} makes g_k the sum of h_j = 1/w^S_0 prod_{i<j}
+    lam_i/(w^S_i w^S_{i+1}) over j < k.  Once |delta g_k| passes 1 the
+    dominant part carries R, the forward ratio map contracts, and double is
+    as accurate as on the eta >= _DOUBLE_ETA route.
     """
     try:
-        ws = _cauchy_run(c, lam, kappa, _NO_GERONIMUS, diffs=False)[0]
+        ws = _cauchy_run(c, lam, kappa, _NO_GERONIMUS, ts, diffs=False)[0]
         h, g = 1 / ws[0], 0j
         for k in range(1, count):
             g += h  # g_k
@@ -559,25 +573,23 @@ def _crossover(c, lam, kappa, delta, count: int) -> int:
     return count
 
 
-def _dd_cf_inverse(c, lam, kappa):
-    """1/m(J; kappa) = c[0] - kappa - t_2 as a pair: the continued fraction of
-    ``_cf_m_function`` in double, refined to double-double.
+def _dd_cf_inverse(c, lam, kappa, ts):
+    """1/m(J; kappa) = c[0] - kappa - t_2 as a pair: the continued fraction,
+    whose double tails ``ts`` = [T_{N+1}, ..., T_2] come from ``_tails``,
+    refined to double-double.
 
-    With T_j its double values and D_j = (c[j-1] - kappa) - T_{j+1} a pair,
-    the errors d_j = t_j - T_j obey d_j = r_j + (lam[j-2]/D_j^2) d_{j+1} to
-    second order, r_j = lam[j-2]/D_j - T_j.  The residuals are numpy pair
-    arrays; the error run contracts as the continued fraction does and runs
-    in double.  The tail seed ``_tail_seed`` is polished by one Newton step
-    on t^2 - (c - kappa) t + lambda = 0, and its lo part is d_{N+1}.
+    With D_j = (c[j-1] - kappa) - T_{j+1} a pair, the errors d_j = t_j - T_j
+    obey d_j = r_j + (lam[j-2]/D_j^2) d_{j+1} to second order,
+    r_j = lam[j-2]/D_j - T_j.  The residuals are numpy pair arrays; the error
+    run contracts as the continued fraction does and runs in double.  It
+    starts from d_{N+1}, the Newton correction of the tail seed on
+    t^2 - (c - kappa) t + lambda = 0.
     """
     lam_rev = np.asarray(lam[-1::-1])  # lam[j-2] for j = N..2
     ch, cl = dd.add(np.asarray(c), 0j, -kappa, 0j)  # c[k] - kappa
-    t = _tail_seed(c[-1], lam[-1], kappa, len(c))
+    t = ts[0]
     res = dd.add(*dd.mul(t, 0j, *dd.add(t, 0j, -ch[-1], -cl[-1])), lam[-1], 0j)[0]
-    t, d = dd.add(t, 0j, -res / (2 * t - ch[-1]), 0j)
-    ts = [t]  # T_{N+1}, T_N, ..., T_2
-    for lam_j, ch_j in zip(lam_rev.tolist(), ch[-1:0:-1].tolist()):
-        ts.append(lam_j / (ch_j - ts[-1]))
+    d = -res / (2 * t - ch[-1])
     ts = np.array(ts)
     dh, dl = dd.add(ch[-1:0:-1], cl[-1:0:-1], -ts[:-1], 0j)  # D_j
     r = dd.add(*dd.div(lam_rev, 0j, dh, dl), -ts[1:], 0j)[0]
@@ -632,24 +644,21 @@ def _dd_ratio_run(c, lam, kappa, offset, count: int, what: str):
 
 # overflow in the pair arithmetic ends as inf or nan, refused below
 @np.errstate(all="ignore")
-def _dd_step(c, lam, s0, kappa, s0star):
+def _dd_step(c, lam, s0, kappa, s0star, ts):
     """(c, lam, w, eta, k*) of a Geronimus step whose R-ratio run is
     double-double up to the crossover k* (``_crossover``) and double from
-    there, eta = |1 - S/s0star| re-measured in double-double first; None
-    when that eta is below _DD_ETA or nan, or an output leaves the double
-    range."""
+    there, eta = |1 - S/s0star| re-measured in double-double first from the
+    tails ``ts`` of ``_tails``; None when that eta is below _DD_ETA or nan,
+    or an output leaves the double range."""
     offset = dd.div(complex(s0), 0j, s0star, 0j)
-    try:
-        inv_m = _dd_cf_inverse(c, lam, kappa)
-        ratio = dd.div(*offset, *inv_m)  # s0 m(J; kappa) / s0star
-    except ZeroDivisionError:
-        return None
+    inv_m = _dd_cf_inverse(c, lam, kappa, ts)
+    ratio = dd.div(*offset, *inv_m)  # s0 m(J; kappa) / s0star
     eta = abs(dd.add(1.0, 0j, -ratio[0], -ratio[1])[0])
     if not eta >= _DD_ETA:
         return None
     count = len(c) - 1
     delta = dd.add(*offset, -inv_m[0], -inv_m[1])
-    k_star = _crossover(c, lam, kappa, delta[0] + delta[1], count)
+    k_star = _crossover(c, lam, kappa, ts, delta[0] + delta[1], count)
     head = _dd_ratio_run(c, lam, kappa, offset, k_star, _NO_GERONIMUS)
     first = dd.add(kappa, 0j, *offset)
     offset = offset[0] + offset[1]
@@ -719,15 +728,16 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
         raise PrefixError("geronimus needs a prefix of length >= 4")
     kappa, s0star = site.kappa, site.s0star
     c, lam = m.c.tolist(), m.lam.tolist()
+    ts = _tails(c, lam, kappa)
     try:
-        eta = abs(1 - m.s0 * _cf_m_function(c, lam, kappa) / s0star)
-    except ZeroDivisionError:
+        eta = abs(1 - m.s0 * _cf_m_function(c, lam, kappa, ts) / s0star)
+    except PoleError:
         eta = math.nan
     k_star = None
     if eta >= _DOUBLE_ETA:
         c_new, lam_new, _, w = _geronimus_step(c, lam, m.s0, kappa, s0star)
         route = "double"
-    elif dd := _dd_step(c, lam, m.s0, kappa, s0star):
+    elif len(ts) == len(c) and (dd := _dd_step(c, lam, m.s0, kappa, s0star, ts)):
         c_new, lam_new, w, eta, k_star = dd
         route = (f"double-double to k*={k_star} of {len(w)}, then double"
                  if k_star < len(w) else "double-double")
@@ -773,65 +783,64 @@ def geronimus_eval_from(tc: TransformedCoeffs, n: int, z: complex) -> complex:
     return _unscaled(cur + a_n * prev, log_scale, n)
 
 
-def cauchy_s0star(m: RecurrenceCoeffs, kappa: complex, quadrature_nodes: int = 4096) -> complex:
-    """s0star = integral dmu(t)/(t - kappa) for a preset family.
-
-    Computed two independent ways: kind-matched Gauss-Chebyshev quadrature
-    with node doubling, and the Jacobi continued fraction in double; they
-    must agree to 1e-10.  The continued-fraction value is returned.
-    """
+def _cauchy_weight(m: RecurrenceCoeffs, kappa: complex):
+    """The preset family whose weight cross-checks a Cauchy value of m (None
+    without one); ConfigurationError for a real kappa inside its support."""
     if m.family is None or m.family.kind == "custom":
-        raise ConfigurationError(
-            "Cauchy-transform s0star needs a preset family with a known weight"
-        )
-    kappa = complex(kappa)
-    if kappa.imag == 0:
-        lo, hi = m.family.support
-        if lo <= kappa.real <= hi:
-            raise ConfigurationError(
-                f"kappa={kappa} lies inside the support [{lo}, {hi}]"
-            )
-    quad = adaptive_integral(
-        m.family, lambda t: 1.0 / (t - kappa), stop=max(quadrature_nodes // 2, 512)
-    )
-    cf = _cf_m_function(m.c.tolist(), m.lam.tolist(), kappa) * m.s0
-    if abs(quad - cf) > 1e-10 * max(1.0, abs(cf)):
+        return None
+    lo, hi = m.family.support
+    if kappa.imag == 0 and lo <= kappa.real <= hi:
+        raise ConfigurationError(f"kappa={kappa} lies inside the support [{lo}, {hi}]")
+    return m.family
+
+
+def _cross_check(family, kappa: complex, s0star: complex) -> None:
+    """s0star against kind-matched Gauss-Chebyshev quadrature of 1/(t - kappa),
+    node doubling up to 4096 nodes, to 1e-10 (nothing without a family)."""
+    if family is None:
+        return
+    quad = adaptive_integral(family, lambda t: 1.0 / (t - kappa), stop=2048)
+    if abs(quad - s0star) > 1e-10 * max(1.0, abs(s0star)):
         raise QuadratureError(
             f"quadrature and continued-fraction Cauchy transforms disagree: "
-            f"{quad} vs {cf}"
+            f"{quad} vs {s0star}"
         )
-    return cf
 
 
-def geronimus_cauchy(
-    m: RecurrenceCoeffs, kappa: complex, quadrature_nodes: int = 4096
-) -> TransformedCoeffs:
+def cauchy_s0star(m: RecurrenceCoeffs, kappa: complex) -> complex:
+    """s0star = s0 m(J; kappa) = integral dmu(t)/(t - kappa) of any prefix.
+
+    The Jacobi continued fraction in double (backward evaluation is stable);
+    PoleError when one of its denominators is 0.  For a preset family a real
+    kappa must lie outside the support, and quadrature must agree to 1e-10.
+    """
+    kappa = complex(kappa)
+    family = _cauchy_weight(m, kappa)
+    s0star = _cf_m_function(m.c.tolist(), m.lam.tolist(), kappa) * m.s0
+    _cross_check(family, kappa, s0star)
+    return s0star
+
+
+def geronimus_cauchy(m: RecurrenceCoeffs, kappa: complex) -> TransformedCoeffs:
     """Geronimus transform with s0star = integral dmu/(t - kappa).
 
     This choice makes the result the OPS of the complex measure
     dmu(t)/(t - kappa); applying it again at the conjugate point with
-    s0star = integral dmu/|t - kappa|^2 lands on a positive measure.
+    s0star = integral dmu/|t - kappa|^2 lands on a positive measure.  One
+    backward run in double, as in ``GeronimusChain.apply``, for any prefix;
+    the s0star it returns is ``cauchy_s0star``'s value, with its checks.
     """
     kappa = complex(kappa)
-    return _cauchy_geronimus(m, kappa, cauchy_s0star(m, kappa, quadrature_nodes))
-
-
-def _cauchy_geronimus(m: RecurrenceCoeffs, kappa: complex, s0star=None) -> TransformedCoeffs:
-    """The Geronimus step at the exact Cauchy value s0 m(J; kappa) of any
-    prefix, one backward run in double as in ``GeronimusChain.apply``; the
-    site records s0star (a rounding of that value), by default the
-    continued-fraction value the run returns."""
+    family = _cauchy_weight(m, kappa)
     if m.n_max < 4:
         raise PrefixError("geronimus needs a prefix of length >= 4")
-    c_new, lam_new, s0_new, w = _geronimus_step(m.c.tolist(), m.lam.tolist(), m.s0, kappa)
-    site = TransformPoint(
-        kappa=kappa, s0star=s0_new if s0star is None else s0star, allow_real=(kappa.imag == 0)
-    )
+    c_new, lam_new, s0star, w = _geronimus_step(m.c.tolist(), m.lam.tolist(), m.s0, kappa)
+    _cross_check(family, kappa, s0star)
     return TransformedCoeffs(
         base=m,
-        sites=(site,),
+        sites=(TransformPoint(kappa, s0star=s0star, allow_real=(kappa.imag == 0)),),
         kinds=("geronimus",),
-        coeffs=RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0_new),
+        coeffs=RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0star),
         a_seq=_a_seq(w),
         notes=("s0star-from-cauchy-transform",),
     )

@@ -30,7 +30,6 @@ from .core import RecurrenceCoeffs
 from .darboux import (
     GeronimusChain,
     TransformPoint,
-    _cauchy_geronimus,
     christoffel,
     christoffel_two,
     geronimus,
@@ -187,14 +186,8 @@ class R1System:
         self.kappa1 = complex(k1.kappa)
         self.rho = ratio_sequence(m, self.kappa1, "P").values  # rho[n-1] = P_n/P_{n-1}
         # s0star None: the exact Cauchy value, stepped backward in double (its
-        # double rounding, eta ~ 1e-16, would need a double-double step); a
-        # preset also cross-checks it by quadrature against its weight
-        if k2.s0star is not None:
-            self.gero = geronimus(m, k2)
-        elif m.family is None or m.family.kind == "custom":
-            self.gero = _cauchy_geronimus(m, k2.kappa)
-        else:
-            self.gero = geronimus_cauchy(m, k2.kappa)
+        # double rounding, eta ~ 1e-16, would need a double-double step)
+        self.gero = geronimus(m, k2) if k2.s0star is not None else geronimus_cauchy(m, k2.kappa)
         self.k2 = self.gero.sites[0]
 
     def coeffs(self, n: int) -> RICoefficients:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from darbouxjac import cli, rseq
 from darbouxjac.cli import main, parse_complex, parse_n_list
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
-from darbouxjac.darboux import TransformPoint, _cf_m_function, cauchy_s0star, geronimus
+from darbouxjac.darboux import TransformPoint, cauchy_s0star, geronimus
 from test_ratio_kernel import (
     PROPERTY,
     assert_entrywise,
@@ -164,15 +164,15 @@ class TestTransform:
         assert_entrywise(SimpleNamespace(coeffs=RecurrenceCoeffs.loads(proc.stdout)), ref)
 
     def test_geronimus_at_the_cauchy_value_of_a_coeff_file(self, tmp_path, capsys):
-        """Without --s0star a prefix with no preset weight steps at s0 m(J; kappa)
-        from the continued fraction (exit 1 before: the quadrature cross-check
-        of cauchy_s0star needs the weight)."""
+        """Without --s0star a prefix with no preset weight steps at
+        cauchy_s0star's continued-fraction value s0 m(J; kappa) (it once exited
+        1: the quadrature cross-check needed the weight)."""
         m, kappa = nevai_prefix("chebyshev2", 3), 0.3 + 0.5j
         path = tmp_path / "nevai.json"
         path.write_text(json.dumps(m.to_dict()))
         assert main(["transform", f"--coeff-file={path}", "--geronimus=0.3+0.5i"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        s0star = _cf_m_function(m.c.tolist(), m.lam.tolist(), kappa) * m.s0
+        s0star = cauchy_s0star(m, kappa)
         assert doc.pop("provenance")["sites"][0]["s0star"] == [s0star.real, s0star.imag]
         assert doc == geronimus(m, TransformPoint(kappa, s0star=s0star)).coeffs.to_dict()
 
@@ -381,8 +381,8 @@ class TestVerify:
         assert doc["suites"]["m-identities"]["max_residual"] <= 1e-9
 
     def test_r1_suite_on_a_coeff_file(self, tmp_path, capsys):
-        # the Cauchy value of a prefix with no preset weight (exit 1 before:
-        # the quadrature cross-check of cauchy_s0star needs the weight)
+        # the Cauchy value of a prefix with no preset weight (it once exited 1:
+        # the quadrature cross-check needed the weight)
         path = tmp_path / "nevai.json"
         path.write_text(json.dumps(nevai_prefix("chebyshev2", 3, 64).to_dict()))
         for suite in ("r1", "r2"):

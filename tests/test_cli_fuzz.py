@@ -4,10 +4,11 @@ RuntimeWarning is raised (numpy overflow or division warnings would reach
 stderr).
 
 Inputs: the three subcommands on a preset, a missing --coeff-file or one
-of three coefficient files (a real Nevai perturbation of 48 terms, whose
+of four coefficient files (a real Nevai perturbation of 48 terms, whose
 zeros take the symmetric route and whose r1 suite steps at the Cauchy value
 without a preset weight; 48 entries of magnitude 1e299..1e300 with either
-sign; a malformed document), --n-max in 2..16 or 30..48 (where the r2 and
+sign; six terms whose continued fraction has a pole at kappa = 3; a
+malformed document), --n-max in 2..16 or 30..48 (where the r2 and
 r1 verify suites, which need 34 and 43 terms, pass from PrefixError to their
 degree sweeps), --n / --n-list values in -2..20, complex literals
 whose parts have magnitude 1e-300..1e300 (or are 0) with either sign,
@@ -31,7 +32,7 @@ from darbouxjac import cli
 from darbouxjac.core import CHEBYSHEV_KINDS, RecurrenceCoeffs
 from test_ratio_kernel import nevai_prefix
 
-COEFF_FILES = ("nevai", "huge", "malformed")
+COEFF_FILES = ("nevai", "huge", "pole", "malformed")
 OUTPUTS = ("file", "dir", "missing")
 
 FUZZ = settings(
@@ -96,7 +97,7 @@ def argvs(draw) -> list[str]:
 
 @pytest.fixture(scope="session")
 def coeff_files(tmp_path_factory) -> dict[str, str]:
-    """Paths of the three coefficient files, by name."""
+    """Paths of the four coefficient files, by name."""
     rng = np.random.default_rng(7)
     signs = rng.choice((-1.0, 1.0), 95)
     huge = RecurrenceCoeffs(c=signs[:48] * 10.0 ** rng.uniform(299, 300, 48),
@@ -104,6 +105,9 @@ def coeff_files(tmp_path_factory) -> dict[str, str]:
     docs = {
         "nevai": json.dumps(nevai_prefix("chebyshev2", 3).to_dict()),
         "huge": json.dumps(huge.to_dict()),
+        # every tail of the continued fraction at kappa = 3 is -1, and its
+        # last denominator c_1 - kappa - t_2 is exactly 0
+        "pole": json.dumps(RecurrenceCoeffs(c=[2, 0, 0, 0, 0, 0], lam=[2] * 5).to_dict()),
         "malformed": '{"v": 1, "kind": "recurrence", "c": [[0.0, 0.0], [0.0]], "lambda": "x"}',
     }
     root = tmp_path_factory.mktemp("coeff-files")
@@ -161,6 +165,8 @@ def test_r1_on_coefficients_past_the_sample_scale_fails(coeff_files, capsys):
 @example(["zeros", "--coeff-file={huge}", "--n-list=1:10"])
 @example(["verify", "--coeff-file={huge}", "--suite=r1", "--suite=r2"])
 @example(["transform", "--coeff-file={huge}", "--christoffel=0.0+1.0i"])
+# a pole of the continued fraction (once a ZeroDivisionError out of cli.main)
+@example(["transform", "--coeff-file={pole}", "--geronimus=3+0i"])
 # --output: a file, a directory, a path under a missing directory
 @example(["zeros", "--family=chebyshev1", "--n-list=1:10", "--output={file}"])
 @example(["verify", "--family=chebyshev1", "--suite=r1", "--kappa=0.3+0.5i", "--output={file}"])

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from darbouxjac import darboux
+from darbouxjac import cli, darboux
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
 from darbouxjac.darboux import (
     GeronimusChain,
@@ -18,8 +18,14 @@ from darbouxjac.darboux import (
     geronimus_eval_from,
     kernel_eval,
 )
-from darbouxjac.errors import ConfigurationError, EvaluationRangeError, ExistenceError
+from darbouxjac.errors import (
+    ConfigurationError,
+    EvaluationRangeError,
+    ExistenceError,
+    PoleError,
+)
 from darbouxjac.polyeval import eval_P
+from darbouxjac.rseq import R1System
 
 RNG = np.random.default_rng(0x5EED)
 
@@ -268,10 +274,16 @@ class TestGeronimusCauchy:
         assert chain.coeffs().s0 == site.s0star == chain.steps[-1]["s0star"]
         assert np.array_equal(chain.steps[-1]["a_seq"], direct.a_seq)
 
-    def test_needs_family(self, cheb1):
+    def test_needs_no_family(self, cheb1):
+        """A preset copy without its family (no weight, no quadrature
+        cross-check) gets the preset's transform bit for bit."""
         bare = RecurrenceCoeffs(c=cheb1.c, lam=cheb1.lam)
-        with pytest.raises(ConfigurationError):
-            geronimus_cauchy(bare, 1j)
+        got, want = geronimus_cauchy(bare, 1j), geronimus_cauchy(cheb1, 1j)
+        assert got.sites == want.sites
+        assert np.array_equal(got.coeffs.c, want.coeffs.c)
+        assert np.array_equal(got.coeffs.lam, want.coeffs.lam)
+        assert got.coeffs.s0 == want.coeffs.s0 == cauchy_s0star(bare, 1j)
+        assert np.array_equal(got.a_seq, want.a_seq)
 
     def test_matches_plain_geronimus_with_same_s0star(self, cheb2):
         # the double-rounded s0star perturbs entry n by ~(|f|^2/lambda)^n eps,
@@ -282,6 +294,38 @@ class TestGeronimusCauchy:
         b = geronimus(m, TransformPoint(1j, s0star=s0)).coeffs
         assert np.max(np.abs(a.c[:6] - b.c[:6])) < 1e-10
         assert np.max(np.abs(a.lam[:5] - b.lam[:5])) < 1e-10
+
+    def test_pole_of_the_continued_fraction(self):
+        """c = 2, 0, 0, ..., lambda = 2 at kappa = 3: every tail is -1 and
+        the last denominator c_1 - kappa - t_2 is exactly 0."""
+        m = RecurrenceCoeffs(c=[2, 0, 0, 0, 0, 0], lam=[2] * 5)
+        for run in (cauchy_s0star, geronimus_cauchy):
+            with pytest.raises(PoleError):
+                run(m, 3)
+
+
+def test_one_continued_fraction_run_per_step(monkeypatch, capsys):
+    """A Geronimus step runs the continued fraction once (one tail seed): the
+    near-Cauchy step hands its tails to the double-double refinement and the
+    crossover, and the Cauchy-value step reads its s0star from its own run.
+    Without --s0star the CLI runs it twice, for cauchy_s0star and the step."""
+    m, kappa = family_coeffs("chebyshev1", 64), 0.3 + 0.5j
+    near = TransformPoint(kappa, s0star=cauchy_s0star(m, kappa))  # eta ~ 1e-16
+    seeds = []
+    tail_seed = darboux._tail_seed
+    monkeypatch.setattr(darboux, "_tail_seed", lambda *a: seeds.append(a) or tail_seed(*a))
+
+    def runs(f, *args) -> int:
+        seeds.clear()
+        f(*args)
+        return len(seeds)
+
+    assert runs(geronimus, m, near) == 1
+    assert runs(geronimus_cauchy, m, kappa) == 1
+    assert runs(R1System, m, TransformPoint(0.5j), TransformPoint(kappa)) == 1
+    argv = ["transform", "--family=chebyshev1", "--n-max=64", "--geronimus=0.3+0.5i"]
+    assert runs(cli.main, argv) == 2
+    assert capsys.readouterr().out
 
 
 def test_geronimus_nevai_invariance(cheb1):

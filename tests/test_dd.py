@@ -183,7 +183,7 @@ def test_dd_continued_fraction_matches_50_digits(kind, kappa, n_max):
     error in its tail seed."""
     m = family_coeffs(kind, n_max)
     c, lam = m.c.tolist(), m.lam.tolist()
-    hi, lo = darboux._dd_cf_inverse(c, lam, kappa)
+    hi, lo = darboux._dd_cf_inverse(c, lam, kappa, darboux._tails(c, lam, kappa))
     with mp.workdps(50):
         ref = 1 / darboux._cf_m_function([mp.mpc(z) for z in c], [mp.mpc(z) for z in lam],
                                          mp.mpc(kappa))

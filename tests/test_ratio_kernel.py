@@ -443,7 +443,7 @@ def test_geronimus_mpmath_fallback_matches_double_double(kind, monkeypatch):
 
 def no_crossover(monkeypatch) -> None:
     """Keep the whole R-ratio run in double-double, as with no crossover."""
-    monkeypatch.setattr(darboux, "_crossover", lambda c, lam, kappa, delta, count: count)
+    monkeypatch.setattr(darboux, "_crossover", lambda c, lam, kappa, ts, delta, count: count)
 
 
 def geronimus_k_star(m: RecurrenceCoeffs, site: TransformPoint) -> tuple:
@@ -512,7 +512,8 @@ def test_crossover_stays_double_double_when_the_cauchy_run_breaks_down():
     c[j - 1] = kappa + t
     with pytest.raises(ExistenceError):
         darboux._cauchy_run(c, lam, kappa, "")
-    assert darboux._crossover(c, lam, kappa, 1.0, len(c) - 1) == len(c) - 1
+    ts = darboux._tails(c, lam, kappa)
+    assert darboux._crossover(c, lam, kappa, ts, 1.0, len(c) - 1) == len(c) - 1
 
 
 long_prefixes = st.builds(
