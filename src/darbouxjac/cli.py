@@ -274,7 +274,8 @@ def _suite_factorization(m, kappa, s0star):
     err = max(
         float(np.max(np.abs(diag - (J.b - kappa)))), float(np.max(np.abs(off - J.a)))
     )
-    u = ul_factor(J, kappa, s0star)
+    # u_0^2 = 1/s0star is the Geronimus offset s0/s0star for s0 = 1
+    u = ul_factor(J, kappa, s0star / m.s0)
     gdiag, goff = u.reconstruct()
     nrows = len(gdiag)
     err = max(

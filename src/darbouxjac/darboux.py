@@ -3,11 +3,12 @@
 Christoffel at kappa maps the functional L to L*[p] = L[(z-kappa)p]; its
 coefficients follow from the ratios w_n = P_n(kappa)/P_{n-1}(kappa).
 Geronimus at (kappa, s0star) inverts it, driven by the ratios of
-R_n = P_n + Q_n/s0star.  Both come from one kernel, ``_ratio_run``, which
-carries the ratios *and* their differences e_n = w_n - w_{n-1} through a
-recurrence with exact inputs (the differential-qd idea of Fernando and
-Parlett), so the tiny differences that make up the new diagonal keep their
-relative accuracy instead of being cancelled out of two O(1) ratios.
+R_n = P_n + Q_n/s0star.  Both come from one kernel, ``polyeval._ratio_run``
+(the library's one forward ratio loop), which carries the ratios *and* their
+differences e_n = w_n - w_{n-1} through a recurrence with exact inputs (the
+differential-qd idea of Fernando and Parlett), so the tiny differences that
+make up the new diagonal keep their relative accuracy instead of being
+cancelled out of two O(1) ratios.
 
 Which precision runs:
 
@@ -66,7 +67,7 @@ from .errors import (
     QuadratureError,
     ZeroHitError,
 )
-from .polyeval import _scaled_run, _unscaled, eval_P, ratio_sequence
+from .polyeval import _BREAKDOWN_RTOL, _ratio_run, _scaled_run, _unscaled, eval_P, ratio_sequence
 
 __all__ = [
     "TransformPoint",
@@ -83,8 +84,6 @@ __all__ = [
 
 _log = logging.getLogger("darbouxjac")
 
-# Relative cancellation threshold for ratio/pivot breakdown detection.
-_BREAKDOWN_RTOL = 1e-13
 # |z - kappa| below this switches kernel_eval to the transformed recurrence.
 _KERNEL_SWITCH = 1e-12
 
@@ -135,69 +134,6 @@ class TransformedCoeffs:
     ratio_seq: np.ndarray | None = None
     a_seq: np.ndarray | None = None
     notes: tuple[str, ...] = ()
-
-
-# ---------------------------------------------------------------------------
-# Ratio-and-difference kernel shared by both transforms
-# ---------------------------------------------------------------------------
-
-def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None, rtol=_BREAKDOWN_RTOL):
-    """Ratios w[k] = y_{k+1}(kappa)/y_k(kappa) and differences e[k] = w[k] - w[k-1].
-
-    y solves the monic recurrence with y_0 = 1, y_1 = kappa - c[0] + offset
-    (offset 0 gives P, offset s0/s0star gives R), so w[0] = kappa - c[0] +
-    offset and
-
-        w[k] = kappa - c[k] - lam[k-1]/w[k-1]                 (k >= 1)
-        e[k] = (c[k-1] - c[k]) + (lam[k-2] - lam[k-1])/w[k-1]
-               + lam[k-2] e[k-1] / (w[k-2] w[k-1])            (k >= 2)
-
-    with e[1] = (c[0] - c[1]) - offset - lam[0]/w[0].
-
-    Every input of the e-recurrence is exact, so e[k] keeps its relative
-    accuracy however small it is.  e[0] is 0 by convention.  The same code
-    runs on Python complex and on mpmath mpc (in the caller's working
-    precision); ``_dd_ratio_run`` is its double-double form.
-
-    ``head = (ws, es)``, the first K >= 2 ratios and differences of the run
-    (from a run in another precision), restarts it at k = K: the returned
-    lists are copies of ``head`` continued up to ``count``.
-
-    Raises ExistenceError(what, n) when y_n(kappa) cancels to within ``rtol``
-    (_BREAKDOWN_RTOL for double) of the terms that make it up (n = k + 1).
-    """
-    if head is None:
-        term1 = kappa - c[0]
-        w = term1 + offset
-        # Without an offset the cancellation at n = 1 is kappa against c_1.
-        scale = max(abs(term1), abs(offset)) if offset else max(abs(kappa), abs(c[0]), 1)
-        if abs(w) < rtol * scale:
-            raise ExistenceError(what, 1)
-        ws, es = [w], [0 * w]
-        inv_prev = e = None
-    else:
-        ws, es = list(head[0]), list(head[1])
-        w, e, inv_prev = ws[-1], es[-1], 1 / ws[-2]
-    for k in range(len(ws), count):
-        inv = 1 / w  # one division per step: it dominates the mpc cost
-        term1 = kappa - c[k]
-        term2 = lam[k - 1] * inv
-        w = term1 - term2
-        scale = max(abs(term1), abs(term2))
-        if abs(w) < rtol * scale or scale == 0:
-            raise ExistenceError(what, k + 1)
-        if k == 1:
-            e = (c[0] - c[1]) - offset - term2
-        else:
-            e = (
-                (c[k - 1] - c[k])
-                + (lam[k - 2] - lam[k - 1]) * inv
-                + lam[k - 2] * e * inv_prev * inv
-            )
-        inv_prev = inv
-        ws.append(w)
-        es.append(e)
-    return ws, es
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +239,11 @@ def christoffel_two(
 ) -> TransformedCoeffs:
     """Two-point Christoffel transform: the OPS of (x-k1)(x-k2) dmu.
 
-    Implemented as two single-site transforms; existence is certified by
+    Implemented as two single-site transforms; existence asks that
     Delta_n = P_{n+1}(k1)P_{n+1}(k2)[P_n(k2)/P_{n+1}(k2) - P_n(k1)/P_{n+1}(k1)]
-    staying away from zero for every usable n.
+    stay away from zero for every usable n.  P*_n(k1; k2) = Delta_n/((k1 - k2)
+    P_n(k1)), so the second step's breakdown test certifies it: its
+    ExistenceError is raised again with the Delta_n message and the same n.
     """
     notes = []
     repeated = k1.kappa == k2.kappa
@@ -316,25 +254,16 @@ def christoffel_two(
         # Delta_n as stated degenerates for coincident points; the second
         # single-site transform below still certifies P*_n(kappa) != 0.
         notes.append("unverified-existence:repeated-site")
-    else:
-        try:
-            rho1 = ratio_sequence(m, k1.kappa, "P").values
-            rho2 = ratio_sequence(m, k2.kappa, "P").values
-        except ZeroHitError as exc:
-            raise ExistenceError("two-point transform does not exist", exc.index) from exc
-        inv1 = 1.0 / rho1
-        inv2 = 1.0 / rho2
-        bracket = inv2 - inv1
-        scale = np.maximum(np.abs(inv1), np.abs(inv2))
-        bad = np.abs(bracket) <= _BREAKDOWN_RTOL * scale
-        if np.any(bad):
-            n = int(np.flatnonzero(bad)[0])
-            raise ExistenceError(
-                f"Delta_n vanishes within tolerance for kappa1={k1.kappa}, kappa2={k2.kappa}",
-                n,
-            )
     first = christoffel(m, k1)
-    second = christoffel(first.coeffs, k2)
+    try:
+        second = christoffel(first.coeffs, k2)
+    except ExistenceError as exc:
+        if repeated:
+            raise
+        raise ExistenceError(
+            f"Delta_n vanishes within tolerance for kappa1={k1.kappa}, kappa2={k2.kappa}",
+            exc.index,
+        ) from exc
     return TransformedCoeffs(
         base=m,
         sites=(k1, k2),

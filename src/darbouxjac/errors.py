@@ -18,7 +18,7 @@ class PrefixError(DarbouxError, ValueError):
 
 
 class ZeroHitError(DarbouxError, ArithmeticError):
-    """A ratio recurrence hit a zero of the underlying polynomial."""
+    """A ratio run hit a zero of y_n: y_n(z) cancelled to 1e-13 of its terms."""
 
     def __init__(self, index: int, which: str = "P"):
         self.index = index

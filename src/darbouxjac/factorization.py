@@ -5,6 +5,10 @@ Entry recurrences (lower):  d_0 = b_0 - kappa,  d_j v_j = a_j,
 d_{j+1} = b_{j+1} - kappa - d_j v_j^2.  Upper:  t_0 = 1, u_0^2 = 1/s0star
 (the free parameter; this choice pins one factorization),
 t_{j+1} = b_j - kappa - t_j u_j^2,  t_{j+1} u_{j+1} = a_j.
+
+The pivots are ratios of the monic polynomials of J (c = b, lambda = a^2),
+d_j = -P_{j+1}(kappa)/P_j(kappa) and t_j = -R_j(kappa)/R_{j-1}(kappa) (R at
+offset 1/s0star): one ``polyeval._ratio_run`` each, with its breakdown test.
 """
 from __future__ import annotations
 
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SymmetricJacobi
-from .errors import ConfigurationError, FactorBreakdownError
+from .errors import ConfigurationError, ExistenceError, FactorBreakdownError
+from .polyeval import _ratio_run
 
 __all__ = [
     "LowerFactor",
@@ -24,9 +29,6 @@ __all__ = [
     "build_JC",
     "build_JG",
 ]
-
-_BREAKDOWN_RTOL = 1e-13
-
 
 @dataclass(frozen=True)
 class LowerFactor:
@@ -82,6 +84,16 @@ class UpperFactor:
         return diag, off
 
 
+def _pivots(J: SymmetricJacobi, kappa: complex, offset, count: int, which: str) -> np.ndarray:
+    """Pivots d (offset 0) or t_1.. (offset 1/s0star): -w of the ratio run; a
+    breakdown at y_n is FactorBreakdownError at d_{n-1} or t_n."""
+    try:
+        w = _ratio_run(J.b.tolist(), (J.a**2).tolist(), kappa, offset, count, "")[0]
+    except ExistenceError as exc:
+        raise FactorBreakdownError(exc.index - (which == "d"), which) from None
+    return -np.array(w[:count], dtype=complex)
+
+
 def lu_factor(J: SymmetricJacobi, kappa: complex) -> LowerFactor:
     """LDL^T data of J - kappa I.
 
@@ -90,36 +102,17 @@ def lu_factor(J: SymmetricJacobi, kappa: complex) -> LowerFactor:
     FactorBreakdownError naming the index.
     """
     kappa = complex(kappa)
-    n = J.n_max
-    d = np.empty(n, dtype=complex)
-    v = np.empty(n - 1, dtype=complex)
-    d[0] = J.b[0] - kappa
-    for j in range(n - 1):
-        local = max(abs(J.b[j]), abs(kappa), abs(d[j - 1] * v[j - 1] ** 2) if j else 0.0)
-        if abs(d[j]) <= _BREAKDOWN_RTOL * max(local, 1.0):
-            raise FactorBreakdownError(j, "d")
-        v[j] = J.a[j] / d[j]
-        d[j + 1] = J.b[j + 1] - kappa - d[j] * v[j] ** 2
-    return LowerFactor(kappa=kappa, d=d, v=v, sqrt_d=np.sqrt(d))
+    d = _pivots(J, kappa, 0j, J.n_max, "d")
+    return LowerFactor(kappa=kappa, d=d, v=J.a / d[:-1], sqrt_d=np.sqrt(d))
 
 
 def ul_factor(J: SymmetricJacobi, kappa: complex, s0star: complex) -> UpperFactor:
     """UDU^T data of J - kappa I with the convention t_0 = 1, u_0^2 = 1/s0star."""
-    kappa = complex(kappa)
-    s0star = complex(s0star)
+    kappa, s0star = complex(kappa), complex(s0star)
     if s0star == 0:
         raise ConfigurationError("ul_factor needs s0star != 0")
-    n = J.n_max
-    t = np.empty(n, dtype=complex)
-    u = np.empty(n, dtype=complex)
-    t[0] = 1.0
-    u[0] = np.sqrt(1.0 / (s0star + 0j))
-    for j in range(n - 1):
-        t[j + 1] = J.b[j] - kappa - t[j] * u[j] ** 2
-        local = max(abs(J.b[j]), abs(kappa), abs(t[j] * u[j] ** 2))
-        if abs(t[j + 1]) <= _BREAKDOWN_RTOL * max(local, 1.0):
-            raise FactorBreakdownError(j + 1, "t")
-        u[j + 1] = J.a[j] / t[j + 1]
+    t = np.concatenate(([1.0 + 0j], _pivots(J, kappa, 1 / s0star, J.n_max - 1, "t")))
+    u = np.concatenate(([np.sqrt(1.0 / (s0star + 0j))], J.a / t[1:]))
     return UpperFactor(kappa=kappa, s0star=s0star, t=t, u=u, sqrt_t=np.sqrt(t))
 
 

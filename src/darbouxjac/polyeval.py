@@ -17,6 +17,10 @@ point keeps a power-of-two scale (``log_scale``), tested against the window
 follows the inputs: real points (the Gauss nodes of a real prefix) over real
 initial data and a real prefix run in float64 and give back the complex
 arrays the complex run gives, bit for bit.
+
+``_ratio_run`` is the one forward loop of ratios y_{k+1}/y_k and their
+differences: ``ratio_sequence``, the ``darboux`` transforms and the
+``factorization`` pivots all read it.
 """
 from __future__ import annotations
 
@@ -26,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RecurrenceCoeffs
-from .errors import ConfigurationError, EvaluationRangeError, PrefixError, ZeroHitError
+from .errors import (ConfigurationError, EvaluationRangeError, ExistenceError, PrefixError,
+                     ZeroHitError)
 
 __all__ = [
     "EvalTriple",
@@ -42,8 +47,10 @@ __all__ = [
 # like |z|^n while monic Chebyshev values decay like 2^-n.
 _SCALE_HI = 1e150
 _SCALE_LO = 1e-150
-# |r_n| below this is a genuine zero hit, not underflow.
+# max(|y_{k-1}|, |y_k|) below this is a zero hit, not underflow: left unscaled.
 _ZERO_HIT = 1e-290
+# y_n cancelling to this fraction of its terms is a zero: ``_ratio_run``'s breakdown test.
+_BREAKDOWN_RTOL = 1e-13
 # Between window tests values may grow to 1e290 (room for y', E) or sink to _ZERO_HIT.
 _ROOM = 1e140
 
@@ -283,37 +290,84 @@ def evaluate(m: RecurrenceCoeffs, n: int, z: complex, s0star: complex | None = N
     )
 
 
-def ratio_sequence(
-    m: RecurrenceCoeffs,
-    z: complex,
-    which: str = "P",
-    s0star: complex | None = None,
-    n_terms: int | None = None,
-) -> RatioSequence:
+def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None):
+    """Ratios w[k] = y_{k+1}(kappa)/y_k(kappa) and differences e[k] = w[k] - w[k-1].
+
+    y solves the monic recurrence with y_0 = 1, y_1 = kappa - c[0] + offset
+    (offset 0 gives P, offset s0/s0star gives R), so w[0] = y_1 and
+
+        w[k] = kappa - c[k] - lam[k-1]/w[k-1]                 (k >= 1)
+        e[k] = (c[k-1] - c[k]) + (lam[k-2] - lam[k-1])/w[k-1]
+               + lam[k-2] e[k-1] / (w[k-2] w[k-1])            (k >= 2)
+
+    with e[1] = (c[0] - c[1]) - offset - lam[0]/w[0] and e[0] = 0.  Every input
+    of the e-recurrence is exact, so e[k] keeps its relative accuracy however
+    small it is.  The same code runs on Python complex and on mpmath mpc (in
+    the caller's working precision); ``darboux._dd_ratio_run`` is its
+    double-double form.
+
+    ``head = (ws, es)``, the first K >= 2 ratios and differences of the run
+    (from a run in another precision), restarts it at k = K: the returned
+    lists are copies of ``head`` continued up to ``count``.
+
+    Raises ExistenceError(what, n) when y_n(kappa) cancels to within
+    _BREAKDOWN_RTOL of the terms that make it up (n = k + 1).
+    """
+    if head is None:
+        term1 = kappa - c[0]
+        w = term1 + offset
+        # Without an offset the cancellation at n = 1 is kappa against c_1.
+        scale = max(abs(term1), abs(offset)) if offset else max(abs(kappa), abs(c[0]), 1)
+        if abs(w) < _BREAKDOWN_RTOL * scale:
+            raise ExistenceError(what, 1)
+        ws, es = [w], [0 * w]
+        inv_prev = e = None
+    else:
+        ws, es = list(head[0]), list(head[1])
+        w, e, inv_prev = ws[-1], es[-1], 1 / ws[-2]
+    for k in range(len(ws), count):
+        inv = 1 / w  # one division per step: it dominates the mpc cost
+        term1 = kappa - c[k]
+        term2 = lam[k - 1] * inv
+        w = term1 - term2
+        scale = max(abs(term1), abs(term2))
+        if abs(w) < _BREAKDOWN_RTOL * scale or scale == 0:
+            raise ExistenceError(what, k + 1)
+        if k == 1:
+            e = (c[0] - c[1]) - offset - term2
+        else:
+            e = (
+                (c[k - 1] - c[k])
+                + (lam[k - 2] - lam[k - 1]) * inv
+                + lam[k - 2] * e * inv_prev * inv
+            )
+        inv_prev = inv
+        ws.append(w)
+        es.append(e)
+    return ws, es
+
+
+def ratio_sequence(m: RecurrenceCoeffs, z: complex, which: str = "P",
+                   s0star: complex | None = None, n_terms: int | None = None) -> RatioSequence:
     """Ratios r_n = y_n/y_{n-1} via r_{n+1} = z - c_{n+1} - lambda_{n+1}/r_n.
 
-    Overflow-free: only ratios are propagated.  Raises ZeroHitError when the
-    recurrence hits a zero of y_n at z (|r_n| < 1e-290).
+    One ``_ratio_run``: P and R at offset 0 and s0/s0star, Q (Q_0 = 0, so it
+    starts at r_2 = z - c_2) on the prefix shifted by one.  Raises
+    ZeroHitError(n, which) when y_n(z) cancels to within _BREAKDOWN_RTOL of
+    its terms, or r_n is not finite.
     """
-    y0, y1 = _initial_pair(m, which, z, s0star)
-    if which == "Q":
-        # Q_0 = 0: the ratio chain starts at r_2 = Q_2/Q_1 = z - c_2.
-        if m.n_max < 2:
-            raise PrefixError("Q-ratio sequence needs n_max >= 2")
-        start = 2
-        r = z - m.c[1]
-    else:
-        start = 1
-        r = y1 / y0
-    last = m.n_max if n_terms is None else start - 1 + n_terms
+    _initial_pair(m, which, z, s0star)  # ConfigurationError for a bad which or s0star
+    start = 2 if which == "Q" else 1
+    count = m.n_max + 1 - start if n_terms is None else n_terms
+    last = start - 1 + max(count, 1)  # the run always takes r_start
     if last > m.n_max:
         raise PrefixError(f"ratio r_{last} exceeds prefix length {m.n_max}")
-    values = np.empty(last - start + 1, dtype=complex)
-    c, lam = m.c, m.lam
-    for n in range(start, last + 1):
-        if n > start:
-            r = (z - c[n - 1]) - lam[n - 2] / r
-        if abs(r) < _ZERO_HIT or not np.isfinite(r):
-            raise ZeroHitError(n, which)
-        values[n - start] = r
+    offset = m.s0 / s0star if which == "R" else 0j
+    c, lam = (x[start - 1 : start - 1 + count].tolist() for x in (m.c, m.lam))
+    try:
+        values = np.array(_ratio_run(c, lam, complex(z), offset, count, "")[0][:count])
+    except ExistenceError as exc:
+        raise ZeroHitError(exc.index + start - 1, which) from None
+    if not np.isfinite(values).all():
+        raise ZeroHitError(int(np.argmin(np.isfinite(values))) + start, which)
     return RatioSequence(z=z, which=which, start=start, values=values)

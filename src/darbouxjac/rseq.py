@@ -31,7 +31,6 @@ from .darboux import (
     GeronimusChain,
     TransformPoint,
     christoffel,
-    christoffel_two,
     geronimus,
     geronimus_cauchy,
 )
@@ -311,12 +310,10 @@ class R2System:
         self.m = m
         self.kappa1 = kappa1
         self.kappa1_bar = complex(np.conj(kappa1)) if kappa2 is None else complex(kappa2)
-        self.rho = ratio_sequence(m, kappa1, "P").values
+        # the two steps of christoffel_two; their ratio runs are rho and kernel_rho
         self.tc1 = christoffel(m, TransformPoint(kappa1))
-        self.kernel_rho = ratio_sequence(self.tc1.coeffs, self.kappa1_bar, "P").values
-        self.tc2 = christoffel_two(
-            m, TransformPoint(kappa1), TransformPoint(self.kappa1_bar)
-        )
+        self.tc2 = christoffel(self.tc1.coeffs, TransformPoint(self.kappa1_bar))
+        self.rho, self.kernel_rho = self.tc1.ratio_seq, self.tc2.ratio_seq
 
     def coeffs(self, q: QuasiOrthogonal, n: int) -> RIICoefficients:
         if q.order != 2:

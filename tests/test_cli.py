@@ -380,6 +380,18 @@ class TestVerify:
         assert list(doc["suites"]) == ["m-identities"]
         assert doc["suites"]["m-identities"]["max_residual"] <= 1e-9
 
+    def test_factorization_suite_on_a_coeff_file_with_s0(self, tmp_path, capsys):
+        # a Christoffel transform carries s0 = (c_1 - kappa) s_0 = -i; the UDU^T
+        # factor takes the Geronimus offset s0/s0star (it once took 1/s0star)
+        path = tmp_path / "kernel.json"
+        argv = ["transform", "--family=chebyshev1", "--christoffel=0+1i", "--n=64"]
+        assert main(argv + [f"--output={path}"]) == 0
+        assert complex(*json.loads(path.read_text())["s0"]) == -1j
+        argv = ["verify", f"--coeff-file={path}", "--suite=factorization", "--kappa=0.3+0.5i"]
+        assert main(argv) == 0
+        entry = json.loads(capsys.readouterr().out)["suites"]["factorization"]
+        assert entry["pass"] and entry["agreement_error"] <= 1e-10
+
     def test_r1_suite_on_a_coeff_file(self, tmp_path, capsys):
         # the Cauchy value of a prefix with no preset weight (it once exited 1:
         # the quadrature cross-check needed the weight)

@@ -136,6 +136,14 @@ class TestChristoffelTwo:
                 got = eval_P(tc.coeffs, n, z)
                 assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
 
+    def test_vanishing_delta_raises_at_its_index(self):
+        # P_2/P_1 = 3i at both i and 2i, so Delta_1 = 0 exactly: the second
+        # step's breakdown test refuses it with the Delta_n message
+        m = RecurrenceCoeffs(c=np.zeros(8), lam=[2.0] + [0.25] * 6)
+        with pytest.raises(ExistenceError, match="Delta_n vanishes") as err:
+            christoffel_two(m, TransformPoint(1j), TransformPoint(2j))
+        assert err.value.index == 1
+
     def test_repeated_site_flagged(self, cheb1):
         tc = christoffel_two(cheb1, TransformPoint(2j), TransformPoint(2j))
         assert any("repeated-site" in note for note in tc.notes)

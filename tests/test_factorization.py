@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from darbouxjac.core import family_coeffs, symmetric_jacobi_matrix, symmetrize
+from darbouxjac.core import RecurrenceCoeffs, family_coeffs, symmetric_jacobi_matrix, symmetrize
 from darbouxjac.darboux import TransformPoint, christoffel, geronimus
 from darbouxjac.errors import ConfigurationError, FactorBreakdownError
 from darbouxjac.factorization import build_JC, build_JG, lower_from_upper, lu_factor, ul_factor
@@ -54,6 +54,17 @@ class TestLuFactor:
         with pytest.raises(FactorBreakdownError) as err:
             lu_factor(symmetrize(cheb1), 0.0)
         assert err.value.index == 0
+
+    def test_breakdown_at_the_last_pivot(self, cheb1):
+        # c_12 = kappa - lambda_12 P_10/P_11 at kappa makes P_12(kappa) = 0:
+        # d_11, the last pivot of the 12-term factorization, collapses
+        kappa, m = 1j, cheb1.truncated(12)
+        w = ratio_sequence(m, kappa).values
+        c = m.c.copy()
+        c[-1] = kappa - m.lam[-1] / w[-2]
+        with pytest.raises(FactorBreakdownError) as err:
+            lu_factor(symmetrize(RecurrenceCoeffs(c=c, lam=m.lam)), kappa)
+        assert (err.value.index, err.value.which) == (11, "d")
 
 
 class TestBuildJC:

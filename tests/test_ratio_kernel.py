@@ -27,16 +27,21 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, reject, settings
 from hypothesis import strategies as st
 
-from darbouxjac import darboux
-from darbouxjac.core import CHEBYSHEV_KINDS, RecurrenceCoeffs, family_coeffs
+from darbouxjac import darboux, factorization, polyeval
+from darbouxjac.core import CHEBYSHEV_KINDS, RecurrenceCoeffs, family_coeffs, symmetrize
 from darbouxjac.darboux import (
     GeronimusChain,
     TransformPoint,
     cauchy_s0star,
     christoffel,
+    christoffel_two,
     geronimus,
+    kernel_eval,
 )
-from darbouxjac.errors import ExistenceError
+from darbouxjac.errors import ExistenceError, FactorBreakdownError, ZeroHitError
+from darbouxjac.factorization import lu_factor, ul_factor
+from darbouxjac.polyeval import ratio_sequence
+from darbouxjac.rseq import R2System
 from darbouxjac.spectral import cluster_distance
 
 N_MAX = 48
@@ -544,3 +549,55 @@ def test_geronimus_at_cauchy_value_far_from_support(kappa, monkeypatch):
     site = TransformPoint(kappa, s0star=cauchy_s0star(m, kappa))
     tc = geronimus(m, site)
     assert_entrywise(tc, reference(ul_step, m, kappa, site.s0star, dps=resolving_dps(kappa)))
+
+
+# ---------------------------------------------------------------------------
+# the one forward ratio run: ratio sequences, LDL^T/UDU^T pivots, transforms
+# ---------------------------------------------------------------------------
+
+def test_near_zero_is_refused_at_its_index_by_every_reader():
+    """c = 0, lambda_2 = -1 + 1e-15 at kappa = i: P_2(i) = -1e-15 cancels to
+    1e-15 of its terms, so every reader of the ratio run refuses n = 2 (the
+    ratio sequence and the kernel values once went on past it)."""
+    m, site = RecurrenceCoeffs(c=np.zeros(8), lam=[-1 + 1e-15] + [0.25] * 6), TransformPoint(1j)
+    for call in (lambda: christoffel(m, site), lambda: kernel_eval(m, site, 4, 0.5 + 0.5j)):
+        with pytest.raises(ExistenceError) as err:
+            call()
+        assert err.value.index == 2
+    with pytest.raises(ZeroHitError) as err:
+        ratio_sequence(m, 1j)
+    assert (err.value.index, err.value.which) == (2, "P")
+    with pytest.raises(FactorBreakdownError) as err:
+        lu_factor(symmetrize(m), 1j)
+    assert (err.value.index, err.value.which) == (1, "d")
+
+
+@PROPERTY
+@given(prefixes, kappas(), st.data())
+def test_ratio_sequence_and_pivots_are_the_transform_ratio_run(m, kappa, data):
+    """christoffel's ratios are ratio_sequence's bit for bit; the pivots
+    -d_j and -t_j are the P and R ratios on J's monic form c = b, lambda = a^2."""
+    s0star = data.draw(opposite_s0star(kappa))
+    rho = ratio_sequence(m, kappa).values
+    assert np.array_equal(christoffel(m, TransformPoint(kappa)).ratio_seq, rho)
+    r = ratio_sequence(m, kappa, "R", s0star=s0star).values
+    J = symmetrize(m)
+    for got, ref in ((-lu_factor(J, kappa).d, rho), (-ul_factor(J, kappa, s0star / m.s0).t[1:], r[:-1])):
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+
+def test_two_point_transforms_take_one_ratio_run_per_site(monkeypatch):
+    run, calls = polyeval._ratio_run, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return run(*args, **kwargs)
+
+    for module in (polyeval, darboux, factorization):
+        monkeypatch.setattr(module, "_ratio_run", counted)
+    m = family_coeffs("chebyshev1", N_MAX)
+    christoffel_two(m, TransformPoint(0.3 + 1j), TransformPoint(0.3 - 1j))
+    assert calls == [0.3 + 1j, 0.3 - 1j]
+    calls.clear()
+    R2System(m, 0.3 + 1j)
+    assert calls == [0.3 + 1j, 0.3 - 1j]
