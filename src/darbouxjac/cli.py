@@ -1,9 +1,12 @@
 """Command-line front end: transform / zeros / verify.
 
+``main`` builds only the subcommand that argv[0] names, else the full parser.
+
 Exit codes: 0 pass, 1 check or existence failure (a malformed --coeff-file
 included), 2 usage error, 3 fixtures/environment error (an unreadable
---coeff-file included).  Complex literals must carry both parts ("0+1i",
-"1.5-2i"); outputs are deterministic for a fixed configuration.
+--coeff-file and a malformed fixtures file included).  Complex literals must
+carry both parts ("0+1i", "1.5-2i"); outputs are deterministic for a fixed
+configuration.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ import json
 import os
 import re
 import sys
-from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -288,25 +290,27 @@ def _suite_factorization(m, kappa, s0star):
     return {"pass": ok, "reconstruction_error": err, "agreement_error": agree}
 
 
-def _suite_ratio_asymptotics(m, kappa, s0star, entry):
-    z = complex(*entry["z"])
+def _suite_ratio_asymptotics(entry):
+    """The ratio-asymptotics suite of a fixture entry, whose fields are read
+    here, so that a missing or malformed one raises before any suite runs."""
+    z, kap, s0 = (complex(*entry[k]) for k in ("z", "kappa", "s0star"))
     n_check = int(entry["n_check"])
-    kap = complex(*entry["kappa"])
-    s0 = complex(*entry["s0star"])
-    tc = christoffel(m, TransformPoint(kap))
-    rep_c = spectral.ratio_asymptotic_check(tc.coeffs, [z], n_check)
-    tg = geronimus(m, TransformPoint(kap, s0star=s0))
-    rep_g = spectral.ratio_asymptotic_check(tg.coeffs, [z], n_check)
-    err_c = float(rep_c.errors[0])
-    err_g = float(rep_g.errors[0])
-    ok = err_c <= entry["christoffel_threshold"] and err_g <= entry["geronimus_threshold"]
-    return {
-        "pass": ok,
-        "christoffel_error": err_c,
-        "geronimus_error": err_g,
-        "christoffel_threshold": entry["christoffel_threshold"],
-        "geronimus_threshold": entry["geronimus_threshold"],
-    }
+    thr_c, thr_g = (float(entry[f"{k}_threshold"]) for k in ("christoffel", "geronimus"))
+
+    def suite(m, kappa, s0star):
+        tc = christoffel(m, TransformPoint(kap))
+        rep_c = spectral.ratio_asymptotic_check(tc.coeffs, [z], n_check)
+        tg = geronimus(m, TransformPoint(kap, s0star=s0))
+        rep_g = spectral.ratio_asymptotic_check(tg.coeffs, [z], n_check)
+        err_c, err_g = float(rep_c.errors[0]), float(rep_g.errors[0])
+        return {
+            "pass": err_c <= thr_c and err_g <= thr_g,
+            "christoffel_error": err_c,
+            "geronimus_error": err_g,
+            "christoffel_threshold": thr_c,
+            "geronimus_threshold": thr_g,
+        }
+    return suite
 
 
 _SUITES = {
@@ -315,7 +319,7 @@ _SUITES = {
     "r1": _suite_r1,
     "r2": _suite_r2,
     "factorization": _suite_factorization,
-    "ratio-asymptotics": _suite_ratio_asymptotics,  # needs its fixture entry
+    "ratio-asymptotics": _suite_ratio_asymptotics,  # called on its fixture entry first
 }
 
 
@@ -324,22 +328,25 @@ def cmd_verify(args) -> int:
     if not os.path.exists(fixtures_path):
         print(f"error: fixtures file not found: {fixtures_path}", file=sys.stderr)
         return 3
-    with open(fixtures_path, "r", encoding="utf-8") as fh:
-        fixtures = json.load(fh)
+    with open(fixtures_path, "rb") as fh:
+        raw = fh.read()
     m = _load_base(args)
     kappa = args.kappa
     s0star = args.s0star
     suites = args.suite or list(_SUITES)
     run = dict(_SUITES)
-    if "ratio-asymptotics" in suites:
-        entry = fixtures.get("ratio_asymptotic", {}).get(args.family or "custom")
-        if entry is None:
-            print(
-                f"error: fixtures carry no thresholds for family {args.family!r}",
-                file=sys.stderr,
-            )
-            return 3
-        run["ratio-asymptotics"] = partial(_suite_ratio_asymptotics, entry=entry)
+    try:
+        fixtures = json.loads(raw.decode("utf-8"))
+        if "ratio-asymptotics" in suites:
+            entry = fixtures.get("ratio_asymptotic", {}).get(args.family or "custom")
+            if entry is None:
+                print(f"error: fixtures carry no thresholds for family {args.family!r}",
+                      file=sys.stderr)
+                return 3
+            run["ratio-asymptotics"] = _suite_ratio_asymptotics(entry)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        print(f"error: malformed fixtures file {fixtures_path}: {exc!r}", file=sys.stderr)
+        return 3
     report = {"v": 1, "kappa": _fmt_c(kappa), "suites": {}}
     all_pass = True
     for name in suites:
@@ -355,58 +362,69 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _transform_args(p) -> None:
+    p.add_argument("--christoffel", type=parse_complex, metavar="KAPPA")
+    p.add_argument("--geronimus", type=parse_complex, metavar="KAPPA")
+    p.add_argument("--s0star", type=parse_complex)
+    p.add_argument("--then-christoffel", type=parse_complex, metavar="KAPPA")
+    p.add_argument("--then-geronimus", type=parse_complex, metavar="KAPPA")
+    p.add_argument("--then-s0star", type=parse_complex)
+    p.add_argument("--n", type=int, help="output prefix length")
+
+
+def _zeros_args(p) -> None:
+    p.add_argument("--kind", choices=("plain", "christoffel", "geronimus"), default="plain")
+    p.add_argument("--kappa", type=parse_complex, default=complex(0, 1))
+    p.add_argument("--s0star", type=parse_complex, default=complex(1, 0))
+    p.add_argument("--n-list", type=parse_n_list, required=True)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _verify_args(p) -> None:
+    p.add_argument("--suite", action="append", choices=_SUITES)
+    p.add_argument("--kappa", type=parse_complex, default=complex(0, 1))
+    p.add_argument("--s0star", type=parse_complex, default=complex(1, 0))
+    p.add_argument("--fixtures")
+
+
+# name: (help, options, handler), in the order the usage lists them
+_COMMANDS = {
+    "transform": ("write a transformed coefficient file", _transform_args, cmd_transform),
+    "zeros": ("emit zero clouds as CSV/JSON", _zeros_args, cmd_zeros),
+    "verify": ("run invariant suites against fixtures", _verify_args, cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names
+    one.  The top-level usage lists all subcommands either way, so a parser
+    built for argv[0] prints what the full one does."""
     parser = argparse.ArgumentParser(
         prog="darbouxjac",
         description="Christoffel/Geronimus transformations of complex Jacobi matrices",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_base(p):
-        src = p.add_mutually_exclusive_group(required=False)
-        src.add_argument("--family", choices=CHEBYSHEV_KINDS)
-        src.add_argument("--coeff-file")
-        p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-        p.add_argument("--output")
-
-    p_tr = sub.add_parser("transform", help="write a transformed coefficient file")
-    add_base(p_tr)
-    p_tr.add_argument("--christoffel", type=parse_complex, metavar="KAPPA")
-    p_tr.add_argument("--geronimus", type=parse_complex, metavar="KAPPA")
-    p_tr.add_argument("--s0star", type=parse_complex)
-    p_tr.add_argument("--then-christoffel", type=parse_complex, metavar="KAPPA")
-    p_tr.add_argument("--then-geronimus", type=parse_complex, metavar="KAPPA")
-    p_tr.add_argument("--then-s0star", type=parse_complex)
-    p_tr.add_argument("--n", type=int, help="output prefix length")
-
-    p_z = sub.add_parser("zeros", help="emit zero clouds as CSV/JSON")
-    add_base(p_z)
-    p_z.add_argument("--kind", choices=("plain", "christoffel", "geronimus"), default="plain")
-    p_z.add_argument("--kappa", type=parse_complex, default=complex(0, 1))
-    p_z.add_argument("--s0star", type=parse_complex, default=complex(1, 0))
-    p_z.add_argument("--n-list", type=parse_n_list, required=True)
-    p_z.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p_v = sub.add_parser("verify", help="run invariant suites against fixtures")
-    add_base(p_v)
-    p_v.add_argument("--suite", action="append", choices=_SUITES)
-    p_v.add_argument("--kappa", type=parse_complex, default=complex(0, 1))
-    p_v.add_argument("--s0star", type=parse_complex, default=complex(1, 0))
-    p_v.add_argument("--fixtures")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, add_options, _) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            src = p.add_mutually_exclusive_group(required=False)
+            src.add_argument("--family", choices=CHEBYSHEV_KINDS)
+            src.add_argument("--coeff-file")
+            p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+            p.add_argument("--output")
+            add_options(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if not (args.family or args.coeff_file):
         parser.error("one of --family or --coeff-file is required")
     try:
-        if args.command == "transform":
-            return cmd_transform(args)
-        if args.command == "zeros":
-            return cmd_zeros(args)
-        return cmd_verify(args)
+        return _COMMANDS[args.command][2](args)
     except DarbouxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -127,8 +127,8 @@ class RecurrenceCoeffs:
             "kind": "recurrence",
             "n_max": self.n_max,
             "s0": [self.s0.real, self.s0.imag],
-            "c": [[z.real, z.imag] for z in self.c],
-            "lambda": [[z.real, z.imag] for z in self.lam],
+            "c": self.c.view(np.float64).reshape(-1, 2).tolist(),
+            "lambda": self.lam.view(np.float64).reshape(-1, 2).tolist(),
         }
         if self.family is not None:
             d["family"] = self.family.kind
@@ -202,8 +202,8 @@ class SymmetricJacobi:
             "v": 1,
             "kind": "symmetric",
             "n_max": self.n_max,
-            "b": [[z.real, z.imag] for z in self.b],
-            "a": [[z.real, z.imag] for z in self.a],
+            "b": self.b.view(np.float64).reshape(-1, 2).tolist(),
+            "a": self.a.view(np.float64).reshape(-1, 2).tolist(),
             "sqrt_branch": [int(s) for s in self.sqrt_branch],
         }
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -61,6 +62,71 @@ class TestNList:
     def test_empty_exits_2(self):
         proc = run_cli(["zeros", "--family", "chebyshev1", "--n-list", ""])
         assert proc.returncode == 2
+
+
+class TestParser:
+    OPTIONS = {
+        "transform": {"--christoffel", "--geronimus", "--s0star", "--then-christoffel",
+                      "--then-geronimus", "--then-s0star", "--n"},
+        "zeros": {"--kind", "--kappa", "--s0star", "--n-list", "--format"},
+        "verify": {"--suite", "--kappa", "--s0star", "--fixtures"},
+    }
+    BASE = {"-h", "--help", "--family", "--coeff-file", "--n-max", "--output"}
+
+    @staticmethod
+    def subcommands(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return {
+            name: {s for a in p._actions for s in a.option_strings}
+            for name, p in sub.choices.items()
+        }
+
+    def test_full_parser_holds_every_subcommand(self):
+        full = self.subcommands(cli.build_parser())
+        assert list(full) == ["transform", "zeros", "verify"]
+        assert full == {name: self.BASE | opts for name, opts in self.OPTIONS.items()}
+        for name in self.OPTIONS:
+            assert self.subcommands(cli.build_parser(name)) == {name: full[name]}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["-h"], ["-h", "transform"], ["bogus"], ["--", "transform"],
+            ["transform", "-h"], ["zeros", "-h"], ["verify", "-h"],
+            ["zeros", "--family", "legendre", "--n-list", "3"],
+            ["transform", "--family", "chebyshev1", "--christoffel", "1i"],
+            ["transform", "--family", "chebyshev1", "--christoffel", "-0.8-0.2i"],
+            ["zeros", "--family", "chebyshev1"],
+            ["verify", "--family", "chebyshev1", "--coeff-file", "c.json"],
+            ["transform", "--christoffel", "0+1i"],
+            ["transform", "--family", "chebyshev1", "--christoffel", "0+1i", "zeros"],
+            ["transform", "--family", "chebyshev2", "--christoffel", "0.3-0.5i", "--n", "6"],
+            ["zeros", "--family", "chebyshev3", "--n-list", "2,5", "--format", "json"],
+            ["verify", "--family", "chebyshev4", "--suite", "m-identities"],
+        ],
+    )
+    def test_one_subcommand_parser_prints_as_the_full_one(self, monkeypatch, capsys, argv):
+        """main builds only the subcommand argv[0] names; exit code, stdout and
+        stderr are those of the full parser, help and usage errors included."""
+        monkeypatch.setenv("COLUMNS", "80")
+        build, built = cli.build_parser, []
+
+        def run():
+            try:
+                rc = main(list(argv))
+            except SystemExit as exc:
+                rc = exc.code
+            return rc, *capsys.readouterr()
+
+        def spy(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        shipped = run()
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+        assert run() == shipped
+        assert built == [argv[0] if argv and argv[0] in self.OPTIONS else None]
 
 
 class TestTransform:
@@ -494,6 +560,33 @@ class TestVerify:
             ["verify", "--suite", "m-identities", "--family", "chebyshev1"], env=env
         )
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize(
+        "case", ["not_json", "not_an_object", "entry_without_n_check", "infinite_n_check"]
+    )
+    def test_malformed_fixtures_exit_3(self, tmp_path, capsys, case):
+        from importlib import resources
+
+        fixtures = tmp_path / "bad.json"
+        ref = resources.files("darbouxjac").joinpath("fixtures/thresholds.json")
+        doc = json.loads(ref.read_text())
+        if case == "not_json":
+            fixtures.write_text("{")
+        elif case == "not_an_object":
+            fixtures.write_text("[]")
+        elif case == "entry_without_n_check":
+            del doc["ratio_asymptotic"]["chebyshev1"]["n_check"]
+            fixtures.write_text(json.dumps(doc))
+        else:
+            doc["ratio_asymptotic"]["chebyshev1"]["n_check"] = float("inf")
+            fixtures.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+        argv = ["verify", "--family", "chebyshev1", "--suite", "ratio-asymptotics",
+                "--fixtures", str(fixtures)]
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert str(fixtures) in out.err
 
 
 class TestDeterminism:

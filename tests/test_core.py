@@ -14,6 +14,7 @@ from darbouxjac.core import (
     moments,
     symmetrize,
 )
+from darbouxjac.darboux import TransformPoint, christoffel, geronimus
 from darbouxjac.errors import ConfigurationError, PrefixError, QuasiDefinitenessError
 
 
@@ -176,6 +177,29 @@ class TestJsonSchema:
         assert np.all(back.b == J.b)
         assert np.all(back.a == J.a)
         assert np.all(back.sqrt_branch == J.sqrt_branch)
+
+    @pytest.mark.parametrize("case", ["preset", "christoffel", "geronimus", "signed_zero_huge"])
+    def test_pairs_serialize_as_per_element(self, case):
+        """to_dict writes each array as a float64 view: json bytes equal those
+        of [[z.real, z.imag] for z in arr], -0.0 parts and 1e300 entries included."""
+        m = family_coeffs("chebyshev1")
+        if case == "christoffel":
+            m = christoffel(m, TransformPoint(0.3 + 0.5j)).coeffs
+        elif case == "geronimus":
+            m = geronimus(m, TransformPoint(1j, s0star=1 + 0j)).coeffs
+        elif case == "signed_zero_huge":
+            m = RecurrenceCoeffs(
+                c=[complex(-0.0, 0.0), complex(1e300, -0.0), complex(-1e300, 1e300), -0.0j],
+                lam=[complex(-0.0, -1e300), complex(1e300, 0.0), complex(-1e-300, -0.0)],
+            )
+        J = symmetrize(m)
+        for obj, arrays in ((m, {"c": m.c, "lambda": m.lam}), (J, {"b": J.b, "a": J.a})):
+            per_element = dict(obj.to_dict(), **{
+                key: [[z.real, z.imag] for z in arr] for key, arr in arrays.items()
+            })
+            assert json.dumps(obj.to_dict(), sort_keys=True) == json.dumps(
+                per_element, sort_keys=True
+            )
 
     def test_bad_schema_version(self):
         with pytest.raises(ConfigurationError):
