@@ -29,7 +29,7 @@ from .core import (
     symmetrize,
 )
 from .darboux import TransformPoint, cauchy_s0star, christoffel, geronimus
-from .errors import DarbouxError
+from .errors import ConfigurationError, DarbouxError
 from .factorization import build_JC, build_JG, lu_factor, ul_factor
 
 _COMPLEX_RE = re.compile(
@@ -73,7 +73,11 @@ def _fmt_c(z: complex) -> list[float]:
 def _load_base(args) -> RecurrenceCoeffs:
     if args.coeff_file:
         with open(args.coeff_file, "r", encoding="utf-8") as fh:
-            return RecurrenceCoeffs.loads(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigurationError(f"coefficient file is not UTF-8: {exc}") from None
+        return RecurrenceCoeffs.loads(text)
     return family_coeffs(args.family, args.n_max)
 
 

@@ -12,7 +12,6 @@ functional normalization L(1) is carried separately as ``s0``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,8 +35,54 @@ DEFAULT_N_MAX = 256
 CHEBYSHEV_KINDS = ("chebyshev1", "chebyshev2", "chebyshev3", "chebyshev4")
 
 
-@dataclass(frozen=True)
-class Family:
+class Record:
+    """Read-only result record: the annotated class attributes are its fields,
+    in order, and their class-level values their defaults.  Only ``__init__``
+    (store the fields, run ``__post_init__``) is generated per subclass; repr,
+    value equality and hashing are shared, and ``eq=False`` keeps identity's.
+    """
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = names = tuple(cls.__annotations__)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
+        ns = {"_set": object.__setattr__, "_defaults": defaults}
+        params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
+        body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        exec(f"def __init__(self, {params}):{body}{post}", ns)
+        ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = ns["__init__"]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__qualname__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of ``record`` with ``changes`` applied, validated again by ``__init__``."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
+
+
+class Family(Record):
     """An orthogonality-measure preset (or ``custom``) with known support."""
 
     kind: str
@@ -54,8 +99,7 @@ def _as_complex_readonly(x) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class RecurrenceCoeffs:
+class RecurrenceCoeffs(Record, eq=False):
     """Finite prefix of monic recurrence coefficients (a monic Jacobi matrix).
 
     Attributes
@@ -160,8 +204,7 @@ class RecurrenceCoeffs:
         return cls.from_dict(d)
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetricJacobi:
+class SymmetricJacobi(Record, eq=False):
     """Complex-symmetric Jacobi data: b_k diagonal, a_k off-diagonal.
 
     ``b[k] == c_{k+1}`` and ``a[k]`` is a square root of ``lambda_{k+2}``;
@@ -171,7 +214,7 @@ class SymmetricJacobi:
 
     b: np.ndarray
     a: np.ndarray
-    sqrt_branch: np.ndarray = field(default=None)  # type: ignore[assignment]
+    sqrt_branch: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "b", _as_complex_readonly(self.b))

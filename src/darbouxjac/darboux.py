@@ -51,13 +51,12 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _dd as dd
 from ._quadrature import adaptive_integral
-from .core import RecurrenceCoeffs
+from .core import Record, RecurrenceCoeffs
 from .errors import (
     ConfigurationError,
     EvaluationRangeError,
@@ -88,8 +87,7 @@ _log = logging.getLogger("darbouxjac")
 _KERNEL_SWITCH = 1e-12
 
 
-@dataclass(frozen=True)
-class TransformPoint:
+class TransformPoint(Record):
     """A Darboux site: kappa, optional s0star (Geronimus), validity flags."""
 
     kappa: complex
@@ -117,8 +115,7 @@ class TransformPoint:
         return self.s0star.imag >= 0
 
 
-@dataclass(frozen=True)
-class TransformedCoeffs:
+class TransformedCoeffs(Record):
     """Result of one or more Darboux transforms.
 
     ``coeffs`` is the transformed prefix (its own, shorter n_max).  For

@@ -12,11 +12,9 @@ offset 1/s0star): one ``polyeval._ratio_run`` each, with its breakdown test.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import SymmetricJacobi
+from .core import Record, SymmetricJacobi
 from .errors import ConfigurationError, ExistenceError, FactorBreakdownError
 from .polyeval import _ratio_run
 
@@ -30,8 +28,7 @@ __all__ = [
     "build_JG",
 ]
 
-@dataclass(frozen=True)
-class LowerFactor:
+class LowerFactor(Record):
     """J - kappa I = (script-L) D (script-L)^T with unit lower bidiagonal
     script-L (subdiagonal v) and D = diag(d); sqrt_d holds the chosen roots
     for L = script-L D^(1/2)."""
@@ -57,8 +54,7 @@ class LowerFactor:
         return diag, off
 
 
-@dataclass(frozen=True)
-class UpperFactor:
+class UpperFactor(Record):
     """J - kappa I = (script-U) D (script-U)^T with upper bidiagonal script-U
     (diagonal u, unit superdiagonal) and D = diag(t)."""
 
@@ -88,7 +84,7 @@ def _pivots(J: SymmetricJacobi, kappa: complex, offset, count: int, which: str) 
     """Pivots d (offset 0) or t_1.. (offset 1/s0star): -w of the ratio run; a
     breakdown at y_n is FactorBreakdownError at d_{n-1} or t_n."""
     try:
-        w = _ratio_run(J.b.tolist(), (J.a**2).tolist(), kappa, offset, count, "")[0]
+        w = _ratio_run(J.b.tolist(), (J.a**2).tolist(), kappa, offset, count, "", diffs=False)[0]
     except ExistenceError as exc:
         raise FactorBreakdownError(exc.index - (which == "d"), which) from None
     return -np.array(w[:count], dtype=complex)

@@ -25,11 +25,10 @@ differences: ``ratio_sequence``, the ``darboux`` transforms and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RecurrenceCoeffs
+from .core import Record, RecurrenceCoeffs
 from .errors import (ConfigurationError, EvaluationRangeError, ExistenceError, PrefixError,
                      ZeroHitError)
 
@@ -55,8 +54,7 @@ _BREAKDOWN_RTOL = 1e-13
 _ROOM = 1e140
 
 
-@dataclass(frozen=True)
-class EvalTriple:
+class EvalTriple(Record):
     """Values of P_n, Q_n (and R_n when s0star is given) at one point."""
 
     n: int
@@ -67,8 +65,7 @@ class EvalTriple:
     log_scale: float
 
 
-@dataclass(frozen=True)
-class RatioSequence:
+class RatioSequence(Record):
     """Consecutive ratios r_n = y_n(z)/y_{n-1}(z) for y in {P, Q, R}.
 
     ``values[k]`` holds r_{start+k}; P and R sequences start at n = 1,
@@ -290,7 +287,7 @@ def evaluate(m: RecurrenceCoeffs, n: int, z: complex, s0star: complex | None = N
     )
 
 
-def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None):
+def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None, diffs: bool = True):
     """Ratios w[k] = y_{k+1}(kappa)/y_k(kappa) and differences e[k] = w[k] - w[k-1].
 
     y solves the monic recurrence with y_0 = 1, y_1 = kappa - c[0] + offset
@@ -308,7 +305,8 @@ def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None):
 
     ``head = (ws, es)``, the first K >= 2 ratios and differences of the run
     (from a run in another precision), restarts it at k = K: the returned
-    lists are copies of ``head`` continued up to ``count``.
+    lists are copies of ``head`` continued up to ``count``.  With ``diffs``
+    False the differences are skipped and e is [0] (or ``head``'s).
 
     Raises ExistenceError(what, n) when y_n(kappa) cancels to within
     _BREAKDOWN_RTOL of the terms that make it up (n = k + 1).
@@ -333,6 +331,9 @@ def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None):
         scale = max(abs(term1), abs(term2))
         if abs(w) < _BREAKDOWN_RTOL * scale or scale == 0:
             raise ExistenceError(what, k + 1)
+        ws.append(w)
+        if not diffs:
+            continue
         if k == 1:
             e = (c[0] - c[1]) - offset - term2
         else:
@@ -342,7 +343,6 @@ def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None):
                 + lam[k - 2] * e * inv_prev * inv
             )
         inv_prev = inv
-        ws.append(w)
         es.append(e)
     return ws, es
 
@@ -365,7 +365,7 @@ def ratio_sequence(m: RecurrenceCoeffs, z: complex, which: str = "P",
     offset = m.s0 / s0star if which == "R" else 0j
     c, lam = (x[start - 1 : start - 1 + count].tolist() for x in (m.c, m.lam))
     try:
-        values = np.array(_ratio_run(c, lam, complex(z), offset, count, "")[0][:count])
+        values = np.array(_ratio_run(c, lam, complex(z), offset, count, "", diffs=False)[0][:count])
     except ExistenceError as exc:
         raise ZeroHitError(exc.index + start - 1, which) from None
     if not np.isfinite(values).all():

@@ -21,12 +21,10 @@ and ``r2_coeffs`` run the same code for one degree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._quadrature import adaptive_integral
-from .core import RecurrenceCoeffs
+from .core import Record, RecurrenceCoeffs
 from .darboux import (
     GeronimusChain,
     TransformPoint,
@@ -64,8 +62,7 @@ _SAMPLE_SEED = 0x5EED
 _CHECK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class QuasiOrthogonal:
+class QuasiOrthogonal(Record):
     """Quasi-orthogonal polynomial data of order 1 or 2, degree n+1.
 
     Order 1: T_{n+1} = P_{n+1} + tilde_A P_n.
@@ -89,15 +86,13 @@ class QuasiOrthogonal:
             raise ConfigurationError("quasi-orthogonal order must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class RICoefficients:
+class RICoefficients(Record):
     n: int
     alpha: complex
     beta: complex
 
 
-@dataclass(frozen=True)
-class RIICoefficients:
+class RIICoefficients(Record):
     n: int
     rho: complex
     gamma: complex
@@ -390,8 +385,7 @@ def r2_coeffs(
     return rc
 
 
-@dataclass(frozen=True)
-class VaryingMeasureResult:
+class VaryingMeasureResult(Record):
     """Output of iterated conjugate-pair Geronimus steps.
 
     ``step_prefixes[k]`` is the OPS prefix of dmu / prod_{j<=k} |t-kappa_j|^2

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
+    Record,
     RecurrenceCoeffs,
     SymmetricJacobi,
     moments,
+    replace,
     symmetric_jacobi_matrix,
     symmetrize,
 )
@@ -83,8 +84,7 @@ _ABERTH_TOL = 1e-13
 _TRACE_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ZeroCloud:
+class ZeroCloud(Record):
     """Zeros of one degree-n polynomial plus strip metadata."""
 
     n: int
@@ -101,16 +101,14 @@ class ZeroCloud:
             raise ConfigurationError("zero count must equal the degree")
 
 
-@dataclass(frozen=True)
-class StripReport:
+class StripReport(Record):
     ok: bool
     side: str
     bound: float
     violators: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
-class NevaiDiagnostics:
+class NevaiDiagnostics(Record):
     """Estimated Nevai-class data (lambda_n -> a, c_n -> c) and tail health."""
 
     a_limit: complex
@@ -123,8 +121,7 @@ class NevaiDiagnostics:
     )
 
 
-@dataclass(frozen=True)
-class MFunctionSeries:
+class MFunctionSeries(Record):
     """Truncated expansion m(J;z) = -sum_j s_j / z^{j+1} near infinity."""
 
     moments: np.ndarray
@@ -139,8 +136,7 @@ class MFunctionSeries:
         return -acc
 
 
-@dataclass(frozen=True)
-class MIdentityReport:
+class MIdentityReport(Record):
     kappa: complex
     order: int
     christoffel_residuals: np.ndarray
@@ -148,8 +144,7 @@ class MIdentityReport:
     max_residual: float
 
 
-@dataclass(frozen=True)
-class DynamicsReport:
+class DynamicsReport(Record):
     kind: str
     kappa: complex
     n_list: tuple[int, ...]
@@ -162,8 +157,7 @@ class DynamicsReport:
     diagnostics: NevaiDiagnostics | None = None
 
 
-@dataclass(frozen=True)
-class RatioAsymptoticReport:
+class RatioAsymptoticReport(Record):
     n_check: int
     z_list: tuple[complex, ...]
     f_values: tuple[complex, ...]

@@ -266,8 +266,20 @@ class TestTransform:
         assert main(["transform", f"--coeff-file={src}", "--christoffel=0+1i"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv", [["transform", "--christoffel=0+1i"], ["zeros", "--kappa=0+1i", "--n-list=5"],
+                 ["verify", "--kappa=0+1i"]], ids=lambda argv: argv[0]
+    )
+    def test_non_utf8_coeff_file_exits_1(self, tmp_path, capsys, argv):
+        src = tmp_path / "bad.json"
+        src.write_bytes(b"\xff\xfe\x7b")
+        assert main([*argv, f"--coeff-file={src}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: coefficient file is not UTF-8") and err.count("\n") == 1
+
     def test_import_and_christoffel_leave_mpmath_unloaded(self, tmp_path):
-        """mpmath is only loaded by the Geronimus fallback below eta = 1e-18."""
+        """mpmath is only loaded by the Geronimus fallback below eta = 1e-18;
+        the result records are not dataclasses, so dataclasses is never loaded."""
         code = (
             "import sys, darbouxjac\n"
             "from darbouxjac import cli\n"
@@ -275,6 +287,7 @@ class TestTransform:
             f"'--output={tmp_path / 'c.json'}'])\n"
             "assert rc == 0, rc\n"
             "assert 'mpmath' not in sys.modules\n"
+            "assert 'dataclasses' not in sys.modules\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,7 @@
+import copy
+import inspect
 import json
+import pickle
 import re
 
 import numpy as np
@@ -12,10 +15,23 @@ from darbouxjac.core import (
     SymmetricJacobi,
     family_coeffs,
     moments,
+    replace,
     symmetrize,
 )
-from darbouxjac.darboux import TransformPoint, christoffel, geronimus
+from darbouxjac.darboux import TransformedCoeffs, TransformPoint, christoffel, geronimus
 from darbouxjac.errors import ConfigurationError, PrefixError, QuasiDefinitenessError
+from darbouxjac.factorization import LowerFactor, UpperFactor
+from darbouxjac.polyeval import EvalTriple, RatioSequence
+from darbouxjac.rseq import QuasiOrthogonal, RICoefficients, RIICoefficients, VaryingMeasureResult
+from darbouxjac.spectral import (
+    DynamicsReport,
+    MFunctionSeries,
+    MIdentityReport,
+    NevaiDiagnostics,
+    RatioAsymptoticReport,
+    StripReport,
+    ZeroCloud,
+)
 
 
 class TestFamilyCoeffs:
@@ -211,3 +227,224 @@ def test_family_support():
     assert fam.support == (-1.0, 1.0)
     with pytest.raises(ConfigurationError):
         Family("hermite")
+
+
+# ---------------------------------------------------------------------------
+# the read-only result records (core.Record)
+# ---------------------------------------------------------------------------
+
+_M = RecurrenceCoeffs(c=[0.1, 0.2, 0.3], lam=[0.25, 0.5])
+_RII = RIICoefficients(3, 1.5 + 0j, 2j, 0.5 + 0j)
+
+# record: (field names in order, sample values for a leading run of them,
+# the class-level defaults)
+RECORDS = {
+    Family: (("kind", "support"), ("chebyshev2",), {"support": (-1.0, 1.0)}),
+    RecurrenceCoeffs: (
+        ("c", "lam", "s0", "family"), ([0.1, 0.2], [0.5]), {"s0": 1 + 0j, "family": None}
+    ),
+    SymmetricJacobi: (("b", "a", "sqrt_branch"), ([0.0, 0.1], [0.5j], [-1]), {"sqrt_branch": None}),
+    TransformPoint: (
+        ("kappa", "s0star", "allow_real"), (0.3 + 0.5j,), {"s0star": None, "allow_real": False}
+    ),
+    TransformedCoeffs: (
+        ("base", "sites", "kinds", "coeffs", "ratio_seq", "a_seq", "notes"),
+        (_M, (TransformPoint(1j),), ("christoffel",), _M),
+        {"ratio_seq": None, "a_seq": None, "notes": ()},
+    ),
+    LowerFactor: (
+        ("kappa", "d", "v", "sqrt_d"),
+        (0.5j, np.array([1.0, 2.0]), np.array([0.5]), np.array([1.0, 1.5])),
+        {},
+    ),
+    UpperFactor: (
+        ("kappa", "s0star", "t", "u", "sqrt_t"),
+        (0.5j, -1j, np.array([1.0, 2.0]), np.array([0.5, 0.25]), np.array([1.0, 1.5])),
+        {},
+    ),
+    EvalTriple: (
+        ("n", "value_P", "value_Q", "value_R", "ratio_P", "log_scale"),
+        (3, 1 + 0j, 2j, None, 0.5 + 0j, 0.0),
+        {},
+    ),
+    RatioSequence: (("z", "which", "start", "values"), (0.5j, "P", 1, [1.0, 2.0j]), {}),
+    QuasiOrthogonal: (
+        ("order", "degree", "tilde_A", "tilde_C", "tilde_D"),
+        (1, 4, 0.5 + 0j),
+        {"tilde_A": None, "tilde_C": None, "tilde_D": None},
+    ),
+    RICoefficients: (("n", "alpha", "beta"), (3, 1 + 0j, 2j), {}),
+    RIICoefficients: (("n", "rho", "gamma", "upsilon"), (3, 1.5 + 0j, 2j, 0.5 + 0j), {}),
+    VaryingMeasureResult: (
+        ("kappas", "coeffs", "step_prefixes", "rii", "rii_residuals"),
+        ((1j,), _M, (_M, _M), (_RII,), (1e-15,)),
+        {},
+    ),
+    ZeroCloud: (
+        ("n", "zeros", "max_im", "strip_bound", "cluster_candidate"),
+        (2, [0.1 + 0.2j, -0.1 + 0.2j], 0.2),
+        {"strip_bound": None, "cluster_candidate": None},
+    ),
+    StripReport: (("ok", "side", "bound", "violators"), (True, "upper", 1.5, ()), {}),
+    NevaiDiagnostics: (
+        ("a_limit", "c_limit", "tail_residuals", "is_member", "f_branch_note"),
+        (0.25 + 0j, 0j, np.array([1e-3, 1e-4]), True),
+        {"f_branch_note": NevaiDiagnostics.f_branch_note},
+    ),
+    MFunctionSeries: (
+        ("moments", "order", "validity_radius"), (np.array([1.0, 0.0, 0.5]), 2, 1.0), {}
+    ),
+    MIdentityReport: (
+        ("kappa", "order", "christoffel_residuals", "geronimus_residuals", "max_residual"),
+        (1j, 3, np.array([1e-16]), None, 1e-16),
+        {},
+    ),
+    DynamicsReport: (
+        ("kind", "kappa", "n_list", "max_im", "cluster_dist", "log_cluster_dist", "fit_slope",
+         "fit_r2", "strictly_decreasing", "diagnostics"),
+        ("christoffel", 1j, (5, 10), np.array([0.1, 0.05])),
+        dict.fromkeys(("cluster_dist", "log_cluster_dist", "fit_slope", "fit_r2",
+                       "strictly_decreasing", "diagnostics")),
+    ),
+    RatioAsymptoticReport: (
+        ("n_check", "z_list", "f_values", "errors", "monotone_tail"),
+        (100, (2j,), (1 + 2j,), np.array([1e-14]), (True,)),
+        {},
+    ),
+}
+
+
+def _same(x, y) -> bool:
+    """Field-by-field equality: arrays by value, records of any eq by their fields."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    if type(x) in RECORDS:
+        fields = RECORDS[type(x)][0]
+        return type(y) is type(x) and all(_same(getattr(x, f), getattr(y, f)) for f in fields)
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same, x, y))
+    return x == y
+
+
+def _sample(cls):
+    return cls(*RECORDS[cls][1])
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+class TestRecord:
+    def test_signature_lists_the_fields_and_their_defaults(self, cls):
+        fields, _, defaults = RECORDS[cls]
+        params = inspect.signature(cls).parameters
+        assert tuple(params) == fields
+        assert {n: p.default for n, p in params.items() if p.default is not p.empty} == defaults
+        for name, default in defaults.items():  # class-level, as written in the class body
+            assert _same(getattr(cls, name), default)
+
+    def test_positional_and_keyword_construction_agree(self, cls):
+        fields, values, defaults = RECORDS[cls]
+        by_position = cls(*values)
+        by_keyword = cls(**dict(reversed(list(zip(fields, values)))))
+        for name, value in zip(fields, values):
+            assert _same(getattr(by_position, name), value)
+        for name in fields:
+            assert _same(getattr(by_position, name), getattr(by_keyword, name))
+        for name in fields[len(values):]:
+            assert _same(getattr(by_position, name), defaults[name])
+
+    def test_fields_are_read_only(self, cls):
+        record = _sample(cls)
+        for name in RECORDS[cls][0] + ("not_a_field",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+    def test_repr_names_the_fields_in_order(self, cls):
+        record = _sample(cls)
+        fields = ", ".join(f"{n}={getattr(record, n)!r}" for n in RECORDS[cls][0])
+        assert repr(record) == f"{cls.__name__}({fields})"
+
+    def test_replace_returns_a_revalidated_read_only_copy(self, cls):
+        record = _sample(cls)
+        name = RECORDS[cls][0][-1]
+        copied = replace(record)
+        assert type(copied) is cls and copied is not record and _same(copied, record)
+        changed = replace(record, **{name: getattr(record, name)})
+        assert _same(changed, record)
+        with pytest.raises(AttributeError):
+            setattr(changed, name, None)
+        with pytest.raises(TypeError):
+            replace(record, not_a_field=1)
+
+    def test_pickle_and_copy_round_trip(self, cls):
+        record = _sample(cls)
+        for other in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert type(other) is cls and _same(other, record)
+            with pytest.raises(AttributeError):
+                setattr(other, RECORDS[cls][0][0], None)
+
+
+def test_record_repr_reads_like_the_class_statement():
+    assert repr(Family("chebyshev1")) == "Family(kind='chebyshev1', support=(-1.0, 1.0))"
+    assert repr(TransformPoint(1j)) == "TransformPoint(kappa=1j, s0star=None, allow_real=False)"
+
+
+@pytest.mark.parametrize(
+    "make, other",
+    [
+        (lambda: Family("chebyshev1"), Family("chebyshev1", None)),
+        (lambda: TransformPoint(0.3 + 1j, 2j), TransformPoint(0.3 + 1j, -2j)),
+    ],
+)
+def test_value_records_compare_and_hash_by_their_fields(make, other):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other and len({a, b, other}) == 2
+    assert a.__eq__(object()) is NotImplemented
+
+
+@pytest.mark.parametrize("make", [lambda: _M.truncated(3), lambda: symmetrize(_M)])
+def test_prefix_records_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b and hash(a) == object.__hash__(a)
+    assert len({a, b}) == 2
+
+
+def test_symmetric_jacobi_default_branch_is_principal():
+    J = SymmetricJacobi([0.0, 0.1, 0.2], [0.5, 0.5j])
+    assert SymmetricJacobi.sqrt_branch is None
+    assert J.sqrt_branch.dtype == np.int8 and J.sqrt_branch.tolist() == [1, 1]
+    assert not J.sqrt_branch.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make, exc, match",
+    [
+        (lambda: RecurrenceCoeffs([0.1, 0.2], [0.5, 0.5]), ConfigurationError,
+         r"inconsistent prefix lengths: len\(c\)=2, len\(lam\)=2"),
+        (lambda: RecurrenceCoeffs([0.1, 0.2], [0.0]), QuasiDefinitenessError, "lambda_2 = 0"),
+        (lambda: Family("hermite"), ConfigurationError, "unknown family kind 'hermite'"),
+        (lambda: SymmetricJacobi([0.0], [0.5]), ConfigurationError, "one entry shorter"),
+        (lambda: TransformPoint(0.5), ConfigurationError, "is real"),
+        (lambda: QuasiOrthogonal(3, 4), ConfigurationError, "order must be 1 or 2"),
+        (lambda: RIICoefficients(3, 2 + 0j, 0j, 0.5 + 0j), ConfigurationError, "1 \\+ upsilon"),
+        (lambda: ZeroCloud(3, [0.1j], 0.1), ConfigurationError, "zero count"),
+        (lambda: replace(_M, lam=[0.25]), ConfigurationError, "inconsistent prefix lengths"),
+        (lambda: replace(TransformPoint(1j), kappa=0.5), ConfigurationError, "is real"),
+    ],
+)
+def test_post_init_errors_are_raised_on_construction_and_replace(make, exc, match):
+    with pytest.raises(exc, match=match):
+        make()
+
+
+def test_replace_and_truncated_return_read_only_revalidated_copies():
+    m = replace(_M, c=[1.0, 2.0, 3.0], s0=2)
+    assert m.c.dtype == complex and not m.c.flags.writeable and m.s0 == 2 + 0j
+    assert np.array_equal(m.lam, _M.lam)
+    t = _M.truncated(2)
+    assert type(t) is RecurrenceCoeffs and t.c.tolist() == [0.1, 0.2] and not t.lam.flags.writeable
+    cloud = replace(_sample(ZeroCloud), strip_bound=0.5)
+    assert cloud.strip_bound == 0.5 and not cloud.zeros.flags.writeable
+    with pytest.raises(AttributeError):
+        cloud.strip_bound = 1.0

@@ -586,6 +586,28 @@ def test_ratio_sequence_and_pivots_are_the_transform_ratio_run(m, kappa, data):
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
 
+def _complex_prefix(n_max: int = N_MAX) -> RecurrenceCoeffs:
+    rng = np.random.default_rng(7)
+    c = 0.3 * (rng.uniform(-1, 1, n_max) + 1j * rng.uniform(-1, 1, n_max))
+    lam = 0.25 + 0.1 * (rng.uniform(-1, 1, n_max - 1) + 1j * rng.uniform(-1, 1, n_max - 1))
+    return RecurrenceCoeffs(c=c, lam=lam)
+
+
+@pytest.mark.parametrize(
+    "m", [family_coeffs("chebyshev2", N_MAX), nevai_prefix("chebyshev1", 11), _complex_prefix()],
+    ids=["preset", "nevai", "complex"],
+)
+@pytest.mark.parametrize("offset", [0j, 0.4 - 0.7j])
+def test_ratio_run_without_differences_keeps_the_ratios_bit_for_bit(m, offset):
+    """diffs=False (ratio_sequence, lu_factor, ul_factor) skips e[k] and
+    changes no bit of w[k]."""
+    args = (m.c.tolist(), m.lam.tolist(), 0.3 + 0.5j, offset, m.n_max, "")
+    w, e = polyeval._ratio_run(*args)
+    w_only, e_only = polyeval._ratio_run(*args, diffs=False)
+    assert np.array(w_only).tobytes() == np.array(w).tobytes() and len(w) == m.n_max
+    assert e_only == e[:1]
+
+
 def test_two_point_transforms_take_one_ratio_run_per_site(monkeypatch):
     run, calls = polyeval._ratio_run, []
 
