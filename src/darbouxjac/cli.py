@@ -5,7 +5,8 @@
 Exit codes: 0 pass, 1 check or existence failure (a malformed --coeff-file
 included), 2 usage error, 3 fixtures/environment error (an unreadable
 --coeff-file and a malformed fixtures file included).  Complex literals must
-carry both parts ("0+1i", "1.5-2i"); outputs are deterministic for a fixed
+carry both parts ("0+1i", "1.5-2i"), and one with a leading minus needs the
+'=' form ("--kappa=-0.4+0.3i"); outputs are deterministic for a fixed
 configuration.
 """
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .core import (
     DEFAULT_N_MAX,
     RecurrenceCoeffs,
     family_coeffs,
-    symmetric_jacobi_matrix,
     symmetrize,
 )
 from .darboux import TransformPoint, cauchy_s0star, christoffel, geronimus
@@ -175,7 +175,7 @@ def cmd_zeros(args) -> int:
         clouds = spectral.kernel_zero_sweep(base, site, args.n_list)
     else:
         # first: it raises PrefixError for a degree outside 1..n_max-2
-        extras = [spectral.cluster_distance(base, site, n)[1:] for n in args.n_list]
+        extras = [point[1:] for point in spectral.cluster_sweep(base, site, args.n_list)]
         clouds = spectral.geronimus_zero_sweep(base, site, args.n_list)
     parts = [
         (cloud.n, cloud.zeros.real.tolist(), cloud.zeros.imag.tolist(), extra)
@@ -366,28 +366,33 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _complex_option(p, flag: str, **kw) -> None:
+    """A complex option whose help names the '=' form that a leading minus needs."""
+    p.add_argument(flag, type=parse_complex, help=f"a+bi; a leading minus needs {flag}=-a+bi", **kw)
+
+
 def _transform_args(p) -> None:
-    p.add_argument("--christoffel", type=parse_complex, metavar="KAPPA")
-    p.add_argument("--geronimus", type=parse_complex, metavar="KAPPA")
-    p.add_argument("--s0star", type=parse_complex)
-    p.add_argument("--then-christoffel", type=parse_complex, metavar="KAPPA")
-    p.add_argument("--then-geronimus", type=parse_complex, metavar="KAPPA")
-    p.add_argument("--then-s0star", type=parse_complex)
+    _complex_option(p, "--christoffel", metavar="KAPPA")
+    _complex_option(p, "--geronimus", metavar="KAPPA")
+    _complex_option(p, "--s0star")
+    _complex_option(p, "--then-christoffel", metavar="KAPPA")
+    _complex_option(p, "--then-geronimus", metavar="KAPPA")
+    _complex_option(p, "--then-s0star")
     p.add_argument("--n", type=int, help="output prefix length")
 
 
 def _zeros_args(p) -> None:
     p.add_argument("--kind", choices=("plain", "christoffel", "geronimus"), default="plain")
-    p.add_argument("--kappa", type=parse_complex, default=complex(0, 1))
-    p.add_argument("--s0star", type=parse_complex, default=complex(1, 0))
+    _complex_option(p, "--kappa", default=complex(0, 1))
+    _complex_option(p, "--s0star", default=complex(1, 0))
     p.add_argument("--n-list", type=parse_n_list, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _verify_args(p) -> None:
     p.add_argument("--suite", action="append", choices=_SUITES)
-    p.add_argument("--kappa", type=parse_complex, default=complex(0, 1))
-    p.add_argument("--s0star", type=parse_complex, default=complex(1, 0))
+    _complex_option(p, "--kappa", default=complex(0, 1))
+    _complex_option(p, "--s0star", default=complex(1, 0))
     p.add_argument("--fixtures")
 
 

@@ -20,7 +20,7 @@ the zeros then take the same two Newton steps and certificate.
 Cluster-zero distances |xi_n - kappa| for Geronimus transforms decay far
 below double resolution; Newton iteration in the shifted variable
 h = z - kappa finds them in double, from ratio differences carried as
-products.
+products, one transform and one ratio run per degree list (``cluster_sweep``).
 """
 from __future__ import annotations
 
@@ -59,6 +59,7 @@ __all__ = [
     "strip_check",
     "zero_dynamics",
     "cluster_distance",
+    "cluster_sweep",
     "nevai_diagnostics",
     "ratio_limit_f",
     "mfunction_series",
@@ -569,10 +570,10 @@ def truncation_spectrum(J: SymmetricJacobi, size: int) -> np.ndarray:
     return vals[order]
 
 
-def cluster_distance(
-    m: RecurrenceCoeffs, site: TransformPoint, n: int
-) -> tuple[complex, float, float]:
-    """(xi_n, |xi_n - kappa|, ln|xi_n - kappa|) for the Geronimus transform.
+def cluster_sweep(
+    m: RecurrenceCoeffs, site: TransformPoint, n_list
+) -> tuple[tuple[complex, float, float], ...]:
+    """(xi_n, |xi_n - kappa|, ln|xi_n - kappa|) of the Geronimus transform per n in n_list.
 
     xi_n is the zero of P^{-*}_n(kappa, .) nearest kappa, found by Newton
     iteration from kappa in h = z - kappa, in double.  With rho[k] = P_{k+1}/P_k
@@ -586,17 +587,28 @@ def cluster_distance(
     An iteration that has not converged after 80 steps, or that lands on a pole
     of the ratios, raises EigenSolverError naming n (kappa on a symmetry axis
     of the zeros can hold Newton on it); a single step of d that leaves the
-    double range (|kappa| near 1e300) raises EvaluationRangeError.
+    double range (|kappa| near 1e300) raises EvaluationRangeError.  Every degree
+    is checked first; then one ``geronimus`` of the leading max(n_list) + 2
+    terms and one ratio run of max(n_list) terms serve all of them.
     """
     if site.s0star is None:
         raise ConfigurationError("cluster_distance needs a Geronimus site with s0star")
-    if n < 1 or n + 2 > m.n_max:
-        raise PrefixError(f"cluster distance needs 1 <= n <= n_max - 2 = {m.n_max - 2} (n={n})")
-    kappa = site.kappa
-    w = (-geronimus(m.truncated(min(m.n_max, max(n + 2, 4))), site).a_seq[1:n]).tolist()
-    rho = ratio_sequence(m, kappa, "P", n_terms=n).values.tolist()
-    lam = m.lam[: n - 1].tolist()
-    d, log_d = -m.s0 / site.s0star, 0.0
+    n_list = tuple(int(n) for n in n_list)
+    for n in n_list:
+        if n < 1 or n + 2 > m.n_max:
+            raise PrefixError(f"cluster distance needs 1 <= n <= n_max - 2 = {m.n_max - 2} (n={n})")
+    if not n_list:
+        return ()
+    kappa, top = site.kappa, max(n_list)
+    w = (-geronimus(m.truncated(min(m.n_max, max(top + 2, 4))), site).a_seq[1:top]).tolist()
+    rho = ratio_sequence(m, kappa, "P", n_terms=top).values.tolist()
+    lam = m.lam[: top - 1].tolist()
+    return tuple(_cluster_point(kappa, -m.s0 / site.s0star, rho, w, lam, n) for n in n_list)
+
+
+def _cluster_point(kappa, d, rho, w, lam, n: int) -> tuple[complex, float, float]:
+    """One degree of ``cluster_sweep``, from d[0] and the runs' first n - 1 terms."""
+    log_d = 0.0
     for k in range(1, n):
         d = lam[k - 1] * d / (rho[k - 1] * w[k - 1])
         if not _SCALE_LO <= abs(d) <= _SCALE_HI:
@@ -644,6 +656,11 @@ def cluster_distance(
     return kappa + h, dist, math.log(dist) if dist > 0 else -math.inf
 
 
+def cluster_distance(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> tuple:
+    """The one-degree case of ``cluster_sweep``: (xi_n, dist, log_dist)."""
+    return cluster_sweep(m, site, (n,))[0]
+
+
 def zero_dynamics(
     m: RecurrenceCoeffs,
     site: TransformPoint,
@@ -654,7 +671,7 @@ def zero_dynamics(
 
     For Christoffel: max imaginary parts (the collapse toward the real line).
     For Geronimus: additionally the cluster distances |xi_n - kappa|, their
-    logs, and a linear fit of ln|xi_n - kappa| against n.
+    logs, and a linear fit of ln|xi_n - kappa| against n (two or more distinct n).
     """
     if kind not in ("christoffel", "geronimus"):
         raise ConfigurationError("kind must be 'christoffel' or 'geronimus'")
@@ -670,10 +687,9 @@ def zero_dynamics(
         return DynamicsReport(
             kind=kind, kappa=site.kappa, n_list=n_list, max_im=max_im, diagnostics=diag
         )
-    dist = np.empty(len(n_list))
-    log_dist = np.empty(len(n_list))
-    for i, n in enumerate(n_list):
-        _, dist[i], log_dist[i] = cluster_distance(m, site, n)
+    if len(set(n_list)) < 2:
+        raise ConfigurationError("the cluster-distance fit needs two or more distinct degrees")
+    _, dist, log_dist = map(np.array, zip(*cluster_sweep(m, site, n_list)))
     max_im = np.empty(len(n_list))
     for i, cloud in enumerate(geronimus_zero_sweep(m, site, n_list)):
         rest = np.delete(cloud.zeros, np.argmin(np.abs(cloud.zeros - site.kappa)))

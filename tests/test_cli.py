@@ -81,6 +81,23 @@ class TestParser:
             for name, p in sub.choices.items()
         }
 
+    COMPLEX = [("transform", o) for o in ("--christoffel", "--geronimus", "--s0star",
+                                          "--then-christoffel", "--then-geronimus",
+                                          "--then-s0star")]
+    COMPLEX += [(c, o) for c in ("zeros", "verify") for o in ("--kappa", "--s0star")]
+
+    @pytest.mark.parametrize("command, option", COMPLEX)
+    def test_leading_minus_parses_in_the_equals_form(self, command, option):
+        """After a space, argparse takes -0.4+0.3i for an option (exit 2, as
+        perfbench pins); joined by '=' it is the value, and --help says so."""
+        parser = cli.build_parser(command)
+        argv = [command, "--family=chebyshev4", f"{option}=-0.4+0.3i"]
+        args = parser.parse_args(argv + ["--n-list=5"] * (command == "zeros"))
+        assert getattr(args, option[2:].replace("-", "_")) == complex(-0.4, 0.3)
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        (action,) = [a for a in sub.choices[command]._actions if option in a.option_strings]
+        assert f"{option}=-a+bi" in action.help
+
     def test_full_parser_holds_every_subcommand(self):
         full = self.subcommands(cli.build_parser())
         assert list(full) == ["transform", "zeros", "verify"]

@@ -14,7 +14,8 @@ GeronimusChain step at the Cauchy value (the backward run) is checked
 against the UL step taken at the reference's own Cauchy value.  Cluster
 distances (the double shifted Newton of spectral.cluster_distance) are
 checked against an mpmath Newton iteration on the UL step's output, also
-with s0star near the Cauchy value.
+with s0star near the Cauchy value, and spectral.cluster_sweep against them
+degree by degree.
 """
 import cmath
 import logging
@@ -38,11 +39,17 @@ from darbouxjac.darboux import (
     geronimus,
     kernel_eval,
 )
-from darbouxjac.errors import ExistenceError, FactorBreakdownError, ZeroHitError
+from darbouxjac.errors import (
+    EigenSolverError,
+    EvaluationRangeError,
+    ExistenceError,
+    FactorBreakdownError,
+    ZeroHitError,
+)
 from darbouxjac.factorization import lu_factor, ul_factor
 from darbouxjac.polyeval import ratio_sequence
 from darbouxjac.rseq import R2System
-from darbouxjac.spectral import cluster_distance
+from darbouxjac.spectral import cluster_distance, cluster_sweep
 
 N_MAX = 48
 TOL = 1e-12
@@ -294,6 +301,42 @@ def test_cluster_distance_matches_newton_reference(m, kappa, n, near_cauchy, dat
     assert abs(dist - ref) <= TOL * ref, float(abs(dist - ref) / ref)
     assert log_dist == math.log(dist)
     assert abs(abs(xi - kappa) - dist) <= 1e-15 * max(abs(kappa), dist)
+
+
+@PROPERTY
+@given(prefixes, kappas(), st.lists(st.integers(1, N_MAX - 2), min_size=1, max_size=5),
+       st.booleans(), st.data())
+def test_cluster_sweep_is_the_per_degree_distance(m, kappa, degrees, near_cauchy, data):
+    """cluster_sweep gives each degree's cluster_distance in n_list order,
+    unsorted and repeated degrees included, bit for bit wherever the sweep's
+    transform of max(n_list) + 2 terms has the ratios w of the degree's own
+    transform of n + 2 terms: always on the double route.  Near the Cauchy
+    value geronimus takes its route and crossover from the eta and tails of
+    the prefix it is given, so a shorter prefix can move the last bits of w;
+    there the two agree to TOL."""
+    s0star = data.draw(near_cauchy_s0star(m, kappa) if near_cauchy else opposite_s0star(kappa))
+    site = TransformPoint(kappa, s0star=s0star)
+
+    def outcome(f):
+        try:
+            return f()
+        except (EigenSolverError, EvaluationRangeError) as exc:
+            return type(exc), str(exc)
+
+    want = outcome(lambda: [cluster_distance(m, site, n) for n in degrees])
+    got = outcome(lambda: list(cluster_sweep(m, site, degrees)))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    top = geronimus(m.truncated(max(max(degrees) + 2, 4)), site).a_seq
+    for n, (xi, dist, log_dist), ref in zip(degrees, got, want):
+        if np.array_equal(geronimus(m.truncated(max(n + 2, 4)), site).a_seq[1:n], top[1:n]):
+            assert (xi, dist, log_dist) == ref
+            continue
+        event("near-Cauchy: the shorter prefix moves w")
+        assert near_cauchy
+        assert abs(dist - ref[1]) <= TOL * ref[1] and abs(log_dist - ref[2]) <= TOL * abs(ref[2])
+        assert abs(xi - ref[0]) <= TOL * ref[1] + 1e-15 * abs(kappa)
 
 
 def test_cluster_distance_below_double_range():

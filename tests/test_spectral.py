@@ -288,6 +288,47 @@ class TestZeroDynamics:
         with pytest.raises(PrefixError, match="n=0"):
             zero_dynamics(cheb1, TransformPoint(1j, s0star=1.0), "geronimus", [0, 5])
 
+    # a line through one point (or none) is no fit: polyfit raised TypeError
+    # on [] and fitted [8] and [8, 8] exactly, under numpy's RankWarning
+    @pytest.mark.parametrize("n_list", [[], [8], [8, 8]])
+    def test_geronimus_dynamics_needs_two_distinct_degrees(self, cheb1, n_list):
+        with pytest.raises(ConfigurationError, match="two or more distinct degrees"):
+            zero_dynamics(cheb1, TransformPoint(1j, s0star=1.0), "geronimus", n_list)
+
+
+class TestClusterSweep:
+    @staticmethod
+    def count_runs(monkeypatch) -> list:
+        """Names of the geronimus and ratio_sequence calls spectral makes."""
+        calls = []
+        for name in ("geronimus", "ratio_sequence"):
+            f = getattr(spectral, name)
+            monkeypatch.setattr(spectral, name,
+                                lambda *a, _f=f, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        return calls
+
+    def test_one_transform_and_one_ratio_run_per_sweep(self, monkeypatch, cheb1):
+        calls = self.count_runs(monkeypatch)
+        site = TransformPoint(0.3 + 0.5j, s0star=0.8 - 0.4j)
+        assert len(spectral.cluster_sweep(cheb1, site, [40, 5, 20, 5])) == 4
+        assert sorted(calls) == ["geronimus", "ratio_sequence"]
+        calls.clear()
+        assert spectral.cluster_sweep(cheb1, site, []) == () and calls == []
+        zero_dynamics(cheb1, site, "geronimus", [10, 20, 30])
+        assert calls.count("geronimus") == 2  # the sweep's and the zero sweep's
+        assert calls.count("ratio_sequence") == 1
+
+    def test_out_of_range_degree_raises_before_any_transform(self, monkeypatch):
+        cheb1_64 = family_coeffs("chebyshev1", 64)
+        calls = self.count_runs(monkeypatch)
+        with pytest.raises(PrefixError, match=r"n_max - 2 = 62 \(n=63\)"):
+            spectral.cluster_sweep(cheb1_64, TransformPoint(1j, s0star=1.0), [5, 63, 0])
+        assert calls == []
+
+    def test_needs_s0star(self, cheb1):
+        with pytest.raises(ConfigurationError, match="s0star"):
+            spectral.cluster_sweep(cheb1, TransformPoint(1j), [5])
+
 
 class TestRatioLimit:
     def test_at_one(self):
