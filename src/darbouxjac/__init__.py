@@ -53,7 +53,6 @@ from .rseq import (
     QuasiOrthogonal,
     RICoefficients,
     RIICoefficients,
-    r1_coeffs,
     r1_general,
     r2_coeffs,
     rational_eval,

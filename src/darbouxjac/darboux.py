@@ -310,22 +310,28 @@ def _auto_dps(c, lam, s0_over_s0star_mag: float, kappa: complex, length: int) ->
     return int(min(max(digits, 60), 6000))
 
 
+def _half_disc(c, lam, z):
+    """(half, disc) with half +- disc the roots of t^2 - (c-z) t + lambda, the
+    discriminant scaled by max(|c-z|/2, |lambda|^(1/2), or 1 if both vanish) so
+    that no square leaves the double range however large |z| is; OverflowError
+    if the scale itself cannot be represented."""
+    half = (c - z) / 2
+    scale = max(abs(half), abs(lam) ** 0.5) or 1.0
+    h = half / scale
+    return half, (h * h - lam / scale / scale) ** 0.5 * scale
+
+
 def _tail_seed(c_tail, lam_tail, z, depth: int = 0):
     """Smaller-modulus root of t^2 - (c-z) t + lambda: the continued-fraction
     tail value of a constant-coefficient Jacobi matrix.
 
-    Taken as lambda over the larger root, whose discriminant is scaled by
-    max(|c-z|/2, |lambda|^(1/2)) so that no square leaves the double range
-    however large |z| is; EvaluationRangeError(depth) if the root still
-    cannot be represented.
+    Taken as lambda over the larger root from ``_half_disc``;
+    EvaluationRangeError(depth) if the root cannot be represented.
     """
-    half = (c_tail - z) / 2
     try:
-        scale = max(abs(half), abs(lam_tail) ** 0.5)
+        half, disc = _half_disc(c_tail, lam_tail, z)
     except OverflowError:
         raise EvaluationRangeError(depth) from None
-    h = half / scale
-    disc = (h * h - lam_tail / scale / scale) ** 0.5 * scale
     big = half + disc if abs(half + disc) >= abs(half - disc) else half - disc
     t = lam_tail / big
     if not cmath.isfinite(complex(t)):

@@ -49,9 +49,7 @@ __all__ = [
     "VaryingMeasureResult",
     "sample_points",
     "r1_general",
-    "r1_coeffs",
     "R1System",
-    "geronimus_pair_quasi",
     "r2_coeffs",
     "R2System",
     "varying_measure_polys",
@@ -136,6 +134,14 @@ def _check_degree(what: str, n: int, n_max: int | None = None) -> None:
         raise PrefixError(f"{what} coefficients at n={n} need a prefix of length >= {n + 3}")
 
 
+def _verified(what: str, res: np.ndarray, n: int, zs: np.ndarray) -> None:
+    """ResidualCheckError at the first sample point whose residual passes _CHECK_TOL."""
+    bad = np.flatnonzero(res > _CHECK_TOL)
+    if len(bad):
+        k = bad[0]
+        raise ResidualCheckError(f"{what} identity residual {res[k]:.2e} at n={n}, z={zs[k]}")
+
+
 def _degree_runs(m: RecurrenceCoeffs, ns: np.ndarray, zs: np.ndarray):
     """The points, P_{n-1}, P_n and log scale as (len(ns), len(zs)) arrays, rows
     in the order of ns: one _scaled_run over zs tiled once per degree, each copy
@@ -152,6 +158,19 @@ def _degree_runs(m: RecurrenceCoeffs, ns: np.ndarray, zs: np.ndarray):
 
 def _column(records, name: str) -> np.ndarray:
     return np.array([getattr(r, name) for r in records], dtype=complex)[:, None]
+
+
+def _ri_coeffs(m: RecurrenceCoeffs, n: int, rho_n, tilde_A) -> RICoefficients:
+    """alpha_n, beta_n of the R_I relation for T_{n+1} = P_{n+1} + tilde_A P_n,
+    with rho_n = P_n(k1)/P_{n-1}(k1):
+
+    beta_n = -lambda_{n+1} P_{n-1}(k1)/P_n(k1),
+    alpha_n = c_{n+1} - tilde_A + lambda_{n+1} P_{n-1}(k1)/P_n(k1).
+
+    For the Geronimus transform at k2, -tilde_A = R_{n+1}(k2)/R_n(k2).
+    """
+    ratio = m.lam_n(n + 1) / rho_n
+    return RICoefficients(n=n, alpha=m.c_n(n + 1) - tilde_A + ratio, beta=-ratio)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # past the double range: a NaN residual
@@ -186,12 +205,7 @@ class R1System:
 
     def coeffs(self, n: int) -> RICoefficients:
         _check_degree("R_I", n, self.m.n_max)
-        lam_next = self.m.lam_n(n + 1)
-        ratio = lam_next / self.rho[n - 1]  # lambda_{n+1} P_{n-1}/P_n at kappa1
-        beta = -ratio
-        w_next = -self.gero.a_seq[n + 1]  # R_{n+1}/R_n at kappa2
-        alpha = self.m.c_n(n + 1) + w_next + ratio
-        return RICoefficients(n=n, alpha=alpha, beta=beta)
+        return _ri_coeffs(self.m, n, self.rho[n - 1], self.gero.a_seq[n + 1])
 
     def residuals(self, n_list, z, coeffs=None):
         """Relative residuals (scale = max term magnitude) for each degree of
@@ -213,17 +227,6 @@ class R1System:
         return res if np.ndim(z) else float(res)
 
 
-def r1_coeffs(
-    m: RecurrenceCoeffs, k1: TransformPoint, k2: TransformPoint, n: int
-) -> RICoefficients:
-    """alpha_n, beta_n of the Geronimus/kernel R_I relation:
-
-    beta_n = -lambda_{n+1} P_{n-1}(k1)/P_n(k1),
-    alpha_n = c_{n+1} + R_{n+1}(k2)/R_n(k2) + lambda_{n+1} P_{n-1}(k1)/P_n(k1).
-    """
-    return R1System(m, k1, k2).coeffs(n)
-
-
 def r1_general(
     m: RecurrenceCoeffs,
     k1: TransformPoint,
@@ -238,18 +241,12 @@ def r1_general(
     if q.degree != n + 1:
         raise ConfigurationError(f"quasi-orthogonal degree {q.degree} != n+1 = {n + 1}")
     _check_degree("R_I", n)
-    rho = ratio_sequence(m, k1.kappa, "P", n_terms=n).values
-    ratio = m.lam_n(n + 1) / rho[n - 1]
-    beta = -ratio
-    alpha = m.c_n(n + 1) - q.tilde_A + ratio
-    rc = RICoefficients(n=n, alpha=alpha, beta=beta)
+    rho_n = ratio_sequence(m, k1.kappa, "P", n_terms=n).values[n - 1]
+    rc = _ri_coeffs(m, n, rho_n, q.tilde_A)
     if check:
         zs = sample_points(n + 2)
-        res = _ri_residuals(m, np.array([n]), zs, q.tilde_A, alpha, beta, rho[n - 1])[0]
-        bad = np.flatnonzero(res > _CHECK_TOL)
-        if len(bad):
-            k = bad[0]
-            raise ResidualCheckError(f"R_I identity residual {res[k]:.2e} at n={n}, z={zs[k]}")
+        res = _ri_residuals(m, np.array([n]), zs, q.tilde_A, rc.alpha, rc.beta, rho_n)[0]
+        _verified("R_I", res, n, zs)
     return rc
 
 
@@ -289,11 +286,6 @@ class GeronimusPairQuasi:
             tilde_C=self.A[n + 1] + self.Ap[n + 1],
             tilde_D=self.Ap[n + 1] * self.A[n],
         )
-
-
-def geronimus_pair_quasi(m: RecurrenceCoeffs, kappa: complex, n: int) -> QuasiOrthogonal:
-    """Order-2 quasi-orthogonal data of P^{-**}_{n+1}(kappa, conj kappa, .)."""
-    return GeronimusPairQuasi(m, kappa).quasi(n)
 
 
 class R2System:
@@ -377,11 +369,7 @@ def r2_coeffs(
     rc = sys.coeffs(q, n)
     if check:
         zs = sample_points(n + 3)
-        res = sys.residual(q, rc, zs)
-        bad = np.flatnonzero(res > _CHECK_TOL)
-        if len(bad):
-            k = bad[0]
-            raise ResidualCheckError(f"R_II identity residual {res[k]:.2e} at n={n}, z={zs[k]}")
+        _verified("R_II", sys.residual(q, rc, zs), n, zs)
     return rc
 
 
@@ -431,50 +419,27 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
     for kap in kappas:
         if kap.imag == 0:
             raise ConfigurationError(f"kappa={kap} must be nonreal")
-    if not kappas:
-        return VaryingMeasureResult(
-            kappas=(), coeffs=m, step_prefixes=(m,), rii=(), rii_residuals=()
-        )
-    chain = GeronimusChain(m)
-    prefixes = [m]
-    pair_quasis = []
-    applied: list[complex] = []
+    prefixes, pairs, applied = [m], [], []
     for kap in kappas:
-        for site in (kap, complex(np.conj(kap))):
-            chain.apply(site)
+        pair = GeronimusPairQuasi(prefixes[-1], kap)
+        for site, s0star in ((kap, pair.s0star), (complex(np.conj(kap)), pair.s0starstar)):
             applied.append(site)
-            _quad_crosscheck(m, applied, chain.steps[-1]["s0star"])
-        prefixes.append(chain.coeffs())
-        pair_quasis.append(
-            (chain.steps[-2]["a_seq"], chain.steps[-1]["a_seq"])
-        )
+            _quad_crosscheck(m, applied, s0star)
+        pairs.append(pair)
+        prefixes.append(pair.coeffs)
     final = prefixes[-1]
     if n > final.n_max:
-        raise ConfigurationError(
-            f"degree {n} exceeds the final prefix length {final.n_max}"
-        )
-    rii = []
-    residuals = []
-    zs = sample_points(8)
+        raise ConfigurationError(f"degree {n} exceeds the final prefix length {final.n_max}")
+    rii, residuals, zs = [], [], sample_points(8)
     for j in range(1, len(kappas)):
-        sigma = prefixes[j]
-        A, Ap = pair_quasis[j]  # Geronimus pair at kappa_{j+1} applied to sigma
-        q = QuasiOrthogonal(
-            order=2,
-            degree=j + 1,
-            tilde_C=A[j + 1] + Ap[j + 1],
-            tilde_D=Ap[j + 1] * A[j],
-        )
-        sys = R2System(sigma, kappas[j - 1])
-        rc = sys.coeffs(q, j)
+        sigma, kap = prefixes[j], kappas[j - 1]
+        # pairs[j] is the Geronimus pair at kappa_{j+1} applied to sigma; R2System
+        # runs forward only, so on the terms degree j reads it equals the full one
+        lead = sigma.truncated(min(sigma.n_max, max(j + 4, 6)))
+        rc = R2System(lead, kap).coeffs(pairs[j].quasi(j), j)
         t1 = eval_P(prefixes[j + 1], j + 1, zs)
         t2 = (rc.rho * zs - rc.gamma) * eval_P(sigma, j, zs)
-        t3 = (
-            rc.upsilon
-            * (zs - kappas[j - 1])
-            * (zs - np.conj(kappas[j - 1]))
-            * eval_P(prefixes[j - 1], j - 1, zs)
-        )
+        t3 = rc.upsilon * (zs - kap) * (zs - np.conj(kap)) * eval_P(prefixes[j - 1], j - 1, zs)
         rii.append(rc)
         residuals.append(float(np.max(_relative(zs, t1 - t2 + t3, t1, t2, t3))))
     return VaryingMeasureResult(

@@ -38,7 +38,7 @@ from .core import (
     symmetric_jacobi_matrix,
     symmetrize,
 )
-from .darboux import TransformedCoeffs, TransformPoint, christoffel, geronimus
+from .darboux import TransformedCoeffs, TransformPoint, _half_disc, christoffel, geronimus
 from .errors import ConfigurationError, EigenSolverError, EvaluationRangeError, PrefixError
 from .polyeval import _SCALE_HI, _SCALE_LO, _scaled_run, _unscaled, ratio_sequence
 
@@ -498,15 +498,13 @@ def ratio_limit_f(a: complex, c: complex, z: complex) -> complex:
     """Ratio-asymptotic limit: the larger-modulus root of w^2-(z-c)w+a = 0.
 
     Satisfies w = z - c - a/w and w/z -> 1 at infinity (monic normalization).
+    w = -t for the roots t of t^2 - (c-z) t + a from darboux's scaled ``_half_disc``.
     """
-    zc = complex(z) - complex(c)
-    disc = zc * zc - 4.0 * complex(a)
+    half, disc = _half_disc(complex(c), complex(a), complex(z))
     if disc == 0:
         # Branch point: the two roots coincide, so the value is unambiguous.
-        return zc / 2.0
-    root = complex(np.sqrt(complex(disc)))
-    w1 = (zc + root) / 2.0
-    w2 = (zc - root) / 2.0
+        return -half
+    w1, w2 = disc - half, -half - disc
     if abs(abs(w1) - abs(w2)) <= 1e-12 * (abs(w1) + abs(w2)):
         raise ConfigurationError(
             f"z={z} lies on the boundary arc |w+| = |w-|: no dominant root"

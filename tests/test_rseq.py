@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,8 +18,6 @@ from darbouxjac.rseq import (
     R1System,
     R2System,
     RIICoefficients,
-    geronimus_pair_quasi,
-    r1_coeffs,
     r1_general,
     r2_coeffs,
     rational_eval,
@@ -43,7 +44,7 @@ class TestSamplePoints:
 
 class TestR1:
     def test_beta1(self, cheb1):
-        rc = r1_coeffs(cheb1, TransformPoint(1j), TransformPoint(-1j, s0star=1.0), 1)
+        rc = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j, s0star=1.0)).coeffs(1)
         assert abs(rc.beta - 0.5j) < 1e-14
 
     def test_residuals_conjugate_pair(self, cheb1):
@@ -159,7 +160,7 @@ class TestR2:
                 assert sys2.residual(q, rc, z) <= 1e-9
 
     def test_r2_coeffs_public_wrapper(self, cheb1):
-        q = geronimus_pair_quasi(cheb1, -1j, 5)
+        q = GeronimusPairQuasi(cheb1, -1j).quasi(5)
         rc = r2_coeffs(cheb1, TransformPoint(1j), q, 5, check=True)
         assert rc.n == 5
 
@@ -182,8 +183,9 @@ class TestVaryingMeasure:
         chain.apply(1j)
         chain.apply(-1j)
         direct = chain.coeffs()
-        assert np.max(np.abs(out.coeffs.c - direct.c)) <= 1e-9
-        assert np.max(np.abs(out.coeffs.lam - direct.lam)) <= 1e-9
+        assert np.array_equal(out.coeffs.c, direct.c)
+        assert np.array_equal(out.coeffs.lam, direct.lam)
+        assert out.coeffs.s0 == direct.s0
 
     def test_orthogonality_oracle(self, cheb1):
         out = varying_measure_polys(cheb1, [1j, 1 + 1j], 5)
@@ -233,6 +235,62 @@ class TestVaryingMeasure:
         m = family_coeffs("chebyshev1", 12)
         with pytest.raises(ConfigurationError):
             varying_measure_polys(m, [1j, 2j], 30)
+
+    @pytest.mark.parametrize("sites", [[], [1j]])
+    def test_degree_guard_covers_the_empty_list(self, sites):
+        m = family_coeffs("chebyshev1", 12)
+        final = m.n_max - 4 * len(sites)
+        with pytest.raises(ConfigurationError, match=f"final prefix length {final}"):
+            varying_measure_polys(m, sites, 10**6)
+        out = varying_measure_polys(m, sites, final)  # for [] the base itself
+        assert out.step_prefixes[0] is m and out.coeffs is out.step_prefixes[-1]
+
+
+@st.composite
+def pair_sites(draw):
+    """A nonreal site at log-radius 0.05..1.5 around [-1, 1]: the Joukowski
+    image (w + 1/w)/2 of w = rho e^{i theta}, off the real axis."""
+    w = cmath.rect(math.exp(draw(st.floats(0.05, 1.5))), draw(st.floats(0.05, math.pi - 0.05)))
+    return complex(np.conj((w + 1 / w) / 2)) if draw(st.booleans()) else (w + 1 / w) / 2
+
+
+def chain_varying_measure(m, kappas):
+    """The step prefixes, R_II data and residuals of varying_measure_polys built
+    from one GeronimusChain, the order-2 quasi formula written out, and
+    R2System on the full step prefix (no quadrature cross-check)."""
+    chain, prefixes, seqs = GeronimusChain(m), [m], []
+    for kap in kappas:
+        chain.apply(kap)
+        chain.apply(np.conj(kap))
+        prefixes.append(chain.coeffs())
+        seqs.append((chain.steps[-2]["a_seq"], chain.steps[-1]["a_seq"]))
+    rii, residuals, zs = [], [], sample_points(8)
+    for j in range(1, len(kappas)):
+        A, Ap = seqs[j]
+        q = QuasiOrthogonal(
+            order=2, degree=j + 1, tilde_C=A[j + 1] + Ap[j + 1], tilde_D=Ap[j + 1] * A[j]
+        )
+        rc = R2System(prefixes[j], kappas[j - 1]).coeffs(q, j)
+        t1 = eval_P(prefixes[j + 1], j + 1, zs)
+        t2 = (rc.rho * zs - rc.gamma) * eval_P(prefixes[j], j, zs)
+        kap = kappas[j - 1]
+        t3 = rc.upsilon * (zs - kap) * (zs - np.conj(kap)) * eval_P(prefixes[j - 1], j - 1, zs)
+        rii.append(rc)
+        residuals.append(float(np.max(relative(t1 - t2 + t3, t1, t2, t3))))
+    return prefixes, rii, residuals
+
+
+@PROPERTY
+@given(prefixes, st.lists(pair_sites(), min_size=1, max_size=3))
+def test_varying_measure_is_bitwise_the_chain(m, kappas):
+    out = varying_measure_polys(m, kappas, 1)
+    steps, rii, residuals = chain_varying_measure(m, kappas)
+    assert len(out.step_prefixes) == len(steps)
+    for got, ref in zip(out.step_prefixes, steps):
+        assert np.array_equal(got.c, ref.c) and np.array_equal(got.lam, ref.lam)
+        assert got.s0 == ref.s0
+    assert out.rii == tuple(rii)
+    assert np.array_equal(out.rii_residuals, residuals, equal_nan=True)
 
 
 class TestRationalEval:

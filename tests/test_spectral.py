@@ -333,6 +333,7 @@ class TestClusterSweep:
 class TestRatioLimit:
     def test_at_one(self):
         assert abs(ratio_limit_f(0.25, 0.0, 1.0) - 0.5) < 1e-15
+        assert ratio_limit_f(0.0, 0.3, 0.3) == 0  # a double root with nothing to scale by
 
     def test_at_two(self):
         assert abs(ratio_limit_f(0.25, 0.0, 2.0) - (2 + np.sqrt(3)) / 2) < 1e-15
@@ -349,6 +350,13 @@ class TestRatioLimit:
     def test_boundary_arc_rejected(self):
         with pytest.raises(ConfigurationError):
             ratio_limit_f(0.25, 0.0, 0.5)
+
+    @pytest.mark.parametrize("z", [1e160j, 1e200 + 1j])
+    def test_far_from_the_support(self, z):
+        # (z - c)^2 leaves the double range past |z - c| ~ 1e154
+        w = ratio_limit_f(0.25, 0.0, z)
+        assert abs(w / z - 1.0) < 1e-12
+        assert abs(w - (z - 0.25 / w)) <= 1e-12 * abs(w)
 
     def test_oracle_ratio_sequence(self, cheb1):
         from darbouxjac.polyeval import ratio_sequence
