@@ -46,30 +46,25 @@ def integrate(kind: str, f: Callable[[np.ndarray], np.ndarray], n: int) -> compl
 
 
 def adaptive_integral(
-    family: Family | str,
-    f: Callable[[np.ndarray], np.ndarray],
-    start: int = 256,
-    stop: int = 4096,
-    rtol: float = 1e-11,
-    fail_tol: float = 1e-10,
+    family: Family | str, f: Callable[[np.ndarray], np.ndarray], stop: int = 4096
 ) -> complex:
     """Node-doubling integral with convergence check.
 
-    Doubles the node count from ``start`` until two successive rules agree to
-    ``rtol`` (relative to scale); raises QuadratureError if disagreement still
-    exceeds ``fail_tol`` at ``stop`` nodes.
+    Doubles the node count from 256 until two successive rules agree to
+    1e-11 (relative to scale); raises QuadratureError if the rules at
+    ``stop`` and 2 ``stop`` nodes still disagree by more than 1e-10.
     """
     kind = family.kind if isinstance(family, Family) else family
-    n = start
+    n = 256
     prev = integrate(kind, f, n)
     while n < stop:
         n *= 2
         cur = integrate(kind, f, n)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= 1e-11 * max(1.0, abs(cur)):
             return cur
         prev = cur
     cur = integrate(kind, f, stop * 2)
-    if abs(cur - prev) > fail_tol * max(1.0, abs(cur)):
+    if abs(cur - prev) > 1e-10 * max(1.0, abs(cur)):
         raise QuadratureError(
             f"quadrature did not converge: node-doubling disagreement "
             f"{abs(cur - prev):.3e} at {stop * 2} nodes"

@@ -259,10 +259,10 @@ def _suite_r2(m, kappa, s0star):
     return _residual_entry(range(1, 31), sys2.residuals(qs, rcs, z), sys2.m, z)
 
 
-def _leading_gap(J, S, nb: int = 50) -> float:
-    """Largest entry gap between the leading nb entries of J and S that both
+def _leading_gap(J, S) -> float:
+    """Largest entry gap between the leading 50 entries of J and S that both
     carry (off-diagonals up to sign)."""
-    nd, na = min(nb, len(J.b), len(S.b)), min(nb, len(J.a), len(S.a))
+    nd, na = min(50, len(J.b), len(S.b)), min(50, len(J.a), len(S.a))
     gap_a = np.minimum(np.abs(J.a[:na] - S.a[:na]), np.abs(J.a[:na] + S.a[:na]))
     return float(max(np.max(np.abs(J.b[:nd] - S.b[:nd])), np.max(gap_a, initial=0.0)))
 

@@ -214,13 +214,14 @@ def kernel_eval(m: RecurrenceCoeffs, site: TransformPoint, n: int, z: complex) -
     """Monic kernel polynomial P*_n(kappa, z).
 
     Near z = kappa the two-term form is ill-conditioned; the value is then
-    obtained from the transformed recurrence instead.
+    obtained from the transformed recurrence instead, of the leading n + 3
+    terms (at least 4): christoffel runs forward, so they give the same entries.
     """
     if n == 0:
         return 1.0 + 0.0j
     kappa = site.kappa
     if abs(z - kappa) <= _KERNEL_SWITCH:
-        return eval_P(christoffel(m, site).coeffs, n, z)
+        return eval_P(christoffel(m.truncated(min(m.n_max, max(n + 3, 4))), site).coeffs, n, z)
     try:
         rho = ratio_sequence(m, kappa, "P", n_terms=n + 1)
     except ZeroHitError as exc:
@@ -443,8 +444,7 @@ class GeronimusChain:
 
     ``apply(kappa)`` steps at the Cauchy value s0star = integral d(current
     measure)/(t - kappa), where R_n is the minimal solution, through the
-    backward run ``_cauchy_run``; there is no precision budget.  An explicit
-    s0star goes through ``geronimus`` and its routing.
+    backward run ``_cauchy_run``; there is no precision budget.
     """
 
     def __init__(self, m: RecurrenceCoeffs):
@@ -456,20 +456,13 @@ class GeronimusChain:
     def n_max(self) -> int:
         return len(self._c)
 
-    def apply(self, kappa: complex, s0star=None) -> None:
-        """One Geronimus step; s0star None means the Cauchy-transform value."""
+    def apply(self, kappa: complex) -> None:
+        """One Geronimus step at the Cauchy-transform value s0star."""
         kappa = complex(kappa)
-        if s0star is None:
-            if len(self._c) - 2 < 2:
-                raise PrefixError("prefix too short for another Geronimus step")
-            c_new, lam_new, s0star, w = _geronimus_step(self._c, self._lam, self._s0, kappa)
-            a_seq = _a_seq(w)
-        else:
-            site = TransformPoint(kappa, s0star=s0star, allow_real=True)
-            tc = geronimus(self.coeffs(), site)
-            c_new, lam_new, a_seq = tc.coeffs.c.tolist(), tc.coeffs.lam.tolist(), tc.a_seq
-            s0star = site.s0star
-        self.steps.append({"kappa": kappa, "s0star": s0star, "a_seq": a_seq})
+        if len(self._c) - 2 < 2:
+            raise PrefixError("prefix too short for another Geronimus step")
+        c_new, lam_new, s0star, w = _geronimus_step(self._c, self._lam, self._s0, kappa)
+        self.steps.append({"kappa": kappa, "s0star": s0star, "a_seq": _a_seq(w)})
         self._c, self._lam, self._s0 = c_new, lam_new, s0star
 
     def coeffs(self) -> RecurrenceCoeffs:

@@ -20,7 +20,7 @@ class PrefixError(DarbouxError, ValueError):
 class ZeroHitError(DarbouxError, ArithmeticError):
     """A ratio run hit a zero of y_n: y_n(z) cancelled to 1e-13 of its terms."""
 
-    def __init__(self, index: int, which: str = "P"):
+    def __init__(self, index: int, which: str):
         self.index = index
         self.which = which
         super().__init__(f"{which}_{index} vanishes at the evaluation point")
@@ -37,17 +37,15 @@ class EvaluationRangeError(DarbouxError, OverflowError):
 class ExistenceError(DarbouxError, ArithmeticError):
     """A transformed OPS does not exist (vanishing denominator at index n)."""
 
-    def __init__(self, message: str, index: int | None = None):
+    def __init__(self, message: str, index: int):
         self.index = index
-        if index is not None:
-            message = f"{message} (n={index})"
-        super().__init__(message)
+        super().__init__(f"{message} (n={index})")
 
 
 class FactorBreakdownError(DarbouxError, ArithmeticError):
     """LU/UL factorization breakdown: a pivot d_j or t_j vanished."""
 
-    def __init__(self, index: int, which: str = "d"):
+    def __init__(self, index: int, which: str):
         self.index = index
         self.which = which
         super().__init__(f"factorization breakdown: {which}_{index} ~ 0")

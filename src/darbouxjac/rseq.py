@@ -228,11 +228,7 @@ class R1System:
 
 
 def r1_general(
-    m: RecurrenceCoeffs,
-    k1: TransformPoint,
-    q: QuasiOrthogonal,
-    n: int,
-    check: bool = True,
+    m: RecurrenceCoeffs, k1: TransformPoint, q: QuasiOrthogonal, n: int
 ) -> RICoefficients:
     """Unique (alpha_n, beta_n) for an arbitrary order-1 quasi-orthogonal
     T_{n+1} = P_{n+1} + tilde_A P_n; verified at n+2 sample points."""
@@ -243,10 +239,9 @@ def r1_general(
     _check_degree("R_I", n)
     rho_n = ratio_sequence(m, k1.kappa, "P", n_terms=n).values[n - 1]
     rc = _ri_coeffs(m, n, rho_n, q.tilde_A)
-    if check:
-        zs = sample_points(n + 2)
-        res = _ri_residuals(m, np.array([n]), zs, q.tilde_A, rc.alpha, rc.beta, rho_n)[0]
-        _verified("R_I", res, n, zs)
+    zs = sample_points(n + 2)
+    res = _ri_residuals(m, np.array([n]), zs, q.tilde_A, rc.alpha, rc.beta, rho_n)[0]
+    _verified("R_I", res, n, zs)
     return rc
 
 
@@ -292,11 +287,11 @@ class R2System:
     """Precomputed data for the R_II relation at a conjugate kernel pair
     (kappa1, conj kappa1)."""
 
-    def __init__(self, m: RecurrenceCoeffs, kappa1: complex, kappa2: complex | None = None):
+    def __init__(self, m: RecurrenceCoeffs, kappa1: complex):
         kappa1 = complex(kappa1)
         self.m = m
         self.kappa1 = kappa1
-        self.kappa1_bar = complex(np.conj(kappa1)) if kappa2 is None else complex(kappa2)
+        self.kappa1_bar = kappa1.conjugate()
         # the two steps of christoffel_two; their ratio runs are rho and kernel_rho
         self.tc1 = christoffel(m, TransformPoint(kappa1))
         self.tc2 = christoffel(self.tc1.coeffs, TransformPoint(self.kappa1_bar))
@@ -350,26 +345,20 @@ class R2System:
 
 
 def r2_coeffs(
-    m: RecurrenceCoeffs,
-    k1: TransformPoint,
-    q: QuasiOrthogonal,
-    n: int,
-    kappa2: complex | None = None,
-    check: bool = False,
+    m: RecurrenceCoeffs, k1: TransformPoint, q: QuasiOrthogonal, n: int
 ) -> RIICoefficients:
-    """rho_n, gamma_n, upsilon_n of the R_II relation
+    """rho_n, gamma_n, upsilon_n of the R_II relation at k1 and k2 = conj(k1)
 
     S_{n+1}(z) - (rho_n z - gamma_n) P_n(z)
         + upsilon_n (z - k1)(z - k2) P**_{n-1}(k1, k2, z) = 0,
 
     with upsilon_n = (lambda_{n+1} - tilde_D) / (r*_n r_n - lambda_{n+1}) and
-    rho_n = 1 + upsilon_n; k2 defaults to conj(k1).
+    rho_n = 1 + upsilon_n; verified at n+3 sample points.
     """
-    sys = R2System(m, k1.kappa, kappa2)
+    sys = R2System(m, k1.kappa)
     rc = sys.coeffs(q, n)
-    if check:
-        zs = sample_points(n + 3)
-        _verified("R_II", sys.residual(q, rc, zs), n, zs)
+    zs = sample_points(n + 3)
+    _verified("R_II", sys.residual(q, rc, zs), n, zs)
     return rc
 
 
@@ -414,11 +403,23 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
     applications (at kappa_k then conj kappa_k) whose s0 values are the
     Cauchy transforms of the current measures.  Returns the per-step
     prefixes, the final coefficients, and the diagonal R_II data.
+
+    Each pair takes 4 terms and needs 6, and the last R_II entry evaluates
+    P_K of the final measure, so K sites need max(4K + 2, 5K) terms; a shorter
+    prefix raises PrefixError before any step.
     """
     kappas = [complex(k) for k in kappas]
     for kap in kappas:
         if kap.imag == 0:
             raise ConfigurationError(f"kappa={kap} must be nonreal")
+    count = len(kappas)
+    need, final = max(4 * count + 2, 5 * count), m.n_max - 4 * count
+    if count and m.n_max < need:
+        raise PrefixError(
+            f"a chain of {count} conjugate Geronimus pairs needs a prefix of length >= {need}"
+        )
+    if n > final:
+        raise ConfigurationError(f"degree {n} exceeds the final prefix length {final}")
     prefixes, pairs, applied = [m], [], []
     for kap in kappas:
         pair = GeronimusPairQuasi(prefixes[-1], kap)
@@ -427,9 +428,6 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
             _quad_crosscheck(m, applied, s0star)
         pairs.append(pair)
         prefixes.append(pair.coeffs)
-    final = prefixes[-1]
-    if n > final.n_max:
-        raise ConfigurationError(f"degree {n} exceeds the final prefix length {final.n_max}")
     rii, residuals, zs = [], [], sample_points(8)
     for j in range(1, len(kappas)):
         sigma, kap = prefixes[j], kappas[j - 1]
@@ -444,7 +442,7 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
         residuals.append(float(np.max(_relative(zs, t1 - t2 + t3, t1, t2, t3))))
     return VaryingMeasureResult(
         kappas=tuple(kappas),
-        coeffs=final,
+        coeffs=prefixes[-1],
         step_prefixes=tuple(prefixes),
         rii=tuple(rii),
         rii_residuals=tuple(residuals),

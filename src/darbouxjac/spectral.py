@@ -110,16 +110,16 @@ class StripReport(Record):
 
 
 class NevaiDiagnostics(Record):
-    """Estimated Nevai-class data (lambda_n -> a, c_n -> c) and tail health."""
+    """Estimated Nevai-class data (lambda_n -> a, c_n -> c) and tail health.
+
+    The ratio limit f(z), the larger-modulus root of w^2 - (z-c) w + a = 0
+    (the fixed point of w = z - c - a/w), is ``ratio_limit_f(a_limit, c_limit, z)``.
+    """
 
     a_limit: complex
     c_limit: complex
     tail_residuals: np.ndarray
     is_member: bool
-    f_branch_note: str = (
-        "f(z) = larger-modulus root of w^2 - (z-c) w + a = 0, "
-        "the fixed point of w = z - c - a/w"
-    )
 
 
 class MFunctionSeries(Record):
@@ -404,7 +404,8 @@ def _corner_roots(m: RecurrenceCoeffs, J: SymmetricJacobi, degrees, shift: int, 
 
 def _leading(m: RecurrenceCoeffs, n_list) -> RecurrenceCoeffs:
     """The leading max(n_list) + 3 terms of m (at least 4): all that the
-    transforms read for the zeros and strip bounds of those degrees."""
+    transforms read for the zeros, strip bounds and cluster distances of
+    those degrees."""
     return m.truncated(min(m.n_max, max(max(n_list, default=0) + 3, 4)))
 
 
@@ -480,14 +481,14 @@ def strip_check(cloud: ZeroCloud, bound: float, side: str = "upper") -> StripRep
     return StripReport(ok=not violators, side=side, bound=float(bound), violators=tuple(violators))
 
 
-def nevai_diagnostics(m: RecurrenceCoeffs, tail_window: int = 32) -> NevaiDiagnostics:
-    """Estimate (a, c) from the prefix tail and check residual decay."""
-    if m.n_max < tail_window + 2:
-        tail_window = max(m.n_max // 2, 2)
+def nevai_diagnostics(m: RecurrenceCoeffs) -> NevaiDiagnostics:
+    """Estimate (a, c) from the prefix tail and check residual decay over its
+    last 32 terms (half of a prefix shorter than 34)."""
+    window = 32 if m.n_max >= 34 else max(m.n_max // 2, 2)
     a = complex(m.lam[-1])
     c = complex(m.c[-1])
-    lam_tail = m.lam[-tail_window:]
-    c_tail = m.c[-tail_window:]
+    lam_tail = m.lam[-window:]
+    c_tail = m.c[-window:]
     res = np.abs(lam_tail - a) + np.abs(c_tail[: len(lam_tail)] - c)
     slack = 1e-13 * (1.0 + abs(a) + abs(c))
     member = bool(np.all(np.diff(res) <= slack))
@@ -586,8 +587,9 @@ def cluster_sweep(
     of the ratios, raises EigenSolverError naming n (kappa on a symmetry axis
     of the zeros can hold Newton on it); a single step of d that leaves the
     double range (|kappa| near 1e300) raises EvaluationRangeError.  Every degree
-    is checked first; then one ``geronimus`` of the leading max(n_list) + 2
-    terms and one ratio run of max(n_list) terms serve all of them.
+    is checked first; then one ``geronimus`` of the leading max(n_list) + 3
+    terms (``_leading``, as in ``geronimus_zero_sweep``) and one ratio run of
+    max(n_list) terms serve all of them.
     """
     if site.s0star is None:
         raise ConfigurationError("cluster_distance needs a Geronimus site with s0star")
@@ -598,7 +600,7 @@ def cluster_sweep(
     if not n_list:
         return ()
     kappa, top = site.kappa, max(n_list)
-    w = (-geronimus(m.truncated(min(m.n_max, max(top + 2, 4))), site).a_seq[1:top]).tolist()
+    w = (-geronimus(_leading(m, n_list), site).a_seq[1:top]).tolist()
     rho = ratio_sequence(m, kappa, "P", n_terms=top).values.tolist()
     lam = m.lam[: top - 1].tolist()
     return tuple(_cluster_point(kappa, -m.s0 / site.s0star, rho, w, lam, n) for n in n_list)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from darbouxjac import cli, rseq
+from darbouxjac import cli, rseq, spectral
 from darbouxjac.cli import main, parse_complex, parse_n_list
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
 from darbouxjac.darboux import TransformPoint, cauchy_s0star, geronimus
@@ -389,6 +389,23 @@ class TestZeros:
         assert lines[0] == "n,re,im,cluster_dist,ln_cluster_dist"
         first = lines[1].split(",")
         assert abs(np.log(float(first[3])) - float(first[4])) < 1e-9
+
+    def test_geronimus_cluster_columns_and_zeros_share_one_truncation(self, monkeypatch, capsys):
+        """The cluster columns and the zeros of a row come from transforms of
+        the same leading max(n_list) + 3 terms: near the Cauchy value
+        geronimus picks its route from the prefix it is given."""
+        lengths = []
+
+        def recording(m, site):
+            lengths.append(m.n_max)
+            return geronimus(m, site)
+
+        monkeypatch.setattr(spectral, "geronimus", recording)
+        argv = ["zeros", "--family=chebyshev1", "--kind=geronimus", "--kappa=0.3+0.5i",
+                "--s0star=1+0i", "--n-list=10,40,20"]
+        assert main(argv) == 0
+        assert lengths == [43, 43]
+        capsys.readouterr()
 
     @pytest.mark.parametrize("n_list", ["0", "-1", "63"])
     def test_geronimus_degree_out_of_range_exits_1(self, n_list):

@@ -287,9 +287,9 @@ RECORDS = {
     ),
     StripReport: (("ok", "side", "bound", "violators"), (True, "upper", 1.5, ()), {}),
     NevaiDiagnostics: (
-        ("a_limit", "c_limit", "tail_residuals", "is_member", "f_branch_note"),
+        ("a_limit", "c_limit", "tail_residuals", "is_member"),
         (0.25 + 0j, 0j, np.array([1e-3, 1e-4]), True),
-        {"f_branch_note": NevaiDiagnostics.f_branch_note},
+        {},
     ),
     MFunctionSeries: (
         ("moments", "order", "validity_radius"), (np.array([1.0, 0.0, 0.5]), 2, 1.0), {}

@@ -26,6 +26,7 @@ from darbouxjac.errors import (
 )
 from darbouxjac.polyeval import eval_P
 from darbouxjac.rseq import R1System
+from test_ratio_kernel import nevai_prefix
 
 RNG = np.random.default_rng(0x5EED)
 
@@ -105,6 +106,17 @@ class TestKernelEval:
         fallback = kernel_eval(cheb1, site, 6, z_close)
         # both approximate P*_6(kappa, kappa)
         assert abs(direct - fallback) < 1e-6 * max(1.0, abs(direct))
+
+    @pytest.mark.parametrize("kind", ["chebyshev1", "chebyshev4"])
+    def test_near_kappa_reads_the_leading_terms_only(self, kind):
+        """The transform of the leading n + 3 terms gives the whole prefix's
+        value bit for bit, up to the top degree of the whole transform."""
+        m = nevai_prefix(kind, 7, 64)
+        for kappa in (1j, 0.3 + 0.5j):
+            site, z = TransformPoint(kappa), kappa + 1e-13
+            whole = christoffel(m, site).coeffs
+            for n in (1, 2, 5, 30, 61, 62):
+                assert kernel_eval(m, site, n, z) == eval_P(whole, n, z)
 
     def test_matches_transformed_recurrence(self, cheb1):
         site = TransformPoint(1j)
@@ -271,16 +283,6 @@ class TestGeronimusCauchy:
         # s0'' = integral dmu/|t-i|^2 is a positive real number
         assert abs(out.s0.imag) < 1e-15
         assert out.s0.real > 0
-
-    def test_chain_with_explicit_s0star_steps_through_geronimus(self, cheb1):
-        site = TransformPoint(1j, s0star=2 - 1j)
-        chain = GeronimusChain(cheb1)
-        chain.apply(site.kappa, site.s0star)
-        direct = geronimus(cheb1, site)
-        assert np.array_equal(chain.coeffs().c, direct.coeffs.c)
-        assert np.array_equal(chain.coeffs().lam, direct.coeffs.lam)
-        assert chain.coeffs().s0 == site.s0star == chain.steps[-1]["s0star"]
-        assert np.array_equal(chain.steps[-1]["a_seq"], direct.a_seq)
 
     def test_needs_no_family(self, cheb1):
         """A preset copy without its family (no weight, no quadrature

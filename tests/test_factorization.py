@@ -167,6 +167,19 @@ class TestUlFactor:
         assert np.max(np.abs(a.lam - b.lam)) <= 1e-14
 
 
+    @pytest.mark.parametrize("kappa", [1j, 0.3 + 0.5j])
+    def test_dense_U(self, cheb1, kappa):
+        # U U^T = J - kappa I on the rows the 64 leading pivots determine,
+        # and U^T U + kappa I = J_G(kappa)
+        J = symmetrize(cheb1)
+        f = ul_factor(J, kappa, 1.0)
+        U, eye, w = f.dense_U(64), np.eye(64), 63
+        lhs = symmetric_jacobi_matrix(J, 64) - kappa * eye
+        assert np.max(np.abs((U @ U.T - lhs)[:w, :w])) <= 1e-14
+        JGd = symmetric_jacobi_matrix(build_JG(f), 64)
+        assert np.max(np.abs(U.T @ U + kappa * eye - JGd)) <= 1e-14
+
+
 class TestBuildJG:
     def test_b0(self, cheb1):
         for kappa in KAPPAS:

@@ -309,8 +309,8 @@ def test_cluster_distance_matches_newton_reference(m, kappa, n, near_cauchy, dat
 def test_cluster_sweep_is_the_per_degree_distance(m, kappa, degrees, near_cauchy, data):
     """cluster_sweep gives each degree's cluster_distance in n_list order,
     unsorted and repeated degrees included, bit for bit wherever the sweep's
-    transform of max(n_list) + 2 terms has the ratios w of the degree's own
-    transform of n + 2 terms: always on the double route.  Near the Cauchy
+    transform of max(n_list) + 3 terms has the ratios w of the degree's own
+    transform of n + 3 terms: always on the double route.  Near the Cauchy
     value geronimus takes its route and crossover from the eta and tails of
     the prefix it is given, so a shorter prefix can move the last bits of w;
     there the two agree to TOL."""
@@ -328,9 +328,10 @@ def test_cluster_sweep_is_the_per_degree_distance(m, kappa, degrees, near_cauchy
     if isinstance(want, tuple):
         assert got == want
         return
-    top = geronimus(m.truncated(max(max(degrees) + 2, 4)), site).a_seq
+    top = geronimus(m.truncated(min(m.n_max, max(max(degrees) + 3, 4))), site).a_seq
     for n, (xi, dist, log_dist), ref in zip(degrees, got, want):
-        if np.array_equal(geronimus(m.truncated(max(n + 2, 4)), site).a_seq[1:n], top[1:n]):
+        if np.array_equal(geronimus(m.truncated(min(m.n_max, max(n + 3, 4))), site).a_seq[1:n],
+                          top[1:n]):
             assert (xi, dist, log_dist) == ref
             continue
         event("near-Cauchy: the shorter prefix moves w")

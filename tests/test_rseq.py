@@ -161,7 +161,7 @@ class TestR2:
 
     def test_r2_coeffs_public_wrapper(self, cheb1):
         q = GeronimusPairQuasi(cheb1, -1j).quasi(5)
-        rc = r2_coeffs(cheb1, TransformPoint(1j), q, 5, check=True)
+        rc = r2_coeffs(cheb1, TransformPoint(1j), q, 5)
         assert rc.n == 5
 
 
@@ -244,6 +244,28 @@ class TestVaryingMeasure:
             varying_measure_polys(m, sites, 10**6)
         out = varying_measure_polys(m, sites, final)  # for [] the base itself
         assert out.step_prefixes[0] is m and out.coeffs is out.step_prefixes[-1]
+
+    @pytest.mark.parametrize("count, need", [(1, 6), (2, 10), (3, 15), (4, 20), (5, 25)])
+    def test_prefix_guard_refuses_before_any_step(self, monkeypatch, count, need):
+        """K sites need max(4K + 2, 5K) terms; one term less, or a degree past
+        the final length, is refused with no Geronimus step taken."""
+        sites = [1j, 2j, 1 + 1j, -1 + 1j, 0.5 + 0.5j][:count]
+        base = family_coeffs("chebyshev1", need)
+        bare = RecurrenceCoeffs(c=base.c, lam=base.lam)
+        assert len(varying_measure_polys(bare, sites, 0).step_prefixes) == count + 1
+        steps, apply = [], GeronimusChain.apply
+
+        def counted(chain, kappa):
+            steps.append(kappa)
+            apply(chain, kappa)
+
+        monkeypatch.setattr(GeronimusChain, "apply", counted)
+        with pytest.raises(PrefixError, match=f"needs a prefix of length >= {need}$"):
+            varying_measure_polys(bare.truncated(need - 1), sites, 0)
+        final = need - 4 * count
+        with pytest.raises(ConfigurationError, match=f"final prefix length {final}$"):
+            varying_measure_polys(bare, sites, final + 1)
+        assert steps == []
 
 
 @st.composite
