@@ -3,8 +3,8 @@
 ``main`` builds only the subcommand that argv[0] names, else the full parser.
 
 Exit codes: 0 pass, 1 check or existence failure (a malformed --coeff-file
-included), 2 usage error, 3 fixtures/environment error (an unreadable
---coeff-file and a malformed fixtures file included).  Complex literals must
+included), 2 usage error, 3 environment error (an unreadable --coeff-file or
+an unwritable --output).  Complex literals must
 carry both parts ("0+1i", "1.5-2i"), and one with a leading minus needs the
 '=' form ("--kappa=-0.4+0.3i"); outputs are deterministic for a fixed
 configuration.
@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from importlib import resources
 
 import numpy as np
 
@@ -102,16 +100,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
-
-
-def _resolve_fixtures(path_arg: str | None) -> str:
-    if path_arg:
-        return path_arg
-    env = os.environ.get("DARBOUX_FIXTURES")
-    if env:
-        return env
-    ref = resources.files("darbouxjac").joinpath("fixtures/thresholds.json")
-    return str(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -294,27 +282,26 @@ def _suite_factorization(m, kappa, s0star):
     return {"pass": ok, "reconstruction_error": err, "agreement_error": agree}
 
 
-def _suite_ratio_asymptotics(entry):
-    """The ratio-asymptotics suite of a fixture entry, whose fields are read
-    here, so that a missing or malformed one raises before any suite runs."""
-    z, kap, s0 = (complex(*entry[k]) for k in ("z", "kappa", "s0star"))
-    n_check = int(entry["n_check"])
-    thr_c, thr_g = (float(entry[f"{k}_threshold"]) for k in ("christoffel", "geronimus"))
+# the ratio-asymptotics suite's one site, whatever --kappa and --s0star say:
+# the Christoffel transform at kappa and the Geronimus one at (kappa, s0star),
+# each checked at z after n terms
+RATIO_KAPPA, RATIO_S0STAR, RATIO_Z, RATIO_N = 1j, 1 + 0j, 2j, 200
+RATIO_TOL = 1e-12
 
-    def suite(m, kappa, s0star):
-        tc = christoffel(m, TransformPoint(kap))
-        rep_c = spectral.ratio_asymptotic_check(tc.coeffs, [z], n_check)
-        tg = geronimus(m, TransformPoint(kap, s0star=s0))
-        rep_g = spectral.ratio_asymptotic_check(tg.coeffs, [z], n_check)
-        err_c, err_g = float(rep_c.errors[0]), float(rep_g.errors[0])
-        return {
-            "pass": err_c <= thr_c and err_g <= thr_g,
-            "christoffel_error": err_c,
-            "geronimus_error": err_g,
-            "christoffel_threshold": thr_c,
-            "geronimus_threshold": thr_g,
-        }
-    return suite
+
+def _suite_ratio_asymptotics(m, kappa, s0star):
+    tc = christoffel(m, TransformPoint(RATIO_KAPPA))
+    rep_c = spectral.ratio_asymptotic_check(tc.coeffs, [RATIO_Z], RATIO_N)
+    tg = geronimus(m, TransformPoint(RATIO_KAPPA, s0star=RATIO_S0STAR))
+    rep_g = spectral.ratio_asymptotic_check(tg.coeffs, [RATIO_Z], RATIO_N)
+    err_c, err_g = float(rep_c.errors[0]), float(rep_g.errors[0])
+    return {
+        "pass": err_c <= RATIO_TOL and err_g <= RATIO_TOL,
+        "christoffel_error": err_c,
+        "geronimus_error": err_g,
+        "christoffel_threshold": RATIO_TOL,
+        "geronimus_threshold": RATIO_TOL,
+    }
 
 
 _SUITES = {
@@ -323,38 +310,16 @@ _SUITES = {
     "r1": _suite_r1,
     "r2": _suite_r2,
     "factorization": _suite_factorization,
-    "ratio-asymptotics": _suite_ratio_asymptotics,  # called on its fixture entry first
+    "ratio-asymptotics": _suite_ratio_asymptotics,
 }
 
 
 def cmd_verify(args) -> int:
-    fixtures_path = _resolve_fixtures(args.fixtures)
-    if not os.path.exists(fixtures_path):
-        print(f"error: fixtures file not found: {fixtures_path}", file=sys.stderr)
-        return 3
-    with open(fixtures_path, "rb") as fh:
-        raw = fh.read()
     m = _load_base(args)
-    kappa = args.kappa
-    s0star = args.s0star
-    suites = args.suite or list(_SUITES)
-    run = dict(_SUITES)
-    try:
-        fixtures = json.loads(raw.decode("utf-8"))
-        if "ratio-asymptotics" in suites:
-            entry = fixtures.get("ratio_asymptotic", {}).get(args.family or "custom")
-            if entry is None:
-                print(f"error: fixtures carry no thresholds for family {args.family!r}",
-                      file=sys.stderr)
-                return 3
-            run["ratio-asymptotics"] = _suite_ratio_asymptotics(entry)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        print(f"error: malformed fixtures file {fixtures_path}: {exc!r}", file=sys.stderr)
-        return 3
-    report = {"v": 1, "kappa": _fmt_c(kappa), "suites": {}}
+    report = {"v": 1, "kappa": _fmt_c(args.kappa), "suites": {}}
     all_pass = True
-    for name in suites:
-        res = run[name](m, kappa, s0star)
+    for name in args.suite or _SUITES:
+        res = _SUITES[name](m, args.kappa, args.s0star)
         report["suites"][name] = res
         all_pass = bool(all_pass and res["pass"])
     report["pass"] = all_pass
@@ -393,14 +358,13 @@ def _verify_args(p) -> None:
     p.add_argument("--suite", action="append", choices=_SUITES)
     _complex_option(p, "--kappa", default=complex(0, 1))
     _complex_option(p, "--s0star", default=complex(1, 0))
-    p.add_argument("--fixtures")
 
 
 # name: (help, options, handler), in the order the usage lists them
 _COMMANDS = {
     "transform": ("write a transformed coefficient file", _transform_args, cmd_transform),
     "zeros": ("emit zero clouds as CSV/JSON", _zeros_args, cmd_zeros),
-    "verify": ("run invariant suites against fixtures", _verify_args, cmd_verify),
+    "verify": ("run the invariant suites", _verify_args, cmd_verify),
 }
 
 

@@ -483,7 +483,10 @@ def strip_check(cloud: ZeroCloud, bound: float, side: str = "upper") -> StripRep
 
 def nevai_diagnostics(m: RecurrenceCoeffs) -> NevaiDiagnostics:
     """Estimate (a, c) from the prefix tail and check residual decay over its
-    last 32 terms (half of a prefix shorter than 34)."""
+    last 32 terms (half of a prefix shorter than 34).  A one-term prefix,
+    which carries no lambda, raises PrefixError."""
+    if m.n_max < 2:
+        raise PrefixError(f"Nevai diagnostics need two or more terms (n_max={m.n_max})")
     window = 32 if m.n_max >= 34 else max(m.n_max // 2, 2)
     a = complex(m.lam[-1])
     c = complex(m.c[-1])
@@ -592,7 +595,7 @@ def cluster_sweep(
     max(n_list) terms serve all of them.
     """
     if site.s0star is None:
-        raise ConfigurationError("cluster_distance needs a Geronimus site with s0star")
+        raise ConfigurationError("cluster_sweep needs a Geronimus site with s0star")
     n_list = tuple(int(n) for n in n_list)
     for n in n_list:
         if n < 1 or n + 2 > m.n_max:
@@ -718,8 +721,13 @@ def ratio_asymptotic_check(
 ) -> RatioAsymptoticReport:
     """Errors |P_{n}/P_{n-1}(z) - f(z)| at n = n_check with a monotone-tail flag.
 
-    The limit data (a, c) is diagnosed from the prefix tail, not assumed.
+    The limit data (a, c) is diagnosed from the prefix tail, not assumed.  The
+    flag compares the worst error over the last k terms with that over the k
+    terms from w back, for w = max(min(30, n_check // 2), 1) and
+    k = max(w // 3, 1).  An n_check below 1 raises PrefixError.
     """
+    if n_check < 1:
+        raise PrefixError(f"ratio asymptotics need n_check >= 1 (n={n_check})")
     diag = nevai_diagnostics(coeffs)
     if not diag.is_member:
         raise ConfigurationError("ratio asymptotics need a Nevai-class prefix")
@@ -733,9 +741,10 @@ def ratio_asymptotic_check(
         rs = ratio_sequence(coeffs, z, "P", n_terms=n_check)
         err = np.abs(rs.values - fz)
         errors[i] = err[-1]
-        w = min(30, n_check // 2)
-        head = float(np.max(err[-w : -w + max(w // 3, 1)]))
-        tail = float(np.max(err[-max(w // 3, 1) :]))
+        w = max(min(30, n_check // 2), 1)
+        k = max(w // 3, 1)
+        head = float(np.max(err[n_check - w : n_check - w + k]))
+        tail = float(np.max(err[-k:]))
         monotone.append(tail <= head * 1.01 + 1e-15)
     return RatioAsymptoticReport(
         n_check=n_check,

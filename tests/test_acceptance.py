@@ -1,16 +1,16 @@
 """Acceptance criteria, one test per criterion at its stated tolerance.
 
 Each test prints a single PASS/FAIL line (run with -s or -rP to see them).
-DERIVED ratio-asymptotic thresholds come from the versioned fixtures file,
-frozen by scripts/derive_fixtures.py before the build.
+The ratio-asymptotics criterion reads its site and tolerance from the
+constants of ``darbouxjac.cli``, which ``verify`` checks at, so the two cannot
+drift apart.
 """
-import json
 import time
-from importlib import resources
 
 import numpy as np
 import pytest
 
+from darbouxjac import cli
 from darbouxjac._quadrature import gauss_nodes
 from darbouxjac.core import CHEBYSHEV_KINDS, family_coeffs, symmetrize
 from darbouxjac.darboux import (
@@ -48,12 +48,6 @@ def record(num, ok, detail):
     REPORT.append(line)
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def fixtures():
-    ref = resources.files("darbouxjac").joinpath("fixtures/thresholds.json")
-    return json.loads(ref.read_text())
 
 
 def test_criterion_01_fibonacci_closed_form(cheb2):
@@ -240,25 +234,18 @@ def test_criterion_10_two_point_christoffel(cheb1):
     )
 
 
-def test_criterion_11_ratio_asymptotics(cheb1, fixtures):
-    entry = fixtures["ratio_asymptotic"]["chebyshev1"]
-    z = complex(*entry["z"])
-    n_check = entry["n_check"]
-    assert entry["christoffel_threshold"] <= 1e-6
-    assert entry["geronimus_threshold"] <= 1e-6
-    tc = christoffel(cheb1, TransformPoint(complex(*entry["kappa"])))
+def test_criterion_11_ratio_asymptotics(cheb1):
+    z, n_check, tol = cli.RATIO_Z, cli.RATIO_N, cli.RATIO_TOL
+    assert tol <= 1e-12
+    tc = christoffel(cheb1, TransformPoint(cli.RATIO_KAPPA))
     err_c = float(ratio_asymptotic_check(tc.coeffs, [z], n_check).errors[0])
-    tg = geronimus(
-        cheb1, TransformPoint(complex(*entry["kappa"]), s0star=complex(*entry["s0star"]))
-    )
+    tg = geronimus(cheb1, TransformPoint(cli.RATIO_KAPPA, s0star=cli.RATIO_S0STAR))
     err_g = float(ratio_asymptotic_check(tg.coeffs, [z], n_check).errors[0])
-    ok = err_c <= entry["christoffel_threshold"] and err_g <= entry["geronimus_threshold"]
     record(
         11,
-        ok,
-        f"ratio asymptotics at n={n_check}, z={z}: christoffel {err_c:.2e} "
-        f"(<= {entry['christoffel_threshold']:.1e}), geronimus {err_g:.2e} "
-        f"(<= {entry['geronimus_threshold']:.1e})",
+        err_c <= tol and err_g <= tol,
+        f"ratio asymptotics at n={n_check}, z={z}: christoffel {err_c:.2e}, "
+        f"geronimus {err_g:.2e} (<= {tol:.1e})",
     )
 
 

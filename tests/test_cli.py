@@ -69,7 +69,7 @@ class TestParser:
         "transform": {"--christoffel", "--geronimus", "--s0star", "--then-christoffel",
                       "--then-geronimus", "--then-s0star", "--n"},
         "zeros": {"--kind", "--kappa", "--s0star", "--n-list", "--format"},
-        "verify": {"--suite", "--kappa", "--s0star", "--fixtures"},
+        "verify": {"--suite", "--kappa", "--s0star"},
     }
     BASE = {"-h", "--help", "--family", "--coeff-file", "--n-max", "--output"}
 
@@ -547,93 +547,55 @@ class TestVerify:
             mp_.setattr(RecurrenceCoeffs, "truncated", lambda self, n_max: self)
             assert [suite(m, kappa, s0star) for suite in suites] == lead
 
-    def test_missing_fixtures_exit_3(self, tmp_path):
-        rc = main(
-            [
-                "verify",
-                "--family",
-                "chebyshev1",
-                "--fixtures",
-                str(tmp_path / "nope.json"),
-            ]
-        )
-        assert rc == 3
+    def test_coeff_file_runs_every_suite(self, tmp_path, capsys):
+        """The two-point Christoffel transform of chebyshev1 at (i, -i) is a
+        real positive prefix of 252 terms; verify on it without --suite runs
+        all six suites, ratio-asymptotics at its fixed site (it once exited 3:
+        the thresholds table had no entry for a coefficient file)."""
+        path = tmp_path / "pair.json"
+        argv = ["transform", "--family", "chebyshev1", "--christoffel", "0+1i",
+                "--then-christoffel", "0-1i", f"--output={path}"]
+        assert main(argv) == 0
+        assert json.loads(path.read_text())["n_max"] == 252
+        assert main(["verify", "--coeff-file", str(path), "--kappa", "0.3+0.5i"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] is True and set(doc["suites"]) == set(cli._SUITES)
+        assert all(entry["pass"] for entry in doc["suites"].values())
+        entry = doc["suites"]["ratio-asymptotics"]
+        assert entry["christoffel_threshold"] == entry["geronimus_threshold"] == cli.RATIO_TOL
 
-    def test_family_without_thresholds_exit_3(self, tmp_path, capsys):
-        from importlib import resources
+    def test_tolerance_below_the_errors_fails(self, monkeypatch, capsys):
+        """chebyshev1's Geronimus error at the site is 6.8e-17 (its Christoffel
+        error 0.0): at a zero tolerance the suite fails and verify exits 1."""
+        monkeypatch.setattr(cli, "RATIO_TOL", 0.0)
+        assert main(["verify", "--family=chebyshev1", "--suite=ratio-asymptotics"]) == 1
+        entry = json.loads(capsys.readouterr().out)["suites"]["ratio-asymptotics"]
+        assert entry["pass"] is False and entry["geronimus_error"] > 0.0
 
-        ref = resources.files("darbouxjac").joinpath("fixtures/thresholds.json")
-        doc = json.loads(ref.read_text())
-        del doc["ratio_asymptotic"]["chebyshev2"]
-        fixtures = tmp_path / "partial.json"
-        fixtures.write_text(json.dumps(doc))
-        argv = ["verify", "--family", "chebyshev2", "--fixtures", str(fixtures)]
-        rc = main(argv + ["--suite", "m-identities", "--suite", "ratio-asymptotics"])
-        out = capsys.readouterr()
-        assert rc == 3
-        assert out.out == ""
-        assert "no thresholds for family 'chebyshev2'" in out.err
-        assert main(argv + ["--suite", "m-identities"]) == 0
-
-    def test_tampered_fixtures_fail(self, tmp_path):
-        from importlib import resources
-
-        ref = resources.files("darbouxjac").joinpath("fixtures/thresholds.json")
-        doc = json.loads(ref.read_text())
-        for entry in doc["ratio_asymptotic"].values():
-            entry["christoffel_threshold"] = 0.0
-            entry["geronimus_threshold"] = 0.0
-        bad = tmp_path / "tampered.json"
-        bad.write_text(json.dumps(doc))
-        rc = main(
-            [
-                "verify",
-                "--suite",
-                "ratio-asymptotics",
-                "--family",
-                "chebyshev1",
-                "--fixtures",
-                str(bad),
-                "--output",
-                str(tmp_path / "r.json"),
-            ]
-        )
-        assert rc == 1
-
-    def test_env_var_fixture_override(self, tmp_path):
-        env = dict(os.environ)
-        env["DARBOUX_FIXTURES"] = str(tmp_path / "missing.json")
-        proc = run_cli(
-            ["verify", "--suite", "m-identities", "--family", "chebyshev1"], env=env
-        )
-        assert proc.returncode == 3
-
-    @pytest.mark.parametrize(
-        "case", ["not_json", "not_an_object", "entry_without_n_check", "infinite_n_check"]
-    )
-    def test_malformed_fixtures_exit_3(self, tmp_path, capsys, case):
-        from importlib import resources
-
-        fixtures = tmp_path / "bad.json"
-        ref = resources.files("darbouxjac").joinpath("fixtures/thresholds.json")
-        doc = json.loads(ref.read_text())
-        if case == "not_json":
-            fixtures.write_text("{")
-        elif case == "not_an_object":
-            fixtures.write_text("[]")
-        elif case == "entry_without_n_check":
-            del doc["ratio_asymptotic"]["chebyshev1"]["n_check"]
-            fixtures.write_text(json.dumps(doc))
-        else:
-            doc["ratio_asymptotic"]["chebyshev1"]["n_check"] = float("inf")
-            fixtures.write_text(json.dumps(doc).replace("Infinity", "1e400"))
-        argv = ["verify", "--family", "chebyshev1", "--suite", "ratio-asymptotics",
-                "--fixtures", str(fixtures)]
-        assert main(argv) == 3
+    def test_breakdown_at_the_ratio_site_exits_1(self, tmp_path, capsys):
+        """The Christoffel transform of chebyshev1 at i has P_1(i) = 0, so the
+        suite's own Christoffel step at i breaks down: one typed error line."""
+        path = tmp_path / "kernel.json"
+        assert main(["transform", "--family=chebyshev1", "--christoffel=0+1i",
+                     f"--output={path}"]) == 0
+        argv = ["verify", f"--coeff-file={path}", "--suite=ratio-asymptotics"]
+        assert main(argv) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith("error: ") and out.err.count("\n") == 1
-        assert str(fixtures) in out.err
+        assert out.err == "error: P_1 vanishes at the evaluation point\n"
+
+    def test_fixtures_option_exits_2(self):
+        proc = run_cli(["verify", "--family=chebyshev1", "--fixtures=thresholds.json"])
+        assert proc.returncode == 2
+        assert "--fixtures" in proc.stderr
+
+    def test_fixtures_variable_is_not_read(self, tmp_path):
+        argv = ["verify", "--family=chebyshev1", "--suite=ratio-asymptotics"]
+        plain = run_cli(argv)
+        env = dict(os.environ, DARBOUX_FIXTURES=str(tmp_path / "missing.json"))
+        proc = run_cli(argv, env=env)
+        assert plain.returncode == proc.returncode == 0
+        assert proc.stdout == plain.stdout
 
 
 class TestDeterminism:

@@ -326,7 +326,8 @@ class TestClusterSweep:
         assert calls == []
 
     def test_needs_s0star(self, cheb1):
-        with pytest.raises(ConfigurationError, match="s0star"):
+        with pytest.raises(ConfigurationError,
+                           match="^cluster_sweep needs a Geronimus site with s0star$"):
             spectral.cluster_sweep(cheb1, TransformPoint(1j), [5])
 
 
@@ -447,6 +448,10 @@ class TestNevaiDiagnostics:
         m = RecurrenceCoeffs(c=rng.normal(0, 1, 64), lam=rng.uniform(0.5, 2.0, 63))
         assert not nevai_diagnostics(m).is_member
 
+    def test_one_term_prefix_raises_prefix_error(self):
+        with pytest.raises(PrefixError, match=r"\(n_max=1\)"):
+            nevai_diagnostics(family_coeffs("chebyshev1", 2).truncated(1))
+
 
 class TestRatioAsymptoticCheck:
     def test_transformed_families(self, cheb1):
@@ -454,6 +459,27 @@ class TestRatioAsymptoticCheck:
         rep = ratio_asymptotic_check(tc.coeffs, [2j, 1 + 2j], 200)
         assert np.all(rep.errors <= 1e-6)
         assert all(rep.monotone_tail)
+
+    @pytest.mark.parametrize("n_check", range(6))
+    @pytest.mark.parametrize("terms", [1, 2, 3, 256])
+    def test_short_runs_report_or_raise_prefix_error(self, terms, n_check):
+        """n_check = 0, a one-term prefix and a run past the prefix raise
+        PrefixError naming n; every other run reports its last error, and the
+        monotone flag reads windows of one entry or more (n_check = 2, 3 once
+        read an empty one)."""
+        m = family_coeffs("chebyshev1", 256).truncated(terms)
+        if n_check == 0 or terms == 1 or n_check > terms:
+            match = (r"\(n=0\)" if n_check == 0 else r"\(n_max=1\)" if terms == 1
+                     else f"r_{n_check} exceeds prefix length {terms}")
+            with pytest.raises(PrefixError, match=match):
+                ratio_asymptotic_check(m, [2j], n_check)
+            return
+        rep = ratio_asymptotic_check(m, [2j], n_check)
+        diag = nevai_diagnostics(m)
+        fz = ratio_limit_f(diag.a_limit, diag.c_limit, 2j)
+        r = spectral.ratio_sequence(m, 2j, "P", n_terms=n_check).values[-1]
+        assert rep.errors.tolist() == [abs(r - fz)]
+        assert rep.monotone_tail in ((True,), (False,))
 
     def test_geronimus_excludes_kappa_by_caller(self, cheb1):
         tg = geronimus(cheb1, TransformPoint(1j, s0star=1.0))
