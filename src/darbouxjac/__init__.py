@@ -21,7 +21,7 @@ from .darboux import (
     christoffel_two,
     geronimus,
     geronimus_cauchy,
-    geronimus_eval,
+    geronimus_eval_from,
     kernel_eval,
 )
 from .errors import (
@@ -48,7 +48,7 @@ from .factorization import (
     lu_factor,
     ul_factor,
 )
-from .polyeval import EvalTriple, RatioSequence, eval_P, eval_Q, eval_R, evaluate, ratio_sequence
+from .polyeval import RatioSequence, eval_P, eval_Q, eval_R, ratio_sequence
 from .rseq import (
     QuasiOrthogonal,
     RICoefficients,
@@ -59,15 +59,12 @@ from .rseq import (
     varying_measure_polys,
 )
 from .spectral import (
-    MFunctionSeries,
     NevaiDiagnostics,
     ZeroCloud,
-    mfunction_series,
     nevai_diagnostics,
     ratio_asymptotic_check,
     ratio_limit_f,
     strip_check,
-    truncation_spectrum,
     verify_m_identities,
     zero_dynamics,
     zero_sweep,

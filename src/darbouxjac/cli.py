@@ -27,7 +27,7 @@ from .core import (
     symmetrize,
 )
 from .darboux import TransformPoint, cauchy_s0star, christoffel, geronimus
-from .errors import ConfigurationError, DarbouxError
+from .errors import ConfigurationError, DarbouxError, PrefixError
 from .factorization import build_JC, build_JG, lu_factor, ul_factor
 
 _COMPLEX_RE = re.compile(
@@ -187,9 +187,16 @@ def cmd_zeros(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _need(m, suite: str, length: int) -> None:
+    """PrefixError, before any transform, for a suite that reads more terms than m has."""
+    if m.n_max < length:
+        raise PrefixError(f"the {suite} suite needs a prefix of length >= {length}, got {m.n_max}")
+
+
 def _suite_strips(m, kappa, s0star):
-    side = "upper" if kappa.imag > 0 else "lower"
     degrees = range(1, 31)
+    _need(m, "strips", degrees[-1] + 2)
+    side = "upper" if kappa.imag > 0 else "lower"
     kernel = spectral.kernel_zero_sweep(m, TransformPoint(kappa), degrees)
     gero = spectral.geronimus_zero_sweep(m, TransformPoint(kappa, s0star=s0star), degrees)
     worst = 0.0
@@ -203,7 +210,10 @@ def _suite_strips(m, kappa, s0star):
 
 
 def _suite_m_identities(m, kappa, s0star):
-    rep = spectral.verify_m_identities(m, TransformPoint(kappa, s0star=s0star), order=20)
+    order = 20
+    # the Geronimus transform keeps n_max - 2 terms, and its moments read order + 1
+    _need(m, "m-identities", order + 3)
+    rep = spectral.verify_m_identities(m, TransformPoint(kappa, s0star=s0star), order)
     return {"pass": rep.max_residual <= 1e-9, "max_residual": rep.max_residual}
 
 
@@ -290,6 +300,7 @@ RATIO_TOL = 1e-12
 
 
 def _suite_ratio_asymptotics(m, kappa, s0star):
+    _need(m, "ratio-asymptotics", RATIO_N + 2)
     tc = christoffel(m, TransformPoint(RATIO_KAPPA))
     rep_c = spectral.ratio_asymptotic_check(tc.coeffs, [RATIO_Z], RATIO_N)
     tg = geronimus(m, TransformPoint(RATIO_KAPPA, s0star=RATIO_S0STAR))
@@ -316,9 +327,16 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     m = _load_base(args)
+    suites = args.suite or _SUITES
+    # ratio-asymptotics checks its own site; every other suite transforms at --kappa
+    if args.kappa.imag == 0 and set(suites) != {"ratio-asymptotics"}:
+        raise ConfigurationError(
+            f"--kappa={args.kappa.real:g}{args.kappa.imag:+g}i is real: "
+            "every suite that reads --kappa needs a nonreal site"
+        )
     report = {"v": 1, "kappa": _fmt_c(args.kappa), "suites": {}}
     all_pass = True
-    for name in args.suite or _SUITES:
+    for name in suites:
         res = _SUITES[name](m, args.kappa, args.s0star)
         report["suites"][name] = res
         all_pass = bool(all_pass and res["pass"])

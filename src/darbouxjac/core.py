@@ -207,28 +207,17 @@ class RecurrenceCoeffs(Record, eq=False):
 class SymmetricJacobi(Record, eq=False):
     """Complex-symmetric Jacobi data: b_k diagonal, a_k off-diagonal.
 
-    ``b[k] == c_{k+1}`` and ``a[k]`` is a square root of ``lambda_{k+2}``;
-    ``sqrt_branch[k]`` is +1 where the principal root was taken, -1 where it
-    was negated.
+    ``b[k] == c_{k+1}`` and ``a[k]`` is a square root of ``lambda_{k+2}``.
     """
 
     b: np.ndarray
     a: np.ndarray
-    sqrt_branch: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "b", _as_complex_readonly(self.b))
         object.__setattr__(self, "a", _as_complex_readonly(self.a))
-        branch = self.sqrt_branch
-        if branch is None:
-            branch = np.ones(len(self.a), dtype=np.int8)
-        branch = np.asarray(branch, dtype=np.int8).copy()
-        branch.setflags(write=False)
-        object.__setattr__(self, "sqrt_branch", branch)
         if len(self.a) != len(self.b) - 1:
             raise ConfigurationError("a must be one entry shorter than b")
-        if len(self.sqrt_branch) != len(self.a):
-            raise ConfigurationError("sqrt_branch must match a in length")
         if np.any(self.a == 0):
             raise QuasiDefinitenessError("off-diagonal entry a_k = 0")
 
@@ -239,26 +228,6 @@ class SymmetricJacobi(Record, eq=False):
     def to_monic(self) -> RecurrenceCoeffs:
         """Monic reduction: c_{k+1} = b_k, lambda_{k+2} = a_k^2."""
         return RecurrenceCoeffs(c=self.b, lam=self.a**2)
-
-    def to_dict(self) -> dict:
-        return {
-            "v": 1,
-            "kind": "symmetric",
-            "n_max": self.n_max,
-            "b": self.b.view(np.float64).reshape(-1, 2).tolist(),
-            "a": self.a.view(np.float64).reshape(-1, 2).tolist(),
-            "sqrt_branch": [int(s) for s in self.sqrt_branch],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SymmetricJacobi":
-        if d.get("v") != 1 or d.get("kind") != "symmetric":
-            raise ConfigurationError("unsupported symmetric-Jacobi schema")
-        return cls(
-            b=[complex(re, im) for re, im in d["b"]],
-            a=[complex(re, im) for re, im in d["a"]],
-            sqrt_branch=d.get("sqrt_branch"),
-        )
 
 
 def family_coeffs(kind: str | Family, n_max: int = DEFAULT_N_MAX) -> RecurrenceCoeffs:
@@ -292,8 +261,7 @@ def family_coeffs(kind: str | Family, n_max: int = DEFAULT_N_MAX) -> RecurrenceC
 
 def symmetrize(m: RecurrenceCoeffs) -> SymmetricJacobi:
     """Symmetric Jacobi data b_k = c_{k+1}, a_k = principal sqrt(lambda_{k+2})."""
-    a = np.sqrt(m.lam)
-    return SymmetricJacobi(b=m.c, a=a, sqrt_branch=np.ones(len(a), dtype=np.int8))
+    return SymmetricJacobi(b=m.c, a=np.sqrt(m.lam))
 
 
 def monic_jacobi_matrix(m: RecurrenceCoeffs, size: int) -> np.ndarray:

@@ -76,7 +76,7 @@ __all__ = [
     "kernel_eval",
     "christoffel_two",
     "geronimus",
-    "geronimus_eval",
+    "geronimus_eval_from",
     "geronimus_cauchy",
     "cauchy_s0star",
 ]
@@ -680,20 +680,6 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
         a_seq=_a_seq(w),
         notes=notes,
     )
-
-
-def geronimus_eval(
-    m: RecurrenceCoeffs, site: TransformPoint, n: int, z: complex
-) -> complex:
-    """Monic Geronimus-transformed polynomial P^{-*}_n(kappa, z) = P_n + A_n P_{n-1}."""
-    if n == 0:
-        return 1.0 + 0.0j
-    if n + 2 > m.n_max:
-        raise PrefixError(f"degree {n} needs a prefix of length >= {n + 2}")
-    # A_n only depends on the first n coefficients; truncating keeps the
-    # R-ratio run (and, near the Cauchy value, its precision) sized to n.
-    tc = geronimus(m.truncated(min(m.n_max, max(n + 2, 4))), site)
-    return geronimus_eval_from(tc, n, z)
 
 
 def geronimus_eval_from(tc: TransformedCoeffs, n: int, z: complex) -> complex:

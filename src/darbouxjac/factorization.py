@@ -112,12 +112,6 @@ def ul_factor(J: SymmetricJacobi, kappa: complex, s0star: complex) -> UpperFacto
     return UpperFactor(kappa=kappa, s0star=s0star, t=t, u=u, sqrt_t=np.sqrt(t))
 
 
-def _branch_record(a: np.ndarray) -> np.ndarray:
-    principal = np.sqrt(a**2)
-    branch = np.where(np.abs(a - principal) <= np.abs(a + principal), 1, -1)
-    return branch.astype(np.int8)
-
-
 def build_JC(f: LowerFactor) -> SymmetricJacobi:
     """J_C(kappa) = L^T L + kappa I, assembled entrywise from the factors.
 
@@ -127,7 +121,7 @@ def build_JC(f: LowerFactor) -> SymmetricJacobi:
     n = len(f.d) - 1
     b = f.d[:n] * (1.0 + f.v[:n] ** 2) + f.kappa
     a = f.v[: n - 1] * f.sqrt_d[: n - 1] * f.sqrt_d[1:n]
-    return SymmetricJacobi(b=b, a=a, sqrt_branch=_branch_record(a))
+    return SymmetricJacobi(b=b, a=a)
 
 
 def lower_from_upper(f: UpperFactor) -> LowerFactor:
@@ -157,4 +151,4 @@ def build_JG(f: UpperFactor) -> SymmetricJacobi:
     b[0] = f.t[0] * f.u[0] ** 2 + f.kappa
     b[1:] = f.t[1:n] * (1.0 + f.u[1:n] ** 2) + f.kappa
     a = f.u[: n - 1] * f.sqrt_t[: n - 1] * f.sqrt_t[1:n]
-    return SymmetricJacobi(b=b, a=a, sqrt_branch=_branch_record(a))
+    return SymmetricJacobi(b=b, a=a)

@@ -33,12 +33,10 @@ from .errors import (ConfigurationError, EvaluationRangeError, ExistenceError, P
                      ZeroHitError)
 
 __all__ = [
-    "EvalTriple",
     "RatioSequence",
     "eval_P",
     "eval_Q",
     "eval_R",
-    "evaluate",
     "ratio_sequence",
 ]
 
@@ -52,17 +50,6 @@ _ZERO_HIT = 1e-290
 _BREAKDOWN_RTOL = 1e-13
 # Between window tests values may grow to 1e290 (room for y', E) or sink to _ZERO_HIT.
 _ROOM = 1e140
-
-
-class EvalTriple(Record):
-    """Values of P_n, Q_n (and R_n when s0star is given) at one point."""
-
-    n: int
-    value_P: complex
-    value_Q: complex
-    value_R: complex | None
-    ratio_P: complex | None
-    log_scale: float
 
 
 class RatioSequence(Record):
@@ -259,32 +246,6 @@ def eval_Q(m: RecurrenceCoeffs, n: int, z: complex) -> complex:
 def eval_R(m: RecurrenceCoeffs, n: int, z: complex, s0star: complex) -> complex:
     """R_n(z) = P_n(z) + Q_n(z)/s0star, the Geronimus denominator polynomial."""
     return _unscaled(*_eval_scaled(m, "R", n, z, s0star), n)
-
-
-def evaluate(m: RecurrenceCoeffs, n: int, z: complex, s0star: complex | None = None) -> EvalTriple:
-    """P_n, Q_n (and R_n if s0star given) at z, sharing one log_scale frame.
-
-    The stored values satisfy true_value = value * exp(log_scale).
-    """
-    ratio = None
-    if n == 0:
-        p, lp = 1.0 + 0.0j, 0.0
-    else:
-        prev, p, lp = _scaled_run(m, n, z, *_initial_pair(m, "P", z, None))
-        ratio = p / prev if prev != 0 else complex("inf")
-    q, lq = _eval_scaled(m, "Q", n, z)
-    r = None
-    if s0star is not None:
-        rv, lr = _eval_scaled(m, "R", n, z, s0star)
-        r = rv * math.exp(lr - lp)
-    return EvalTriple(
-        n=n,
-        value_P=p,
-        value_Q=q * math.exp(lq - lp),
-        value_R=r,
-        ratio_P=ratio,
-        log_scale=lp,
-    )
 
 
 def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None, diffs: bool = True):

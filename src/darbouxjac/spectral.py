@@ -46,7 +46,6 @@ __all__ = [
     "ZeroCloud",
     "StripReport",
     "NevaiDiagnostics",
-    "MFunctionSeries",
     "MIdentityReport",
     "DynamicsReport",
     "RatioAsymptoticReport",
@@ -62,9 +61,7 @@ __all__ = [
     "cluster_sweep",
     "nevai_diagnostics",
     "ratio_limit_f",
-    "mfunction_series",
     "verify_m_identities",
-    "truncation_spectrum",
     "ratio_asymptotic_check",
 ]
 
@@ -120,21 +117,6 @@ class NevaiDiagnostics(Record):
     c_limit: complex
     tail_residuals: np.ndarray
     is_member: bool
-
-
-class MFunctionSeries(Record):
-    """Truncated expansion m(J;z) = -sum_j s_j / z^{j+1} near infinity."""
-
-    moments: np.ndarray
-    order: int
-    validity_radius: float
-
-    def __call__(self, z: complex) -> complex:
-        zp = complex(z)
-        acc = 0.0 + 0.0j
-        for s in self.moments[::-1]:
-            acc = (acc + s) / zp
-        return -acc
 
 
 class MIdentityReport(Record):
@@ -516,14 +498,6 @@ def ratio_limit_f(a: complex, c: complex, z: complex) -> complex:
     return w1 if abs(w1) > abs(w2) else w2
 
 
-def mfunction_series(m: RecurrenceCoeffs, order: int) -> MFunctionSeries:
-    """Laurent data of m(J;z) near infinity, valid for |z| > ||J|| estimate."""
-    s = moments(m, order)
-    max_c = float(np.max(np.abs(m.c)))
-    max_a = float(np.max(np.sqrt(np.abs(m.lam))))
-    return MFunctionSeries(moments=s, order=order, validity_radius=max_c + 2 * max_a)
-
-
 def verify_m_identities(m: RecurrenceCoeffs, site: TransformPoint, order: int) -> MIdentityReport:
     """Moment-level residuals of the transform m-function identities.
 
@@ -560,16 +534,6 @@ def verify_m_identities(m: RecurrenceCoeffs, site: TransformPoint, order: int) -
         geronimus_residuals=res_g,
         max_residual=max_res,
     )
-
-
-def truncation_spectrum(J: SymmetricJacobi, size: int) -> np.ndarray:
-    """Eigenvalues of the size x size complex-symmetric truncation, sorted."""
-    try:
-        vals = _eigvals(J, size)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigensolver failed at truncation size {size}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
 
 
 def cluster_sweep(

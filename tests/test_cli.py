@@ -584,6 +584,51 @@ class TestVerify:
         assert out.out == ""
         assert out.err == "error: P_1 vanishes at the evaluation point\n"
 
+    @pytest.mark.parametrize("suite, length", [
+        ("strips", 32), ("m-identities", 23), ("ratio-asymptotics", 202),
+    ])
+    def test_short_prefix_names_the_suite_and_its_length(self, monkeypatch, capsys, suite, length):
+        """The shortest prefix a suite reads passes; one term less exits 1 with
+        one line naming the suite, the length it needs and the length given,
+        before any transform."""
+        argv = ["verify", "--family=chebyshev1", f"--suite={suite}"]
+        assert main(argv + [f"--n-max={length}"]) == 0
+        capsys.readouterr()
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transform before the prefix check")
+
+        for module, name in ((cli, "christoffel"), (cli, "geronimus"), (spectral, "christoffel"),
+                             (spectral, "geronimus")):
+            monkeypatch.setattr(module, name, no_transform)
+        assert main(argv + [f"--n-max={length - 1}"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: the {suite} suite needs a prefix of length >= {length}, got {length - 1}\n"
+        )
+
+    @pytest.mark.parametrize("suites", [
+        (), ("strips",), ("m-identities",), ("r1",), ("r2",), ("factorization",),
+        ("ratio-asymptotics", "r1"),
+    ], ids=lambda suites: "+".join(suites) or "all")
+    def test_real_kappa_exits_1_naming_the_option(self, capsys, suites):
+        """A real --kappa once reached the library's hint to pass allow_real=True,
+        which the CLI cannot pass."""
+        argv = ["verify", "--family=chebyshev1", "--kappa=2+0i", *(f"--suite={s}" for s in suites)]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: --kappa=2+0i is real: every suite that reads --kappa needs a nonreal site\n"
+        )
+
+    def test_ratio_asymptotics_alone_runs_at_a_real_kappa(self, capsys):
+        """The suite checks its own fixed site, so --kappa does not reach it."""
+        argv = ["verify", "--family=chebyshev1", "--kappa=2+0i", "--suite=ratio-asymptotics"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     def test_fixtures_option_exits_2(self):
         proc = run_cli(["verify", "--family=chebyshev1", "--fixtures=thresholds.json"])
         assert proc.returncode == 2

@@ -21,11 +21,10 @@ from darbouxjac.core import (
 from darbouxjac.darboux import TransformedCoeffs, TransformPoint, christoffel, geronimus
 from darbouxjac.errors import ConfigurationError, PrefixError, QuasiDefinitenessError
 from darbouxjac.factorization import LowerFactor, UpperFactor
-from darbouxjac.polyeval import EvalTriple, RatioSequence
+from darbouxjac.polyeval import RatioSequence
 from darbouxjac.rseq import QuasiOrthogonal, RICoefficients, RIICoefficients, VaryingMeasureResult
 from darbouxjac.spectral import (
     DynamicsReport,
-    MFunctionSeries,
     MIdentityReport,
     NevaiDiagnostics,
     RatioAsymptoticReport,
@@ -121,7 +120,6 @@ class TestSymmetrize:
         m = RecurrenceCoeffs(c=np.zeros(4), lam=[0.25, -1.0, 0.25])
         J = symmetrize(m)
         assert J.a[1] == 1j
-        assert np.all(J.sqrt_branch == 1)
 
     def test_square_roundtrip(self, presets):
         for m in presets.values():
@@ -187,13 +185,6 @@ class TestJsonSchema:
         assert doc["s0"] == [1.0, 0.0]
         assert all(len(pair) == 2 for pair in doc["c"])
 
-    def test_symmetric_roundtrip(self, cheb1):
-        J = symmetrize(cheb1.truncated(6))
-        back = SymmetricJacobi.from_dict(J.to_dict())
-        assert np.all(back.b == J.b)
-        assert np.all(back.a == J.a)
-        assert np.all(back.sqrt_branch == J.sqrt_branch)
-
     @pytest.mark.parametrize("case", ["preset", "christoffel", "geronimus", "signed_zero_huge"])
     def test_pairs_serialize_as_per_element(self, case):
         """to_dict writes each array as a float64 view: json bytes equal those
@@ -208,14 +199,10 @@ class TestJsonSchema:
                 c=[complex(-0.0, 0.0), complex(1e300, -0.0), complex(-1e300, 1e300), -0.0j],
                 lam=[complex(-0.0, -1e300), complex(1e300, 0.0), complex(-1e-300, -0.0)],
             )
-        J = symmetrize(m)
-        for obj, arrays in ((m, {"c": m.c, "lambda": m.lam}), (J, {"b": J.b, "a": J.a})):
-            per_element = dict(obj.to_dict(), **{
-                key: [[z.real, z.imag] for z in arr] for key, arr in arrays.items()
-            })
-            assert json.dumps(obj.to_dict(), sort_keys=True) == json.dumps(
-                per_element, sort_keys=True
-            )
+        per_element = dict(m.to_dict(), **{
+            key: [[z.real, z.imag] for z in arr] for key, arr in (("c", m.c), ("lambda", m.lam))
+        })
+        assert json.dumps(m.to_dict(), sort_keys=True) == json.dumps(per_element, sort_keys=True)
 
     def test_bad_schema_version(self):
         with pytest.raises(ConfigurationError):
@@ -243,7 +230,7 @@ RECORDS = {
     RecurrenceCoeffs: (
         ("c", "lam", "s0", "family"), ([0.1, 0.2], [0.5]), {"s0": 1 + 0j, "family": None}
     ),
-    SymmetricJacobi: (("b", "a", "sqrt_branch"), ([0.0, 0.1], [0.5j], [-1]), {"sqrt_branch": None}),
+    SymmetricJacobi: (("b", "a"), ([0.0, 0.1], [0.5j]), {}),
     TransformPoint: (
         ("kappa", "s0star", "allow_real"), (0.3 + 0.5j,), {"s0star": None, "allow_real": False}
     ),
@@ -260,11 +247,6 @@ RECORDS = {
     UpperFactor: (
         ("kappa", "s0star", "t", "u", "sqrt_t"),
         (0.5j, -1j, np.array([1.0, 2.0]), np.array([0.5, 0.25]), np.array([1.0, 1.5])),
-        {},
-    ),
-    EvalTriple: (
-        ("n", "value_P", "value_Q", "value_R", "ratio_P", "log_scale"),
-        (3, 1 + 0j, 2j, None, 0.5 + 0j, 0.0),
         {},
     ),
     RatioSequence: (("z", "which", "start", "values"), (0.5j, "P", 1, [1.0, 2.0j]), {}),
@@ -290,9 +272,6 @@ RECORDS = {
         ("a_limit", "c_limit", "tail_residuals", "is_member"),
         (0.25 + 0j, 0j, np.array([1e-3, 1e-4]), True),
         {},
-    ),
-    MFunctionSeries: (
-        ("moments", "order", "validity_radius"), (np.array([1.0, 0.0, 0.5]), 2, 1.0), {}
     ),
     MIdentityReport: (
         ("kappa", "order", "christoffel_residuals", "geronimus_residuals", "max_residual"),
@@ -408,13 +387,6 @@ def test_prefix_records_compare_and_hash_by_identity(make):
     a, b = make(), make()
     assert a == a and a != b and hash(a) == object.__hash__(a)
     assert len({a, b}) == 2
-
-
-def test_symmetric_jacobi_default_branch_is_principal():
-    J = SymmetricJacobi([0.0, 0.1, 0.2], [0.5, 0.5j])
-    assert SymmetricJacobi.sqrt_branch is None
-    assert J.sqrt_branch.dtype == np.int8 and J.sqrt_branch.tolist() == [1, 1]
-    assert not J.sqrt_branch.flags.writeable
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from darbouxjac.polyeval import (
     eval_P,
     eval_Q,
     eval_R,
-    evaluate,
     ratio_sequence,
 )
 from test_ratio_kernel import PROPERTY, kappas, nevai_prefix
@@ -156,29 +155,24 @@ class TestRatioSequence:
         rs = ratio_sequence(cheb1, 1j, "R", s0star=1.0, n_terms=5)
         assert abs(rs.r(1) - (1j + 1)) < 1e-15
 
+    @pytest.mark.parametrize("which", ["P", "R"])
+    def test_ratio_reconstructs(self, cheb1, which):
+        """r_n P_{n-1} = P_n, and likewise for R: the ratios rebuild the values."""
+        z = 1.1 + 0.4j
+        s0star = 1.0 if which == "R" else None
+
+        def value(n):
+            return eval_P(cheb1, n, z) if s0star is None else eval_R(cheb1, n, z, s0star)
+
+        rs = ratio_sequence(cheb1, z, which, s0star=s0star, n_terms=40)
+        for n in (1, 7, 40):
+            assert abs(rs.r(n) * value(n - 1) - value(n)) <= 1e-12 * abs(value(n))
+
     def test_conjugate_reflection(self, cheb3):
         z = 0.4 + 1.3j
         up = ratio_sequence(cheb3, z, "P", n_terms=50).values
         down = ratio_sequence(cheb3, np.conj(z), "P", n_terms=50).values
         assert np.max(np.abs(up - np.conj(down))) < 1e-13
-
-
-class TestEvaluate:
-    def test_ratio_reconstructs(self, cheb1):
-        z = 1.1 + 0.4j
-        for n in (1, 7, 40):
-            t = evaluate(cheb1, n, z)
-            p_prev = eval_P(cheb1, n - 1, z)
-            p_n = eval_P(cheb1, n, z)
-            assert abs(t.ratio_P * p_prev - p_n) <= 1e-12 * abs(p_n)
-
-    def test_r_field_present_only_with_s0star(self, cheb1):
-        assert evaluate(cheb1, 3, 1j).value_R is None
-        t = evaluate(cheb1, 3, 1j, s0star=1.0)
-        assert t.value_R is not None
-        expect = eval_R(cheb1, 3, 1j, 1.0)
-        got = t.value_R * np.exp(t.log_scale)
-        assert abs(got - expect) < 1e-13 * max(1.0, abs(expect))
 
 
 def naive_run(m, n, z):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from darbouxjac.core import family_coeffs, symmetrize
+from darbouxjac.core import family_coeffs, moments, symmetric_jacobi_matrix, symmetrize
 from darbouxjac.darboux import TransformPoint, christoffel, geronimus
 from darbouxjac.errors import ConfigurationError, EigenSolverError, PrefixError
 from darbouxjac.factorization import build_JC, build_JG, lu_factor, ul_factor
@@ -12,12 +12,10 @@ from darbouxjac.spectral import (
     cluster_distance,
     geronimus_zero_cloud,
     kernel_zero_cloud,
-    mfunction_series,
     nevai_diagnostics,
     ratio_asymptotic_check,
     ratio_limit_f,
     strip_check,
-    truncation_spectrum,
     verify_m_identities,
     geronimus_zero_sweep,
     kernel_zero_sweep,
@@ -241,6 +239,25 @@ class TestZeroDynamics:
         assert rep.fit_r2 > 0.9
         assert rep.fit_slope < 0
 
+    @pytest.mark.parametrize("kind, kappa", [
+        ("chebyshev1", 0.3 + 0.5j),
+        ("chebyshev3", 1.2 + 0.3j),
+        ("chebyshev4", -0.7 - 0.6j),
+        ("chebyshev2", 0.5 + 1j),
+    ])
+    def test_geronimus_cluster_slope_is_predicted(self, kind, kappa):
+        """ln|xi_n - kappa| falls like -2 ln|phi(kappa)| per degree, phi = 2 f(kappa)
+        with f the ratio limit of the Chebyshev tail (lambda -> 1/4, c -> 0).
+        s0star lies in the half-plane opposite kappa, away from the Cauchy
+        value.  Sites near the support wait on a tolerance that widens with
+        the tail's distance from its limits: chebyshev2 at -0.9+0.05i is
+        1.6 % off over these degrees."""
+        site = TransformPoint(kappa, s0star=kappa.conjugate())
+        rep = zero_dynamics(family_coeffs(kind), site, "geronimus", range(10, 111, 10))
+        predicted = -2 * np.log(abs(2 * ratio_limit_f(0.25, 0, kappa)))
+        assert abs(rep.fit_slope / predicted - 1) <= 1e-4
+        assert rep.fit_r2 > 1 - 1e-6
+
     def test_cluster_at_one_plus_i(self, cheb1):
         site = TransformPoint(1 + 1j, s0star=1.0)
         cloud = geronimus_zero_cloud(cheb1, site, 40)
@@ -368,25 +385,33 @@ class TestRatioLimit:
             assert abs(rs.r(200) - lim) < 1e-12
 
 
+def m_series(m, order, z):
+    """m(J;z) = -sum_j s_j / z^(j+1), truncated after s_order."""
+    s = moments(m, order)
+    return -np.sum(s / z ** np.arange(1, order + 2))
+
+
 class TestMFunction:
     def test_low_order_coefficients(self, cheb1):
-        ms = mfunction_series(cheb1, 2)
-        assert np.allclose(ms.moments, [1, 0, 0.5])
+        assert np.allclose(moments(cheb1, 2), [1, 0, 0.5])
         z = 40.0
         expect = -1 / z - 0.5 / z**3
-        assert abs(ms(z) - expect) < 1e-12
+        assert abs(m_series(cheb1, 2, z) - expect) < 1e-12
 
     def test_value_at_two(self, cheb1):
-        ms = mfunction_series(cheb1, 40)
-        assert abs(ms(2.0) - (-1 / np.sqrt(3))) < 1e-9
+        assert abs(m_series(cheb1, 40, 2.0) - (-1 / np.sqrt(3))) < 1e-9
 
     def test_order_zero(self, cheb1):
-        ms = mfunction_series(cheb1, 0)
-        assert abs(ms(5.0) - (-1 / 5.0)) < 1e-15
+        assert abs(m_series(cheb1, 0, 5.0) - (-1 / 5.0)) < 1e-15
 
-    def test_validity_radius(self, cheb1):
-        ms = mfunction_series(cheb1, 4)
-        assert ms.validity_radius >= 1.0
+    def test_validity_radius(self, presets):
+        """|s_j| <= |s_0| R^j with R = max|b| + 2 max|a| >= ||J||, so the
+        series converges for |z| > R."""
+        for m in presets.values():
+            J = symmetrize(m)
+            radius = np.max(np.abs(J.b)) + 2 * np.max(np.abs(J.a))
+            s = moments(m, 30)
+            assert np.all(np.abs(s) <= abs(m.s0) * radius ** np.arange(31) * (1 + 1e-12))
 
 
 class TestMIdentities:
@@ -405,28 +430,31 @@ class TestMIdentities:
         assert rep.geronimus_residuals is None
 
 
-class TestTruncationSpectrum:
+class TestMatrixSpectra:
+    """The spectrum of a matrix-level transform is the zero set of its monic
+    reduction."""
+
     def test_size_one(self, cheb3):
         J = symmetrize(cheb3)
-        vals = truncation_spectrum(J, 1)
+        vals = zeros(J.to_monic(), 1).zeros
         assert vals[0] == J.b[0]
 
     def test_matches_zeros_two_paths(self, cheb1):
         tc = christoffel(cheb1, TransformPoint(1j))
         J = symmetrize(tc.coeffs)
         for size in (6, 25):
-            ev = truncation_spectrum(J, size)
-            zs = zeros(tc.coeffs, size).zeros
+            ev = np.linalg.eigvals(symmetric_jacobi_matrix(J, size))
+            zs = zeros(J.to_monic(), size).zeros
             assert np.max(np.abs(np.sort_complex(ev) - np.sort_complex(zs))) <= 1e-9
 
     def test_JC_proxy(self, cheb1):
         JC = build_JC(lu_factor(symmetrize(cheb1), 1j))
-        ev = truncation_spectrum(JC, 100)
+        ev = zeros(JC.to_monic(), 100).zeros
         assert np.max(dist_to_segment(ev)) < 0.05
 
     def test_JG_proxy(self, cheb1):
         JG = build_JG(ul_factor(symmetrize(cheb1), 1j, 1.0))
-        ev = truncation_spectrum(JG, 100)
+        ev = zeros(JG.to_monic(), 100).zeros
         near = np.abs(ev - 1j)
         k = int(np.argmin(near))
         assert near[k] < 1e-3
