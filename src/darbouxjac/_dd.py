@@ -7,13 +7,14 @@ the split.
 A value is hi + lo with hi = fl(hi + lo).  ``add``, ``mul`` and ``div`` take
 the parts of two values and return the pair of the result; each part may be
 a Python complex or a numpy complex array (elementwise, broadcasting), so
-one function serves the scalar loops of ``darboux._dd_step`` and its
-vectorised stages alike.  A double x is the pair (x, 0) exactly.  Complex
-addition, and multiplication of a complex by a real double, act on the real
-and imaginary parts separately with one rounding each, so TwoSum and the
-split run on both parts at once.  Addition is the "sloppy" one of Hida, Li &
-Bailey: its error is ~1e-32 relative to the operands, not to the sum, which
-is all the ratio kernels need (their inputs are exact).
+one function serves the scalars of ``darboux._dd_step`` (offset, eta) and
+the pair arrays of its head alike.  A double x is the pair (x, 0) exactly.
+Complex addition, and multiplication of a complex by a real double, act on
+the real and imaginary parts separately with one rounding each, so TwoSum
+and the split run on both parts at once.  Addition is the "sloppy" one of
+Hida, Li & Bailey: its error is ~1e-32 relative to the operands, not to the
+sum, which is all the head needs (its breakdown test weighs a sum against
+its terms).
 
 A result whose lo part falls below the normal range (|hi| below ~1e-290)
 keeps fewer digits.  Overflow shows as inf or nan in the result (the split

@@ -235,20 +235,24 @@ def _residual_entry(degrees, res, lead, z) -> dict:
 
 
 def _suite_r1(m, kappa, s0star):
-    sys1 = rseq.R1System(m, TransformPoint(kappa), TransformPoint(np.conj(kappa)))
     z, degrees = rseq.sample_points(20), range(1, 41)
+    # the R_I coefficients at degree n read n + 3 terms
+    _need(m, "r1", degrees[-1] + 3)
+    sys1 = rseq.R1System(m, TransformPoint(kappa), TransformPoint(np.conj(kappa)))
     # degree n reads c_{n+1} and lambda_{n+1}
-    return _residual_entry(degrees, sys1.residuals(degrees, z), m.truncated(min(m.n_max, 41)), z)
+    return _residual_entry(degrees, sys1.residuals(degrees, z), m.truncated(41), z)
 
 
 def _suite_r2(m, kappa, s0star):
+    # R2System runs forward recurrences only: on the 34 terms that degrees up
+    # to 31 read, its leading entries are those of the full prefix; the
+    # conjugate pair's quasi-orthogonal polynomials read as many
+    _need(m, "r2", 34)
     kappa = complex(kappa)
     if kappa.imag < 0:
         kappa = complex(np.conj(kappa))
     pair = rseq.GeronimusPairQuasi(m, complex(np.conj(kappa)))  # its Cauchy value reads the tail
-    # R2System runs forward recurrences only: on the 34 terms that degrees up
-    # to 31 read, its leading entries are those of the full prefix
-    sys2 = rseq.R2System(m.truncated(min(m.n_max, 34)), kappa)
+    sys2 = rseq.R2System(m.truncated(34), kappa)
     qs, rcs = [], []
     for n in range(1, 31):
         qs.append(pair.quasi(n))

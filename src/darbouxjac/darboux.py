@@ -20,16 +20,16 @@ Which precision runs:
   most ~1/eta.  For eta >= 1e-2 the kernel runs in double.  Below it (this
   includes s0star = fl(S), the CLI default) eta is measured again in
   double-double (the (hi, lo) pair arithmetic of ``_dd``, unit roundoff
-  ~1e-32) and, for eta >= 1e-18, the kernel runs in double-double
-  (``_dd_ratio_run``: only the ratio and difference recurrences are scalar
-  loops, the rest numpy pair arrays) only while the minimal solution f
-  still carries R_n = f_n (1 + delta g_n), delta = s0/s0star - 1/m(J; kappa)
-  and g_n = q_n/f_n growing with the dominance of a second solution q: up
-  to the first n with |delta g_n| >= 1, plus two steps (the crossover k*,
-  ``_crossover``).  From there the dominant part carries R_n,
-  the forward map contracts again, and the run continues in double from the
-  head's last ratios; the result is as accurate as on the eta >= 1e-2 route
-  (~1e-13 entrywise).  Closer still, or when the run leaves the double
+  ~1e-32) and, for eta >= 1e-18, the ratios are read off the backward run
+  at S while the minimal solution f still carries R_n = f_n (1 + delta g_n),
+  delta = s0/s0star - 1/m(J; kappa), g_n = q_n/f_n growing with the
+  dominance of a second solution q: up to the first n with
+  |delta g_n| >= 1, plus two steps (the crossover k*, ``_crossover``;
+  ``_cauchy_head``, numpy pair arrays with no scalar loop).  From there the
+  dominant part carries R_n, the forward map contracts again, and the run
+  continues in double from the head's last ratios; the result is as
+  accurate as on the eta >= 1e-2 route (~1e-13 entrywise).  Closer still,
+  when the backward run breaks down, or when the run leaves the double
   range, it runs in mpmath at 30 + log10(1/eta) digits, eta being resolved
   at a precision that can see it and the digits capped by ``_auto_dps``;
   mpmath is imported only there.  The route taken is logged at DEBUG on the
@@ -42,8 +42,8 @@ Which precision runs:
 
 The continued fraction m(J; kappa) is one backward run of its tails,
 ``_tails``, made once per step: ``geronimus`` reads eta from it and hands it
-to ``_dd_cf_inverse`` and ``_crossover``.  ``cauchy_s0star`` returns
-s0 m(J; kappa) for any prefix; a preset's weight cross-checks it by
+to ``_dd_cf_inverse``, which refines the tails to pairs.  ``cauchy_s0star``
+returns s0 m(J; kappa) for any prefix; a preset's weight cross-checks it by
 quadrature, as it does the s0star of ``geronimus_cauchy``.
 """
 from __future__ import annotations
@@ -281,11 +281,12 @@ _NO_GERONIMUS = "Geronimus transform does not exist for this (kappa, s0star)"
 # eta = |1 - S/s0star| at or above this runs the R-ratio kernel in double:
 # rounding errors then grow by at most ~1/eta = 100.
 _DOUBLE_ETA = 1e-2
-# Below _DOUBLE_ETA and at or above this the kernel runs in double-double up
-# to the crossover (``_crossover``): its rounding errors (~1e-32) grow to at
-# most ~1e-14 there, and double takes over where they no longer grow.
+# Below _DOUBLE_ETA and at or above this the R-ratios up to the crossover are
+# read off the backward run in double-double (``_cauchy_head``): delta =
+# s0/s0star - 1/m is known to the pair digits of 1/m, so the error grows like
+# 1e-32/eta, ~1e-14 at the floor.
 _DD_ETA = 1e-18
-# _BREAKDOWN_RTOL of the double-double run: far from the support at the
+# _BREAKDOWN_RTOL of the double-double head: far from the support at the
 # Cauchy value, R_1 = kappa - c_1 + s_0/s0star ~ lambda_1/kappa cancels to
 # 1e-14 of its terms at |kappa| = 1e7 and is still resolved.
 _DD_BREAKDOWN_RTOL = 1e-29
@@ -367,11 +368,10 @@ def _cf_m_function(c, lam, z, ts=None):
     return 1 / inv
 
 
-def _cauchy_run(c, lam, kappa, what: str, ts=None, diffs: bool = True):
+def _cauchy_run(c, lam, kappa, what: str, ts=None):
     """(w, e, offset) of ``_ratio_run`` at the Cauchy value s0star = s0 m(J; kappa),
     where R_n is the minimal solution: the backward run ``_tails`` (``ts``,
-    run here when None), stable in double (with ``diffs`` False the
-    differences are skipped and e is [0]).
+    run here when None), stable in double.
 
     With the tails t_j and D_j = c[j-1] - kappa - t_{j+1} of ``_tails``,
     w[k] = R_{k+1}/R_k = -t_{k+2}, e[k] = t_{k+1} - t_{k+2} and
@@ -394,7 +394,7 @@ def _cauchy_run(c, lam, kappa, what: str, ts=None, diffs: bool = True):
         big = head - t  # D_j
         if abs(big) < _BREAKDOWN_RTOL * max(abs(head), abs(t)):
             raise ExistenceError(what, j - 2)
-        if diffs and j < n:
+        if j < n:
             d = ((lam[j - 2] - lam[j - 1]) + t * ((c[j] - c[j - 1]) + d)) / big
             e.append(d)
     offset = c[0] - kappa - ts[-1]
@@ -469,39 +469,69 @@ class GeronimusChain:
         return RecurrenceCoeffs(c=self._c, lam=self._lam, s0=self._s0)
 
 
-def _crossover(c, lam, kappa, ts, delta, count: int) -> int:
-    """Where the R-ratio run at offset 1/m(J; kappa) + delta may leave
-    double-double: the first k with |delta g_k| >= 1, plus two; ``count``
-    (no switch) when there is none before it or the Cauchy run breaks down.
-
-    R = f + delta q, with f the minimal solution (R at the Cauchy value, its
-    ratios w^S = -t from the tails ``ts`` under ``_cauchy_run``'s breakdown
-    test) and q the solution with q_0 = 0, q_1 = 1, so R_k = f_k (1 + delta
-    g_k) with g_k = q_k/f_k.  The Casoratian f_j q_{j+1} - f_{j+1} q_j =
-    lam_0 ... lam_{j-1} makes g_k the sum of h_j = 1/w^S_0 prod_{i<j}
-    lam_i/(w^S_i w^S_{i+1}) over j < k.  Once |delta g_k| passes 1 the
-    dominant part carries R, the forward ratio map contracts, and double is
-    as accurate as on the eta >= _DOUBLE_ETA route.
+def _crossover(lam, ws, delta, count: int) -> int:
+    """Where the R-ratio run at offset 1/m(J; kappa) + delta leaves the head:
+    the first k with |delta g_k| >= 1, plus two (at most ``count``);
+    ``count`` when there is none or g_k leaves the double range first.  g_k
+    of ``_cauchy_head`` in double, from the ratios ``ws`` of ``_cauchy_run``.
     """
-    try:
-        ws = _cauchy_run(c, lam, kappa, _NO_GERONIMUS, ts, diffs=False)[0]
-        h, g = 1 / ws[0], 0j
-        for k in range(1, count):
-            g += h  # g_k
-            if not cmath.isfinite(g):
-                break
-            if abs(delta * g) >= 1:
-                return min(k + 2, count)
-            h *= lam[k - 1] / (ws[k - 1] * ws[k])
-    except (ArithmeticError, PoleError):  # ExistenceError, division, abs overflow
-        pass
-    return count
+    ws = np.asarray(ws)
+    rho = np.asarray(lam[: count - 2]) / (ws[: count - 2] * ws[1 : count - 1])
+    g = np.cumsum(np.cumprod(np.concatenate(([1 / ws[0]], rho))))  # g_1, ..., g_{count-1}
+    hit = np.flatnonzero(~(np.abs(delta * g) < 1))
+    return min(int(hit[0]) + 3, count) if hit.size and np.isfinite(g[hit[0]]) else count
+
+
+def _cauchy_head(lam, w_s, e_s, delta, count: int, what: str):
+    """(w, e) of ``_ratio_run`` up to ``count`` at the offset 1/m(J; kappa) +
+    delta (a pair), read off the backward run at the Cauchy value: its ratios
+    w^S (pairs, from ``_dd_cf_inverse``) and differences e^S (``_cauchy_run``).
+
+    R = f + delta q, f the minimal solution (ratios w^S) and q_0 = 0, q_1 = 1,
+    so R_k = f_k (1 + delta g_k), g_k = q_k/f_k (Gautschi, SIAM Review 9,
+    1967).  The Casoratian f_j q_{j+1} - f_{j+1} q_j = lam_0 ... lam_{j-1}
+    makes g the running sum (g_0 = 0) of h_0 = 1/w^S_0, h_k = h_{k-1} lam[k-1]
+    /(w^S_{k-1} w^S_k).  Both are pairs: numpy's running product and sum of
+    the hi parts, with the rounding of each step found exactly (``dd``) and
+    carried in the lo parts (cascaded summation: Ogita, Rump & Oishi, SIAM J.
+    Sci. Comput. 26, 2005), so no k* double roundings pile up.  With
+    eps_k = delta h_k/(1 + delta g_k),
+
+        w_k = w^S_k (1 + eps_k),  e_k = e^S_k + w^S_k eps_k - w^S_{k-1} eps_{k-1}.
+
+    Past the crossover e_k shrinks below the pair rounding of its terms, so
+    the run goes on in double there.  ExistenceError(what, n) when R_n/f_n =
+    (1 + delta g_{n-1}) + delta h_{n-1} cancels to _DD_BREAKDOWN_RTOL of its terms.
+    """
+    wh, wl = w_s[0][:count], w_s[1][:count]
+    rho = dd.div(np.asarray(lam[: count - 1]), 0j, *dd.mul(wh[:-1], wl[:-1], wh[1:], wl[1:]))
+    h0 = dd.div(*delta, wh[0], wl[0])
+    rho_h, rho_l = np.append(h0[0], rho[0]), np.append(h0[1], rho[1])
+    # delta h_k (k < count): the relative corrections s of the running product
+    # multiply to 1 + S1 + (S1^2 - S2)/2, S1 and S2 the running sums of s and s^2
+    dh = np.cumprod(rho_h)
+    eh, el = dd.mul(dh[:-1], 0j, rho_h[1:], 0j)
+    s = np.append(0j, ((eh - dh[1:]) + el) / dh[1:]) + rho_l / rho_h
+    s1 = np.cumsum(s)
+    dl = dh * (s1 + (s1 * s1 - np.cumsum(s * s)) / 2)
+    gh = np.cumsum(dh)  # delta g_n, n = 1, ..., count
+    eh, el = dd.add(gh[:-1], 0j, dh[1:], 0j)
+    rh, rl = dd.add(1.0, 0j, gh, np.cumsum(np.append(0j, (eh - gh[1:]) + el) + dl))
+    ph, pl = np.append(1.0, rh[:-1]), np.append(0.0, rl[:-1])  # 1 + delta g_{n-1}
+    broken = np.flatnonzero(np.abs(rh) < _DD_BREAKDOWN_RTOL * np.maximum(np.abs(ph), np.abs(dh)))
+    if broken.size:
+        raise ExistenceError(what, int(broken[0]) + 1)
+    xh, xl = dd.mul(wh, wl, *dd.div(dh, dl, ph, pl))  # w^S_k eps_k
+    w = dd.add(wh, wl, xh, xl)
+    e = dd.add(np.asarray(e_s[1:count]), 0j, *dd.add(xh[1:], xl[1:], -xh[:-1], -xl[:-1]))
+    return (w[0] + w[1]).tolist(), [0j] + (e[0] + e[1]).tolist()
 
 
 def _dd_cf_inverse(c, lam, kappa, ts):
-    """1/m(J; kappa) = c[0] - kappa - t_2 as a pair: the continued fraction,
-    whose double tails ``ts`` = [T_{N+1}, ..., T_2] come from ``_tails``,
-    refined to double-double.
+    """(1/m(J; kappa), w^S): 1/m = c[0] - kappa - t_2 as a pair, the continued
+    fraction whose double tails ``ts`` = [T_{N+1}, ..., T_2] come from
+    ``_tails``, refined to double-double, and the pair array of the ratios
+    w^S_k = -t_{k+2} (k = 0, ..., N - 2) of the minimal solution, to ~1e-30.
 
     With D_j = (c[j-1] - kappa) - T_{j+1} a pair, the errors d_j = t_j - T_j
     obey d_j = r_j + (lam[j-2]/D_j^2) d_{j+1} to second order,
@@ -514,77 +544,37 @@ def _dd_cf_inverse(c, lam, kappa, ts):
     ch, cl = dd.add(np.asarray(c), 0j, -kappa, 0j)  # c[k] - kappa
     t = ts[0]
     res = dd.add(*dd.mul(t, 0j, *dd.add(t, 0j, -ch[-1], -cl[-1])), lam[-1], 0j)[0]
-    d = -res / (2 * t - ch[-1])
+    d = [-res / (2 * t - ch[-1])]
     ts = np.array(ts)
     dh, dl = dd.add(ch[-1:0:-1], cl[-1:0:-1], -ts[:-1], 0j)  # D_j
     r = dd.add(*dd.div(lam_rev, 0j, dh, dl), -ts[1:], 0j)[0]
     for r_j, g_j in zip(r.tolist(), (lam_rev / (dh * dh)).tolist()):
-        d = r_j + g_j * d
-    return dd.add(*dd.add(ch[0], cl[0], -ts[-1], 0j), -d, 0j)
-
-
-def _dd_ratio_run(c, lam, kappa, offset, count: int, what: str):
-    """``_ratio_run`` in double-double, offset a pair: (w, e) as lists of
-    hi + lo.
-
-    Only the ratio recurrence w[k] = (kappa - c[k]) - lam[k-1]/w[k-1] runs
-    as a scalar loop, one pair division and subtraction per step, with
-    ``_ratio_run``'s breakdown test at _DD_BREAKDOWN_RTOL.  Then 1/w,
-    alpha[k] = (c[k-1] - c[k]) + (lam[k-2] - lam[k-1])/w[k-1] (lam[-1] = 0,
-    less the offset at k = 1) and beta[k] = lam[k-2]/(w[k-2] w[k-1]) are
-    numpy pair arrays, and the difference recurrence e[k] = alpha[k] +
-    beta[k] e[k-1] costs one pair mul and add per step.
-    """
-    c, lam = np.asarray(c[:count], dtype=complex), np.asarray(lam[: count - 1], dtype=complex)
-    ph, pl = (x.tolist() for x in dd.add(kappa, 0j, -c, 0j))  # kappa - c[k]
-    wh, wl = dd.add(ph[0], pl[0], *offset)
-    if abs(wh) < _DD_BREAKDOWN_RTOL * max(abs(ph[0]), abs(offset[0])):
-        raise ExistenceError(what, 1)
-    hs, ls = [wh], [wl]
-    for k in range(1, count):
-        qh, ql = dd.div(lam[k - 1], 0j, wh, wl)
-        wh, wl = dd.add(ph[k], pl[k], -qh, -ql)
-        scale = max(abs(ph[k]), abs(qh))
-        if abs(wh) < _DD_BREAKDOWN_RTOL * scale or scale == 0:
-            raise ExistenceError(what, k + 1)
-        hs.append(wh)
-        ls.append(wl)
-    wh, wl = np.array(hs), np.array(ls)
-    ih, il = dd.div(1.0, 0j, wh, wl)
-    lam_prev = np.concatenate(([0j], lam[:-1]))
-    alpha = dd.add(*dd.add(c[:-1], 0j, -c[1:], 0j),
-                   *dd.mul(*dd.add(lam_prev, 0j, -lam, 0j), ih[:-1], il[:-1]))
-    bh, bl = dd.mul(*dd.mul(lam[:-1], 0j, ih[:-2], il[:-2]), ih[1:-1], il[1:-1])
-    ah, al = alpha[0].tolist(), alpha[1].tolist()
-    bh, bl = bh.tolist(), bl.tolist()
-    es = [0j]
-    if count > 1:
-        eh, el = dd.add(ah[0], al[0], -offset[0], -offset[1])
-        es.append(eh + el)
-    for k in range(2, count):
-        eh, el = dd.add(ah[k - 1], al[k - 1], *dd.mul(bh[k - 2], bl[k - 2], eh, el))
-        es.append(eh + el)
-    return (wh + wl).tolist(), es
+        d.append(r_j + g_j * d[-1])
+    inv_m = dd.add(*dd.add(ch[0], cl[0], -ts[-1], 0j), -d[-1], 0j)
+    return inv_m, dd.add(-ts[:0:-1], 0j, -np.array(d[:0:-1]), 0j)
 
 
 # overflow in the pair arithmetic ends as inf or nan, refused below
 @np.errstate(all="ignore")
-def _dd_step(c, lam, s0, kappa, s0star, ts):
-    """(c, lam, w, eta, k*) of a Geronimus step whose R-ratio run is
-    double-double up to the crossover k* (``_crossover``) and double from
-    there, eta = |1 - S/s0star| re-measured in double-double first from the
-    tails ``ts`` of ``_tails``; None when that eta is below _DD_ETA or nan,
-    or an output leaves the double range."""
-    offset = dd.div(complex(s0), 0j, s0star, 0j)
-    inv_m = _dd_cf_inverse(c, lam, kappa, ts)
+def _dd_step(c, lam, kappa, offset, ts):
+    """(c, lam, w, eta, k*) of a Geronimus step at the offset s0/s0star (a
+    pair): ``_cauchy_head`` up to k* (``_crossover``), then double; eta =
+    |1 - S/s0star| in double-double from the tails ``ts`` of ``_tails``.  None
+    when eta is below _DD_ETA or nan, the backward run breaks down, or an
+    output leaves the double range."""
+    inv_m, w_s = _dd_cf_inverse(c, lam, kappa, ts)
     ratio = dd.div(*offset, *inv_m)  # s0 m(J; kappa) / s0star
     eta = abs(dd.add(1.0, 0j, -ratio[0], -ratio[1])[0])
     if not eta >= _DD_ETA:
         return None
+    try:
+        ws, es, _ = _cauchy_run(c, lam, kappa, _NO_GERONIMUS, ts)
+    except ExistenceError:
+        return None
     count = len(c) - 1
     delta = dd.add(*offset, -inv_m[0], -inv_m[1])
-    k_star = _crossover(c, lam, kappa, ts, delta[0] + delta[1], count)
-    head = _dd_ratio_run(c, lam, kappa, offset, k_star, _NO_GERONIMUS)
+    k_star = _crossover(lam, ws, delta[0] + delta[1], count)
+    head = _cauchy_head(lam, w_s, es, delta, k_star, _NO_GERONIMUS)
     first = dd.add(kappa, 0j, *offset)
     offset = offset[0] + offset[1]
     w, e = _ratio_run(c, lam, kappa, offset, count, _NO_GERONIMUS, head=head)
@@ -662,8 +652,10 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
     if eta >= _DOUBLE_ETA:
         c_new, lam_new, _, w = _geronimus_step(c, lam, m.s0, kappa, s0star)
         route = "double"
-    elif len(ts) == len(c) and (dd := _dd_step(c, lam, m.s0, kappa, s0star, ts)):
-        c_new, lam_new, w, eta, k_star = dd
+    elif len(ts) == len(c) and (
+        step := _dd_step(c, lam, kappa, dd.div(complex(m.s0), 0j, s0star, 0j), ts)
+    ):
+        c_new, lam_new, w, eta, k_star = step
         route = (f"double-double to k*={k_star} of {len(w)}, then double"
                  if k_star < len(w) else "double-double")
     else:

@@ -261,8 +261,8 @@ def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None, diffs: b
     with e[1] = (c[0] - c[1]) - offset - lam[0]/w[0] and e[0] = 0.  Every input
     of the e-recurrence is exact, so e[k] keeps its relative accuracy however
     small it is.  The same code runs on Python complex and on mpmath mpc (in
-    the caller's working precision); ``darboux._dd_ratio_run`` is its
-    double-double form.
+    the caller's working precision).  Near the Cauchy value the first ratios
+    come in double-double from ``darboux._cauchy_head``, as ``head``.
 
     ``head = (ws, es)``, the first K >= 2 ratios and differences of the run
     (from a run in another precision), restarts it at k = K: the returned

@@ -585,7 +585,7 @@ class TestVerify:
         assert out.err == "error: P_1 vanishes at the evaluation point\n"
 
     @pytest.mark.parametrize("suite, length", [
-        ("strips", 32), ("m-identities", 23), ("ratio-asymptotics", 202),
+        ("strips", 32), ("m-identities", 23), ("r1", 43), ("r2", 34), ("ratio-asymptotics", 202),
     ])
     def test_short_prefix_names_the_suite_and_its_length(self, monkeypatch, capsys, suite, length):
         """The shortest prefix a suite reads passes; one term less exits 1 with
@@ -599,7 +599,8 @@ class TestVerify:
             raise AssertionError("transform before the prefix check")
 
         for module, name in ((cli, "christoffel"), (cli, "geronimus"), (spectral, "christoffel"),
-                             (spectral, "geronimus")):
+                             (spectral, "geronimus"), (rseq, "R1System"),
+                             (rseq, "GeronimusPairQuasi")):
             monkeypatch.setattr(module, name, no_transform)
         assert main(argv + [f"--n-max={length - 1}"]) == 1
         out = capsys.readouterr()

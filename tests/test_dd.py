@@ -1,14 +1,16 @@
 """Tests of the double-double pair arithmetic (``darbouxjac._dd``) and of the
-double-double R-ratio kernel built on it (``darboux._dd_ratio_run``).
+double-double head of the near-Cauchy R-ratio run built on it
+(``darboux._cauchy_head``, read off the backward run at the Cauchy value).
 
 The pair functions are checked against mpmath at 60 digits, on Python
 complex scalars and on numpy arrays alike, with magnitudes from 1e-150 to
 1e150 (results kept above 1e-280, where the lo part of a pair is still a
 normal double), and past 1e300, where the header promises inf or nan
-instead of an exception.  The kernel is checked against a 50-digit mpmath
+instead of an exception.  The head is checked against a 50-digit mpmath
 ``_ratio_run`` up to the crossover k* at the fl(S) sites of
-``test_ratio_kernel``, and on a prefix built to break down at a known index;
-the double-double continued fraction against the 50-digit one.
+``test_ratio_kernel``, at offsets down to the _DD_ETA floor, and on a
+prefix built to break down at a known index; the double-double continued
+fraction and its tails against the 50-digit ones.
 """
 import cmath
 import math
@@ -24,7 +26,13 @@ from darbouxjac import darboux
 from darbouxjac.core import family_coeffs
 from darbouxjac.darboux import TransformPoint, cauchy_s0star
 from darbouxjac.errors import ExistenceError
-from test_ratio_kernel import CAUCHY_SITES, CROSSOVER_SITES, PROPERTY, geronimus_k_star
+from test_ratio_kernel import (
+    CAUCHY_SITES,
+    CROSSOVER_SITES,
+    PROPERTY,
+    geronimus_k_star,
+    later_crossover,
+)
 
 # error bound of one pair operation, relative to its operands (see exact())
 EPS = 2.0**-100
@@ -131,16 +139,20 @@ def test_scalar_division_by_zero_raises_as_on_complex():
 
 
 # ---------------------------------------------------------------------------
-# the double-double R-ratio kernel
+# the double-double head of the near-Cauchy R-ratio run
 # ---------------------------------------------------------------------------
 
-def dd_inputs(kind: str, kappa: complex):
-    """(c, lam, offset pair, k*) of the route's double-double run at fl(S)."""
+def cauchy_head(kind: str, kappa: complex, monkeypatch):
+    """(c, lam, offset pair, (w, e)) of the head geronimus reads at fl(S)."""
     m = family_coeffs(kind, 256)
     site = TransformPoint(kappa, s0star=cauchy_s0star(m, kappa))
+    heads, head = [], darboux._cauchy_head
+    monkeypatch.setattr(darboux, "_cauchy_head",
+                        lambda *args: heads.append(head(*args)) or heads[-1])
     _, k_star = geronimus_k_star(m, site)
+    assert len(heads[-1][0]) == k_star
     offset = dd.div(complex(m.s0), 0j, site.s0star, 0j)
-    return m.c.tolist(), m.lam.tolist(), offset, k_star
+    return m.c.tolist(), m.lam.tolist(), offset, heads[-1]
 
 
 def mp_ratio_run(c, lam, kappa, offset, count: int):
@@ -151,7 +163,7 @@ def mp_ratio_run(c, lam, kappa, offset, count: int):
 
 
 @pytest.mark.parametrize("kind, kappa", list(CAUCHY_SITES.items()) + CROSSOVER_SITES)
-def test_dd_ratio_run_matches_50_digit_ratio_run(kind, kappa):
+def test_cauchy_head_matches_50_digit_ratio_run(kind, kappa, monkeypatch):
     """w and e up to k* within 1e-15 of the mpmath run at the same offset
     (hi + lo exactly), entry by entry.
 
@@ -160,17 +172,43 @@ def test_dd_ratio_run_matches_50_digit_ratio_run(kind, kappa):
     moves by 1e-32 relative (chebyshev2 at 1j: w_20, |w_20| = 2e-3).  No run
     that rounds at ~1e-32 per step can do better there, so each entry's
     tolerance adds its own change under a 1e-31 relative move of the offset."""
-    c, lam, offset, k_star = dd_inputs(kind, kappa)
-    w, e = darboux._dd_ratio_run(c, lam, kappa, offset, k_star, "")
+    c, lam, offset, (w, e) = cauchy_head(kind, kappa, monkeypatch)
     with mp.workdps(50):
         exact_offset = mp.mpc(offset[0]) + mp.mpc(offset[1])
-        ref = mp_ratio_run(c, lam, kappa, exact_offset, k_star)
-        moved = mp_ratio_run(c, lam, kappa, exact_offset * (1 + mp.mpf(10) ** -31), k_star)
+        ref = mp_ratio_run(c, lam, kappa, exact_offset, len(w))
+        moved = mp_ratio_run(c, lam, kappa, exact_offset * (1 + mp.mpf(10) ** -31), len(w))
         for got, r, r_moved in zip((w, e), ref, moved):
-            assert len(got) == len(r) == k_star
+            assert len(got) == len(r)
             for g, x, y in zip(got, r, r_moved):
                 tol = 1e-15 * abs(x) + abs(y - x)
                 assert abs(g - x) <= tol, (kind, kappa, float(abs(g - x) / abs(x)))
+
+
+@pytest.mark.parametrize("kind, kappa", [("chebyshev1", 0.3 + 0.5j), ("chebyshev3", 0.1 - 0.02j)])
+@pytest.mark.parametrize("rel", [1e-16, 1e-18])
+def test_cauchy_head_holds_down_to_the_floor(kind, kappa, rel):
+    """The offset 1/m + delta, |delta| = rel |1/m| down to the _DD_ETA floor
+    (a hair above it, so that eta clears it): c and lambda within 1e-12 of
+    the 50-digit run at the same offset.  delta is known only to the
+    double-double digits of 1/m, so the error grows like 1e-32/rel, and
+    below the floor the step goes to mpmath."""
+    m = family_coeffs(kind, 256)
+    c, lam = m.c.tolist(), m.lam.tolist()
+    ts = darboux._tails(c, lam, kappa)
+    inv_m, _ = darboux._dd_cf_inverse(c, lam, kappa, ts)
+    delta = dd.mul(*inv_m, rel * (1 + 1e-9) * cmath.exp(0.7j), 0j)
+    offset = dd.add(*inv_m, *delta)
+    c_new, lam_new, _, eta, k_star = darboux._dd_step(c, lam, kappa, offset, ts)
+    assert eta >= darboux._DD_ETA
+    if kind == "chebyshev3":
+        assert k_star == len(c) - 1  # no crossover: the head is the whole run
+    with mp.workdps(50):
+        mc, mlam = [mp.mpc(z) for z in c], [mp.mpc(z) for z in lam]
+        x = mp.mpc(offset[0]) + mp.mpc(offset[1])
+        w, e = darboux._ratio_run(mc, mlam, mp.mpc(kappa), x, len(c) - 1, "")
+        ref = sum(darboux._geronimus_coeffs(mc, mlam, w, e, x, mp.mpc(kappa) + x), [])
+        err = max(float(abs(g - r) / abs(r)) for g, r in zip(c_new + lam_new, ref))
+    assert err <= 1e-12, err
 
 
 @pytest.mark.parametrize(
@@ -178,33 +216,44 @@ def test_dd_ratio_run_matches_50_digit_ratio_run(kind, kappa):
     [(kind, kappa, 256) for kind, kappa in CAUCHY_SITES.items()] + [("chebyshev1", 0.5 + 1e-3j, 64)],
 )
 def test_dd_continued_fraction_matches_50_digits(kind, kappa, n_max):
-    """1/m(J; kappa) in double-double is the 50-digit continued fraction to
-    1e-29, also near the support, where the backward run hardly damps an
-    error in its tail seed."""
+    """1/m(J; kappa) and the ratios w^S_k = -t_{k+2} of the minimal solution
+    in double-double are the 50-digit ones to 1e-29, also near the support,
+    where the backward run hardly damps an error in its tail seed."""
     m = family_coeffs(kind, n_max)
     c, lam = m.c.tolist(), m.lam.tolist()
-    hi, lo = darboux._dd_cf_inverse(c, lam, kappa, darboux._tails(c, lam, kappa))
+    (hi, lo), (wh, wl) = darboux._dd_cf_inverse(c, lam, kappa, darboux._tails(c, lam, kappa))
     with mp.workdps(50):
-        ref = 1 / darboux._cf_m_function([mp.mpc(z) for z in c], [mp.mpc(z) for z in lam],
-                                         mp.mpc(kappa))
+        mc, mlam = [mp.mpc(z) for z in c], [mp.mpc(z) for z in lam]
+        ref = 1 / darboux._cf_m_function(mc, mlam, mp.mpc(kappa))
         assert abs(mp.mpc(hi) + mp.mpc(lo) - ref) <= 1e-29 * abs(ref)
+        ref_ts = darboux._tails(mc, mlam, mp.mpc(kappa))[:0:-1]  # t_2, ..., t_N
+        assert len(wh) == len(wl) == len(ref_ts) == n_max - 1
+        for h, l, t in zip(wh.tolist(), wl.tolist(), ref_ts):
+            assert abs(mp.mpc(h) + mp.mpc(l) + t) <= 1e-29 * abs(t)
 
 
 def broken_prefix(j: int, n: int = 48):
-    """kappa = (1 + i)/2, offset 1/4 and lam = 1/4: w_k = 1 exactly for
-    k < j, and c_j = kappa - 1/4 makes w_j = 0 (y_{j+1}(kappa) = 0)."""
+    """kappa = (1 + i)/2, offset 1/4 and lam = 1/4: w_k = 1 for k < j, and
+    c_j = kappa - 1/4 makes w_j = 0 (y_{j+1}(kappa) = 0).  Past j, c = kappa
+    - 5/2 keeps the backward run at kappa clear of a zero denominator."""
     kappa, offset = 0.5 + 0.5j, 0.25 + 0j
-    c = [kappa - 1.25] * n
+    c = [kappa - 1.25] * (j + 1) + [kappa - 2.5] * (n - j - 1)
     c[0] = kappa + offset - 1
     c[j] = kappa + offset if j == 0 else kappa - 0.25
     return c, [0.25 + 0j] * (n - 1), kappa, (offset, 0j)
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 7, 40, 46])
-def test_dd_ratio_run_raises_at_the_breakdown_index(j):
+def test_cauchy_head_raises_at_the_breakdown_index(j, monkeypatch):
+    """The head up to the end of the run (past its crossover) refuses
+    R_{j+1}(kappa) = 0 at n = j + 1, as the forward run does."""
     c, lam, kappa, offset = broken_prefix(j)
-    if j:
-        assert darboux._dd_ratio_run(c, lam, kappa, offset, j, "")[0] == [1 + 0j] * j
+    ts = darboux._tails(c, lam, kappa)
+    darboux._cauchy_run(c, lam, kappa, "", ts)  # no breakdown at the Cauchy value
+    later_crossover(monkeypatch, len(c))
     with pytest.raises(ExistenceError) as err:
-        darboux._dd_ratio_run(c, lam, kappa, offset, len(c) - 1, "breaks down")
+        darboux._dd_step(c, lam, kappa, offset, ts)
+    assert err.value.index == j + 1
+    with pytest.raises(ExistenceError) as err:
+        darboux._ratio_run(c, lam, kappa, offset[0], len(c) - 1, "")
     assert err.value.index == j + 1

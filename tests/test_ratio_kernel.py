@@ -7,9 +7,9 @@ of them; sites are nonreal with Re kappa in [-1.5, 1.5] and |Im kappa| down
 to 1e-3.  Geronimus is checked with s0star drawn in the closed half-plane
 opposite kappa (the double-precision route when eta = |1 - S/s0star| >=
 1e-2), with the double-rounded Cauchy value from cauchy_s0star and with
-s0star a few ulps from it (double-double up to the dominance crossover,
-then double; eta >= 1e-18), with that route forced to stay double-double
-throughout, and with it forced down to its mpmath fallback.  The
+s0star a few ulps from it (read off the backward run in double-double up
+to the dominance crossover, then double; eta >= 1e-18), with the switch
+moved later, and with it forced down to its mpmath fallback.  The
 GeronimusChain step at the Cauchy value (the backward run) is checked
 against the UL step taken at the reference's own Cauchy value.  Cluster
 distances (the double shifted Newton of spectral.cluster_distance) are
@@ -490,13 +490,22 @@ def test_geronimus_mpmath_fallback_matches_double_double(kind, monkeypatch):
 # the crossover: double-double up to k*, double after it
 # ---------------------------------------------------------------------------
 
-def no_crossover(monkeypatch) -> None:
-    """Keep the whole R-ratio run in double-double, as with no crossover."""
-    monkeypatch.setattr(darboux, "_crossover", lambda c, lam, kappa, ts, delta, count: count)
+def later_crossover(monkeypatch, steps: int) -> None:
+    """Move the switch from the head (``darboux._cauchy_head``) to double
+    ``steps`` steps past k*, at most to the end of the run."""
+    crossover = darboux._crossover
+    monkeypatch.setattr(darboux, "_crossover", lambda lam, ws, delta, count: min(
+        crossover(lam, ws, delta, count) + steps, count))
 
 
 def geronimus_k_star(m: RecurrenceCoeffs, site: TransformPoint) -> tuple:
     """geronimus's output and the k* it reports at DEBUG."""
+    tc, record = geronimus_logged(m, site)
+    return tc, record.k_star
+
+
+def geronimus_logged(m: RecurrenceCoeffs, site: TransformPoint) -> tuple:
+    """geronimus's output and the record it logs at DEBUG."""
     records = []
     handler = logging.Handler()
     handler.emit = records.append
@@ -509,7 +518,7 @@ def geronimus_k_star(m: RecurrenceCoeffs, site: TransformPoint) -> tuple:
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
-    return tc, records[-1].k_star
+    return tc, records[-1]
 
 
 # fl(S) sites whose crossover falls late in a 256-term run (k* = 163, 130)
@@ -519,39 +528,84 @@ CROSSOVER_SITES = [
     ("chebyshev3", 0.928724 + 0.0559869j),
     ("chebyshev4", 1.2 + 0.3j),
 ]
+# k* at fl(S) for 256 and 1024 terms; close to the support (the last site)
+# the 256-term run never crosses (k* = 255 = n_max - 1)
+K_STAR = {
+    CROSSOVER_SITES[0]: (163, 162),
+    CROSSOVER_SITES[1]: (130, 130),
+    CROSSOVER_SITES[2]: (27, 27),
+    ("chebyshev3", CAUCHY_SITES["chebyshev3"]): (255, 263),
+}
 
 
 @pytest.mark.parametrize("n_max", [256, 1024])
-@pytest.mark.parametrize("kind, kappa", CROSSOVER_SITES)
+@pytest.mark.parametrize("kind, kappa", list(K_STAR))
 def test_crossover_at_rounded_cauchy_value_matches_ul_reference(kind, kappa, n_max, monkeypatch):
-    """fl(S): the run leaves double-double inside the prefix, and the double
+    """fl(S): the run leaves double-double at the pinned k*, and the double
     tail keeps 1e-12 entrywise."""
     forbid_mpmath(monkeypatch)
     m = family_coeffs(kind, n_max)
     site = TransformPoint(kappa, s0star=cauchy_s0star(m, kappa))
     tc, k_star = geronimus_k_star(m, site)
-    assert 3 <= k_star < n_max - 1
+    assert k_star == K_STAR[kind, kappa][n_max == 1024]
     assert_entrywise(tc, reference(ul_step, m, kappa, site.s0star, dps=resolving_dps(kappa)))
 
 
 # the early crossover site is CAUCHY_SITES["chebyshev4"]
 @pytest.mark.parametrize("kind, kappa", CROSSOVER_SITES[:2] + list(CAUCHY_SITES.items()))
-def test_crossover_agrees_with_double_double_throughout(kind, kappa, monkeypatch):
-    """Moving the switch to the end of the run changes no entry by 1e-12."""
+def test_crossover_moved_later_changes_no_entry(kind, kappa, monkeypatch):
+    """Moving the switch eight steps later changes no entry by 1e-12: the
+    head and the double run agree where both hold.  (Far past k* the head's
+    differences e_k shrink below the pair rounding of the w^S_k eps_k they
+    are taken from, so the switch cannot move to the end of the run.)"""
     m = family_coeffs(kind, 256)
     site = TransformPoint(kappa, s0star=cauchy_s0star(m, kappa))
     switched = geronimus(m, site)
-    no_crossover(monkeypatch)
-    throughout = geronimus(m, site)
-    c, lam = throughout.coeffs.c, throughout.coeffs.lam
-    assert_entrywise(switched, [*c, *lam, throughout.coeffs.s0])
-    a = throughout.a_seq
+    later_crossover(monkeypatch, 8)
+    later = geronimus(m, site)
+    c, lam = later.coeffs.c, later.coeffs.lam
+    assert_entrywise(switched, [*c, *lam, later.coeffs.s0])
+    a = later.a_seq
     assert np.max(np.abs(switched.a_seq - a) / np.maximum(np.abs(a), TINY)) <= TOL
 
 
-def test_crossover_stays_double_double_when_the_cauchy_run_breaks_down():
+def loop_crossover(lam, ws, delta, count: int) -> int:
+    """``darboux._crossover`` as the scalar loop it replaced: g_k summed in
+    Python complex, stopping at the first k with |delta g_k| >= 1."""
+    h, g = 1 / ws[0], 0j
+    for k in range(1, count):
+        g += h  # g_k
+        if not cmath.isfinite(g):
+            return count
+        if abs(delta * g) >= 1:
+            return min(k + 2, count)
+        h *= lam[k - 1] / (ws[k - 1] * ws[k])
+    return count
+
+
+@pytest.mark.parametrize("n_max", [128, 256])
+@pytest.mark.parametrize("kind, kappa", list(K_STAR) + [
+    ("chebyshev1", -1.279524 + 0.00207089j), ("chebyshev2", -0.370027 - 0.761941j),
+    ("chebyshev4", 0.767104 + 0.00775566j), ("chebyshev2", 1j),
+])
+def test_crossover_matches_the_scalar_loop(kind, kappa, n_max):
+    """The numpy products and sums place k* where the scalar loop did, at
+    fl(S) and at offsets 1e-16..1e-12 of 1/m from it."""
+    m = family_coeffs(kind, n_max)
+    c, lam = m.c.tolist(), m.lam.tolist()
+    ts = darboux._tails(c, lam, kappa)
+    ws = darboux._cauchy_run(c, lam, kappa, "", ts)[0]
+    inv_m = darboux._dd_cf_inverse(c, lam, kappa, ts)[0]
+    offset = m.s0 / cauchy_s0star(m, kappa)
+    for delta in [offset - inv_m[0] - inv_m[1]] + [inv_m[0] * 10.0**-p for p in (12, 14, 16)]:
+        assert darboux._crossover(lam, ws, delta, len(c) - 1) == loop_crossover(
+            lam, ws, delta, len(c) - 1)
+
+
+def test_cauchy_run_breakdown_takes_the_mpmath_route():
     """A prefix whose backward run at kappa hits D_j = 0 gives no w^S to
-    place the crossover with: the whole run stays double-double."""
+    read the head from: the step runs in mpmath, and matches the UL
+    reference."""
     m = family_coeffs("chebyshev1", 64)
     kappa, j = 0.3 + 0.5j, 20
     c, lam = m.c.tolist(), m.lam.tolist()
@@ -561,8 +615,11 @@ def test_crossover_stays_double_double_when_the_cauchy_run_breaks_down():
     c[j - 1] = kappa + t
     with pytest.raises(ExistenceError):
         darboux._cauchy_run(c, lam, kappa, "")
-    ts = darboux._tails(c, lam, kappa)
-    assert darboux._crossover(c, lam, kappa, ts, 1.0, len(c) - 1) == len(c) - 1
+    broken = RecurrenceCoeffs(c=c, lam=lam, s0=m.s0)
+    s0star = m.s0 * darboux._cf_m_function(c, lam, kappa)  # fl(S)
+    tc, record = geronimus_logged(broken, TransformPoint(kappa, s0star=s0star))
+    assert record.route.startswith("mpmath at ")
+    assert_entrywise(tc, reference(ul_step, broken, kappa, s0star, dps=resolving_dps(kappa)))
 
 
 long_prefixes = st.builds(
