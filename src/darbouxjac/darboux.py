@@ -6,9 +6,10 @@ Geronimus at (kappa, s0star) inverts it, driven by the ratios of
 R_n = P_n + Q_n/s0star.  Both come from one kernel, ``polyeval._ratio_run``
 (the library's one forward ratio loop), which carries the ratios *and* their
 differences e_n = w_n - w_{n-1} through a recurrence with exact inputs (the
-differential-qd idea of Fernando and Parlett), so the tiny differences that
-make up the new diagonal keep their relative accuracy instead of being
-cancelled out of two O(1) ratios.
+differential-qd idea of Fernando and Parlett); both read their coefficients
+off it with one formula, ``_dqd_coeffs``, Christoffel being the Geronimus
+step at offset 0: the tiny differences that make up the new diagonal keep
+their relative accuracy, and a constant tail comes out exactly.
 
 Which precision runs:
 
@@ -66,7 +67,8 @@ from .errors import (
     QuadratureError,
     ZeroHitError,
 )
-from .polyeval import _BREAKDOWN_RTOL, _ratio_run, _scaled_run, _unscaled, eval_P, ratio_sequence
+from .polyeval import (_BREAKDOWN_RTOL, _check_degree, _ratio_run, _scaled_run, _unscaled, eval_P,
+                       ratio_sequence)
 
 __all__ = [
     "TransformPoint",
@@ -142,9 +144,11 @@ def christoffel(
 ) -> TransformedCoeffs:
     """Kernel-polynomial (Christoffel) transform of the prefix at site.kappa.
 
-    lambda*_{n+1} = lambda_{n+1} P_{n+1}(k)P_{n-1}(k)/P_n(k)^2 and
-    c*_{n+1} = c_{n+2} - P_{n+1}(k)/P_n(k) + P_{n+2}(k)/P_{n+1}(k), evaluated
-    through consecutive ratios only.  The usable prefix shrinks by 2.
+    With r_n = P_n(k)/P_{n-1}(k), c*_{n+1} = c_{n+2} + (r_{n+2} - r_{n+1}),
+    lambda*_{n+1} = lambda_{n+1} r_{n+1}/r_n and s*_0 = (c_1 - k) s_0: the
+    Geronimus formula at offset 0 shifted by one index (P_n + A_n P_{n-1} =
+    (z - k) P*_{n-1}(k, z)), taken by the same routine in differential-qd
+    form, so a constant tail comes out exactly.  The prefix shrinks by 2.
 
     Accepts a Geronimus ``TransformedCoeffs`` taken at the *same* kappa, in
     which case the coefficients are the Geronimus input prefix and the kernel
@@ -154,33 +158,35 @@ def christoffel(
     belongs to the transformed spectrum.
     """
     if isinstance(m, TransformedCoeffs):
-        if (
-            m.kinds
-            and m.kinds[-1] == "geronimus"
-            and m.a_seq is not None
-            and m.sites[-1].kappa == complex(site.kappa)
-        ):
+        if (m.kinds and m.kinds[-1] == "geronimus" and m.a_seq is not None
+                and m.sites[-1].kappa == complex(site.kappa)):
             return _christoffel_of_geronimus(m, site)
         m = m.coeffs
     if m.n_max < 4:
         raise PrefixError("christoffel needs a prefix of length >= 4")
     kappa = site.kappa
-    out_len = m.n_max - 2
-    w, e = _ratio_run(
-        m.c.tolist(), m.lam.tolist(), kappa, 0j, m.n_max,
-        f"kernel polynomials do not exist at kappa={kappa}",
-    )
-    rho = np.array(w)
-    c_out = m.c[1 : out_len + 1] + np.array(e[1 : out_len + 1])
-    # past the double range lambda and s0 are inf, caught by RecurrenceCoeffs
-    # (s0 in Python complex), without a numpy overflow warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam_out = m.lam[: out_len - 1] * rho[1:out_len] / rho[: out_len - 1]
-    s0_out = (complex(m.c[0]) - kappa) * m.s0
-    coeffs = RecurrenceCoeffs(c=c_out, lam=lam_out, s0=s0_out)
-    return TransformedCoeffs(
-        base=m, sites=(site,), kinds=("christoffel",), coeffs=coeffs, ratio_seq=rho
-    )
+    c, lam = m.c.tolist(), m.lam.tolist()
+    what = f"kernel polynomials do not exist at kappa={kappa}"
+    w, e = _ratio_run(c, lam, kappa, 0j, m.n_max, what)
+    c_out, lam_out = _dqd_coeffs(c, lam, w, e, m.n_max - 1)
+    coeffs = RecurrenceCoeffs(c=c_out, lam=lam_out, s0=(c[0] - kappa) * m.s0)
+    return TransformedCoeffs(base=m, sites=(site,), kinds=("christoffel",), coeffs=coeffs,
+                             ratio_seq=np.array(w))
+
+
+def _dqd_coeffs(c, lam, w, e, count: int):
+    """The coefficients of both transforms from a ratio run (w, e) of
+    ``_ratio_run``, in the number type of the inputs: c[k] + e[k] (k = 1, ...,
+    count - 1) and lam[k-1] w[k]/w[k-1] (k = 1, ..., count - 2) in
+    differential-qd form lam[k-1] (1 + e[k]/w[k-1]), so equal ratios (a
+    constant tail) give lam[k-1] exactly, not a rounding bias repeated in
+    every entry; a sum below 1/4 has cancelled (the ratios swing next to the
+    support), and the quotient is taken there.  ``christoffel`` reads its
+    P-run with count n_max - 1, each Geronimus route its R-run with count
+    n_max - 2, putting c^{-*}_1 and lambda^{-*}_2 in front."""
+    terms = zip(lam[: count - 2], w[: count - 2], w[1 : count - 1], e[1 : count - 1])
+    return ([c[k] + e[k] for k in range(1, count)],
+            [lk * (d if abs(d := 1 + ek / wp) >= 0.25 else wk / wp) for lk, wp, wk, ek in terms])
 
 
 def _christoffel_of_geronimus(tc: TransformedCoeffs, site: TransformPoint) -> TransformedCoeffs:
@@ -217,6 +223,7 @@ def kernel_eval(m: RecurrenceCoeffs, site: TransformPoint, n: int, z: complex) -
     obtained from the transformed recurrence instead, of the leading n + 3
     terms (at least 4): christoffel runs forward, so they give the same entries.
     """
+    _check_degree(n, m.n_max - 1)
     if n == 0:
         return 1.0 + 0.0j
     kappa = site.kappa
@@ -410,8 +417,7 @@ def _geronimus_step(c, lam, s0, kappa, s0star=None):
 
     c^{-*}_1 = kappa + s_0/s0star (= c_1 + w[0]), c^{-*}_{k+1} = c_{k+1} + e[k],
     lambda^{-*}_2 = -w[0] s_0/s0star, lambda^{-*}_{k+2} = lambda_{k+1} w[k]/w[k-1]
-    taken as lambda_{k+1} (1 + e[k]/w[k-1]): equal ratios (a constant tail)
-    then give lambda_{k+1} exactly, not a rounding bias repeated in every entry.
+    (past the first entries, ``_dqd_coeffs``).
     """
     if s0star is None:
         w, e, offset = _cauchy_run(c, lam, kappa, _NO_GERONIMUS)
@@ -421,17 +427,8 @@ def _geronimus_step(c, lam, s0, kappa, s0star=None):
         offset = s0 / s0star
         w, e = _ratio_run(c, lam, kappa, offset, len(c) - 1, _NO_GERONIMUS)
         first = kappa + offset
-    return (*_geronimus_coeffs(c, lam, w, e, offset, first), s0star, w)
-
-
-def _geronimus_coeffs(c, lam, w, e, offset, first):
-    """(c, lam) of the Geronimus step from its R-ratio run (w, e), its
-    offset s0/s0star and first = c^{-*}_1; formulas in ``_geronimus_step``."""
-    out_len = len(c) - 2
-    c_new = [first] + [c[k] + e[k] for k in range(1, out_len)]
-    lam_new = [-w[0] * offset]
-    lam_new += [lam[k - 1] * (1 + e[k] / w[k - 1]) for k in range(1, out_len - 1)]
-    return c_new, lam_new
+    c_new, lam_new = _dqd_coeffs(c, lam, w, e, len(c) - 2)
+    return [first] + c_new, [-w[0] * offset] + lam_new, s0star, w
 
 
 def _a_seq(w) -> np.ndarray:
@@ -578,7 +575,8 @@ def _dd_step(c, lam, kappa, offset, ts):
     first = dd.add(kappa, 0j, *offset)
     offset = offset[0] + offset[1]
     w, e = _ratio_run(c, lam, kappa, offset, count, _NO_GERONIMUS, head=head)
-    c_new, lam_new = _geronimus_coeffs(c, lam, w, e, offset, first[0] + first[1])
+    c_new, lam_new = _dqd_coeffs(c, lam, w, e, len(c) - 2)
+    c_new, lam_new = [first[0] + first[1]] + c_new, [-w[0] * offset] + lam_new
     if all(map(cmath.isfinite, c_new + lam_new)):
         return c_new, lam_new, w, eta, k_star
     return None
@@ -678,12 +676,12 @@ def geronimus_eval_from(tc: TransformedCoeffs, n: int, z: complex) -> complex:
     """P^{-*}_n(kappa, z) from a precomputed Geronimus TransformedCoeffs."""
     if tc.a_seq is None:
         raise ConfigurationError("transform does not carry a Geronimus A-sequence")
+    _check_degree(n, len(tc.a_seq) - 1)
     if n == 0:
         return 1.0 + 0.0j
     m = tc.base
-    a_n = tc.a_seq[n]
     prev, cur, log_scale = _scaled_run(m, n, z, 1.0 + 0.0j, z - m.c[0])
-    return _unscaled(cur + a_n * prev, log_scale, n)
+    return _unscaled(cur + tc.a_seq[n] * prev, log_scale, n)
 
 
 def _cauchy_weight(m: RecurrenceCoeffs, kappa: complex):

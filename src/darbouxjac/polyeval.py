@@ -224,7 +224,14 @@ def _unscaled(val, log_scale, n: int):
     return out
 
 
+def _check_degree(n: int, top: int) -> None:
+    """PrefixError naming the degree n unless 0 <= n <= top."""
+    if not 0 <= n <= top:
+        raise PrefixError(f"degree {n} outside 0..{top}")
+
+
 def _eval_scaled(m: RecurrenceCoeffs, which: str, n: int, z, s0star=None):
+    _check_degree(n, m.n_max)
     y0, y1 = _initial_pair(m, which, z, s0star)
     if n == 0:
         return y0 + 0 * z, 0.0
@@ -320,7 +327,9 @@ def ratio_sequence(m: RecurrenceCoeffs, z: complex, which: str = "P",
     _initial_pair(m, which, z, s0star)  # ConfigurationError for a bad which or s0star
     start = 2 if which == "Q" else 1
     count = m.n_max + 1 - start if n_terms is None else n_terms
-    last = start - 1 + max(count, 1)  # the run always takes r_start
+    if count < 1:
+        raise PrefixError(f"ratio_sequence needs n_terms >= 1 (n_terms={count})")
+    last = start - 1 + count
     if last > m.n_max:
         raise PrefixError(f"ratio r_{last} exceeds prefix length {m.n_max}")
     offset = m.s0 / s0star if which == "R" else 0j

@@ -56,7 +56,6 @@ __all__ = [
     "rational_eval",
 ]
 
-_SAMPLE_SEED = 0x5EED
 _CHECK_TOL = 1e-8
 
 
@@ -101,9 +100,9 @@ class RIICoefficients(Record):
             raise ConfigurationError("rho must equal 1 + upsilon by construction")
 
 
-def sample_points(count: int, seed: int = _SAMPLE_SEED) -> np.ndarray:
+def sample_points(count: int) -> np.ndarray:
     """Reproducible sample points in the annulus 1.5 <= |z| <= 3, |Im z| >= 0.5."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0x5EED)
     out = []
     while len(out) < count:
         radius = rng.uniform(1.5, 3.0)
@@ -143,17 +142,20 @@ def _verified(what: str, res: np.ndarray, n: int, zs: np.ndarray) -> None:
 
 
 def _degree_runs(m: RecurrenceCoeffs, ns: np.ndarray, zs: np.ndarray):
-    """The points, P_{n-1}, P_n and log scale as (len(ns), len(zs)) arrays, rows
-    in the order of ns: one _scaled_run over zs tiled once per degree, each copy
-    stopping at its own degree.  The points come as a full array, so a product
-    with one point takes the (FMA) numpy loop of a 1-d run, not a broadcast one."""
+    """The points, P_{n-1}, P_n, log scale and P_{n+1} (one more step at the same
+    scale; None when a degree reaches the end of the prefix) as (len(ns), len(zs))
+    arrays, rows in the order of ns: one _scaled_run over zs tiled once per degree,
+    each copy stopping at its own degree.  The points come as a full array, so a
+    product with one point takes the (FMA) numpy loop of a 1-d run, not a broadcast one."""
     z, shape = np.tile(zs, len(ns)), (len(ns), len(zs))
     if not z.size:
-        return [np.zeros(shape, dtype=complex)] * 4
+        return [np.zeros(shape, dtype=complex)] * 5
     order = np.argsort(ns, kind="stable")
     stop = np.repeat(ns[order], len(zs))
     out = _scaled_run(m, int(stop[-1]), z, 1.0, z - m.c[0], _stop=stop)
-    return [z.reshape(shape)] + [x.reshape(shape)[np.argsort(order)] for x in out]
+    z, p_nm1, p_n, scale = [z.reshape(shape)] + [x.reshape(shape)[np.argsort(order)] for x in out]
+    nxt = None if stop[-1] == m.n_max else (z - m.c[ns, None]) * p_n - m.lam[ns - 1, None] * p_nm1
+    return z, p_nm1, p_n, scale, nxt
 
 
 def _column(records, name: str) -> np.ndarray:
@@ -182,8 +184,7 @@ def _ri_residuals(m: RecurrenceCoeffs, ns: np.ndarray, z, tilde_A, alpha, beta, 
     (z - kappa1) P*_{n-1}(kappa1, z) = P_n(z) - rho_n P_{n-1}(z), so the
     kernel term needs no division by z - kappa1.
     """
-    zs, p_nm1, p_n, _ = _degree_runs(m, ns, np.atleast_1d(np.asarray(z, dtype=complex)))
-    p_np1 = (zs - m.c[ns, None]) * p_n - m.lam[ns - 1, None] * p_nm1
+    zs, p_nm1, p_n, _, p_np1 = _degree_runs(m, ns, np.atleast_1d(np.asarray(z, dtype=complex)))
     t1 = p_np1 + tilde_A * p_n
     t2 = (zs - alpha) * p_n
     t3 = beta * (p_n - rho_n * p_nm1)
@@ -327,11 +328,10 @@ class R2System:
             _check_degree("R_II", rc.n, self.m.n_max)
         ns = np.array([rc.n for rc in rcs], dtype=int)
         points = np.atleast_1d(np.asarray(z, dtype=complex))
-        zs, p_nm1, p_n, log_scale = _degree_runs(self.m, ns, points)
-        p_np1 = (zs - self.m.c[ns, None]) * p_n - self.m.lam[ns - 1, None] * p_nm1
+        zs, p_nm1, p_n, log_scale, p_np1 = _degree_runs(self.m, ns, points)
         kernel, kernel_scale = np.ones_like(p_n), np.zeros(p_n.shape)  # degree 0 at n = 1
         if (up := ns > 1).any():
-            _, _, kernel[up], kernel_scale[up] = _degree_runs(self.tc2.coeffs, ns[up] - 1, points)
+            kernel[up], kernel_scale[up] = _degree_runs(self.tc2.coeffs, ns[up] - 1, points)[2:4]
         t1 = p_np1 + _column(qs, "tilde_C") * p_n + _column(qs, "tilde_D") * p_nm1
         t2 = (_column(rcs, "rho") * zs - _column(rcs, "gamma")) * p_n
         t3 = _column(rcs, "upsilon") * (zs - self.kappa1) * (zs - self.kappa1_bar) * kernel
@@ -342,6 +342,12 @@ class R2System:
         """The one-degree case of ``residuals`` (a float for a scalar z)."""
         res = self.residuals((q,), (rc,), z)[0]
         return res if np.ndim(z) else float(res)
+
+
+def _leading_r2(m: RecurrenceCoeffs, kappa1: complex, n: int) -> R2System:
+    """R2System(m, kappa1) for degree n on the leading max(n + 4, 6) terms: it
+    runs forward only, so at degree n they give the full prefix's values, bit for bit."""
+    return R2System(m.truncated(min(m.n_max, max(n + 4, 6))), kappa1)
 
 
 def r2_coeffs(
@@ -355,7 +361,7 @@ def r2_coeffs(
     with upsilon_n = (lambda_{n+1} - tilde_D) / (r*_n r_n - lambda_{n+1}) and
     rho_n = 1 + upsilon_n; verified at n+3 sample points.
     """
-    sys = R2System(m, k1.kappa)
+    sys = _leading_r2(m, k1.kappa, n)
     rc = sys.coeffs(q, n)
     zs = sample_points(n + 3)
     _verified("R_II", sys.residual(q, rc, zs), n, zs)
@@ -431,10 +437,8 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
     rii, residuals, zs = [], [], sample_points(8)
     for j in range(1, len(kappas)):
         sigma, kap = prefixes[j], kappas[j - 1]
-        # pairs[j] is the Geronimus pair at kappa_{j+1} applied to sigma; R2System
-        # runs forward only, so on the terms degree j reads it equals the full one
-        lead = sigma.truncated(min(sigma.n_max, max(j + 4, 6)))
-        rc = R2System(lead, kap).coeffs(pairs[j].quasi(j), j)
+        # pairs[j] is the Geronimus pair at kappa_{j+1} applied to sigma
+        rc = _leading_r2(sigma, kap, j).coeffs(pairs[j].quasi(j), j)
         t1 = eval_P(prefixes[j + 1], j + 1, zs)
         t2 = (rc.rho * zs - rc.gamma) * eval_P(sigma, j, zs)
         t3 = rc.upsilon * (zs - kap) * (zs - np.conj(kap)) * eval_P(prefixes[j - 1], j - 1, zs)

@@ -22,8 +22,9 @@ from darbouxjac.errors import (
     EvaluationRangeError,
     ExistenceError,
     PoleError,
+    PrefixError,
 )
-from darbouxjac.polyeval import eval_P
+from darbouxjac.polyeval import eval_P, eval_Q, eval_R, ratio_sequence
 from darbouxjac.rseq import R1System
 from test_ratio_kernel import nevai_prefix
 
@@ -355,6 +356,31 @@ class TestEvaluationRange:
         with pytest.raises(EvaluationRangeError) as err:
             geronimus_eval_from(tc, 200, 1e8j)
         assert err.value.index == 200
+
+
+Z = 0.3 + 0.2j
+DEGREE_CALLS = {
+    "eval_P": (lambda m, tc: eval_P(m, -1, Z), "degree -1 "),
+    "eval_Q": (lambda m, tc: eval_Q(m, -1, Z), "degree -1 "),
+    "eval_R": (lambda m, tc: eval_R(m, -1, Z, -1j), "degree -1 "),
+    "kernel_eval": (lambda m, tc: kernel_eval(m, TransformPoint(0.3 + 0.5j), -1, Z), "degree -1 "),
+    "geronimus_eval_from": (lambda m, tc: geronimus_eval_from(tc, -1, Z), "degree -1 "),
+    "geronimus_eval_from-past-a_seq": (lambda m, tc: geronimus_eval_from(tc, 16, Z), "degree 16 "),
+    "ratio_sequence-0": (lambda m, tc: ratio_sequence(m, Z, n_terms=0), r"\(n_terms=0\)"),
+    "ratio_sequence-neg": (lambda m, tc: ratio_sequence(m, Z, n_terms=-3), r"\(n_terms=-3\)"),
+}
+
+
+@pytest.mark.parametrize("name", DEGREE_CALLS)
+def test_degree_out_of_range_raises_prefix_error_naming_it(name):
+    """A negative degree, a degree past the A-sequence and fewer than one
+    ratio are PrefixErrors naming the degree, not a bare IndexError or an
+    empty sequence (chebyshev1, 16 terms)."""
+    m = family_coeffs("chebyshev1", 16)
+    tc = geronimus(m, TransformPoint(0.3 + 0.5j, s0star=-1j))
+    call, match = DEGREE_CALLS[name]
+    with pytest.raises(PrefixError, match=match):
+        call(m, tc)
 
 
 class TestTailSeedFarFromSupport:

@@ -205,8 +205,8 @@ def test_cauchy_head_holds_down_to_the_floor(kind, kappa, rel):
     with mp.workdps(50):
         mc, mlam = [mp.mpc(z) for z in c], [mp.mpc(z) for z in lam]
         x = mp.mpc(offset[0]) + mp.mpc(offset[1])
-        w, e = darboux._ratio_run(mc, mlam, mp.mpc(kappa), x, len(c) - 1, "")
-        ref = sum(darboux._geronimus_coeffs(mc, mlam, w, e, x, mp.mpc(kappa) + x), [])
+        # s0 = 1 and s0star = 1/x: the step's offset is x to 50 digits
+        ref = sum(darboux._geronimus_step(mc, mlam, mp.mpc(1), mp.mpc(kappa), 1 / x)[:2], [])
         err = max(float(abs(g - r) / abs(r)) for g, r in zip(c_new + lam_new, ref))
     assert err <= 1e-12, err
 

@@ -37,6 +37,7 @@ from darbouxjac.darboux import (
     christoffel,
     christoffel_two,
     geronimus,
+    geronimus_cauchy,
     kernel_eval,
 )
 from darbouxjac.errors import (
@@ -263,6 +264,23 @@ def test_geronimus_cauchy_s0star_matches_ul_reference(kind, kappa):
     assert not double_route(m, kappa, s0star)
     tc = geronimus(m, TransformPoint(kappa, s0star=s0star))
     assert_entrywise(tc, reference(ul_step, m, kappa, s0star, dps=resolving_dps(kappa)))
+
+
+@PROPERTY
+@given(st.builds(nevai_prefix, st.sampled_from(CHEBYSHEV_KINDS),
+                 st.one_of(st.none(), st.integers(0, 2**32 - 1)), st.just(256)),
+       kappas(), st.data())
+def test_transformed_tails_reach_the_base_limits(m, kappa, data):
+    """Nevai invariance: past the perturbation the prefix is constant, so the
+    tails of both transforms approach its limits (c, lambda) = (0, 1/4) like
+    |phi(kappa)|^(-2n); at 256 terms and |phi| >= 1.25 the last entries
+    of christoffel, geronimus (s0star opposite kappa) and geronimus_cauchy
+    lie within 1e-30 of them, where a rounding bias would stop at ~1e-17."""
+    assume(log_radius(kappa) >= math.log(1.25))
+    site = TransformPoint(kappa, s0star=data.draw(opposite_s0star(kappa)))
+    for tc in (christoffel(m, site), geronimus(m, site), geronimus_cauchy(m, kappa)):
+        assert abs(tc.coeffs.c[-1]) <= 1e-30, tc.kinds
+        assert abs(tc.coeffs.lam[-1] - 0.25) <= 1e-30, tc.kinds
 
 
 @PROPERTY

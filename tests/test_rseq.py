@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from darbouxjac import rseq
 from darbouxjac._quadrature import gauss_nodes
 from darbouxjac.cli import _suite_r2
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
-from darbouxjac.darboux import GeronimusChain, TransformPoint, cauchy_s0star
+from darbouxjac.darboux import GeronimusChain, TransformPoint, cauchy_s0star, christoffel
 from darbouxjac.errors import ConfigurationError, PoleError, PrefixError
 from darbouxjac.polyeval import _scaled_run, eval_P
 from darbouxjac.rseq import (
@@ -163,6 +164,26 @@ class TestR2:
         q = GeronimusPairQuasi(cheb1, -1j).quasi(5)
         rc = r2_coeffs(cheb1, TransformPoint(1j), q, 5)
         assert rc.n == 5
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_r2_coeffs_transforms_only_the_leading_terms(self, cheb1, monkeypatch, n):
+        """r2_coeffs at degree n transforms the leading max(n + 4, 6) terms,
+        and its coefficients and residuals are the full prefix's, bit for bit."""
+        q = GeronimusPairQuasi(cheb1, -1j).quasi(n)
+        full = R2System(cheb1, 1j)
+        sizes = []
+
+        def spy(m, site):
+            sizes.append(m.n_max)
+            return christoffel(m, site)
+
+        monkeypatch.setattr(rseq, "christoffel", spy)
+        rc = r2_coeffs(cheb1, TransformPoint(1j), q, n)
+        assert sizes == [max(n + 4, 6), max(n + 4, 6) - 2]
+        assert rc == full.coeffs(q, n)
+        zs = sample_points(n + 3)
+        lead = rseq._leading_r2(cheb1, 1j, n)
+        assert np.array_equal(lead.residual(q, rc, zs), full.residual(q, rc, zs))
 
 
 class TestVaryingMeasure:
@@ -492,7 +513,12 @@ def pair_data(m, kappa: complex, degrees):
     return sys2, qs, [sys2.coeffs(q, n) for q, n in zip(qs, degrees)]
 
 
-points = st.builds(sample_points, st.integers(1, 6), st.integers(0, 2**16))
+# 1 to 6 points in sample_points' annulus, 1.5 <= |z| <= 3 with |Im z| >= 0.5
+points = st.lists(
+    st.builds(cmath.rect, st.floats(1.5, 3.0), st.floats(0.0, 2 * math.pi)).filter(
+        lambda z: abs(z.imag) >= 0.5),
+    min_size=1, max_size=6,
+).map(np.array)
 
 
 @PROPERTY
