@@ -244,21 +244,19 @@ def _suite_r1(m, kappa, s0star):
 
 
 def _suite_r2(m, kappa, s0star):
-    # R2System runs forward recurrences only: on the 34 terms that degrees up
-    # to 31 read, its leading entries are those of the full prefix; the
-    # conjugate pair's quasi-orthogonal polynomials read as many
-    _need(m, "r2", 34)
+    degrees = range(1, 31)
+    _need(m, "r2", degrees[-1] + 4)
     kappa = complex(kappa)
     if kappa.imag < 0:
         kappa = complex(np.conj(kappa))
     pair = rseq.GeronimusPairQuasi(m, complex(np.conj(kappa)))  # its Cauchy value reads the tail
-    sys2 = rseq.R2System(m.truncated(34), kappa)
+    sys2 = rseq.leading_r2_system(m, kappa, degrees[-1])
     qs, rcs = [], []
-    for n in range(1, 31):
+    for n in degrees:
         qs.append(pair.quasi(n))
         rcs.append(sys2.coeffs(qs[-1], n))
     z = rseq.sample_points(20)
-    return _residual_entry(range(1, 31), sys2.residuals(qs, rcs, z), sys2.m, z)
+    return _residual_entry(degrees, sys2.residuals(qs, rcs, z), sys2.m, z)
 
 
 def _leading_gap(J, S) -> float:

@@ -120,10 +120,12 @@ class TransformPoint(Record):
 class TransformedCoeffs(Record):
     """Result of one or more Darboux transforms.
 
-    ``coeffs`` is the transformed prefix (its own, shorter n_max).  For
-    Christoffel steps ``ratio_seq[n-1]`` stores P_n(kappa)/P_{n-1}(kappa) of
-    the *input* prefix; for Geronimus steps ``a_seq[n]`` stores
-    A_n = -R_n(kappa)/R_{n-1}(kappa) (A_0 = 0).
+    ``coeffs`` is the transformed prefix (its own, shorter n_max), and
+    ``ratio_seq[k]`` stores y_{k+1}(kappa)/y_k(kappa) of the *input* prefix's
+    ratio run: y = P for a Christoffel step, y = R for a Geronimus step, whose
+    A_n is -ratio_seq[n-1].  Either transform's degree-n polynomial is
+    P_{n+s} - ratio_seq[n+s-1] P_{n+s-1} over the input, s = 1 for Christoffel
+    (it is (z - kappa) P*_n) and s = 0 for Geronimus.
     """
 
     base: RecurrenceCoeffs
@@ -131,7 +133,6 @@ class TransformedCoeffs(Record):
     kinds: tuple[str, ...]
     coeffs: RecurrenceCoeffs
     ratio_seq: np.ndarray | None = None
-    a_seq: np.ndarray | None = None
     notes: tuple[str, ...] = ()
 
 
@@ -158,7 +159,7 @@ def christoffel(
     belongs to the transformed spectrum.
     """
     if isinstance(m, TransformedCoeffs):
-        if (m.kinds and m.kinds[-1] == "geronimus" and m.a_seq is not None
+        if (m.kinds and m.kinds[-1] == "geronimus" and m.ratio_seq is not None
                 and m.sites[-1].kappa == complex(site.kappa)):
             return _christoffel_of_geronimus(m, site)
         m = m.coeffs
@@ -198,7 +199,7 @@ def _christoffel_of_geronimus(tc: TransformedCoeffs, site: TransformPoint) -> Tr
     base = tc.base
     gero = tc.coeffs
     n_in = gero.n_max
-    w = -tc.a_seq[1:]  # w_n = R_n(kappa)/R_{n-1}(kappa)
+    w = tc.ratio_seq  # w[n-1] = R_n(kappa)/R_{n-1}(kappa)
     # rho*_n = P^{-*}_n(kappa)/P^{-*}_{n-1}(kappa); need n = 1..n_in-1
     rho = np.empty(n_in - 1, dtype=complex)
     rho[0] = -base.s0 / gero.s0
@@ -222,8 +223,9 @@ def kernel_eval(m: RecurrenceCoeffs, site: TransformPoint, n: int, z: complex) -
     Near z = kappa the two-term form is ill-conditioned; the value is then
     obtained from the transformed recurrence instead, of the leading n + 3
     terms (at least 4): christoffel runs forward, so they give the same entries.
+    Both routes take the degrees of the transformed prefix, 0..n_max - 2.
     """
-    _check_degree(n, m.n_max - 1)
+    _check_degree(n, m.n_max - 2)
     if n == 0:
         return 1.0 + 0.0j
     kappa = site.kappa
@@ -431,17 +433,13 @@ def _geronimus_step(c, lam, s0, kappa, s0star=None):
     return [first] + c_new, [-w[0] * offset] + lam_new, s0star, w
 
 
-def _a_seq(w) -> np.ndarray:
-    """A_n = -R_n(kappa)/R_{n-1}(kappa), with A_0 = 0."""
-    return np.concatenate(([0.0 + 0.0j], [-complex(x) for x in w]))
-
-
 class GeronimusChain:
     """Iterated Geronimus transformations in double precision.
 
     ``apply(kappa)`` steps at the Cauchy value s0star = integral d(current
     measure)/(t - kappa), where R_n is the minimal solution, through the
-    backward run ``_cauchy_run``; there is no precision budget.
+    backward run ``_cauchy_run``; there is no precision budget.  ``steps``
+    holds each step's kappa, s0star and ratio_seq, as in ``TransformedCoeffs``.
     """
 
     def __init__(self, m: RecurrenceCoeffs):
@@ -459,7 +457,7 @@ class GeronimusChain:
         if len(self._c) - 2 < 2:
             raise PrefixError("prefix too short for another Geronimus step")
         c_new, lam_new, s0star, w = _geronimus_step(self._c, self._lam, self._s0, kappa)
-        self.steps.append({"kappa": kappa, "s0star": s0star, "a_seq": _a_seq(w)})
+        self.steps.append({"kappa": kappa, "s0star": s0star, "ratio_seq": np.array(w)})
         self._c, self._lam, self._s0 = c_new, lam_new, s0star
 
     def coeffs(self) -> RecurrenceCoeffs:
@@ -667,21 +665,21 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
         sites=(site,),
         kinds=("geronimus",),
         coeffs=RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0star),
-        a_seq=_a_seq(w),
+        ratio_seq=np.array(w, dtype=complex),
         notes=notes,
     )
 
 
 def geronimus_eval_from(tc: TransformedCoeffs, n: int, z: complex) -> complex:
     """P^{-*}_n(kappa, z) from a precomputed Geronimus TransformedCoeffs."""
-    if tc.a_seq is None:
-        raise ConfigurationError("transform does not carry a Geronimus A-sequence")
-    _check_degree(n, len(tc.a_seq) - 1)
+    if tc.kinds[-1] != "geronimus":
+        raise ConfigurationError("transform is not a Geronimus step")
+    _check_degree(n, len(tc.ratio_seq))
     if n == 0:
         return 1.0 + 0.0j
     m = tc.base
     prev, cur, log_scale = _scaled_run(m, n, z, 1.0 + 0.0j, z - m.c[0])
-    return _unscaled(cur + tc.a_seq[n] * prev, log_scale, n)
+    return _unscaled(cur - tc.ratio_seq[n - 1] * prev, log_scale, n)
 
 
 def _cauchy_weight(m: RecurrenceCoeffs, kappa: complex):
@@ -742,6 +740,6 @@ def geronimus_cauchy(m: RecurrenceCoeffs, kappa: complex) -> TransformedCoeffs:
         sites=(TransformPoint(kappa, s0star=s0star, allow_real=(kappa.imag == 0)),),
         kinds=("geronimus",),
         coeffs=RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0star),
-        a_seq=_a_seq(w),
+        ratio_seq=np.array(w, dtype=complex),
         notes=("s0star-from-cauchy-transform",),
     )

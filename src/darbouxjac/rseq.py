@@ -52,6 +52,7 @@ __all__ = [
     "R1System",
     "r2_coeffs",
     "R2System",
+    "leading_r2_system",
     "varying_measure_polys",
     "rational_eval",
 ]
@@ -206,7 +207,7 @@ class R1System:
 
     def coeffs(self, n: int) -> RICoefficients:
         _check_degree("R_I", n, self.m.n_max)
-        return _ri_coeffs(self.m, n, self.rho[n - 1], self.gero.a_seq[n + 1])
+        return _ri_coeffs(self.m, n, self.rho[n - 1], -self.gero.ratio_seq[n])
 
     def residuals(self, n_list, z, coeffs=None):
         """Relative residuals (scale = max term magnitude) for each degree of
@@ -218,7 +219,7 @@ class R1System:
             _check_degree("R_I", n, self.m.n_max)
         rcs = coeffs if coeffs is not None else [self.coeffs(n) for n in ns.tolist()]
         return _ri_residuals(
-            self.m, ns, z, self.gero.a_seq[ns + 1, None], _column(rcs, "alpha"),
+            self.m, ns, z, -self.gero.ratio_seq[ns, None], _column(rcs, "alpha"),
             _column(rcs, "beta"), self.rho[ns - 1, None],
         )
 
@@ -253,8 +254,8 @@ class GeronimusPairQuasi:
     P^{-**}_{n+1}(kappa, conj kappa, z)
         = P_{n+1}(z) + (A_{n+1} + A'_{n+1}) P_n(z) + A'_{n+1} A_n P_{n-1}(z),
 
-    where A is the A-sequence of the first step (at kappa, Cauchy s0star) and
-    A' that of the second (at conj kappa, Cauchy s0starstar).
+    where A_n = -R_n/R_{n-1} (A_0 = 0) is the A-sequence of the first step (at
+    kappa, Cauchy s0star) and A' that of the second (at conj kappa, Cauchy s0starstar).
     """
 
     def __init__(self, m: RecurrenceCoeffs, kappa: complex):
@@ -267,8 +268,7 @@ class GeronimusPairQuasi:
         self.kappa = kappa
         self.s0star = chain.steps[0]["s0star"]
         self.s0starstar = chain.steps[1]["s0star"]
-        self.A = chain.steps[0]["a_seq"]
-        self.Ap = chain.steps[1]["a_seq"]
+        self.A, self.Ap = (np.concatenate(([0j], -step["ratio_seq"])) for step in chain.steps)
         self.coeffs = chain.coeffs()
 
     def quasi(self, n: int) -> QuasiOrthogonal:
@@ -344,9 +344,9 @@ class R2System:
         return res if np.ndim(z) else float(res)
 
 
-def _leading_r2(m: RecurrenceCoeffs, kappa1: complex, n: int) -> R2System:
-    """R2System(m, kappa1) for degree n on the leading max(n + 4, 6) terms: it
-    runs forward only, so at degree n they give the full prefix's values, bit for bit."""
+def leading_r2_system(m: RecurrenceCoeffs, kappa1: complex, n: int) -> R2System:
+    """R2System(m, kappa1) for degrees up to n on the leading max(n + 4, 6) terms:
+    it runs forward only, so there they give the full prefix's values, bit for bit."""
     return R2System(m.truncated(min(m.n_max, max(n + 4, 6))), kappa1)
 
 
@@ -361,7 +361,7 @@ def r2_coeffs(
     with upsilon_n = (lambda_{n+1} - tilde_D) / (r*_n r_n - lambda_{n+1}) and
     rho_n = 1 + upsilon_n; verified at n+3 sample points.
     """
-    sys = _leading_r2(m, k1.kappa, n)
+    sys = leading_r2_system(m, k1.kappa, n)
     rc = sys.coeffs(q, n)
     zs = sample_points(n + 3)
     _verified("R_II", sys.residual(q, rc, zs), n, zs)
@@ -424,8 +424,8 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
         raise PrefixError(
             f"a chain of {count} conjugate Geronimus pairs needs a prefix of length >= {need}"
         )
-    if n > final:
-        raise ConfigurationError(f"degree {n} exceeds the final prefix length {final}")
+    if not 0 <= n <= final:
+        raise ConfigurationError(f"degree n={n} outside 0 to the final prefix length {final}")
     prefixes, pairs, applied = [m], [], []
     for kap in kappas:
         pair = GeronimusPairQuasi(prefixes[-1], kap)
@@ -438,7 +438,7 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
     for j in range(1, len(kappas)):
         sigma, kap = prefixes[j], kappas[j - 1]
         # pairs[j] is the Geronimus pair at kappa_{j+1} applied to sigma
-        rc = _leading_r2(sigma, kap, j).coeffs(pairs[j].quasi(j), j)
+        rc = leading_r2_system(sigma, kap, j).coeffs(pairs[j].quasi(j), j)
         t1 = eval_P(prefixes[j + 1], j + 1, zs)
         t2 = (rc.rho * zs - rc.gamma) * eval_P(sigma, j, zs)
         t3 = rc.upsilon * (zs - kap) * (zs - np.conj(kap)) * eval_P(prefixes[j - 1], j - 1, zs)

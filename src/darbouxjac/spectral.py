@@ -89,7 +89,6 @@ class ZeroCloud(Record):
     zeros: np.ndarray
     max_im: float
     strip_bound: float | None = None
-    cluster_candidate: complex | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.zeros, dtype=complex).copy()
@@ -259,39 +258,28 @@ def zeros(m: RecurrenceCoeffs, n: int, _starts=None) -> ZeroCloud:
     return zero_sweep(m, (n,), _starts)[0]
 
 
-def _kernel_cloud(tc: TransformedCoeffs, cloud: ZeroCloud) -> ZeroCloud:
-    """The cloud of P*_n(kappa, .) with its strip half-width
-    -1/Im(P_n(kappa)/P_{n+1}(kappa)).
+def _corner(tc: TransformedCoeffs, n: int):
+    """(s, r) with P_{n+s} - r P_{n+s-1} over tc.base the degree-n polynomial
+    of the transform tc: s = 1 and r = P_{n+1}(kappa)/P_n(kappa) for
+    Christoffel, the polynomial being (z - kappa) P*_n(kappa, z); s = 0 and
+    r = R_n(kappa)/R_{n-1}(kappa) for Geronimus.  r is tc.ratio_seq[n+s-1]."""
+    s = int(tc.kinds[-1] == "christoffel")
+    return s, tc.ratio_seq[n + s - 1]
 
-    For a real positive base measure, P_n/P_{n+1}(z) = sum_j w_j/(z - x_j)
-    over the zeros x_j of P_{n+1}, with w_j > 0 summing to 1.  Every zero z of
-    P*_n solves P_n(z)/P_{n+1}(z) = P_n(kappa)/P_{n+1}(kappa); taking imaginary
-    parts, -Im(P_n/P_{n+1}(kappa)) = Im z sum_j w_j/|z - x_j|^2 and
-    |z - x_j| >= |Im z| give 0 < Im z <= -1/Im(P_n(kappa)/P_{n+1}(kappa)) for
-    kappa above the axis (mirrored below it).
+
+def _with_strip(tc: TransformedCoeffs, cloud: ZeroCloud) -> ZeroCloud:
+    """The cloud of the transform's degree-n polynomial with its strip
+    half-width |1/Im(1/r)|, (s, r) of ``_corner`` (inf for a real r: a real
+    kappa, no strip).
+
+    For a real positive base measure, P_{k-1}/P_k(z) = sum_j w_j/(z - x_j)
+    over the zeros x_j of P_k, with w_j > 0 summing to 1.  Every zero z other
+    than kappa solves P_{k-1}(z)/P_k(z) = 1/r, k = n + s; taking imaginary
+    parts, Im(1/r) = -Im z sum_j w_j/|z - x_j|^2 and |z - x_j| >= |Im z| give
+    0 < |Im z| <= |1/Im(1/r)|, on the side of the axis opposite Im(1/r).
     """
-    rho = tc.ratio_seq[cloud.n]  # P_{n+1}/P_n at kappa
-    return replace(cloud, strip_bound=_strip_bound(rho))
-
-
-def _strip_bound(ratio: np.complex128) -> float:
-    """|1/Im(1/ratio)|, inf for a real ratio (a real kappa: no strip)."""
-    im = float((1.0 / ratio).imag)
-    return abs(1.0 / im) if im else math.inf
-
-
-def _geronimus_cloud(tc: TransformedCoeffs, cloud: ZeroCloud) -> ZeroCloud:
-    """The cloud of P^{-*}_n(kappa, .) with bound -1/Im(R_{n-1}(kappa)/R_n(kappa))
-    and the zero nearest kappa as cluster candidate."""
-    w_n = -tc.a_seq[cloud.n]  # R_n/R_{n-1} at kappa
-    cluster = complex(cloud.zeros[np.argmin(np.abs(cloud.zeros - tc.sites[-1].kappa))])
-    return replace(cloud, strip_bound=_strip_bound(w_n), cluster_candidate=cluster)
-
-
-def _check_geronimus_degrees(n_list) -> None:
-    for n in n_list:
-        if n < 1:
-            raise PrefixError(f"P^{{-*}}_n has no zero nearest kappa below degree 1 (n={n})")
+    im = float((1.0 / _corner(tc, cloud.n)[1]).imag)
+    return replace(cloud, strip_bound=abs(1.0 / im) if im else math.inf)
 
 
 @np.errstate(all="ignore")  # a run that leaves the double range falls back to eigvals
@@ -328,22 +316,21 @@ def _aberth(x, q2, delta, z, known=None):
     return z, _ABERTH_MAX_ITER, False
 
 
-def _corner_roots(m: RecurrenceCoeffs, J: SymmetricJacobi, degrees, shift: int, delta, known):
-    """Eigenvalues of the transformed truncations J_n, n in degrees, as roots
-    of the base's secular equation, where that route applies.
+def _corner_roots(tc: TransformedCoeffs, degrees):
+    """Eigenvalues of the truncations J_n of the transform tc, n in degrees,
+    as roots of its base's secular equation, where that route applies.
 
-    The degree-n transformed polynomial is P_{n+shift} - delta[n] P_{n+shift-1}
-    over the base m (kernel: shift 1, delta[n] = rho_{n+1}, and a factor
-    z - kappa, kappa = ``known``; Geronimus: shift 0, delta[n] = -A_n): the
-    characteristic polynomial of the base truncation of size s = n + shift
-    with its last diagonal entry moved by delta[n].  On a real symmetric base
-    truncation with Gauss nodes x_j, its roots solve
-    1 + delta[n] sum_j q_j^2/(x_j - t) = 0 (Golub, SIAM Review 15, 1973),
-    q_j^2 = P_{s-1}(x_j)/P'_s(x_j).  The nodes are the eigvalsh ones after
+    The degree-n polynomial of tc is P_{n+s} - r P_{n+s-1} over the base m =
+    tc.base, (s, r) of ``_corner``: the characteristic polynomial of the base
+    truncation of size k = n + s with its last diagonal entry moved by r.  On
+    a real symmetric base truncation with Gauss nodes x_j, its roots solve
+    1 + r sum_j q_j^2/(x_j - t) = 0 (Golub, SIAM Review 15, 1973),
+    q_j^2 = P_{k-1}(x_j)/P'_k(x_j).  The nodes are the eigvalsh ones after
     the plain sweep's real Newton step, the q_j^2 come from that same run, and
-    ``_aberth`` starts each root at x_j + delta[n] q_j^2 (the divide-and-conquer
-    start of Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005;
-    with ``known`` deflated, the start nearest it is dropped).
+    ``_aberth`` starts each root at x_j + r q_j^2 (the divide-and-conquer
+    start of Bini, Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005).
+    For Christoffel (s = 1) one root is kappa, not an eigenvalue of J_n: it
+    is deflated, and the start nearest it is dropped.
 
     Returns ({n: roots}, {n: route}, {n: Aberth iterations}).  A degree takes
     eigvals instead below _SECULAR_MIN_DEGREE (the measured crossover), on a
@@ -352,28 +339,32 @@ def _corner_roots(m: RecurrenceCoeffs, J: SymmetricJacobi, degrees, shift: int, 
     than _TRACE_RTOL (sum|roots| + sum|b_k|), as two starts that converge to
     one root would; a real symmetric J_n takes eigvalsh.
     """
+    m, J = tc.base, symmetrize(tc.coeffs)
     base = symmetrize(m)
+    s = _corner(tc, 1)[0]
+    known = tc.sites[-1].kappa if s else None
     roots, routes, iters, todo = {}, {}, {}, []
     for n in degrees:
         if _real_symmetric(J, n):
             routes[n] = "eigvalsh"
         elif n < _SECULAR_MIN_DEGREE:
             routes[n] = "eigvals: below crossover"
-        elif not _real_symmetric(base, n + shift):
+        elif not _real_symmetric(base, n + s):
             routes[n] = "eigvals: complex base"
         else:
             todo.append(n)
     if not todo:
         return roots, routes, iters
-    sizes = [n + shift for n in todo]
-    x = np.concatenate([_eigenvalues(base, s).real for s in sizes])
+    sizes = [n + s for n in todo]
+    x = np.concatenate([_eigenvalues(base, k).real for k in sizes])
     x, q2 = _newton(m, x, np.repeat(sizes, sizes), weights=True)
     split = np.cumsum(sizes)[:-1]
     for n, xn, qn in zip(todo, np.split(x, split), np.split(q2, split)):
-        start = xn + delta[n] * qn
+        r = _corner(tc, n)[1]
+        start = xn + r * qn
         if known is not None:
             start = np.delete(start, np.argmin(np.abs(start - known)))
-        z, iters[n], done = _aberth(xn, qn, delta[n], start, known)
+        z, iters[n], done = _aberth(xn, qn, r, start, known)
         b = J.b[:n]
         if not done:
             routes[n] = "eigvals: " + ("iteration cap" if np.isfinite(z).all() else "double range")
@@ -391,7 +382,7 @@ def _leading(m: RecurrenceCoeffs, n_list) -> RecurrenceCoeffs:
     return m.truncated(min(m.n_max, max(max(n_list, default=0) + 3, 4)))
 
 
-def _secular_starts(tc: TransformedCoeffs, n_list, shift: int, delta) -> dict:
+def _secular_starts(tc: TransformedCoeffs, n_list) -> dict:
     """``_corner_roots`` for the degrees of n_list that tc.coeffs holds, as
     the ``_starts`` of ``zero_sweep``, with one DEBUG record on the
     ``darbouxjac`` logger: record attributes ``routes`` and
@@ -399,9 +390,7 @@ def _secular_starts(tc: TransformedCoeffs, n_list, shift: int, delta) -> dict:
     secular run fell back to eigvals)."""
     kind, kappa = tc.kinds[-1], tc.sites[-1].kappa
     degrees = sorted({n for n in map(int, n_list) if 0 < n <= tc.coeffs.n_max})
-    roots, routes, iters = _corner_roots(
-        tc.base, symmetrize(tc.coeffs), degrees, shift, delta, kappa if shift else None
-    )
+    roots, routes, iters = _corner_roots(tc, degrees)
     fallbacks = len(iters) - len(roots)
     _log.debug("%s zeros at kappa=%s: %d of %d degrees secular, %d fell back to eigvals",
                kind, kappa, len(roots), len(degrees), fallbacks,
@@ -411,12 +400,11 @@ def _secular_starts(tc: TransformedCoeffs, n_list, shift: int, delta) -> dict:
 
 def kernel_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> ZeroCloud:
     """Zeros of the kernel polynomial P*_n(kappa, .) with the strip bound
-    -1/Im(P_n(kappa)/P_{n+1}(kappa)) (derived in ``_kernel_cloud``), by the
+    |1/Im(P_n(kappa)/P_{n+1}(kappa))| (derived in ``_with_strip``), by the
     route of ``kernel_zero_sweep`` (the transform of the whole prefix, whose
     leading terms are those of the sweep's)."""
     tc = christoffel(m, site)
-    starts = _secular_starts(tc, (n,), 1, tc.ratio_seq)
-    return _kernel_cloud(tc, zeros(tc.coeffs, n, _starts=starts))
+    return _with_strip(tc, zeros(tc.coeffs, n, _starts=_secular_starts(tc, (n,))))
 
 
 def kernel_zero_sweep(m: RecurrenceCoeffs, site: TransformPoint, n_list) -> tuple[ZeroCloud, ...]:
@@ -424,30 +412,30 @@ def kernel_zero_sweep(m: RecurrenceCoeffs, site: TransformPoint, n_list) -> tupl
     leading terms and one sweep."""
     n_list = tuple(int(n) for n in n_list)
     tc = christoffel(_leading(m, n_list), site)
-    clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list, 1, tc.ratio_seq))
-    return tuple(_kernel_cloud(tc, cloud) for cloud in clouds)
+    clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list))
+    return tuple(_with_strip(tc, cloud) for cloud in clouds)
 
 
 def geronimus_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> ZeroCloud:
-    """Zeros of P^{-*}_n(kappa, .), n >= 1, with bound -1/Im(R_{n-1}(kappa)/R_n(kappa))
-    and the zero nearest kappa recorded as cluster candidate, by the route of
-    ``geronimus_zero_sweep`` (the transform of the whole prefix)."""
-    _check_geronimus_degrees((n,))
-    tc = geronimus(m, site)
-    starts = _secular_starts(tc, (n,), 0, -tc.a_seq)
-    return _geronimus_cloud(tc, zeros(tc.coeffs, n, _starts=starts))
+    """The one-degree case of ``geronimus_zero_sweep``: it reads the leading
+    n + 3 terms, so the cloud does not depend on the tail of m, not even next
+    to the Cauchy value, where ``geronimus`` picks its route from the tail."""
+    return geronimus_zero_sweep(m, site, (n,))[0]
 
 
 def geronimus_zero_sweep(
     m: RecurrenceCoeffs, site: TransformPoint, n_list
 ) -> tuple[ZeroCloud, ...]:
-    """``geronimus_zero_cloud`` for every n in n_list, from one transform of
-    the leading terms and one sweep."""
+    """Zeros of P^{-*}_n(kappa, .), n >= 1, with the strip bound
+    |1/Im(R_{n-1}(kappa)/R_n(kappa))| (derived in ``_with_strip``), for every
+    n in n_list, from one transform of the leading terms and one sweep."""
     n_list = tuple(int(n) for n in n_list)
-    _check_geronimus_degrees(n_list)
+    for n in n_list:
+        if n < 1:
+            raise PrefixError(f"P^{{-*}}_n has no zero nearest kappa below degree 1 (n={n})")
     tc = geronimus(_leading(m, n_list), site)
-    clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list, 0, -tc.a_seq))
-    return tuple(_geronimus_cloud(tc, cloud) for cloud in clouds)
+    clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list))
+    return tuple(_with_strip(tc, cloud) for cloud in clouds)
 
 
 def strip_check(cloud: ZeroCloud, bound: float, side: str = "upper") -> StripReport:
@@ -543,7 +531,7 @@ def cluster_sweep(
 
     xi_n is the zero of P^{-*}_n(kappa, .) nearest kappa, found by Newton
     iteration from kappa in h = z - kappa, in double.  With rho[k] = P_{k+1}/P_k
-    and w[k] = R_{k+1}/R_k at kappa (w from ``geronimus``),
+    and w[k] = R_{k+1}/R_k at kappa (the ``ratio_seq`` of ``geronimus``),
     P^{-*}_n(z)/P_{n-1}(z) = Delta[n-1] + d[n-1], where d = rho - w and
     Delta = rho(z) - rho obey d[0] = -s0/s0star, Delta[0] = h and
     d[k] = lam[k-1] d[k-1] / (rho[k-1] w[k-1]),
@@ -567,7 +555,7 @@ def cluster_sweep(
     if not n_list:
         return ()
     kappa, top = site.kappa, max(n_list)
-    w = (-geronimus(_leading(m, n_list), site).a_seq[1:top]).tolist()
+    w = geronimus(_leading(m, n_list), site).ratio_seq[: top - 1].tolist()
     rho = ratio_sequence(m, kappa, "P", n_terms=top).values.tolist()
     lam = m.lam[: top - 1].tolist()
     return tuple(_cluster_point(kappa, -m.s0 / site.s0star, rho, w, lam, n) for n in n_list)

@@ -235,9 +235,9 @@ RECORDS = {
         ("kappa", "s0star", "allow_real"), (0.3 + 0.5j,), {"s0star": None, "allow_real": False}
     ),
     TransformedCoeffs: (
-        ("base", "sites", "kinds", "coeffs", "ratio_seq", "a_seq", "notes"),
+        ("base", "sites", "kinds", "coeffs", "ratio_seq", "notes"),
         (_M, (TransformPoint(1j),), ("christoffel",), _M),
-        {"ratio_seq": None, "a_seq": None, "notes": ()},
+        {"ratio_seq": None, "notes": ()},
     ),
     LowerFactor: (
         ("kappa", "d", "v", "sqrt_d"),
@@ -263,9 +263,9 @@ RECORDS = {
         {},
     ),
     ZeroCloud: (
-        ("n", "zeros", "max_im", "strip_bound", "cluster_candidate"),
+        ("n", "zeros", "max_im", "strip_bound"),
         (2, [0.1 + 0.2j, -0.1 + 0.2j], 0.2),
-        {"strip_bound": None, "cluster_candidate": None},
+        {"strip_bound": None},
     ),
     StripReport: (("ok", "side", "bound", "violators"), (True, "upper", 1.5, ()), {}),
     NevaiDiagnostics: (

@@ -127,6 +127,17 @@ class TestKernelEval:
                 b = eval_P(tc.coeffs, n, z)
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
+    @pytest.mark.parametrize("z", [0.1 + 0.1j, 0.3 + 0.5j], ids=["two-term", "near-kappa"])
+    def test_both_routes_take_the_transformed_degrees(self, z):
+        """Away from kappa and at it, n runs over 0..n_max - 2, the degrees of
+        the transformed prefix: n_max - 2 gives its value, n_max - 1 a
+        PrefixError naming the degree (chebyshev1, 16 terms)."""
+        m, site = family_coeffs("chebyshev1", 16), TransformPoint(0.3 + 0.5j)
+        want = eval_P(christoffel(m, site).coeffs, 14, z)
+        assert abs(kernel_eval(m, site, 14, z) - want) <= 1e-12 * max(1.0, abs(want))
+        with pytest.raises(PrefixError, match="degree 15 "):
+            kernel_eval(m, site, 15, z)
+
 
 class TestChristoffelTwo:
     def test_conjugate_pair_real_prefix(self, cheb1):
@@ -168,7 +179,7 @@ class TestChristoffelTwo:
 class TestGeronimus:
     def test_A1(self, cheb1):
         g = geronimus(cheb1, TransformPoint(1j, s0star=1.0))
-        assert abs(g.a_seq[1] - (-(1 + 1j))) < 1e-15
+        assert abs(g.ratio_seq[0] - (1 + 1j)) < 1e-15  # A_1 = -(1 + i)
 
     def test_missing_s0star(self, cheb1):
         with pytest.raises(ConfigurationError):
@@ -294,7 +305,7 @@ class TestGeronimusCauchy:
         assert np.array_equal(got.coeffs.c, want.coeffs.c)
         assert np.array_equal(got.coeffs.lam, want.coeffs.lam)
         assert got.coeffs.s0 == want.coeffs.s0 == cauchy_s0star(bare, 1j)
-        assert np.array_equal(got.a_seq, want.a_seq)
+        assert np.array_equal(got.ratio_seq, want.ratio_seq)
 
     def test_matches_plain_geronimus_with_same_s0star(self, cheb2):
         # the double-rounded s0star perturbs entry n by ~(|f|^2/lambda)^n eps,
@@ -365,7 +376,7 @@ DEGREE_CALLS = {
     "eval_R": (lambda m, tc: eval_R(m, -1, Z, -1j), "degree -1 "),
     "kernel_eval": (lambda m, tc: kernel_eval(m, TransformPoint(0.3 + 0.5j), -1, Z), "degree -1 "),
     "geronimus_eval_from": (lambda m, tc: geronimus_eval_from(tc, -1, Z), "degree -1 "),
-    "geronimus_eval_from-past-a_seq": (lambda m, tc: geronimus_eval_from(tc, 16, Z), "degree 16 "),
+    "geronimus_eval_from-past-ratio_seq": (lambda m, tc: geronimus_eval_from(tc, 16, Z), "degree 16 "),
     "ratio_sequence-0": (lambda m, tc: ratio_sequence(m, Z, n_terms=0), r"\(n_terms=0\)"),
     "ratio_sequence-neg": (lambda m, tc: ratio_sequence(m, Z, n_terms=-3), r"\(n_terms=-3\)"),
 }

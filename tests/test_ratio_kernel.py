@@ -346,10 +346,10 @@ def test_cluster_sweep_is_the_per_degree_distance(m, kappa, degrees, near_cauchy
     if isinstance(want, tuple):
         assert got == want
         return
-    top = geronimus(m.truncated(min(m.n_max, max(max(degrees) + 3, 4))), site).a_seq
+    top = geronimus(m.truncated(min(m.n_max, max(max(degrees) + 3, 4))), site).ratio_seq
     for n, (xi, dist, log_dist), ref in zip(degrees, got, want):
-        if np.array_equal(geronimus(m.truncated(min(m.n_max, max(n + 3, 4))), site).a_seq[1:n],
-                          top[1:n]):
+        w = geronimus(m.truncated(min(m.n_max, max(n + 3, 4))), site).ratio_seq
+        if np.array_equal(w[: n - 1], top[: n - 1]):
             assert (xi, dist, log_dist) == ref
             continue
         event("near-Cauchy: the shorter prefix moves w")
@@ -501,7 +501,8 @@ def test_geronimus_mpmath_fallback_matches_double_double(kind, monkeypatch):
     assert_entrywise(
         fallback, list(dd.coeffs.c) + list(dd.coeffs.lam) + [dd.coeffs.s0]
     )
-    assert np.max(np.abs(fallback.a_seq - dd.a_seq) / np.maximum(np.abs(dd.a_seq), TINY)) <= TOL
+    w = dd.ratio_seq
+    assert np.max(np.abs(fallback.ratio_seq - w) / np.maximum(np.abs(w), TINY)) <= TOL
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +584,8 @@ def test_crossover_moved_later_changes_no_entry(kind, kappa, monkeypatch):
     later = geronimus(m, site)
     c, lam = later.coeffs.c, later.coeffs.lam
     assert_entrywise(switched, [*c, *lam, later.coeffs.s0])
-    a = later.a_seq
-    assert np.max(np.abs(switched.a_seq - a) / np.maximum(np.abs(a), TINY)) <= TOL
+    w = later.ratio_seq
+    assert np.max(np.abs(switched.ratio_seq - w) / np.maximum(np.abs(w), TINY)) <= TOL
 
 
 def loop_crossover(lam, ws, delta, count: int) -> int:

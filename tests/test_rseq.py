@@ -92,7 +92,7 @@ class TestR1:
         sys1 = R1System(cheb1, k1, k2)
         for n in (1, 5, 17):
             rc = sys1.coeffs(n)
-            tilde_A = sys1.gero.a_seq[n + 1]
+            tilde_A = -sys1.gero.ratio_seq[n]
             gen = r1_general(cheb1, k1, QuasiOrthogonal(order=1, degree=n + 1, tilde_A=tilde_A), n)
             assert abs(gen.alpha - rc.alpha) < 1e-12
             assert abs(gen.beta - rc.beta) < 1e-12
@@ -182,7 +182,7 @@ class TestR2:
         assert sizes == [max(n + 4, 6), max(n + 4, 6) - 2]
         assert rc == full.coeffs(q, n)
         zs = sample_points(n + 3)
-        lead = rseq._leading_r2(cheb1, 1j, n)
+        lead = rseq.leading_r2_system(cheb1, 1j, n)
         assert np.array_equal(lead.residual(q, rc, zs), full.residual(q, rc, zs))
 
 
@@ -266,6 +266,12 @@ class TestVaryingMeasure:
         out = varying_measure_polys(m, sites, final)  # for [] the base itself
         assert out.step_prefixes[0] is m and out.coeffs is out.step_prefixes[-1]
 
+    @pytest.mark.parametrize("sites", [[], [1j]])
+    def test_negative_degree_is_refused_naming_it(self, sites):
+        m = family_coeffs("chebyshev1", 12)
+        with pytest.raises(ConfigurationError, match="degree n=-2 "):
+            varying_measure_polys(m, sites, -2)
+
     @pytest.mark.parametrize("count, need", [(1, 6), (2, 10), (3, 15), (4, 20), (5, 25)])
     def test_prefix_guard_refuses_before_any_step(self, monkeypatch, count, need):
         """K sites need max(4K + 2, 5K) terms; one term less, or a degree past
@@ -306,13 +312,11 @@ def chain_varying_measure(m, kappas):
         chain.apply(kap)
         chain.apply(np.conj(kap))
         prefixes.append(chain.coeffs())
-        seqs.append((chain.steps[-2]["a_seq"], chain.steps[-1]["a_seq"]))
+        seqs.append((-chain.steps[-2]["ratio_seq"], -chain.steps[-1]["ratio_seq"]))
     rii, residuals, zs = [], [], sample_points(8)
     for j in range(1, len(kappas)):
-        A, Ap = seqs[j]
-        q = QuasiOrthogonal(
-            order=2, degree=j + 1, tilde_C=A[j + 1] + Ap[j + 1], tilde_D=Ap[j + 1] * A[j]
-        )
+        A, Ap = seqs[j]  # A[n - 1] = A_n
+        q = QuasiOrthogonal(order=2, degree=j + 1, tilde_C=A[j] + Ap[j], tilde_D=Ap[j] * A[j - 1])
         rc = R2System(prefixes[j], kappas[j - 1]).coeffs(q, j)
         t1 = eval_P(prefixes[j + 1], j + 1, zs)
         t2 = (rc.rho * zs - rc.gamma) * eval_P(prefixes[j], j, zs)
@@ -386,7 +390,7 @@ def test_cauchy_default_without_a_preset_weight(kind):
     bare = RecurrenceCoeffs(c=m.c, lam=m.lam, s0=m.s0)
     k1, k2 = TransformPoint(0.3 + 0.5j), TransformPoint(0.3 - 0.5j)
     preset, custom = R1System(m, k1, k2), R1System(bare, k1, k2)
-    assert np.array_equal(custom.gero.a_seq, preset.gero.a_seq)
+    assert np.array_equal(custom.gero.ratio_seq, preset.gero.ratio_seq)
     assert np.array_equal(custom.gero.coeffs.c, preset.gero.coeffs.c)
     assert abs(custom.k2.s0star - cauchy_s0star(m, k2.kappa)) <= 1e-15
     assert np.max(custom.residuals(range(1, 41), ZS)) <= 1e-9
@@ -454,7 +458,7 @@ def loop_r1(sys1: R1System, n: int, zs):
     m, rc = sys1.m, sys1.coeffs(n)
     p_nm1, p_n, _ = _scaled_run(m, n, zs, 1.0, zs - m.c[0])
     p_np1 = (zs - m.c[n]) * p_n - m.lam[n - 1] * p_nm1
-    t1 = p_np1 + sys1.gero.a_seq[n + 1] * p_n
+    t1 = p_np1 - sys1.gero.ratio_seq[n] * p_n
     t2 = (zs - rc.alpha) * p_n
     t3 = rc.beta * (p_n - sys1.rho[n - 1] * p_nm1)
     return relative(t1 - t2 + t3, t1, t2, t3)

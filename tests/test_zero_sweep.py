@@ -19,7 +19,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from darbouxjac import cli, spectral
@@ -31,7 +31,7 @@ from darbouxjac.core import (
     symmetrize,
 )
 from darbouxjac.darboux import TransformPoint, christoffel, geronimus
-from darbouxjac.polyeval import _scaled_run
+from darbouxjac.polyeval import _scaled_run, ratio_sequence
 from darbouxjac.spectral import (
     geronimus_zero_sweep,
     kernel_zero_sweep,
@@ -39,7 +39,15 @@ from darbouxjac.spectral import (
     zero_sweep,
     zeros,
 )
-from test_ratio_kernel import N_MAX, PROPERTY, kappas, nevai_prefix, opposite_s0star, prefixes
+from test_ratio_kernel import (
+    N_MAX,
+    PROPERTY,
+    double_route,
+    kappas,
+    nevai_prefix,
+    opposite_s0star,
+    prefixes,
+)
 
 long_prefixes = st.builds(
     nevai_prefix,
@@ -93,6 +101,28 @@ def test_zeros_lie_in_both_strips(m, kappa, data):
         for cloud in clouds:
             rep = strip_check(cloud, cloud.strip_bound, side)
             assert rep.ok, (cloud.n, cloud.strip_bound, rep.violators)
+
+
+@PROPERTY
+@given(prefixes, kappas(), st.data(), st.lists(st.integers(1, N_MAX - 3), min_size=1, max_size=4))
+def test_strip_bounds_follow_one_index_rule(m, kappa, data, degrees):
+    """Both sweeps' strip bound is |1/Im(1/r)| bit for bit, with r of the
+    degree-n polynomial P_{n+s} - r P_{n+s-1} read off ratio_sequence: r_{n+1}
+    of P at kappa for the kernel (s = 1), r_n of R at (kappa, s0star) for
+    Geronimus (s = 0).  s0star lies opposite kappa, on geronimus's double route."""
+    s0star = data.draw(opposite_s0star(kappa))
+    assume(double_route(m, kappa, s0star))
+    p = ratio_sequence(m, kappa, "P").values  # p[k] = r_{k+1}
+    r = ratio_sequence(m, kappa, "R", s0star=s0star).values
+
+    def bound(ratio):
+        return abs(1.0 / float((1.0 / ratio).imag))
+
+    kernel = kernel_zero_sweep(m, TransformPoint(kappa), degrees)
+    gero = geronimus_zero_sweep(m, TransformPoint(kappa, s0star=s0star), degrees)
+    for n, k_cloud, g_cloud in zip(degrees, kernel, gero):
+        assert k_cloud.strip_bound == bound(p[n])
+        assert g_cloud.strip_bound == bound(r[n - 1])
 
 
 @PROPERTY
@@ -286,8 +316,20 @@ def test_one_degree_clouds_are_the_sweeps(m, kappa, data, degrees):
         for n, cloud in zip(degrees, sweep(m, site, degrees)):
             one = single(m, site, n)
             assert np.array_equal(cloud.zeros, one.zeros)
-            assert (cloud.strip_bound, cloud.cluster_candidate) == (
-                one.strip_bound, one.cluster_candidate)
+            assert cloud.strip_bound == one.strip_bound
+
+
+def test_geronimus_cloud_is_the_sweeps_next_to_the_cauchy_value():
+    """geronimus takes its route and crossover from the whole prefix it is
+    given, so next to the Cauchy value a transform of all 48 terms and one of
+    the leading n + 3 differ in their last bits; the one-degree cloud reads
+    the sweep's leading terms, and so has its zeros bit for bit."""
+    m = family_coeffs("chebyshev1", 48)
+    site = TransformPoint(0.915 - 0.2654j, s0star=-0.7254846054581703 - 1.1531464994394058j)
+    one = spectral.geronimus_zero_cloud(m, site, 23)
+    swept = geronimus_zero_sweep(m, site, [9, 23])[1]
+    assert np.array_equal(one.zeros, swept.zeros)
+    assert one.strip_bound == swept.strip_bound
 
 
 @PROPERTY
