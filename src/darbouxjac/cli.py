@@ -245,7 +245,7 @@ def _suite_r1(m, kappa, s0star):
 
 def _suite_r2(m, kappa, s0star):
     degrees = range(1, 31)
-    _need(m, "r2", degrees[-1] + 4)
+    _need(m, "r2", rseq.r2_prefix_length(degrees[-1]))
     kappa = complex(kappa)
     if kappa.imag < 0:
         kappa = complex(np.conj(kappa))

@@ -377,52 +377,52 @@ def _cf_m_function(c, lam, z, ts=None):
     return 1 / inv
 
 
-def _cauchy_run(c, lam, kappa, what: str, ts=None):
+def _cauchy_run(c, lam, kappa, what: str, ts=None, diffs: bool = True):
     """(w, e, offset) of ``_ratio_run`` at the Cauchy value s0star = s0 m(J; kappa),
     where R_n is the minimal solution: the backward run ``_tails`` (``ts``,
     run here when None), stable in double.
 
     With the tails t_j and D_j = c[j-1] - kappa - t_{j+1} of ``_tails``,
     w[k] = R_{k+1}/R_k = -t_{k+2}, e[k] = t_{k+1} - t_{k+2} and
-    offset = s0/s0star = c[0] - kappa - t_2.  The differences
-    d_j = t_j - t_{j+1} run backward from d_N = 0 (the seed is the tail map's
-    fixed point) with exact inputs, as in ``_ratio_run``:
+    offset = s0/s0star = c[0] - kappa - t_2.  D_j and the breakdown test are
+    numpy arrays; the differences d_j = t_j - t_{j+1} run backward from d_N = 0
+    (the tail map's fixed point) with exact inputs, as in ``_ratio_run``, in a
+    Python loop that ``diffs`` False skips (e is then [0]):
 
         d_j = ((lam[j-2] - lam[j-1]) + t_{j+1} ((c[j] - c[j-1]) + d_{j+1})) / D_j.
 
-    Raises ExistenceError(what, j - 2) when D_j cancels to within
-    _BREAKDOWN_RTOL of its terms (R_{j-2}(kappa) = 0), and PoleError when
-    the offset is 0 (m(J; kappa) infinite).
+    Raises ExistenceError(what, j - 2) at the largest j where D_j cancels to
+    within _BREAKDOWN_RTOL of its terms (R_{j-2}(kappa) = 0), and PoleError
+    when the offset is 0 (m(J; kappa) infinite).
     """
     ts = _tails(c, lam, kappa) if ts is None else ts
-    n = len(c)
-    d = 0 * ts[0]
-    e = []  # from the far end
-    for j, t in zip(range(n, 1, -1), ts):  # t = t_{j+1}
-        head = c[j - 1] - kappa
-        big = head - t  # D_j
-        if abs(big) < _BREAKDOWN_RTOL * max(abs(head), abs(t)):
-            raise ExistenceError(what, j - 2)
-        if j < n:
-            d = ((lam[j - 2] - lam[j - 1]) + t * ((c[j] - c[j - 1]) + d)) / big
-            e.append(d)
+    n, t = len(c), np.array(ts[: len(c) - 1])  # t_{j+1} for j = n, n - 1, ...
+    head = np.array(c[n - len(t) :][::-1]) - kappa  # c[j-1] - kappa
+    big = head - t  # D_j
+    hit = np.flatnonzero(np.abs(big) < _BREAKDOWN_RTOL * np.maximum(np.abs(head), np.abs(t)))
+    if hit.size:
+        raise ExistenceError(what, n - int(hit[0]) - 2)
+    d, e = 0 * ts[0], []  # from the far end
+    for j, t_j, big_j in zip(range(n - 1, 1, -1), ts[1:], big[1:].tolist()) if diffs else ():
+        d = ((lam[j - 2] - lam[j - 1]) + t_j * ((c[j] - c[j - 1]) + d)) / big_j
+        e.append(d)
     offset = c[0] - kappa - ts[-1]
     if not offset:
         raise PoleError(f"the continued fraction has a pole at kappa={kappa}: no Cauchy value")
     return [-t for t in ts[:0:-1]], [0 * ts[-1]] + e[::-1], offset
 
 
-def _geronimus_step(c, lam, s0, kappa, s0star=None):
+def _geronimus_step(c, lam, s0, kappa, s0star=None, ts=None):
     """One Geronimus step on coefficient lists: (c, lam, s0star, w) of the
     result, w[k] = R_{k+1}(kappa)/R_k(kappa), in the number type of the inputs.
-    s0star None steps at the Cauchy value through ``_cauchy_run``.
+    s0star None steps at the Cauchy value through ``_cauchy_run`` (on ``ts``).
 
     c^{-*}_1 = kappa + s_0/s0star (= c_1 + w[0]), c^{-*}_{k+1} = c_{k+1} + e[k],
     lambda^{-*}_2 = -w[0] s_0/s0star, lambda^{-*}_{k+2} = lambda_{k+1} w[k]/w[k-1]
     (past the first entries, ``_dqd_coeffs``).
     """
     if s0star is None:
-        w, e, offset = _cauchy_run(c, lam, kappa, _NO_GERONIMUS)
+        w, e, offset = _cauchy_run(c, lam, kappa, _NO_GERONIMUS, ts)
         s0star = s0 * (1 / offset)  # bit for bit cauchy_s0star
         first = c[0] + w[0]
     else:

@@ -107,7 +107,8 @@ def _ldexp(arr, e):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a value past the double range ends as NaN
-def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=False, _stop=None):
+def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=False, _stop=None,
+                _taps=None):
     """Run the recurrence to degree n >= 1 at every point of z at once.
 
     z is a scalar or an array; y0, y1 broadcast against it.  Returns
@@ -125,7 +126,9 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
     so a point's values do not depend on the other points in the call, short
     of parts that are subnormal at some scale: the stride follows the call's
     largest |z|, and the scale a part is carried at can change its rounding
-    there (such a part is below ~1e-300 of its value).
+    there (such a part is below ~1e-300 of its value).  ``_taps`` (ascending
+    distinct degrees, the last n; an array z; values only) keeps y_{k-1}, y_k
+    and the scale at each tapped k: output row i is the run to degree _taps[i].
 
     y' and E start from the P initial data: P'_0 = 0, P'_1 = 1 and E_0 = 1,
     E_1 = max(|z| + |c_1|, 1).  E runs the recurrence on |z| + |c_k| and
@@ -160,14 +163,19 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
         az = np.abs(z)
         eprev, ecur = np.ones(z.shape), np.maximum(az + abs(c[0]), 1.0)
     # points [done:] are still running; the g-th group of equal degree ends at ends[g]
-    if _stop is None:
-        ends, next_stop = [len(z)], n
+    if _stop is None:  # a tapped run never reads ends
+        ends, next_stop = [len(z)], n if _taps is None else int(_taps[0])
     else:
         ends = (np.flatnonzero(np.diff(_stop)) + 1).tolist() + [len(z)]
         next_stop = int(_stop[0])
     parts, done = [], 0
     for k in range(1, n + 1):
-        if k == next_stop:
+        if k == next_stop and _taps is not None:
+            parts.append([arr[None] for arr in (prev, cur, scale)])
+            if len(parts) == len(_taps):
+                break
+            next_stop = int(_taps[len(parts)])
+        elif k == next_stop:
             j = ends[len(parts)] - done
             now = [prev, cur, scale] + ([dcur] if deriv else []) + ([ecur] if envelope else [])
             parts.append([arr[:j] for arr in now])
@@ -184,6 +192,8 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
             mag = np.maximum(np.abs(prev), np.abs(cur))
             # the negated test also sends NaN to the exact check below
             if not (mag.max() <= _SCALE_HI and mag.min() >= _SCALE_LO):
+                if _taps is not None:  # taps hold views of these: rescale copies
+                    prev, cur, scale = prev.copy(), cur.copy(), scale.copy()
                 e = np.frexp(mag)[1] * ((mag > _SCALE_HI) | ((mag > _ZERO_HIT) & (mag < _SCALE_LO)))
                 scale += e
                 carried = [prev, cur] + ([dprev, dcur] if deriv else [])

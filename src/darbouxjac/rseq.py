@@ -14,12 +14,13 @@ dmu / prod |t - kappa_j|^2, whose diagonal satisfies an R_II recurrence and
 whose quotients by prod (t - kappa_j) are orthogonal rational functions.
 
 ``R1System.residuals`` and ``R2System.residuals`` check a relation for a whole
-degree list in one run of polyeval's evaluator (plus one for the R_II kernel):
-the sample points are tiled once per degree and each copy stops at its own
-degree.  The one-degree ``residual`` methods and the checks of ``r1_general``
-and ``r2_coeffs`` run the same code for one degree.
+degree list in one run of polyeval's evaluator over the sample points (plus
+one for the R_II kernel), tapped at each degree.  The one-degree ``residual``
+methods and the checks of ``r1_general`` and ``r2_coeffs`` run the same code.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .darboux import (
     geronimus,
     geronimus_cauchy,
 )
+from .darboux import _NO_GERONIMUS, _cauchy_run, _geronimus_step, _tails
 from .errors import (
     ConfigurationError,
     DegeneracyError,
@@ -53,6 +55,7 @@ __all__ = [
     "r2_coeffs",
     "R2System",
     "leading_r2_system",
+    "r2_prefix_length",
     "varying_measure_polys",
     "rational_eval",
 ]
@@ -102,16 +105,14 @@ class RIICoefficients(Record):
 
 
 def sample_points(count: int) -> np.ndarray:
-    """Reproducible sample points in the annulus 1.5 <= |z| <= 3, |Im z| >= 0.5."""
-    rng = np.random.default_rng(0x5EED)
-    out = []
+    """Reproducible sample points in the annulus 1.5 <= |z| <= 3, |Im z| >= 0.5: the
+    accepted (radius, angle) pairs of one seeded stream, drawn 2 count at a time."""
+    rng, out = np.random.default_rng(0x5EED), np.array([])
     while len(out) < count:
-        radius = rng.uniform(1.5, 3.0)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
+        radius, angle = rng.uniform((1.5, 0.0), (3.0, 2.0 * np.pi), size=(2 * count, 2)).T
         z = radius * np.exp(1j * angle)
-        if abs(z.imag) >= 0.5:
-            out.append(z)
-    return np.array(out)
+        out = np.concatenate((out, z[np.abs(z.imag) >= 0.5]))
+    return out[:count]
 
 
 def _relative(z, total, *terms):
@@ -145,17 +146,16 @@ def _verified(what: str, res: np.ndarray, n: int, zs: np.ndarray) -> None:
 def _degree_runs(m: RecurrenceCoeffs, ns: np.ndarray, zs: np.ndarray):
     """The points, P_{n-1}, P_n, log scale and P_{n+1} (one more step at the same
     scale; None when a degree reaches the end of the prefix) as (len(ns), len(zs))
-    arrays, rows in the order of ns: one _scaled_run over zs tiled once per degree,
-    each copy stopping at its own degree.  The points come as a full array, so a
-    product with one point takes the (FMA) numpy loop of a 1-d run, not a broadcast one."""
-    z, shape = np.tile(zs, len(ns)), (len(ns), len(zs))
+    arrays, rows in the order of ns: one _scaled_run over zs to the largest degree,
+    tapped at each degree of ns.  The points come as a full array, so a product
+    with one point takes the (FMA) numpy loop of a 1-d run, not a broadcast one."""
+    z = np.tile(zs, (len(ns), 1))
     if not z.size:
-        return [np.zeros(shape, dtype=complex)] * 5
-    order = np.argsort(ns, kind="stable")
-    stop = np.repeat(ns[order], len(zs))
-    out = _scaled_run(m, int(stop[-1]), z, 1.0, z - m.c[0], _stop=stop)
-    z, p_nm1, p_n, scale = [z.reshape(shape)] + [x.reshape(shape)[np.argsort(order)] for x in out]
-    nxt = None if stop[-1] == m.n_max else (z - m.c[ns, None]) * p_n - m.lam[ns - 1, None] * p_nm1
+        return [z] * 5
+    taps, rows = np.unique(ns, return_inverse=True)
+    out = _scaled_run(m, int(taps[-1]), zs, 1.0, zs - m.c[0], _taps=taps)
+    p_nm1, p_n, scale = (x[rows] for x in out)
+    nxt = None if taps[-1] == m.n_max else (z - m.c[ns, None]) * p_n - m.lam[ns - 1, None] * p_nm1
     return z, p_nm1, p_n, scale, nxt
 
 
@@ -247,6 +247,11 @@ def r1_general(
     return rc
 
 
+def r2_prefix_length(n: int) -> int:
+    """Prefix length that degree n of R_II reads: n + 4, for the pair's A'_{n+1}."""
+    return n + 4
+
+
 class GeronimusPairQuasi:
     """Conjugate-pair iterated Geronimus transform of a base prefix, exposed
     as order-2 quasi-orthogonal data over the base:
@@ -256,6 +261,9 @@ class GeronimusPairQuasi:
 
     where A_n = -R_n/R_{n-1} (A_0 = 0) is the A-sequence of the first step (at
     kappa, Cauchy s0star) and A' that of the second (at conj kappa, Cauchy s0starstar).
+
+    The second step reads A', s0starstar and its breakdown test off the backward
+    run alone; its coefficients, ``coeffs``, are built on first read.
     """
 
     def __init__(self, m: RecurrenceCoeffs, kappa: complex):
@@ -264,18 +272,28 @@ class GeronimusPairQuasi:
             raise ConfigurationError("conjugate-pair Geronimus needs a nonreal kappa")
         chain = GeronimusChain(m)
         chain.apply(kappa)
-        chain.apply(np.conj(kappa))
-        self.kappa = kappa
+        if chain.n_max < 4:  # GeronimusChain.apply's check, for the second step
+            raise PrefixError("prefix too short for another Geronimus step")
+        c, lam, site = chain._c, chain._lam, kappa.conjugate()
+        ts = _tails(c, lam, site)
+        w, _, offset = _cauchy_run(c, lam, site, _NO_GERONIMUS, ts, diffs=False)
+        self.kappa, self._second = kappa, (c, lam, site, ts)
         self.s0star = chain.steps[0]["s0star"]
-        self.s0starstar = chain.steps[1]["s0star"]
-        self.A, self.Ap = (np.concatenate(([0j], -step["ratio_seq"])) for step in chain.steps)
-        self.coeffs = chain.coeffs()
+        self.s0starstar = self.s0star * (1 / offset)  # as _geronimus_step takes it
+        self.A, self.Ap = (np.concatenate(([0j], -np.asarray(x)))
+                           for x in (chain.steps[0]["ratio_seq"], w))
+
+    @cached_property
+    def coeffs(self) -> RecurrenceCoeffs:
+        c, lam, site, ts = self._second
+        c_new, lam_new, s0star, _ = _geronimus_step(c, lam, self.s0star, site, ts=ts)
+        return RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0star)
 
     def quasi(self, n: int) -> QuasiOrthogonal:
         if n < 0:
             raise PrefixError(f"the conjugate pair has no quasi-orthogonal data at n={n} < 0")
-        if n + 1 >= len(self.Ap):  # A' is 2 shorter than the base prefix
-            raise PrefixError(f"the conjugate pair at n={n} needs a prefix of length >= {n + 4}")
+        if (need := r2_prefix_length(n)) > len(self.Ap) + 2:  # A' is 2 shorter than the base
+            raise PrefixError(f"the conjugate pair at n={n} needs a prefix of length >= {need}")
         return QuasiOrthogonal(
             order=2,
             degree=n + 1,
@@ -345,9 +363,10 @@ class R2System:
 
 
 def leading_r2_system(m: RecurrenceCoeffs, kappa1: complex, n: int) -> R2System:
-    """R2System(m, kappa1) for degrees up to n on the leading max(n + 4, 6) terms:
-    it runs forward only, so there they give the full prefix's values, bit for bit."""
-    return R2System(m.truncated(min(m.n_max, max(n + 4, 6))), kappa1)
+    """R2System(m, kappa1) for degrees up to n on the leading
+    max(r2_prefix_length(n), 6) terms: it runs forward only, so there they give
+    the full prefix's values, bit for bit."""
+    return R2System(m.truncated(min(m.n_max, max(r2_prefix_length(n), 6))), kappa1)
 
 
 def r2_coeffs(

@@ -45,6 +45,7 @@ from darbouxjac.errors import (
     EvaluationRangeError,
     ExistenceError,
     FactorBreakdownError,
+    PoleError,
     ZeroHitError,
 )
 from darbouxjac.factorization import lu_factor, ul_factor
@@ -621,6 +622,15 @@ def test_crossover_matches_the_scalar_loop(kind, kappa, n_max):
             lam, ws, delta, len(c) - 1)
 
 
+def broken_at(c: list, lam: list, kappa: complex, j: int) -> None:
+    """Set c_j (in place) so that D_j = c_j - kappa - t_{j+1} vanishes in the
+    backward run at kappa: the Cauchy step breaks down at n = j - 2."""
+    t = darboux._tail_seed(c[-1], lam[-1], kappa)
+    for i in range(len(c), j, -1):
+        t = lam[i - 2] / (c[i - 1] - kappa - t)
+    c[j - 1] = kappa + t
+
+
 def test_cauchy_run_breakdown_takes_the_mpmath_route():
     """A prefix whose backward run at kappa hits D_j = 0 gives no w^S to
     read the head from: the step runs in mpmath, and matches the UL
@@ -628,10 +638,7 @@ def test_cauchy_run_breakdown_takes_the_mpmath_route():
     m = family_coeffs("chebyshev1", 64)
     kappa, j = 0.3 + 0.5j, 20
     c, lam = m.c.tolist(), m.lam.tolist()
-    t = darboux._tail_seed(c[-1], lam[-1], kappa)
-    for i in range(len(c), j, -1):
-        t = lam[i - 2] / (c[i - 1] - kappa - t)
-    c[j - 1] = kappa + t
+    broken_at(c, lam, kappa, j)
     with pytest.raises(ExistenceError):
         darboux._cauchy_run(c, lam, kappa, "")
     broken = RecurrenceCoeffs(c=c, lam=lam, s0=m.s0)
@@ -639,6 +646,72 @@ def test_cauchy_run_breakdown_takes_the_mpmath_route():
     tc, record = geronimus_logged(broken, TransformPoint(kappa, s0star=s0star))
     assert record.route.startswith("mpmath at ")
     assert_entrywise(tc, reference(ul_step, broken, kappa, s0star, dps=resolving_dps(kappa)))
+
+
+def loop_cauchy_run(c, lam, kappa, what: str, ts):
+    """``darboux._cauchy_run`` as the scalar loop it replaced: D_j, the
+    breakdown test and the differences in one Python pass."""
+    n = len(c)
+    d = 0 * ts[0]
+    e = []  # from the far end
+    for j, t in zip(range(n, 1, -1), ts):  # t = t_{j+1}
+        head = c[j - 1] - kappa
+        big = head - t  # D_j
+        if abs(big) < polyeval._BREAKDOWN_RTOL * max(abs(head), abs(t)):
+            raise ExistenceError(what, j - 2)
+        if j < n:
+            d = ((lam[j - 2] - lam[j - 1]) + t * ((c[j] - c[j - 1]) + d)) / big
+            e.append(d)
+    offset = c[0] - kappa - ts[-1]
+    if not offset:
+        raise PoleError(f"the continued fraction has a pole at kappa={kappa}: no Cauchy value")
+    return [-t for t in ts[:0:-1]], [0 * ts[-1]] + e[::-1], offset
+
+
+@PROPERTY
+@given(prefixes, kappas())
+def test_cauchy_run_is_the_scalar_loop(m, kappa):
+    """The numpy breakdown scan leaves every ratio, difference and the offset
+    as the one-pass loop gave them; without differences e is [0]."""
+    c, lam = m.c.tolist(), m.lam.tolist()
+    ts = darboux._tails(c, lam, kappa)
+    w, e, offset = loop_cauchy_run(c, lam, kappa, "", ts)
+    assert darboux._cauchy_run(c, lam, kappa, "", ts) == (w, e, offset)
+    assert darboux._cauchy_run(c, lam, kappa, "", ts, diffs=False) == (w, [0j], offset)
+
+
+@pytest.mark.parametrize("diffs", [True, False])
+@pytest.mark.parametrize("js", [(20,), (40,), (20, 40), (62,)], ids=lambda js: "+".join(map(str, js)))
+def test_cauchy_run_breakdown_index_is_the_scalar_loop(diffs, js):
+    """At the site of test_cauchy_run_breakdown_takes_the_mpmath_route (D_j = 0
+    at each j in js) the scan raises the loop's ExistenceError: the largest j,
+    at n = j - 2, with the same message."""
+    m = family_coeffs("chebyshev1", 64)
+    kappa = 0.3 + 0.5j
+    c, lam = m.c.tolist(), m.lam.tolist()
+    for j in sorted(js, reverse=True):
+        broken_at(c, lam, kappa, j)
+    ts = darboux._tails(c, lam, kappa)
+    with pytest.raises(ExistenceError) as ref:
+        loop_cauchy_run(c, lam, kappa, "no step", ts)
+    with pytest.raises(ExistenceError) as got:
+        darboux._cauchy_run(c, lam, kappa, "no step", ts, diffs=diffs)
+    assert got.value.index == ref.value.index == max(js) - 2
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("diffs", [True, False])
+def test_cauchy_run_zero_offset_is_a_pole(diffs):
+    """t_2 = c_1 - kappa (the tails read c_2 onward) makes s0/s0star exactly 0."""
+    m = family_coeffs("chebyshev1", 64)
+    kappa = 0.3 + 0.5j
+    c, lam = m.c.tolist(), m.lam.tolist()
+    ts = darboux._tails(c, lam, kappa)
+    ts[-1] = c[0] - kappa
+    with pytest.raises(PoleError, match="pole at kappa"):
+        loop_cauchy_run(c, lam, kappa, "", ts)
+    with pytest.raises(PoleError, match="pole at kappa"):
+        darboux._cauchy_run(c, lam, kappa, "", ts, diffs=diffs)
 
 
 long_prefixes = st.builds(

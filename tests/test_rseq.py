@@ -3,15 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import darbouxjac
 from darbouxjac import rseq
 from darbouxjac._quadrature import gauss_nodes
 from darbouxjac.cli import _suite_r2
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
 from darbouxjac.darboux import GeronimusChain, TransformPoint, cauchy_s0star, christoffel
-from darbouxjac.errors import ConfigurationError, PoleError, PrefixError
+from darbouxjac.errors import (
+    ConfigurationError,
+    ExistenceError,
+    PoleError,
+    PrefixError,
+    QuasiDefinitenessError,
+)
 from darbouxjac.polyeval import _scaled_run, eval_P
 from darbouxjac.rseq import (
     GeronimusPairQuasi,
@@ -25,7 +32,15 @@ from darbouxjac.rseq import (
     sample_points,
     varying_measure_polys,
 )
-from test_ratio_kernel import N_MAX, PROPERTY, kappas, nevai_prefix, opposite_s0star, prefixes
+from test_ratio_kernel import (
+    N_MAX,
+    PROPERTY,
+    broken_at,
+    kappas,
+    nevai_prefix,
+    opposite_s0star,
+    prefixes,
+)
 from test_zero_sweep import long_prefixes
 
 ZS = sample_points(20)
@@ -41,6 +56,28 @@ class TestSamplePoints:
         zs = sample_points(50)
         assert np.all(np.abs(zs) >= 1.5) and np.all(np.abs(zs) <= 3.0)
         assert np.all(np.abs(zs.imag) >= 0.5)
+
+    def test_same_points_as_the_scalar_draws(self):
+        """The batched draws read the generator stream the one-pair-at-a-time
+        loop read: the same points, bit for bit, and for no points the empty
+        float64 array the loop returned."""
+
+        def loop(count):
+            rng = np.random.default_rng(0x5EED)
+            out = []
+            while len(out) < count:
+                radius = rng.uniform(1.5, 3.0)
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                z = radius * np.exp(1j * angle)
+                if abs(z.imag) >= 0.5:
+                    out.append(z)
+            return np.array(out)
+
+        for count in range(121):
+            got, ref = sample_points(count), loop(count)
+            assert got.dtype == ref.dtype and got.shape == (count,), count
+            assert got.tobytes() == ref.tobytes(), count
+        assert sample_points(0).dtype == np.float64
 
 
 class TestR1:
@@ -184,6 +221,92 @@ class TestR2:
         zs = sample_points(n + 3)
         lead = rseq.leading_r2_system(cheb1, 1j, n)
         assert np.array_equal(lead.residual(q, rc, zs), full.residual(q, rc, zs))
+
+
+def chain_pair(m, kappa):
+    """The conjugate pair's two steps as GeronimusChain takes them."""
+    chain = GeronimusChain(m)
+    chain.apply(kappa)
+    chain.apply(np.conj(kappa))
+    return chain
+
+
+class TestGeronimusPair:
+    @PROPERTY
+    @given(prefixes, kappas())
+    def test_pair_is_bitwise_the_chain(self, m, kappa):
+        """A, A', both Cauchy values and ``coeffs`` are the two chain steps',
+        bit for bit, and ``coeffs`` is built once."""
+        pair, chain = GeronimusPairQuasi(m, kappa), chain_pair(m, kappa)
+        assert pair.s0star == chain.steps[0]["s0star"]
+        assert pair.s0starstar == chain.steps[1]["s0star"]
+        for got, step in zip((pair.A, pair.Ap), chain.steps):
+            assert np.array_equal(got, np.concatenate(([0j], -step["ratio_seq"])))
+        ref = chain.coeffs()
+        assert np.array_equal(pair.coeffs.c, ref.c) and np.array_equal(pair.coeffs.lam, ref.lam)
+        assert pair.coeffs.s0 == ref.s0
+        assert pair.coeffs is pair.coeffs
+
+    def test_second_step_breakdown_raises_at_construction(self):
+        """A prefix whose first step lands on one that breaks down at conj kappa
+        (the Christoffel transform at kappa of such a prefix) is refused when
+        the pair is made, at the chain's index."""
+        kappa, j = 0.3 + 0.5j, 20
+        base = family_coeffs("chebyshev1", 128)
+        c, lam = base.c.tolist(), base.lam.tolist()
+        broken_at(c, lam, kappa.conjugate(), j)
+        m = christoffel(RecurrenceCoeffs(c=c, lam=lam, s0=base.s0), TransformPoint(kappa)).coeffs
+        with pytest.raises(ExistenceError) as ref:
+            chain_pair(m, kappa)
+        with pytest.raises(ExistenceError) as got:
+            GeronimusPairQuasi(m, kappa)
+        assert got.value.index == ref.value.index == j - 2
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("n_max", [4, 5])
+    def test_prefix_too_short_for_the_second_step(self, n_max):
+        with pytest.raises(PrefixError, match="too short for another Geronimus step"):
+            GeronimusPairQuasi(family_coeffs("chebyshev1", n_max), 0.3 + 0.5j)
+        GeronimusPairQuasi(family_coeffs("chebyshev1", 6), 0.3 + 0.5j)
+
+    @pytest.mark.parametrize("spoil, error, message", [
+        (lambda c, lam: lam.__setitem__(5, 0j), QuasiDefinitenessError, "lambda_7 = 0"),
+        (lambda c, lam: c.__setitem__(5, complex("nan")), ConfigurationError,
+         r"c_6 \(c\[5\]\) = \(nan\+0j\) is not finite"),
+    ], ids=["zero-lambda", "nan-c"])
+    def test_second_step_coefficients_are_checked_on_first_read(
+            self, cheb1, monkeypatch, spoil, error, message):
+        """The one change of behaviour: the second step's coefficients, and
+        so their checks (finite entries, nonzero lambda), come on the first
+        read of ``coeffs``; the quasi-orthogonal data needs none of them."""
+        real = rseq._geronimus_step
+
+        def spoiled(*args, **kwargs):
+            c, lam, s0star, w = real(*args, **kwargs)
+            spoil(c, lam)
+            return c, lam, s0star, w
+
+        monkeypatch.setattr(rseq, "_geronimus_step", spoiled)
+        pair = GeronimusPairQuasi(cheb1, 0.3 - 0.5j)
+        assert pair.quasi(30).degree == 31
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(error, match=message):
+                pair.coeffs
+
+
+def test_one_r2_length_rule(monkeypatch):
+    """The r2 suite's prefix check, the pair's quasi data and leading_r2_system
+    all read r2_prefix_length, a public rseq name that the package does not
+    re-export."""
+    assert rseq.r2_prefix_length(30) == 34 and "r2_prefix_length" in rseq.__all__
+    assert not hasattr(darbouxjac, "r2_prefix_length")
+    monkeypatch.setattr(rseq, "r2_prefix_length", lambda n: n + 5)
+    m = family_coeffs("chebyshev2", 34)
+    with pytest.raises(PrefixError, match="the r2 suite needs a prefix of length >= 35, got 34"):
+        _suite_r2(m, 0.3 + 0.5j, None)
+    with pytest.raises(PrefixError, match="n=30 needs a prefix of length >= 35"):
+        GeronimusPairQuasi(m, 0.3 - 0.5j).quasi(30)
+    assert rseq.leading_r2_system(family_coeffs("chebyshev2", 64), 0.3 + 0.5j, 30).m.n_max == 35
 
 
 class TestVaryingMeasure:
@@ -481,6 +604,53 @@ def loop_r2(sys2: R2System, q: QuasiOrthogonal, rc: RIICoefficients, zs):
         * np.exp(kernel_scale - log_scale)
     )
     return relative(t1 - t2 + t3, t1, t2, t3)
+
+
+def assert_degree_runs_are_the_one_degree_runs(m, degrees, zs):
+    """Each row of ``_degree_runs`` (one evaluator run tapped at every degree)
+    is the run to that degree alone at the same points, bit for bit, and so
+    is the one further step; returns the log scales."""
+    ns = np.array(degrees, dtype=int)
+    z, p_nm1, p_n, scale, nxt = rseq._degree_runs(m, ns, zs)
+    for arr in (z, p_nm1, p_n, scale):
+        assert arr.shape == (len(degrees), len(zs))
+    assert np.array_equal(z, np.tile(zs, (len(degrees), 1)))
+    if not (degrees and len(zs)):
+        return scale
+    assert (nxt is None) == (max(degrees) == m.n_max)
+    for i, n in enumerate(degrees):
+        prev, cur, log_scale = _scaled_run(m, n, zs, 1.0, zs - m.c[0])
+        for got, ref in ((p_nm1[i], prev), (p_n[i], cur), (scale[i], log_scale)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), n
+        if nxt is not None:
+            step = (zs - m.c[n]) * cur - m.lam[n - 1] * prev
+            assert nxt[i].tobytes() == step.tobytes(), n
+    return scale
+
+
+@PROPERTY
+@given(prefixes, st.lists(st.integers(1, N_MAX), max_size=8), st.integers(0, 6),
+       st.floats(-3.0, 3.0))
+@example(family_coeffs("chebyshev1", N_MAX), [N_MAX, 3, 17, 3, N_MAX, 1], 5, 3.0)
+@example(family_coeffs("chebyshev2", N_MAX), [9, 2, 9], 4, -3.0)
+@example(family_coeffs("chebyshev3", N_MAX), [], 4, 0.0)
+@example(family_coeffs("chebyshev4", N_MAX), [5, 2], 0, 0.0)
+def test_degree_runs_are_the_one_degree_runs(m, degrees, count, decade):
+    """Presets and Nevai prefixes, degree lists in any order with repeats (up
+    to n_max, where there is no further step), sample points scaled by
+    10^-3..10^3 so that the runs rescale, and empty lists of either."""
+    zs = sample_points(count).astype(complex) * 10.0**decade
+    assert_degree_runs_are_the_one_degree_runs(m, degrees, zs)
+
+
+def test_degree_runs_rescale_and_stay_the_one_degree_runs():
+    """At |z| ~ 10^3 on 256 terms the run rescales in flight (first past degree
+    74, at the window test of step 75) and its last values are still scaled:
+    the rows tapped before and after, and at that step, are the one-degree runs."""
+    m = family_coeffs("chebyshev1", 256)
+    scale = assert_degree_runs_are_the_one_degree_runs(
+        m, [256, 74, 75, 3, 200, 75, 76, 1], sample_points(5) * 1e3)
+    assert np.all(scale[[0, 4]] > 0) and np.all(scale[[3, 7]] == 0)
 
 
 def assert_r1_sweep_is_the_loop(sys1: R1System, degrees, zs):
