@@ -4,10 +4,9 @@
 
 Exit codes: 0 pass, 1 check or existence failure (a malformed --coeff-file
 included), 2 usage error, 3 environment error (an unreadable --coeff-file or
-an unwritable --output).  Complex literals must
-carry both parts ("0+1i", "1.5-2i"), and one with a leading minus needs the
-'=' form ("--kappa=-0.4+0.3i"); outputs are deterministic for a fixed
-configuration.
+an unwritable --output).  Complex literals must carry both parts, each
+finite ("0+1i", "1.5-2i"), and one with a leading minus needs the '=' form
+("--kappa=-0.4+0.3i"); outputs are deterministic for a fixed configuration.
 """
 from __future__ import annotations
 
@@ -37,13 +36,16 @@ _COMPLEX_RE = re.compile(
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' / 'a-bi' with both parts mandatory."""
+    """Parse 'a+bi' / 'a-bi' with both parts mandatory and finite."""
     m = _COMPLEX_RE.match(text.strip())
     if not m:
         raise argparse.ArgumentTypeError(
             f"invalid complex literal {text!r} (expected a+bi with both parts)"
         )
-    return complex(float(m.group(1)), float(m.group(2)))
+    value = complex(float(m.group(1)), float(m.group(2)))
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"complex literal {text!r} overflows the double range")
+    return value
 
 
 def parse_n_list(text: str) -> list[int]:
@@ -244,19 +246,12 @@ def _suite_r1(m, kappa, s0star):
 
 
 def _suite_r2(m, kappa, s0star):
-    degrees = range(1, 31)
-    _need(m, "r2", rseq.r2_prefix_length(degrees[-1]))
-    kappa = complex(kappa)
-    if kappa.imag < 0:
-        kappa = complex(np.conj(kappa))
-    pair = rseq.GeronimusPairQuasi(m, complex(np.conj(kappa)))  # its Cauchy value reads the tail
-    sys2 = rseq.leading_r2_system(m, kappa, degrees[-1])
-    qs, rcs = [], []
-    for n in degrees:
-        qs.append(pair.quasi(n))
-        rcs.append(sys2.coeffs(qs[-1], n))
-    z = rseq.sample_points(20)
-    return _residual_entry(degrees, sys2.residuals(qs, rcs, z), sys2.m, z)
+    ns = np.arange(1, 31)
+    _need(m, "r2", rseq.r2_prefix_length(ns[-1]))
+    kappa = complex(kappa).conjugate() if kappa.imag < 0 else complex(kappa)
+    pair = rseq.GeronimusPairQuasi(m, kappa.conjugate())  # its Cauchy value reads the tail
+    sys2, z = rseq.leading_r2_system(m, kappa, ns[-1]), rseq.sample_points(20)
+    return _residual_entry(ns, sys2.residuals(ns, z, pair.tilde_C[ns], pair.tilde_D[ns]), sys2.m, z)
 
 
 def _leading_gap(J, S) -> float:

@@ -13,10 +13,10 @@ kappa_1, kappa_2, ... produces polynomials orthogonal to varying measures
 dmu / prod |t - kappa_j|^2, whose diagonal satisfies an R_II recurrence and
 whose quotients by prod (t - kappa_j) are orthogonal rational functions.
 
-``R1System.residuals`` and ``R2System.residuals`` check a relation for a whole
-degree list in one run of polyeval's evaluator over the sample points (plus
-one for the R_II kernel), tapped at each degree.  The one-degree ``residual``
-methods and the checks of ``r1_general`` and ``r2_coeffs`` run the same code.
+Each relation's coefficients are one formula on arrays over a degree list,
+read whole by ``R1System.residuals`` and ``R2System.residuals`` and at one entry
+by ``coeffs``.  A sweep is one run of polyeval's evaluator over the sample
+points (plus one for the R_II kernel), tapped at each degree.
 """
 from __future__ import annotations
 
@@ -26,22 +26,10 @@ import numpy as np
 
 from ._quadrature import adaptive_integral
 from .core import Record, RecurrenceCoeffs
-from .darboux import (
-    GeronimusChain,
-    TransformPoint,
-    christoffel,
-    geronimus,
-    geronimus_cauchy,
-)
+from .darboux import GeronimusChain, TransformPoint, christoffel, geronimus, geronimus_cauchy
 from .darboux import _NO_GERONIMUS, _cauchy_run, _geronimus_step, _tails
-from .errors import (
-    ConfigurationError,
-    DegeneracyError,
-    PoleError,
-    PrefixError,
-    QuadratureError,
-    ResidualCheckError,
-)
+from .errors import (ConfigurationError, DegeneracyError, PoleError, PrefixError, QuadratureError,
+                     ResidualCheckError)
 from .polyeval import _scaled_run, eval_P, ratio_sequence
 
 __all__ = [
@@ -127,12 +115,15 @@ def _relative(z, total, *terms):
     return res if np.ndim(z) else res[..., 0]
 
 
-def _check_degree(what: str, n: int, n_max: int | None = None) -> None:
-    """ConfigurationError below degree 1, PrefixError past n_max - 3."""
-    if n < 1:
-        raise ConfigurationError(f"{what} coefficients are defined for n >= 1 (n={n})")
-    if n_max is not None and n + 3 > n_max:
-        raise PrefixError(f"{what} coefficients at n={n} need a prefix of length >= {n + 3}")
+def _degrees(what: str, n_list, n_max: int, reads: int = 3) -> np.ndarray:
+    """n_list as a 1-d int array, each degree checked in list order."""
+    ns = np.array(n_list, dtype=int).reshape(-1)
+    for n in ns.tolist():
+        if n < 1:
+            raise ConfigurationError(f"{what} coefficients are defined for n >= 1 (n={n})")
+        if (need := n + reads) > n_max:
+            raise PrefixError(f"{what} coefficients at n={n} need a prefix of length >= {need}")
+    return ns
 
 
 def _verified(what: str, res: np.ndarray, n: int, zs: np.ndarray) -> None:
@@ -159,21 +150,29 @@ def _degree_runs(m: RecurrenceCoeffs, ns: np.ndarray, zs: np.ndarray):
     return z, p_nm1, p_n, scale, nxt
 
 
-def _column(records, name: str) -> np.ndarray:
-    return np.array([getattr(r, name) for r in records], dtype=complex)[:, None]
+def _columns(*arrays):
+    return [np.asarray(x, dtype=complex).reshape(-1)[:, None] for x in arrays]
 
 
-def _ri_coeffs(m: RecurrenceCoeffs, n: int, rho_n, tilde_A) -> RICoefficients:
-    """alpha_n, beta_n of the R_I relation for T_{n+1} = P_{n+1} + tilde_A P_n,
-    with rho_n = P_n(k1)/P_{n-1}(k1):
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a * b rounded as the scalar product is: numpy's array loop fuses it (FMA)
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _ri_coeffs(m: RecurrenceCoeffs, n, rho_n, tilde_A):
+    """(alpha_n, beta_n) of the R_I relation for T_{n+1} = P_{n+1} + tilde_A P_n,
+    with rho_n = P_n(k1)/P_{n-1}(k1), at a degree n or over an array of them:
 
     beta_n = -lambda_{n+1} P_{n-1}(k1)/P_n(k1),
     alpha_n = c_{n+1} - tilde_A + lambda_{n+1} P_{n-1}(k1)/P_n(k1).
 
-    For the Geronimus transform at k2, -tilde_A = R_{n+1}(k2)/R_n(k2).
+    For the Geronimus transform at k2, -tilde_A = R_{n+1}(k2)/R_n(k2).  (+, -
+    and / round alike on arrays and scalars.)
     """
-    ratio = m.lam_n(n + 1) / rho_n
-    return RICoefficients(n=n, alpha=m.c_n(n + 1) - tilde_A + ratio, beta=-ratio)
+    ratio = m.lam[n - 1] / rho_n
+    return m.c[n] - tilde_A + ratio, -ratio
 
 
 @np.errstate(over="ignore", invalid="ignore")  # past the double range: a NaN residual
@@ -193,8 +192,8 @@ def _ri_residuals(m: RecurrenceCoeffs, ns: np.ndarray, z, tilde_A, alpha, beta, 
 
 
 class R1System:
-    """Precomputed data for the R_I relation coupling the Geronimus
-    transform at kappa2 with the kernel family at kappa1."""
+    """Precomputed data for the R_I relation coupling the Geronimus transform at
+    kappa2 with the kernel family at kappa1; ``_coeff_arrays`` is its formula."""
 
     def __init__(self, m: RecurrenceCoeffs, k1: TransformPoint, k2: TransformPoint):
         self.m = m
@@ -205,27 +204,25 @@ class R1System:
         self.gero = geronimus(m, k2) if k2.s0star is not None else geronimus_cauchy(m, k2.kappa)
         self.k2 = self.gero.sites[0]
 
-    def coeffs(self, n: int) -> RICoefficients:
-        _check_degree("R_I", n, self.m.n_max)
-        return _ri_coeffs(self.m, n, self.rho[n - 1], -self.gero.ratio_seq[n])
+    def _coeff_arrays(self, ns: np.ndarray):
+        """tilde_A, alpha, beta and rho_n at the checked degrees ns, in their order."""
+        tilde_A, rho_n = -self.gero.ratio_seq[ns], self.rho[ns - 1]
+        return (tilde_A, *_ri_coeffs(self.m, ns, rho_n, tilde_A), rho_n)
 
-    def residuals(self, n_list, z, coeffs=None):
+    def coeffs(self, n: int) -> RICoefficients:
+        _, (alpha,), (beta,), _ = self._coeff_arrays(_degrees("R_I", [n], self.m.n_max))
+        return RICoefficients(n=n, alpha=alpha, beta=beta)
+
+    def residuals(self, n_list, z):
         """Relative residuals (scale = max term magnitude) for each degree of
         n_list (rows; any order, repeats allowed) at each z (columns; a scalar z
-        gives one per degree), in one evaluator run.  ``coeffs``, one
-        RICoefficients per degree, replaces ``self.coeffs(n)``."""
-        ns = np.array(n_list, dtype=int).reshape(-1)
-        for n in ns.tolist():
-            _check_degree("R_I", n, self.m.n_max)
-        rcs = coeffs if coeffs is not None else [self.coeffs(n) for n in ns.tolist()]
-        return _ri_residuals(
-            self.m, ns, z, -self.gero.ratio_seq[ns, None], _column(rcs, "alpha"),
-            _column(rcs, "beta"), self.rho[ns - 1, None],
-        )
+        gives one per degree), in one evaluator run."""
+        ns = _degrees("R_I", n_list, self.m.n_max)
+        return _ri_residuals(self.m, ns, z, *_columns(*self._coeff_arrays(ns)))
 
-    def residual(self, n: int, z, coeffs: RICoefficients | None = None):
+    def residual(self, n: int, z):
         """The one-degree case of ``residuals`` (a float for a scalar z)."""
-        res = self.residuals((n,), z, None if coeffs is None else (coeffs,))[0]
+        res = self.residuals((n,), z)[0]
         return res if np.ndim(z) else float(res)
 
 
@@ -238,13 +235,13 @@ def r1_general(
         raise ConfigurationError("r1_general needs an order-1 quasi-orthogonal record")
     if q.degree != n + 1:
         raise ConfigurationError(f"quasi-orthogonal degree {q.degree} != n+1 = {n + 1}")
-    _check_degree("R_I", n)
+    _degrees("R_I", [n], m.n_max, reads=1)
     rho_n = ratio_sequence(m, k1.kappa, "P", n_terms=n).values[n - 1]
-    rc = _ri_coeffs(m, n, rho_n, q.tilde_A)
+    alpha, beta = _ri_coeffs(m, n, rho_n, q.tilde_A)
     zs = sample_points(n + 2)
-    res = _ri_residuals(m, np.array([n]), zs, q.tilde_A, rc.alpha, rc.beta, rho_n)[0]
+    res = _ri_residuals(m, np.array([n]), zs, q.tilde_A, alpha, beta, rho_n)[0]
     _verified("R_I", res, n, zs)
-    return rc
+    return RICoefficients(n=n, alpha=alpha, beta=beta)
 
 
 def r2_prefix_length(n: int) -> int:
@@ -261,6 +258,7 @@ class GeronimusPairQuasi:
 
     where A_n = -R_n/R_{n-1} (A_0 = 0) is the A-sequence of the first step (at
     kappa, Cauchy s0star) and A' that of the second (at conj kappa, Cauchy s0starstar).
+    The arrays ``tilde_C`` and ``tilde_D``, built once, hold those two coefficients.
 
     The second step reads A', s0starstar and its breakdown test off the backward
     run alone; its coefficients, ``coeffs``, are built on first read.
@@ -282,6 +280,8 @@ class GeronimusPairQuasi:
         self.s0starstar = self.s0star * (1 / offset)  # as _geronimus_step takes it
         self.A, self.Ap = (np.concatenate(([0j], -np.asarray(x)))
                            for x in (chain.steps[0]["ratio_seq"], w))
+        A, Ap = self.A[:len(self.Ap)], self.Ap  # A' is 2 shorter than A
+        self.tilde_C, self.tilde_D = A[1:] + Ap[1:], _mul(Ap[1:], A[:-1])
 
     @cached_property
     def coeffs(self) -> RecurrenceCoeffs:
@@ -295,16 +295,13 @@ class GeronimusPairQuasi:
         if (need := r2_prefix_length(n)) > len(self.Ap) + 2:  # A' is 2 shorter than the base
             raise PrefixError(f"the conjugate pair at n={n} needs a prefix of length >= {need}")
         return QuasiOrthogonal(
-            order=2,
-            degree=n + 1,
-            tilde_C=self.A[n + 1] + self.Ap[n + 1],
-            tilde_D=self.Ap[n + 1] * self.A[n],
+            order=2, degree=n + 1, tilde_C=self.tilde_C[n], tilde_D=self.tilde_D[n]
         )
 
 
 class R2System:
     """Precomputed data for the R_II relation at a conjugate kernel pair
-    (kappa1, conj kappa1)."""
+    (kappa1, conj kappa1); ``_coeff_arrays`` is its formula."""
 
     def __init__(self, m: RecurrenceCoeffs, kappa1: complex):
         kappa1 = complex(kappa1)
@@ -316,50 +313,57 @@ class R2System:
         self.tc2 = christoffel(self.tc1.coeffs, TransformPoint(self.kappa1_bar))
         self.rho, self.kernel_rho = self.tc1.ratio_seq, self.tc2.ratio_seq
 
+    def _coeff_arrays(self, ns: np.ndarray, tilde_C, tilde_D):
+        """rho_n, gamma_n, upsilon_n at the checked degrees ns, in their order, for
+        order-2 data tilde_C, tilde_D; DegeneracyError at the first one whose
+        denominator vanishes."""
+        lam_next, kernel_rho = self.m.lam[ns - 1], self.kernel_rho[ns - 1]
+        den = _mul(kernel_rho, self.rho[ns - 1]) - lam_next
+        bad = np.flatnonzero(np.abs(den) <= 1e-12 * np.abs(lam_next))
+        if len(bad):
+            n = ns[bad[0]]
+            raise DegeneracyError(f"R_II denominator within tolerance of lambda_{n + 1} at n={n}")
+        upsilon = (lam_next - tilde_D) / den
+        rho_n = 1 + upsilon
+        gamma = _mul(rho_n, self.m.c[ns]) + _mul(upsilon, self.rho[ns] + kernel_rho) - tilde_C
+        return rho_n, gamma, upsilon
+
     def coeffs(self, q: QuasiOrthogonal, n: int) -> RIICoefficients:
         if q.order != 2:
             raise ConfigurationError("R_II needs an order-2 quasi-orthogonal record")
         if q.degree != n + 1:
             raise ConfigurationError(f"quasi-orthogonal degree {q.degree} != n+1 = {n + 1}")
-        _check_degree("R_II", n, self.m.n_max)
-        lam_next = self.m.lam_n(n + 1)
-        den = self.kernel_rho[n - 1] * self.rho[n - 1] - lam_next
-        if abs(den) <= 1e-12 * abs(lam_next):
-            raise DegeneracyError(
-                f"R_II denominator within tolerance of lambda_{n + 1} at n={n}"
-            )
-        upsilon = (lam_next - q.tilde_D) / den
-        rho_n = 1 + upsilon
-        gamma = (
-            rho_n * self.m.c_n(n + 1)
-            + upsilon * (self.rho[n] + self.kernel_rho[n - 1])
-            - q.tilde_C
-        )
+        ns = _degrees("R_II", [n], self.m.n_max)
+        (rho_n,), (gamma,), (upsilon,) = self._coeff_arrays(ns, q.tilde_C, q.tilde_D)
         return RIICoefficients(n=n, rho=rho_n, gamma=gamma, upsilon=upsilon)
 
+    def residuals(self, n_list, z, tilde_C, tilde_D):
+        """Relative residuals (scale = max term magnitude) for each degree of
+        n_list (rows; any order, repeats allowed) with its order-2 data (one entry
+        of tilde_C, tilde_D) at each z (columns; a scalar z gives one per degree)."""
+        ns = _degrees("R_II", n_list, self.m.n_max)
+        return self._residuals(ns, z, tilde_C, tilde_D, *self._coeff_arrays(ns, tilde_C, tilde_D))
+
+    def residual(self, q: QuasiOrthogonal, rc: RIICoefficients, z):
+        """The residual of degree rc.n with given coefficients (a float for a scalar z)."""
+        ns = _degrees("R_II", [rc.n], self.m.n_max)
+        res = self._residuals(ns, z, q.tilde_C, q.tilde_D, rc.rho, rc.gamma, rc.upsilon)[0]
+        return res if np.ndim(z) else float(res)
+
     @np.errstate(over="ignore", invalid="ignore")  # past the double range: a NaN residual
-    def residuals(self, qs, rcs, z):
-        """Relative residuals (scale = max term magnitude) for each (q, rc) pair
-        (rows) at each z (columns; a scalar z gives one per pair): one evaluator
-        run for P_n over the degrees and one for the kernel P**_{n-1} of tc2."""
-        for rc in rcs:
-            _check_degree("R_II", rc.n, self.m.n_max)
-        ns = np.array([rc.n for rc in rcs], dtype=int)
+    def _residuals(self, ns, z, tilde_C, tilde_D, rho_n, gamma, upsilon):
+        """One evaluator run for P_n over the degrees, one for the kernel P**_{n-1}."""
+        tilde_C, tilde_D, rho_n, gamma, upsilon = _columns(tilde_C, tilde_D, rho_n, gamma, upsilon)
         points = np.atleast_1d(np.asarray(z, dtype=complex))
         zs, p_nm1, p_n, log_scale, p_np1 = _degree_runs(self.m, ns, points)
         kernel, kernel_scale = np.ones_like(p_n), np.zeros(p_n.shape)  # degree 0 at n = 1
         if (up := ns > 1).any():
             kernel[up], kernel_scale[up] = _degree_runs(self.tc2.coeffs, ns[up] - 1, points)[2:4]
-        t1 = p_np1 + _column(qs, "tilde_C") * p_n + _column(qs, "tilde_D") * p_nm1
-        t2 = (_column(rcs, "rho") * zs - _column(rcs, "gamma")) * p_n
-        t3 = _column(rcs, "upsilon") * (zs - self.kappa1) * (zs - self.kappa1_bar) * kernel
+        t1 = p_np1 + tilde_C * p_n + tilde_D * p_nm1
+        t2 = (rho_n * zs - gamma) * p_n
+        t3 = upsilon * (zs - self.kappa1) * (zs - self.kappa1_bar) * kernel
         t3 = t3 * np.exp(kernel_scale - log_scale)
         return _relative(z, t1 - t2 + t3, t1, t2, t3)
-
-    def residual(self, q: QuasiOrthogonal, rc: RIICoefficients, z):
-        """The one-degree case of ``residuals`` (a float for a scalar z)."""
-        res = self.residuals((q,), (rc,), z)[0]
-        return res if np.ndim(z) else float(res)
 
 
 def leading_r2_system(m: RecurrenceCoeffs, kappa1: complex, n: int) -> R2System:

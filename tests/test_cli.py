@@ -86,6 +86,25 @@ class TestParser:
                                           "--then-s0star")]
     COMPLEX += [(c, o) for c in ("zeros", "verify") for o in ("--kappa", "--s0star")]
 
+    @pytest.mark.parametrize("literal", ["1e400+0i", "0-1e999i"])
+    @pytest.mark.parametrize("command, option", COMPLEX)
+    def test_overflowing_literal_is_a_usage_error(self, capsys, command, option, literal):
+        """A part past the double range is refused as the option's value (it
+        once reached the transform as inf and failed there as a bad s0)."""
+        argv = [command, "--family=chebyshev1", f"{option}={literal}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--n-list=5"] * (command == "zeros"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert f"argument {option}: complex literal {literal!r} overflows" in line
+        assert "Traceback" not in err
+
+    def test_largest_double_parses(self):
+        top = np.finfo(float).max
+        assert parse_complex("1.7976931348623157e308+0i") == complex(top, 0.0)
+        assert parse_complex("0-1.7976931348623157e308i") == complex(0.0, -top)
+
     @pytest.mark.parametrize("command, option", COMPLEX)
     def test_leading_minus_parses_in_the_equals_form(self, command, option):
         """After a space, argparse takes -0.4+0.3i for an option (exit 2, as
@@ -520,8 +539,8 @@ class TestVerify:
         null, and the first degree where one occurs."""
         residuals = rseq.R1System.residuals
 
-        def nan_from_degree_7(self, ns, z, coeffs=None):
-            res = residuals(self, ns, z, coeffs)
+        def nan_from_degree_7(self, ns, z):
+            res = residuals(self, ns, z)
             res[6:, 3] = np.nan
             return res
 

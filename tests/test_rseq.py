@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 import darbouxjac
 from darbouxjac import rseq
 from darbouxjac._quadrature import gauss_nodes
-from darbouxjac.cli import _suite_r2
+from darbouxjac.cli import _suite_r1, _suite_r2
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
 from darbouxjac.darboux import GeronimusChain, TransformPoint, cauchy_s0star, christoffel
 from darbouxjac.errors import (
     ConfigurationError,
+    DegeneracyError,
     ExistenceError,
     PoleError,
     PrefixError,
@@ -88,24 +89,22 @@ class TestR1:
     def test_residuals_conjugate_pair(self, cheb1):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
         for n in range(1, 41):
-            rc = sys1.coeffs(n)
             for z in ZS:
-                assert sys1.residual(n, z, rc) <= 1e-9
+                assert sys1.residual(n, z) <= 1e-9
 
     def test_residuals_mixed_point(self, cheb1):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(1 - 1j))
         for n in (1, 10, 25, 40):
-            rc = sys1.coeffs(n)
             for z in ZS:
-                assert sys1.residual(n, z, rc) <= 1e-9
+                assert sys1.residual(n, z) <= 1e-9
 
     def test_uniqueness_perturbation(self, cheb1):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j, s0star=1.0))
         n = 12
         rc = sys1.coeffs(n)
-        bumped = type(rc)(n=n, alpha=rc.alpha + 1e-6, beta=rc.beta)
-        worst = max(sys1.residual(n, z, bumped) for z in ZS[:10])
-        assert worst >= 1e-7
+        tilde_A, rho_n = -sys1.gero.ratio_seq[n], sys1.rho[n - 1]
+        res = rseq._ri_residuals(cheb1, np.array([n]), ZS[:10], tilde_A, rc.alpha + 1e-6, rc.beta, rho_n)
+        assert res.max() >= 1e-7
 
     def test_nevai_limits(self, cheb1):
         # alpha_n -> c + f(kappa2) + a/f(kappa1), beta_n -> -a/f(kappa1);
@@ -526,12 +525,12 @@ def test_cauchy_default_on_a_nevai_prefix():
 
 
 def old_suite_r2(m, kappa):
-    """cli._suite_r2 as it was, R2System on the full prefix."""
+    """cli._suite_r2 as a per-degree loop of R2System on the full prefix."""
     pair = GeronimusPairQuasi(m, np.conj(kappa))
     sys2 = R2System(m, kappa)
     qs = [pair.quasi(n) for n in range(1, 31)]
     rcs = [sys2.coeffs(q, n) for n, q in enumerate(qs, 1)]
-    res = sys2.residuals(qs, rcs, sample_points(20))
+    res = np.array([sys2.residual(q, rc, sample_points(20)) for q, rc in zip(qs, rcs)])
     worst = max(0.0, *map(float, res.max(axis=1)))
     return {"pass": worst <= 1e-9, "max_residual": worst}
 
@@ -666,25 +665,27 @@ def assert_r1_sweep_is_the_loop(sys1: R1System, degrees, zs):
     assert all(sys1.residual(n, zs[0]) == row[0] for n, row in zip(degrees, sweep))
 
 
-def assert_r2_sweep_is_the_loop(sys2: R2System, qs, rcs, zs):
-    sweep = sys2.residuals(qs, rcs, zs)
-    assert sweep.shape == (len(rcs), len(zs))
+def assert_r2_sweep_is_the_loop(sys2: R2System, degrees, tilde_C, tilde_D, zs):
+    sweep = sys2.residuals(degrees, zs, tilde_C, tilde_D)
+    assert sweep.shape == (len(degrees), len(zs))
+    qs = [QuasiOrthogonal(order=2, degree=n + 1, tilde_C=c, tilde_D=d)
+          for n, c, d in zip(degrees, tilde_C, tilde_D)]
+    rcs = [sys2.coeffs(q, n) for q, n in zip(qs, degrees)]
     for q, rc, row in zip(qs, rcs, sweep):
         assert np.array_equal(row, loop_r2(sys2, q, rc, zs)), rc.n
         assert np.array_equal(row, sys2.residual(q, rc, zs)), rc.n
-    single = sys2.residuals(qs, rcs, zs[0])
-    assert single.shape == (len(rcs),)
+    single = sys2.residuals(degrees, zs[0], tilde_C, tilde_D)
+    assert single.shape == (len(degrees),)
     assert np.array_equal(single, sweep[:, 0])
     assert all(sys2.residual(q, rc, zs[0]) == row[0] for q, rc, row in zip(qs, rcs, sweep))
 
 
 def pair_data(m, kappa: complex, degrees):
     """The CLI r2 suite's setup: kernel pair at kappa, Geronimus pair at its
-    conjugate, and the quasi-orthogonal data and coefficients per degree."""
+    conjugate, and the pair's order-2 data at each degree."""
     pair = GeronimusPairQuasi(m, np.conj(kappa))
-    sys2 = R2System(m, kappa)
-    qs = [pair.quasi(n) for n in degrees]
-    return sys2, qs, [sys2.coeffs(q, n) for q, n in zip(qs, degrees)]
+    ns = np.array(degrees, dtype=int)
+    return R2System(m, kappa), degrees, pair.tilde_C[ns], pair.tilde_D[ns]
 
 
 # 1 to 6 points in sample_points' annulus, 1.5 <= |z| <= 3 with |Im z| >= 0.5
@@ -726,7 +727,7 @@ class TestSweeps:
     def test_empty_degree_list(self, cheb1):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
         assert sys1.residuals([], ZS).shape == (0, len(ZS))
-        assert R2System(cheb1, 1j).residuals([], [], ZS).shape == (0, len(ZS))
+        assert R2System(cheb1, 1j).residuals([], ZS, [], []).shape == (0, len(ZS))
 
     def test_r1_top_degree_and_one_past_it(self):
         m = family_coeffs("chebyshev4", 24)
@@ -737,7 +738,7 @@ class TestSweeps:
             with pytest.raises(PrefixError, match=f"n={top + 1}"):
                 sys1.residuals(degrees, ZS)
         with pytest.raises(PrefixError, match=f"n={top + 1}"):
-            sys1.residual(top + 1, ZS, sys1.coeffs(top))
+            sys1.residual(top + 1, ZS)
 
     def test_r2_top_degree_and_one_past_it(self):
         m = family_coeffs("chebyshev2", 24)
@@ -748,12 +749,14 @@ class TestSweeps:
             return QuasiOrthogonal(order=2, degree=n + 1, tilde_C=0.2 - 0.1j, tilde_D=0.3 + 0.05j)
 
         q = quasi(top)
-        assert_r2_sweep_is_the_loop(sys2, [q], [sys2.coeffs(q, top)], ZS[:5])
+        assert_r2_sweep_is_the_loop(sys2, [top], [q.tilde_C], [q.tilde_D], ZS[:5])
         with pytest.raises(PrefixError, match=f"n={top + 1}"):
             sys2.coeffs(quasi(top + 1), top + 1)
         past = RIICoefficients(n=top + 1, rho=1.5, gamma=0.1, upsilon=0.5)
         with pytest.raises(PrefixError, match=f"n={top + 1}"):
-            sys2.residuals([quasi(top + 1)], [past], ZS)
+            sys2.residual(quasi(top + 1), past, ZS)
+        with pytest.raises(PrefixError, match=f"n={top + 1}"):
+            sys2.residuals([top, top + 1], ZS, [q.tilde_C] * 2, [q.tilde_D] * 2)
 
     @pytest.mark.parametrize("n", [0, -1, -5])
     def test_degrees_below_one_raise_configuration_error(self, cheb1, n):
@@ -767,7 +770,9 @@ class TestSweeps:
             sys2.coeffs(q, n)
         bad = RIICoefficients(n=n, rho=1.5, gamma=0.1, upsilon=0.5)
         with pytest.raises(ConfigurationError, match=f"n={n}"):
-            sys2.residuals([q], [bad], ZS)
+            sys2.residual(q, bad, ZS)
+        with pytest.raises(ConfigurationError, match=f"n={n}"):
+            sys2.residuals([2, n], ZS, [0.1] * 2, [0.2] * 2)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_r1_general_below_degree_one(self, cheb1, n):
@@ -788,5 +793,94 @@ class TestSweeps:
     def test_scalar_point_gives_a_float(self, cheb1):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
         assert type(sys1.residual(5, ZS[3])) is float
-        sys2, (q,), (rc,) = pair_data(cheb1, 1j, [5])
-        assert type(sys2.residual(q, rc, ZS[3])) is float
+        sys2, q = R2System(cheb1, 1j), GeronimusPairQuasi(cheb1, -1j).quasi(5)
+        assert type(sys2.residual(q, sys2.coeffs(q, 5), ZS[3])) is float
+
+
+# ---------------------------------------------------------------------------
+# one coefficient formula per relation
+# ---------------------------------------------------------------------------
+
+def same(a, b) -> bool:
+    return np.complex128(a).tobytes() == np.complex128(b).tobytes()
+
+
+def scalar_r2(sys2: R2System, pair: GeronimusPairQuasi, n: int):
+    """The pair's order-2 data and the R_II coefficients at degree n, in
+    complex scalars: the rounding of numpy's unfused scalar product."""
+    rho, kernel_rho, m = sys2.rho, sys2.kernel_rho, sys2.m
+    tilde_C, tilde_D = pair.A[n + 1] + pair.Ap[n + 1], pair.Ap[n + 1] * pair.A[n]
+    upsilon = (m.lam_n(n + 1) - tilde_D) / (kernel_rho[n - 1] * rho[n - 1] - m.lam_n(n + 1))
+    gamma = (1 + upsilon) * m.c_n(n + 1) + upsilon * (rho[n] + kernel_rho[n - 1]) - tilde_C
+    return tilde_C, tilde_D, 1 + upsilon, gamma, upsilon
+
+
+@PROPERTY
+@given(prefixes, kappas(), st.lists(st.integers(1, N_MAX - 5), min_size=1, max_size=8),
+       st.floats(0.5, 2.0))
+@example(family_coeffs("chebyshev1", N_MAX), 0.3 + 0.5j, [12, 1, 30, 12, 2, 1], 1.0)
+def test_one_degree_coeffs_are_the_sweep_entries(m, kappa, degrees, s0):
+    """Presets and Nevai prefixes, degrees unsorted and repeated: the
+    one-degree ``coeffs`` are the entries of the array formula the sweeps
+    read, and the pair's order-2 arrays are its quasi data, bit for bit; the
+    R_II values are the scalar formula's."""
+    # s0star in the half-plane opposite conj kappa, the Geronimus site
+    s0star = complex(0.0, math.copysign(s0, kappa.imag))
+    sys1 = R1System(m, TransformPoint(kappa), TransformPoint(np.conj(kappa), s0star=s0star))
+    pair, sys2 = GeronimusPairQuasi(m, np.conj(kappa)), R2System(m, kappa)
+    ns = np.array(degrees)
+    _, alpha, beta, _ = sys1._coeff_arrays(ns)
+    sweep = sys2._coeff_arrays(ns, pair.tilde_C[ns], pair.tilde_D[ns])
+    for i, n in enumerate(degrees):
+        rc1, q = sys1.coeffs(n), pair.quasi(n)
+        assert same(rc1.alpha, alpha[i]) and same(rc1.beta, beta[i]), n
+        rc2 = sys2.coeffs(q, n)
+        got = (q.tilde_C, q.tilde_D, rc2.rho, rc2.gamma, rc2.upsilon)
+        for a, b, c in zip(got, (pair.tilde_C[n], pair.tilde_D[n], *(x[i] for x in sweep)),
+                           scalar_r2(sys2, pair, n)):
+            assert same(a, b) and same(a, c), n
+
+
+def test_checks_build_no_records(cheb1, monkeypatch):
+    """The R_I and R_II sweeps and both suites construct no per-degree record."""
+    made = []
+    for cls in (rseq.RICoefficients, rseq.RIICoefficients, QuasiOrthogonal):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    sys1 = R1System(cheb1, TransformPoint(0.3 + 0.5j), TransformPoint(0.3 - 0.5j))
+    pair, sys2 = GeronimusPairQuasi(cheb1, 0.3 - 0.5j), R2System(cheb1, 0.3 + 0.5j)
+    ns = np.arange(1, 31)
+    sys1.residuals(ns, ZS)
+    sys2.residuals(ns, ZS, pair.tilde_C[ns], pair.tilde_D[ns])
+    assert _suite_r1(cheb1, 0.3 + 0.5j, None)["pass"]
+    assert _suite_r2(cheb1, 0.3 + 0.5j, None)["pass"]
+    assert made == []
+    sys1.coeffs(3)  # the one-degree calls still return records
+    sys2.coeffs(pair.quasi(3), 3)
+    assert made == ["RICoefficients", "QuasiOrthogonal", "RIICoefficients"]
+
+
+def test_degeneracy_names_the_first_degenerate_degree_in_list_order(cheb2, monkeypatch):
+    """A kernel ratio that zeroes the R_II denominator at degrees 5 and 12:
+    the sweep names whichever comes first in its list, with the one-degree
+    message, and the degrees between are unaffected."""
+    pair, sys2 = GeronimusPairQuasi(cheb2, 0.3 - 0.5j), R2System(cheb2, 0.3 + 0.5j)
+    kernel_rho = sys2.kernel_rho.copy()
+    for n in (5, 12):
+        kernel_rho[n - 1] = cheb2.lam[n - 1] / sys2.rho[n - 1]
+    monkeypatch.setattr(sys2, "kernel_rho", kernel_rho)
+
+    def sweep(degrees):
+        ns = np.array(degrees)
+        return sys2.residuals(ns, ZS, pair.tilde_C[ns], pair.tilde_D[ns])
+
+    for degrees, n in (([12, 3, 5], 12), ([3, 5, 12], 5), ([1, 12, 2, 5], 12)):
+        with pytest.raises(DegeneracyError) as err:
+            sweep(degrees)
+        assert str(err.value) == f"R_II denominator within tolerance of lambda_{n + 1} at n={n}"
+        with pytest.raises(DegeneracyError, match=f"^{err.value}$"):
+            sys2.coeffs(pair.quasi(n), n)
+    assert np.max(sweep([3, 4, 6, 11, 13])) <= 1e-9
