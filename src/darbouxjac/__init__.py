@@ -49,15 +49,7 @@ from .factorization import (
     ul_factor,
 )
 from .polyeval import RatioSequence, eval_P, eval_Q, eval_R, ratio_sequence
-from .rseq import (
-    QuasiOrthogonal,
-    RICoefficients,
-    RIICoefficients,
-    r1_general,
-    r2_coeffs,
-    rational_eval,
-    varying_measure_polys,
-)
+from .rseq import r1_general, r2_coeffs, rational_eval, varying_measure_polys
 from .spectral import (
     NevaiDiagnostics,
     ZeroCloud,

@@ -251,7 +251,7 @@ def _suite_r2(m, kappa, s0star):
     kappa = complex(kappa).conjugate() if kappa.imag < 0 else complex(kappa)
     pair = rseq.GeronimusPairQuasi(m, kappa.conjugate())  # its Cauchy value reads the tail
     sys2, z = rseq.leading_r2_system(m, kappa, ns[-1]), rseq.sample_points(20)
-    return _residual_entry(ns, sys2.residuals(ns, z, pair.tilde_C[ns], pair.tilde_D[ns]), sys2.m, z)
+    return _residual_entry(ns, sys2.residuals(ns, z, *pair.quasi(ns)), sys2.m, z)
 
 
 def _leading_gap(J, S) -> float:

@@ -13,10 +13,11 @@ kappa_1, kappa_2, ... produces polynomials orthogonal to varying measures
 dmu / prod |t - kappa_j|^2, whose diagonal satisfies an R_II recurrence and
 whose quotients by prod (t - kappa_j) are orthogonal rational functions.
 
-Each relation's coefficients are one formula on arrays over a degree list,
-read whole by ``R1System.residuals`` and ``R2System.residuals`` and at one entry
-by ``coeffs``.  A sweep is one run of polyeval's evaluator over the sample
-points (plus one for the R_II kernel), tapped at each degree.
+Each relation's coefficients are one formula on arrays over a degree list
+(any order, repeats allowed): ``coeffs`` returns them and ``residuals`` checks
+them, in one run of polyeval's evaluator over the sample points (plus one for
+the R_II kernel), tapped at each degree.  ``r1_general`` and ``r2_coeffs`` are
+the one-degree case, verified at sample points.
 """
 from __future__ import annotations
 
@@ -33,9 +34,6 @@ from .errors import (ConfigurationError, DegeneracyError, PoleError, PrefixError
 from .polyeval import _scaled_run, eval_P, ratio_sequence
 
 __all__ = [
-    "QuasiOrthogonal",
-    "RICoefficients",
-    "RIICoefficients",
     "VaryingMeasureResult",
     "sample_points",
     "r1_general",
@@ -49,47 +47,6 @@ __all__ = [
 ]
 
 _CHECK_TOL = 1e-8
-
-
-class QuasiOrthogonal(Record):
-    """Quasi-orthogonal polynomial data of order 1 or 2, degree n+1.
-
-    Order 1: T_{n+1} = P_{n+1} + tilde_A P_n.
-    Order 2: S_{n+1} = P_{n+1} + tilde_C P_n + tilde_D P_{n-1}.
-    """
-
-    order: int
-    degree: int
-    tilde_A: complex | None = None
-    tilde_C: complex | None = None
-    tilde_D: complex | None = None
-
-    def __post_init__(self):
-        if self.order == 1:
-            if self.tilde_A is None or self.tilde_C is not None or self.tilde_D is not None:
-                raise ConfigurationError("order-1 record carries exactly tilde_A")
-        elif self.order == 2:
-            if self.tilde_A is not None or self.tilde_C is None or self.tilde_D is None:
-                raise ConfigurationError("order-2 record carries exactly tilde_C, tilde_D")
-        else:
-            raise ConfigurationError("quasi-orthogonal order must be 1 or 2")
-
-
-class RICoefficients(Record):
-    n: int
-    alpha: complex
-    beta: complex
-
-
-class RIICoefficients(Record):
-    n: int
-    rho: complex
-    gamma: complex
-    upsilon: complex
-
-    def __post_init__(self):
-        if self.rho != 1 + self.upsilon:
-            raise ConfigurationError("rho must equal 1 + upsilon by construction")
 
 
 def sample_points(count: int) -> np.ndarray:
@@ -124,6 +81,15 @@ def _degrees(what: str, n_list, n_max: int, reads: int = 3) -> np.ndarray:
         if (need := n + reads) > n_max:
             raise PrefixError(f"{what} coefficients at n={n} need a prefix of length >= {need}")
     return ns
+
+
+def _per_degree(ns: np.ndarray, **data) -> None:
+    """ConfigurationError for order-2 data that is neither a scalar (for every
+    degree) nor one entry per degree of ns."""
+    for name, x in data.items():
+        if np.ndim(x) and np.shape(x) != ns.shape:
+            raise ConfigurationError(
+                f"{name} has shape {np.shape(x)} for a degree list of length {len(ns)}")
 
 
 def _verified(what: str, res: np.ndarray, n: int, zs: np.ndarray) -> None:
@@ -209,9 +175,10 @@ class R1System:
         tilde_A, rho_n = -self.gero.ratio_seq[ns], self.rho[ns - 1]
         return (tilde_A, *_ri_coeffs(self.m, ns, rho_n, tilde_A), rho_n)
 
-    def coeffs(self, n: int) -> RICoefficients:
-        _, (alpha,), (beta,), _ = self._coeff_arrays(_degrees("R_I", [n], self.m.n_max))
-        return RICoefficients(n=n, alpha=alpha, beta=beta)
+    def coeffs(self, n_list):
+        """(alpha, beta): arrays with one entry per degree of n_list (any order,
+        repeats allowed)."""
+        return self._coeff_arrays(_degrees("R_I", n_list, self.m.n_max))[1:3]
 
     def residuals(self, n_list, z):
         """Relative residuals (scale = max term magnitude) for each degree of
@@ -220,28 +187,17 @@ class R1System:
         ns = _degrees("R_I", n_list, self.m.n_max)
         return _ri_residuals(self.m, ns, z, *_columns(*self._coeff_arrays(ns)))
 
-    def residual(self, n: int, z):
-        """The one-degree case of ``residuals`` (a float for a scalar z)."""
-        res = self.residuals((n,), z)[0]
-        return res if np.ndim(z) else float(res)
 
-
-def r1_general(
-    m: RecurrenceCoeffs, k1: TransformPoint, q: QuasiOrthogonal, n: int
-) -> RICoefficients:
+def r1_general(m: RecurrenceCoeffs, k1: TransformPoint, tilde_A: complex, n: int):
     """Unique (alpha_n, beta_n) for an arbitrary order-1 quasi-orthogonal
     T_{n+1} = P_{n+1} + tilde_A P_n; verified at n+2 sample points."""
-    if q.order != 1:
-        raise ConfigurationError("r1_general needs an order-1 quasi-orthogonal record")
-    if q.degree != n + 1:
-        raise ConfigurationError(f"quasi-orthogonal degree {q.degree} != n+1 = {n + 1}")
     _degrees("R_I", [n], m.n_max, reads=1)
     rho_n = ratio_sequence(m, k1.kappa, "P", n_terms=n).values[n - 1]
-    alpha, beta = _ri_coeffs(m, n, rho_n, q.tilde_A)
+    alpha, beta = _ri_coeffs(m, n, rho_n, tilde_A)
     zs = sample_points(n + 2)
-    res = _ri_residuals(m, np.array([n]), zs, q.tilde_A, alpha, beta, rho_n)[0]
+    res = _ri_residuals(m, np.array([n]), zs, tilde_A, alpha, beta, rho_n)[0]
     _verified("R_I", res, n, zs)
-    return RICoefficients(n=n, alpha=alpha, beta=beta)
+    return alpha, beta
 
 
 def r2_prefix_length(n: int) -> int:
@@ -258,7 +214,8 @@ class GeronimusPairQuasi:
 
     where A_n = -R_n/R_{n-1} (A_0 = 0) is the A-sequence of the first step (at
     kappa, Cauchy s0star) and A' that of the second (at conj kappa, Cauchy s0starstar).
-    The arrays ``tilde_C`` and ``tilde_D``, built once, hold those two coefficients.
+    The arrays ``tilde_C`` and ``tilde_D``, built once, hold those two
+    coefficients; ``quasi`` reads them over a degree list.
 
     The second step reads A', s0starstar and its breakdown test off the backward
     run alone; its coefficients, ``coeffs``, are built on first read.
@@ -289,19 +246,21 @@ class GeronimusPairQuasi:
         c_new, lam_new, s0star, _ = _geronimus_step(c, lam, self.s0star, site, ts=ts)
         return RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0star)
 
-    def quasi(self, n: int) -> QuasiOrthogonal:
-        if n < 0:
-            raise PrefixError(f"the conjugate pair has no quasi-orthogonal data at n={n} < 0")
-        if (need := r2_prefix_length(n)) > len(self.Ap) + 2:  # A' is 2 shorter than the base
-            raise PrefixError(f"the conjugate pair at n={n} needs a prefix of length >= {need}")
-        return QuasiOrthogonal(
-            order=2, degree=n + 1, tilde_C=self.tilde_C[n], tilde_D=self.tilde_D[n]
-        )
+    def quasi(self, n_list):
+        """(tilde_C, tilde_D): arrays with one entry per degree of n_list (any
+        order, repeats allowed), each degree checked in list order."""
+        ns = np.array(n_list, dtype=int).reshape(-1)
+        for n in ns.tolist():
+            if n < 0:
+                raise PrefixError(f"the conjugate pair has no quasi-orthogonal data at n={n} < 0")
+            if (need := r2_prefix_length(n)) > len(self.Ap) + 2:  # A' is 2 shorter than the base
+                raise PrefixError(f"the conjugate pair at n={n} needs a prefix of length >= {need}")
+        return self.tilde_C[ns], self.tilde_D[ns]
 
 
 class R2System:
     """Precomputed data for the R_II relation at a conjugate kernel pair
-    (kappa1, conj kappa1); ``_coeff_arrays`` is its formula."""
+    (kappa1, conj kappa1); ``coeffs`` is its formula."""
 
     def __init__(self, m: RecurrenceCoeffs, kappa1: complex):
         kappa1 = complex(kappa1)
@@ -313,10 +272,13 @@ class R2System:
         self.tc2 = christoffel(self.tc1.coeffs, TransformPoint(self.kappa1_bar))
         self.rho, self.kernel_rho = self.tc1.ratio_seq, self.tc2.ratio_seq
 
-    def _coeff_arrays(self, ns: np.ndarray, tilde_C, tilde_D):
-        """rho_n, gamma_n, upsilon_n at the checked degrees ns, in their order, for
-        order-2 data tilde_C, tilde_D; DegeneracyError at the first one whose
+    def coeffs(self, n_list, tilde_C, tilde_D):
+        """(rho, gamma, upsilon): arrays with one entry per degree of n_list (any
+        order, repeats allowed), for order-2 data tilde_C, tilde_D (one entry per
+        degree, or a scalar for all); DegeneracyError at the first degree whose
         denominator vanishes."""
+        ns = _degrees("R_II", n_list, self.m.n_max)
+        _per_degree(ns, tilde_C=tilde_C, tilde_D=tilde_D)
         lam_next, kernel_rho = self.m.lam[ns - 1], self.kernel_rho[ns - 1]
         den = _mul(kernel_rho, self.rho[ns - 1]) - lam_next
         bad = np.flatnonzero(np.abs(den) <= 1e-12 * np.abs(lam_next))
@@ -328,42 +290,26 @@ class R2System:
         gamma = _mul(rho_n, self.m.c[ns]) + _mul(upsilon, self.rho[ns] + kernel_rho) - tilde_C
         return rho_n, gamma, upsilon
 
-    def coeffs(self, q: QuasiOrthogonal, n: int) -> RIICoefficients:
-        if q.order != 2:
-            raise ConfigurationError("R_II needs an order-2 quasi-orthogonal record")
-        if q.degree != n + 1:
-            raise ConfigurationError(f"quasi-orthogonal degree {q.degree} != n+1 = {n + 1}")
-        ns = _degrees("R_II", [n], self.m.n_max)
-        (rho_n,), (gamma,), (upsilon,) = self._coeff_arrays(ns, q.tilde_C, q.tilde_D)
-        return RIICoefficients(n=n, rho=rho_n, gamma=gamma, upsilon=upsilon)
-
     def residuals(self, n_list, z, tilde_C, tilde_D):
         """Relative residuals (scale = max term magnitude) for each degree of
-        n_list (rows; any order, repeats allowed) with its order-2 data (one entry
-        of tilde_C, tilde_D) at each z (columns; a scalar z gives one per degree)."""
+        n_list (rows) with its ``coeffs`` at each z (columns; a scalar z gives one
+        per degree): one evaluator run for P_n over the degrees, one for the
+        kernel P**_{n-1}."""
         ns = _degrees("R_II", n_list, self.m.n_max)
-        return self._residuals(ns, z, tilde_C, tilde_D, *self._coeff_arrays(ns, tilde_C, tilde_D))
-
-    def residual(self, q: QuasiOrthogonal, rc: RIICoefficients, z):
-        """The residual of degree rc.n with given coefficients (a float for a scalar z)."""
-        ns = _degrees("R_II", [rc.n], self.m.n_max)
-        res = self._residuals(ns, z, q.tilde_C, q.tilde_D, rc.rho, rc.gamma, rc.upsilon)[0]
-        return res if np.ndim(z) else float(res)
-
-    @np.errstate(over="ignore", invalid="ignore")  # past the double range: a NaN residual
-    def _residuals(self, ns, z, tilde_C, tilde_D, rho_n, gamma, upsilon):
-        """One evaluator run for P_n over the degrees, one for the kernel P**_{n-1}."""
-        tilde_C, tilde_D, rho_n, gamma, upsilon = _columns(tilde_C, tilde_D, rho_n, gamma, upsilon)
+        coeffs = self.coeffs(ns, tilde_C, tilde_D)
+        tilde_C, tilde_D, rho_n, gamma, upsilon = _columns(tilde_C, tilde_D, *coeffs)
         points = np.atleast_1d(np.asarray(z, dtype=complex))
-        zs, p_nm1, p_n, log_scale, p_np1 = _degree_runs(self.m, ns, points)
-        kernel, kernel_scale = np.ones_like(p_n), np.zeros(p_n.shape)  # degree 0 at n = 1
-        if (up := ns > 1).any():
-            kernel[up], kernel_scale[up] = _degree_runs(self.tc2.coeffs, ns[up] - 1, points)[2:4]
-        t1 = p_np1 + tilde_C * p_n + tilde_D * p_nm1
-        t2 = (rho_n * zs - gamma) * p_n
-        t3 = upsilon * (zs - self.kappa1) * (zs - self.kappa1_bar) * kernel
-        t3 = t3 * np.exp(kernel_scale - log_scale)
-        return _relative(z, t1 - t2 + t3, t1, t2, t3)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the double range: a NaN residual
+            zs, p_nm1, p_n, log_scale, p_np1 = _degree_runs(self.m, ns, points)
+            kernel, kernel_scale = np.ones_like(p_n), np.zeros(p_n.shape)  # degree 0 at n = 1
+            if (up := ns > 1).any():
+                kernel_runs = _degree_runs(self.tc2.coeffs, ns[up] - 1, points)
+                kernel[up], kernel_scale[up] = kernel_runs[2:4]
+            t1 = p_np1 + tilde_C * p_n + tilde_D * p_nm1
+            t2 = (rho_n * zs - gamma) * p_n
+            t3 = upsilon * (zs - self.kappa1) * (zs - self.kappa1_bar) * kernel
+            t3 = t3 * np.exp(kernel_scale - log_scale)
+            return _relative(z, t1 - t2 + t3, t1, t2, t3)
 
 
 def leading_r2_system(m: RecurrenceCoeffs, kappa1: complex, n: int) -> R2System:
@@ -373,10 +319,10 @@ def leading_r2_system(m: RecurrenceCoeffs, kappa1: complex, n: int) -> R2System:
     return R2System(m.truncated(min(m.n_max, max(r2_prefix_length(n), 6))), kappa1)
 
 
-def r2_coeffs(
-    m: RecurrenceCoeffs, k1: TransformPoint, q: QuasiOrthogonal, n: int
-) -> RIICoefficients:
-    """rho_n, gamma_n, upsilon_n of the R_II relation at k1 and k2 = conj(k1)
+def r2_coeffs(m: RecurrenceCoeffs, k1: TransformPoint, tilde_C: complex, tilde_D: complex,
+              n: int):
+    """(rho_n, gamma_n, upsilon_n) of the R_II relation at k1 and k2 = conj(k1)
+    for S_{n+1} = P_{n+1} + tilde_C P_n + tilde_D P_{n-1}:
 
     S_{n+1}(z) - (rho_n z - gamma_n) P_n(z)
         + upsilon_n (z - k1)(z - k2) P**_{n-1}(k1, k2, z) = 0,
@@ -385,25 +331,26 @@ def r2_coeffs(
     rho_n = 1 + upsilon_n; verified at n+3 sample points.
     """
     sys = leading_r2_system(m, k1.kappa, n)
-    rc = sys.coeffs(q, n)
+    (rho_n,), (gamma,), (upsilon,) = sys.coeffs([n], tilde_C, tilde_D)
     zs = sample_points(n + 3)
-    _verified("R_II", sys.residual(q, rc, zs), n, zs)
-    return rc
+    _verified("R_II", sys.residuals([n], zs, tilde_C, tilde_D)[0], n, zs)
+    return rho_n, gamma, upsilon
 
 
 class VaryingMeasureResult(Record):
     """Output of iterated conjugate-pair Geronimus steps.
 
     ``step_prefixes[k]`` is the OPS prefix of dmu / prod_{j<=k} |t-kappa_j|^2
-    (k = 0 is the base), ``coeffs`` the final prefix; ``rii[j-1]`` holds the
-    R_II coefficients linking P_{j+1}, P_j, P_{j-1} of consecutive measures,
-    with the verified relative residual alongside.
+    (k = 0 is the base), ``coeffs`` the final prefix; row j-1 of the complex
+    array ``rii`` holds the R_II coefficients (rho, gamma, upsilon) linking
+    P_{j+1}, P_j, P_{j-1} of consecutive measures, with the verified relative
+    residual alongside.
     """
 
     kappas: tuple[complex, ...]
     coeffs: RecurrenceCoeffs
     step_prefixes: tuple[RecurrenceCoeffs, ...]
-    rii: tuple[RIICoefficients, ...]
+    rii: np.ndarray
     rii_residuals: tuple[float, ...]
 
 
@@ -457,21 +404,22 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
             _quad_crosscheck(m, applied, s0star)
         pairs.append(pair)
         prefixes.append(pair.coeffs)
-    rii, residuals, zs = [], [], sample_points(8)
-    for j in range(1, len(kappas)):
+    rii, residuals, zs = np.zeros((max(count - 1, 0), 3), dtype=complex), [], sample_points(8)
+    for j in range(1, count):
         sigma, kap = prefixes[j], kappas[j - 1]
         # pairs[j] is the Geronimus pair at kappa_{j+1} applied to sigma
-        rc = leading_r2_system(sigma, kap, j).coeffs(pairs[j].quasi(j), j)
+        rii[j - 1] = np.ravel(leading_r2_system(sigma, kap, j).coeffs([j], *pairs[j].quasi([j])))
+        rho_n, gamma, upsilon = rii[j - 1]
         t1 = eval_P(prefixes[j + 1], j + 1, zs)
-        t2 = (rc.rho * zs - rc.gamma) * eval_P(sigma, j, zs)
-        t3 = rc.upsilon * (zs - kap) * (zs - np.conj(kap)) * eval_P(prefixes[j - 1], j - 1, zs)
-        rii.append(rc)
+        t2 = (rho_n * zs - gamma) * eval_P(sigma, j, zs)
+        t3 = upsilon * (zs - kap) * (zs - np.conj(kap)) * eval_P(prefixes[j - 1], j - 1, zs)
         residuals.append(float(np.max(_relative(zs, t1 - t2 + t3, t1, t2, t3))))
+    rii.setflags(write=False)
     return VaryingMeasureResult(
         kappas=tuple(kappas),
         coeffs=prefixes[-1],
         step_prefixes=tuple(prefixes),
-        rii=tuple(rii),
+        rii=rii,
         rii_residuals=tuple(residuals),
     )
 

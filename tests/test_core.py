@@ -22,7 +22,7 @@ from darbouxjac.darboux import TransformedCoeffs, TransformPoint, christoffel, g
 from darbouxjac.errors import ConfigurationError, PrefixError, QuasiDefinitenessError
 from darbouxjac.factorization import LowerFactor, UpperFactor
 from darbouxjac.polyeval import RatioSequence
-from darbouxjac.rseq import QuasiOrthogonal, RICoefficients, RIICoefficients, VaryingMeasureResult
+from darbouxjac.rseq import VaryingMeasureResult
 from darbouxjac.spectral import (
     DynamicsReport,
     MIdentityReport,
@@ -221,7 +221,6 @@ def test_family_support():
 # ---------------------------------------------------------------------------
 
 _M = RecurrenceCoeffs(c=[0.1, 0.2, 0.3], lam=[0.25, 0.5])
-_RII = RIICoefficients(3, 1.5 + 0j, 2j, 0.5 + 0j)
 
 # record: (field names in order, sample values for a leading run of them,
 # the class-level defaults)
@@ -250,16 +249,9 @@ RECORDS = {
         {},
     ),
     RatioSequence: (("z", "which", "start", "values"), (0.5j, "P", 1, [1.0, 2.0j]), {}),
-    QuasiOrthogonal: (
-        ("order", "degree", "tilde_A", "tilde_C", "tilde_D"),
-        (1, 4, 0.5 + 0j),
-        {"tilde_A": None, "tilde_C": None, "tilde_D": None},
-    ),
-    RICoefficients: (("n", "alpha", "beta"), (3, 1 + 0j, 2j), {}),
-    RIICoefficients: (("n", "rho", "gamma", "upsilon"), (3, 1.5 + 0j, 2j, 0.5 + 0j), {}),
     VaryingMeasureResult: (
         ("kappas", "coeffs", "step_prefixes", "rii", "rii_residuals"),
-        ((1j,), _M, (_M, _M), (_RII,), (1e-15,)),
+        ((1j,), _M, (_M, _M), np.array([[1.5 + 0j, 2j, 0.5 + 0j]]), (1e-15,)),
         {},
     ),
     ZeroCloud: (
@@ -398,8 +390,6 @@ def test_prefix_records_compare_and_hash_by_identity(make):
         (lambda: Family("hermite"), ConfigurationError, "unknown family kind 'hermite'"),
         (lambda: SymmetricJacobi([0.0], [0.5]), ConfigurationError, "one entry shorter"),
         (lambda: TransformPoint(0.5), ConfigurationError, "is real"),
-        (lambda: QuasiOrthogonal(3, 4), ConfigurationError, "order must be 1 or 2"),
-        (lambda: RIICoefficients(3, 2 + 0j, 0j, 0.5 + 0j), ConfigurationError, "1 \\+ upsilon"),
         (lambda: ZeroCloud(3, [0.1j], 0.1), ConfigurationError, "zero count"),
         (lambda: replace(_M, lam=[0.25]), ConfigurationError, "inconsistent prefix lengths"),
         (lambda: replace(TransformPoint(1j), kappa=0.5), ConfigurationError, "is real"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import darbouxjac
 from darbouxjac import rseq
 from darbouxjac._quadrature import gauss_nodes
-from darbouxjac.cli import _suite_r1, _suite_r2
+from darbouxjac.cli import _suite_r2
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
 from darbouxjac.darboux import GeronimusChain, TransformPoint, cauchy_s0star, christoffel
 from darbouxjac.errors import (
@@ -23,10 +23,8 @@ from darbouxjac.errors import (
 from darbouxjac.polyeval import _scaled_run, eval_P
 from darbouxjac.rseq import (
     GeronimusPairQuasi,
-    QuasiOrthogonal,
     R1System,
     R2System,
-    RIICoefficients,
     r1_general,
     r2_coeffs,
     rational_eval,
@@ -83,27 +81,24 @@ class TestSamplePoints:
 
 class TestR1:
     def test_beta1(self, cheb1):
-        rc = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j, s0star=1.0)).coeffs(1)
-        assert abs(rc.beta - 0.5j) < 1e-14
+        sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j, s0star=1.0))
+        _, (beta,) = sys1.coeffs([1])
+        assert abs(beta - 0.5j) < 1e-14
 
     def test_residuals_conjugate_pair(self, cheb1):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
-        for n in range(1, 41):
-            for z in ZS:
-                assert sys1.residual(n, z) <= 1e-9
+        assert np.all(sys1.residuals(range(1, 41), ZS) <= 1e-9)
 
     def test_residuals_mixed_point(self, cheb1):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(1 - 1j))
-        for n in (1, 10, 25, 40):
-            for z in ZS:
-                assert sys1.residual(n, z) <= 1e-9
+        assert np.all(sys1.residuals([1, 10, 25, 40], ZS) <= 1e-9)
 
     def test_uniqueness_perturbation(self, cheb1):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j, s0star=1.0))
         n = 12
-        rc = sys1.coeffs(n)
+        (alpha,), (beta,) = sys1.coeffs([n])
         tilde_A, rho_n = -sys1.gero.ratio_seq[n], sys1.rho[n - 1]
-        res = rseq._ri_residuals(cheb1, np.array([n]), ZS[:10], tilde_A, rc.alpha + 1e-6, rc.beta, rho_n)
+        res = rseq._ri_residuals(cheb1, np.array([n]), ZS[:10], tilde_A, alpha + 1e-6, beta, rho_n)
         assert res.max() >= 1e-7
 
     def test_nevai_limits(self, cheb1):
@@ -116,96 +111,72 @@ class TestR1:
         a, c = 0.25, 0.0
         alpha_lim = c + ratio_limit_f(a, c, k2) + a / ratio_limit_f(a, c, k1)
         beta_lim = -a / ratio_limit_f(a, c, k1)
-        c150, c200 = sys1.coeffs(150), sys1.coeffs(200)
-        assert abs(c200.alpha - c150.alpha) < 1e-6
-        assert abs(c200.beta - c150.beta) < 1e-6
-        assert abs(c200.alpha - alpha_lim) < 1e-8
-        assert abs(c200.beta - beta_lim) < 1e-8
+        (alpha150, alpha200), (beta150, beta200) = sys1.coeffs([150, 200])
+        assert abs(alpha200 - alpha150) < 1e-6
+        assert abs(beta200 - beta150) < 1e-6
+        assert abs(alpha200 - alpha_lim) < 1e-8
+        assert abs(beta200 - beta_lim) < 1e-8
 
     def test_general_reduces_to_geronimus_choice(self, cheb1):
         k1 = TransformPoint(1j)
         k2 = TransformPoint(-1j, s0star=1.0)
         sys1 = R1System(cheb1, k1, k2)
-        for n in (1, 5, 17):
-            rc = sys1.coeffs(n)
-            tilde_A = -sys1.gero.ratio_seq[n]
-            gen = r1_general(cheb1, k1, QuasiOrthogonal(order=1, degree=n + 1, tilde_A=tilde_A), n)
-            assert abs(gen.alpha - rc.alpha) < 1e-12
-            assert abs(gen.beta - rc.beta) < 1e-12
+        ns = [1, 5, 17]
+        for n, alpha, beta in zip(ns, *sys1.coeffs(ns)):
+            gen_alpha, gen_beta = r1_general(cheb1, k1, -sys1.gero.ratio_seq[n], n)
+            assert abs(gen_alpha - alpha) < 1e-12
+            assert abs(gen_beta - beta) < 1e-12
 
     def test_general_zero_tilde(self, cheb1):
         # tilde_A = 0 means T_{n+1} = P_{n+1}: the relation still closes
-        rc = r1_general(cheb1, TransformPoint(1j), QuasiOrthogonal(order=1, degree=9, tilde_A=0.0), 8)
-        assert rc.beta != 0
+        _, beta = r1_general(cheb1, TransformPoint(1j), 0.0, 8)
+        assert beta != 0
 
     def test_general_random_tilde(self, cheb1):
         rng = np.random.default_rng(11)
         for n in (3, 9, 21):
             tilde = complex(rng.normal(), rng.normal())
-            r1_general(
-                cheb1, TransformPoint(1j), QuasiOrthogonal(order=1, degree=n + 1, tilde_A=tilde), n
-            )  # internal n+2-point verification must pass
-
-    def test_quasi_orthogonal_validation(self):
-        with pytest.raises(ConfigurationError):
-            QuasiOrthogonal(order=1, degree=3, tilde_C=1.0, tilde_D=1.0)
-        with pytest.raises(ConfigurationError):
-            QuasiOrthogonal(order=2, degree=3, tilde_A=1.0)
-        with pytest.raises(ConfigurationError):
-            QuasiOrthogonal(order=3, degree=3, tilde_A=1.0)
+            r1_general(cheb1, TransformPoint(1j), tilde, n)  # its n+2-point verification must pass
 
 
 class TestR2:
     def test_rho_is_one_plus_upsilon(self, cheb1):
         pair = GeronimusPairQuasi(cheb1, -1j)
         sys2 = R2System(cheb1, 1j)
-        for n in (1, 4, 12):
-            rc = sys2.coeffs(pair.quasi(n), n)
-            assert rc.rho == 1 + rc.upsilon
+        ns = [1, 4, 12]
+        rho, _, upsilon = sys2.coeffs(ns, *pair.quasi(ns))
+        assert np.all(rho == 1 + upsilon)
 
     def test_tilde_D_equal_lambda_gives_upsilon_zero(self, cheb1):
         sys2 = R2System(cheb1, 1j)
         n = 6
-        q = QuasiOrthogonal(
-            order=2, degree=n + 1, tilde_C=0.3 - 0.2j, tilde_D=cheb1.lam_n(n + 1)
-        )
-        rc = sys2.coeffs(q, n)
-        assert rc.upsilon == 0
-        assert rc.rho == 1
-
-    def test_invalid_rho_construction(self):
-        with pytest.raises(ConfigurationError):
-            RIICoefficients(n=1, rho=2.0, gamma=0.0, upsilon=0.5)
+        (rho,), _, (upsilon,) = sys2.coeffs([n], 0.3 - 0.2j, cheb1.lam_n(n + 1))
+        assert upsilon == 0
+        assert rho == 1
 
     def test_conjugate_pair_residuals(self, cheb1):
         pair = GeronimusPairQuasi(cheb1, -1j)
         sys2 = R2System(cheb1, 1j)
-        for n in range(1, 31):
-            q = pair.quasi(n)
-            rc = sys2.coeffs(q, n)
-            for z in ZS:
-                assert sys2.residual(q, rc, z) <= 1e-9
+        ns = np.arange(1, 31)
+        assert np.all(sys2.residuals(ns, ZS, *pair.quasi(ns)) <= 1e-9)
 
     def test_mixed_pair_residuals(self, cheb1):
         # kappa2 = 1-i: Geronimus pair at (1-i, 1+i), kernel pair at (i, -i)
         pair = GeronimusPairQuasi(cheb1, 1 - 1j)
         sys2 = R2System(cheb1, 1j)
-        for n in (1, 8, 20, 30):
-            q = pair.quasi(n)
-            rc = sys2.coeffs(q, n)
-            for z in ZS:
-                assert sys2.residual(q, rc, z) <= 1e-9
+        ns = [1, 8, 20, 30]
+        assert np.all(sys2.residuals(ns, ZS, *pair.quasi(ns)) <= 1e-9)
 
     def test_r2_coeffs_public_wrapper(self, cheb1):
-        q = GeronimusPairQuasi(cheb1, -1j).quasi(5)
-        rc = r2_coeffs(cheb1, TransformPoint(1j), q, 5)
-        assert rc.n == 5
+        (tilde_C,), (tilde_D,) = GeronimusPairQuasi(cheb1, -1j).quasi([5])
+        rho, _, upsilon = r2_coeffs(cheb1, TransformPoint(1j), tilde_C, tilde_D, 5)
+        assert rho == 1 + upsilon
 
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     def test_r2_coeffs_transforms_only_the_leading_terms(self, cheb1, monkeypatch, n):
         """r2_coeffs at degree n transforms the leading max(n + 4, 6) terms,
         and its coefficients and residuals are the full prefix's, bit for bit."""
-        q = GeronimusPairQuasi(cheb1, -1j).quasi(n)
+        (tilde_C,), (tilde_D,) = GeronimusPairQuasi(cheb1, -1j).quasi([n])
         full = R2System(cheb1, 1j)
         sizes = []
 
@@ -214,12 +185,13 @@ class TestR2:
             return christoffel(m, site)
 
         monkeypatch.setattr(rseq, "christoffel", spy)
-        rc = r2_coeffs(cheb1, TransformPoint(1j), q, n)
+        rc = r2_coeffs(cheb1, TransformPoint(1j), tilde_C, tilde_D, n)
         assert sizes == [max(n + 4, 6), max(n + 4, 6) - 2]
-        assert rc == full.coeffs(q, n)
+        assert rc == tuple(x[0] for x in full.coeffs([n], tilde_C, tilde_D))
         zs = sample_points(n + 3)
         lead = rseq.leading_r2_system(cheb1, 1j, n)
-        assert np.array_equal(lead.residual(q, rc, zs), full.residual(q, rc, zs))
+        assert np.array_equal(lead.residuals([n], zs, tilde_C, tilde_D),
+                              full.residuals([n], zs, tilde_C, tilde_D))
 
 
 def chain_pair(m, kappa):
@@ -287,7 +259,7 @@ class TestGeronimusPair:
 
         monkeypatch.setattr(rseq, "_geronimus_step", spoiled)
         pair = GeronimusPairQuasi(cheb1, 0.3 - 0.5j)
-        assert pair.quasi(30).degree == 31
+        assert np.array_equal(pair.quasi([30]), [[pair.tilde_C[30]], [pair.tilde_D[30]]])
         for _ in range(2):  # a failed build is not cached
             with pytest.raises(error, match=message):
                 pair.coeffs
@@ -304,7 +276,7 @@ def test_one_r2_length_rule(monkeypatch):
     with pytest.raises(PrefixError, match="the r2 suite needs a prefix of length >= 35, got 34"):
         _suite_r2(m, 0.3 + 0.5j, None)
     with pytest.raises(PrefixError, match="n=30 needs a prefix of length >= 35"):
-        GeronimusPairQuasi(m, 0.3 - 0.5j).quasi(30)
+        GeronimusPairQuasi(m, 0.3 - 0.5j).quasi([30])
     assert rseq.leading_r2_system(family_coeffs("chebyshev2", 64), 0.3 + 0.5j, 30).m.n_max == 35
 
 
@@ -312,7 +284,7 @@ class TestVaryingMeasure:
     def test_empty_kappas_identity(self, cheb1):
         out = varying_measure_polys(cheb1, [], 4)
         assert out.coeffs is cheb1
-        assert out.rii == ()
+        assert out.rii.shape == (0, 3)
 
     def test_single_pair_positive_real(self, cheb1):
         out = varying_measure_polys(cheb1, [1j], 3)
@@ -340,7 +312,7 @@ class TestVaryingMeasure:
 
     def test_rii_residuals(self, cheb1):
         out = varying_measure_polys(cheb1, [1j, 1 + 1j, 0.5 + 0.8j], 4)
-        assert len(out.rii) == 2
+        assert out.rii.shape == (2, 3) and not out.rii.flags.writeable
         assert all(res <= 1e-8 for res in out.rii_residuals)
 
     def test_rii_matches_linear_solve_oracle(self, cheb1):
@@ -364,9 +336,9 @@ class TestVaryingMeasure:
         A[0], b[0] = terms(z1)
         A[1], b[1] = terms(z2)
         gamma, upsilon = np.linalg.solve(A, b)
-        rc = out.rii[j - 1]
-        assert abs(gamma - rc.gamma) < 1e-9
-        assert abs(upsilon - rc.upsilon) < 1e-9
+        _, rc_gamma, rc_upsilon = out.rii[j - 1]
+        assert abs(gamma - rc_gamma) < 1e-9
+        assert abs(upsilon - rc_upsilon) < 1e-9
         row, rhs = terms(z3)
         assert abs(row[0] * gamma + row[1] * upsilon - rhs) < 1e-9
 
@@ -438,13 +410,13 @@ def chain_varying_measure(m, kappas):
     rii, residuals, zs = [], [], sample_points(8)
     for j in range(1, len(kappas)):
         A, Ap = seqs[j]  # A[n - 1] = A_n
-        q = QuasiOrthogonal(order=2, degree=j + 1, tilde_C=A[j] + Ap[j], tilde_D=Ap[j] * A[j - 1])
-        rc = R2System(prefixes[j], kappas[j - 1]).coeffs(q, j)
+        coeffs = R2System(prefixes[j], kappas[j - 1]).coeffs([j], A[j] + Ap[j], Ap[j] * A[j - 1])
+        rho_n, gamma, upsilon = (x[0] for x in coeffs)
         t1 = eval_P(prefixes[j + 1], j + 1, zs)
-        t2 = (rc.rho * zs - rc.gamma) * eval_P(prefixes[j], j, zs)
+        t2 = (rho_n * zs - gamma) * eval_P(prefixes[j], j, zs)
         kap = kappas[j - 1]
-        t3 = rc.upsilon * (zs - kap) * (zs - np.conj(kap)) * eval_P(prefixes[j - 1], j - 1, zs)
-        rii.append(rc)
+        t3 = upsilon * (zs - kap) * (zs - np.conj(kap)) * eval_P(prefixes[j - 1], j - 1, zs)
+        rii.append((rho_n, gamma, upsilon))
         residuals.append(float(np.max(relative(t1 - t2 + t3, t1, t2, t3))))
     return prefixes, rii, residuals
 
@@ -458,7 +430,9 @@ def test_varying_measure_is_bitwise_the_chain(m, kappas):
     for got, ref in zip(out.step_prefixes, steps):
         assert np.array_equal(got.c, ref.c) and np.array_equal(got.lam, ref.lam)
         assert got.s0 == ref.s0
-    assert out.rii == tuple(rii)
+    assert out.rii.shape == (len(kappas) - 1, 3)
+    for got, ref in zip(out.rii, rii):
+        assert np.array_equal(got, ref)
     assert np.array_equal(out.rii_residuals, residuals, equal_nan=True)
 
 
@@ -528,9 +502,8 @@ def old_suite_r2(m, kappa):
     """cli._suite_r2 as a per-degree loop of R2System on the full prefix."""
     pair = GeronimusPairQuasi(m, np.conj(kappa))
     sys2 = R2System(m, kappa)
-    qs = [pair.quasi(n) for n in range(1, 31)]
-    rcs = [sys2.coeffs(q, n) for n, q in enumerate(qs, 1)]
-    res = np.array([sys2.residual(q, rc, sample_points(20)) for q, rc in zip(qs, rcs)])
+    res = np.array([sys2.residuals([n], sample_points(20), *pair.quasi([n]))[0]
+                    for n in range(1, 31)])
     worst = max(0.0, *map(float, res.max(axis=1)))
     return {"pass": worst <= 1e-9, "max_residual": worst}
 
@@ -549,21 +522,20 @@ class TestBatchedResiduals:
     def test_r1_array_equals_points(self, cheb1):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(1 - 1j))
         for n in (1, 10, 40):
-            batch = sys1.residual(n, ZS)
+            (batch,) = sys1.residuals([n], ZS)
             assert batch.shape == ZS.shape
-            assert list(batch) == [sys1.residual(n, z) for z in ZS]
-            assert isinstance(sys1.residual(n, ZS[0]), float)
+            assert list(batch) == [sys1.residuals([n], z)[0] for z in ZS]
+            assert isinstance(sys1.residuals([n], ZS[0])[0], float)
 
     def test_r2_array_equals_points(self, cheb1):
         pair = GeronimusPairQuasi(cheb1, 1 - 1j)
         sys2 = R2System(cheb1, 1j)
         for n in (1, 8, 30):
-            q = pair.quasi(n)
-            rc = sys2.coeffs(q, n)
-            batch = sys2.residual(q, rc, ZS)
+            q = pair.quasi([n])
+            (batch,) = sys2.residuals([n], ZS, *q)
             assert batch.shape == ZS.shape
-            assert list(batch) == [sys2.residual(q, rc, z) for z in ZS]
-            assert isinstance(sys2.residual(q, rc, ZS[0]), float)
+            assert list(batch) == [sys2.residuals([n], z, *q)[0] for z in ZS]
+            assert isinstance(sys2.residuals([n], ZS[0], *q)[0], float)
 
 
 # ---------------------------------------------------------------------------
@@ -577,29 +549,30 @@ def relative(total, *terms):
 
 def loop_r1(sys1: R1System, n: int, zs):
     """The R_I residual at degree n alone: one evaluator run to n."""
-    m, rc = sys1.m, sys1.coeffs(n)
+    m, ((alpha,), (beta,)) = sys1.m, sys1.coeffs([n])
     p_nm1, p_n, _ = _scaled_run(m, n, zs, 1.0, zs - m.c[0])
     p_np1 = (zs - m.c[n]) * p_n - m.lam[n - 1] * p_nm1
     t1 = p_np1 - sys1.gero.ratio_seq[n] * p_n
-    t2 = (zs - rc.alpha) * p_n
-    t3 = rc.beta * (p_n - sys1.rho[n - 1] * p_nm1)
+    t2 = (zs - alpha) * p_n
+    t3 = beta * (p_n - sys1.rho[n - 1] * p_nm1)
     return relative(t1 - t2 + t3, t1, t2, t3)
 
 
-def loop_r2(sys2: R2System, q: QuasiOrthogonal, rc: RIICoefficients, zs):
-    """The R_II residual at degree rc.n alone: one evaluator run to n and one
+def loop_r2(sys2: R2System, n: int, tilde_C, tilde_D, zs):
+    """The R_II residual at degree n alone: one evaluator run to n and one
     to n - 1 for the kernel (none at n = 1, where the kernel is 1)."""
-    m, n, kern = sys2.m, rc.n, sys2.tc2.coeffs
+    m, kern = sys2.m, sys2.tc2.coeffs
+    (rho_n,), (gamma,), (upsilon,) = sys2.coeffs([n], tilde_C, tilde_D)
     p_nm1, p_n, log_scale = _scaled_run(m, n, zs, 1.0, zs - m.c[0])
     p_np1 = (zs - m.c[n]) * p_n - m.lam[n - 1] * p_nm1
     if n == 1:
         kernel, kernel_scale = np.ones_like(zs), 0.0
     else:
         _, kernel, kernel_scale = _scaled_run(kern, n - 1, zs, 1.0, zs - kern.c[0])
-    t1 = p_np1 + q.tilde_C * p_n + q.tilde_D * p_nm1
-    t2 = (rc.rho * zs - rc.gamma) * p_n
+    t1 = p_np1 + tilde_C * p_n + tilde_D * p_nm1
+    t2 = (rho_n * zs - gamma) * p_n
     t3 = (
-        rc.upsilon * (zs - sys2.kappa1) * (zs - sys2.kappa1_bar) * kernel
+        upsilon * (zs - sys2.kappa1) * (zs - sys2.kappa1_bar) * kernel
         * np.exp(kernel_scale - log_scale)
     )
     return relative(t1 - t2 + t3, t1, t2, t3)
@@ -657,35 +630,31 @@ def assert_r1_sweep_is_the_loop(sys1: R1System, degrees, zs):
     assert sweep.shape == (len(degrees), len(zs))
     for n, row in zip(degrees, sweep):
         assert np.array_equal(row, loop_r1(sys1, n, zs)), n
-        assert np.array_equal(row, sys1.residual(n, zs)), n
+        assert np.array_equal(row, sys1.residuals([n], zs)[0]), n
     # one point alone gets the rounding it gets in the batch
     single = sys1.residuals(degrees, zs[0])
     assert single.shape == (len(degrees),)
     assert np.array_equal(single, sweep[:, 0])
-    assert all(sys1.residual(n, zs[0]) == row[0] for n, row in zip(degrees, sweep))
+    assert all(sys1.residuals([n], zs[0])[0] == row[0] for n, row in zip(degrees, sweep))
 
 
 def assert_r2_sweep_is_the_loop(sys2: R2System, degrees, tilde_C, tilde_D, zs):
     sweep = sys2.residuals(degrees, zs, tilde_C, tilde_D)
     assert sweep.shape == (len(degrees), len(zs))
-    qs = [QuasiOrthogonal(order=2, degree=n + 1, tilde_C=c, tilde_D=d)
-          for n, c, d in zip(degrees, tilde_C, tilde_D)]
-    rcs = [sys2.coeffs(q, n) for q, n in zip(qs, degrees)]
-    for q, rc, row in zip(qs, rcs, sweep):
-        assert np.array_equal(row, loop_r2(sys2, q, rc, zs)), rc.n
-        assert np.array_equal(row, sys2.residual(q, rc, zs)), rc.n
+    data = list(zip(degrees, tilde_C, tilde_D, sweep))
+    for n, c, d, row in data:
+        assert np.array_equal(row, loop_r2(sys2, n, c, d, zs)), n
+        assert np.array_equal(row, sys2.residuals([n], zs, c, d)[0]), n
     single = sys2.residuals(degrees, zs[0], tilde_C, tilde_D)
     assert single.shape == (len(degrees),)
     assert np.array_equal(single, sweep[:, 0])
-    assert all(sys2.residual(q, rc, zs[0]) == row[0] for q, rc, row in zip(qs, rcs, sweep))
+    assert all(sys2.residuals([n], zs[0], c, d)[0] == row[0] for n, c, d, row in data)
 
 
 def pair_data(m, kappa: complex, degrees):
     """The CLI r2 suite's setup: kernel pair at kappa, Geronimus pair at its
     conjugate, and the pair's order-2 data at each degree."""
-    pair = GeronimusPairQuasi(m, np.conj(kappa))
-    ns = np.array(degrees, dtype=int)
-    return R2System(m, kappa), degrees, pair.tilde_C[ns], pair.tilde_D[ns]
+    return R2System(m, kappa), degrees, *GeronimusPairQuasi(m, np.conj(kappa)).quasi(degrees)
 
 
 # 1 to 6 points in sample_points' annulus, 1.5 <= |z| <= 3 with |Im z| >= 0.5
@@ -738,63 +707,171 @@ class TestSweeps:
             with pytest.raises(PrefixError, match=f"n={top + 1}"):
                 sys1.residuals(degrees, ZS)
         with pytest.raises(PrefixError, match=f"n={top + 1}"):
-            sys1.residual(top + 1, ZS)
+            sys1.coeffs([top + 1])
 
     def test_r2_top_degree_and_one_past_it(self):
         m = family_coeffs("chebyshev2", 24)
         sys2 = R2System(m, 0.1 + 0.6j)
         top = m.n_max - 3  # beyond what a GeronimusPairQuasi of this prefix reaches
-
-        def quasi(n):
-            return QuasiOrthogonal(order=2, degree=n + 1, tilde_C=0.2 - 0.1j, tilde_D=0.3 + 0.05j)
-
-        q = quasi(top)
-        assert_r2_sweep_is_the_loop(sys2, [top], [q.tilde_C], [q.tilde_D], ZS[:5])
+        c, d = 0.2 - 0.1j, 0.3 + 0.05j
+        assert_r2_sweep_is_the_loop(sys2, [top], [c], [d], ZS[:5])
         with pytest.raises(PrefixError, match=f"n={top + 1}"):
-            sys2.coeffs(quasi(top + 1), top + 1)
-        past = RIICoefficients(n=top + 1, rho=1.5, gamma=0.1, upsilon=0.5)
+            sys2.coeffs([top + 1], c, d)
         with pytest.raises(PrefixError, match=f"n={top + 1}"):
-            sys2.residual(quasi(top + 1), past, ZS)
+            sys2.residuals([top + 1], ZS, c, d)
         with pytest.raises(PrefixError, match=f"n={top + 1}"):
-            sys2.residuals([top, top + 1], ZS, [q.tilde_C] * 2, [q.tilde_D] * 2)
+            sys2.residuals([top, top + 1], ZS, [c] * 2, [d] * 2)
 
     @pytest.mark.parametrize("n", [0, -1, -5])
     def test_degrees_below_one_raise_configuration_error(self, cheb1, n):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
-        for call in (lambda: sys1.coeffs(n), lambda: sys1.residuals([2, n], ZS)):
+        for call in (lambda: sys1.coeffs([n]), lambda: sys1.residuals([2, n], ZS)):
             with pytest.raises(ConfigurationError, match=f"n={n}"):
                 call()
         sys2 = R2System(cheb1, 1j)
-        q = QuasiOrthogonal(order=2, degree=n + 1, tilde_C=0.1, tilde_D=0.2)
         with pytest.raises(ConfigurationError, match=f"n={n}"):
-            sys2.coeffs(q, n)
-        bad = RIICoefficients(n=n, rho=1.5, gamma=0.1, upsilon=0.5)
+            sys2.coeffs([n], 0.1, 0.2)
         with pytest.raises(ConfigurationError, match=f"n={n}"):
-            sys2.residual(q, bad, ZS)
+            sys2.residuals([n], ZS, 0.1, 0.2)
         with pytest.raises(ConfigurationError, match=f"n={n}"):
             sys2.residuals([2, n], ZS, [0.1] * 2, [0.2] * 2)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_r1_general_below_degree_one(self, cheb1, n):
-        q = QuasiOrthogonal(order=1, degree=n + 1, tilde_A=0.3j)
         with pytest.raises(ConfigurationError, match=f"n={n}"):
-            r1_general(cheb1, TransformPoint(1j), q, n)
+            r1_general(cheb1, TransformPoint(1j), 0.3j, n)
 
     @pytest.mark.parametrize("n", [-1, -3, -64])
     def test_quasi_below_zero_raises_prefix_error(self, cheb1, n):
         with pytest.raises(PrefixError, match=f"n={n}"):
-            GeronimusPairQuasi(cheb1, 1j).quasi(n)
+            GeronimusPairQuasi(cheb1, 1j).quasi([3, n])
 
     def test_quasi_names_the_prefix_length_it_needs(self):
         with pytest.raises(PrefixError, match=r"n=30 needs a prefix of length >= 34"):
-            GeronimusPairQuasi(family_coeffs("chebyshev2", 33), 0.3 - 0.5j).quasi(30)
-        assert GeronimusPairQuasi(family_coeffs("chebyshev2", 34), 0.3 - 0.5j).quasi(30).degree == 31
+            GeronimusPairQuasi(family_coeffs("chebyshev2", 33), 0.3 - 0.5j).quasi([30])
+        pair = GeronimusPairQuasi(family_coeffs("chebyshev2", 34), 0.3 - 0.5j)
+        assert np.array_equal(pair.quasi([30]), [[pair.tilde_C[30]], [pair.tilde_D[30]]])
 
-    def test_scalar_point_gives_a_float(self, cheb1):
+    def test_quasi_checks_its_degrees_in_list_order(self):
+        pair = GeronimusPairQuasi(family_coeffs("chebyshev2", 33), 0.3 - 0.5j)
+        for degrees, match in (([30, -1], "n=30 needs"), ([-1, 30], "n=-1 < 0")):
+            with pytest.raises(PrefixError, match=match):
+                pair.quasi(degrees)
+
+    def test_scalar_point_gives_a_float_per_degree(self, cheb1):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
-        assert type(sys1.residual(5, ZS[3])) is float
-        sys2, q = R2System(cheb1, 1j), GeronimusPairQuasi(cheb1, -1j).quasi(5)
-        assert type(sys2.residual(q, sys2.coeffs(q, 5), ZS[3])) is float
+        res = sys1.residuals([5, 7], ZS[3])
+        assert res.shape == (2,) and res.dtype == float
+        sys2, q = R2System(cheb1, 1j), GeronimusPairQuasi(cheb1, -1j).quasi([5, 7])
+        res = sys2.residuals([5, 7], ZS[3], *q)
+        assert res.shape == (2,) and res.dtype == float
+
+    def test_order_two_data_of_another_length_is_a_configuration_error(self):
+        """Order-2 data is one entry per degree or a scalar for all of them;
+        any other shape is named along with the degree list's length."""
+        m = family_coeffs("chebyshev1", 64)
+        pair, sys2 = GeronimusPairQuasi(m, 0.3 - 0.5j), R2System(m, 0.3 + 0.5j)
+        ns = [1, 2, 3]
+        tilde_C, tilde_D = pair.quasi(ns)
+        for c, d, message in ((tilde_C[:2], tilde_D[:2], r"tilde_C has shape \(2,\)"),
+                              (tilde_C, tilde_D[:, None], r"tilde_D has shape \(3, 1\)"),
+                              (0.1, [0.2] * 4, r"tilde_D has shape \(4,\)")):
+            message += " for a degree list of length 3"
+            with pytest.raises(ConfigurationError, match=message):
+                sys2.coeffs(ns, c, d)
+            with pytest.raises(ConfigurationError, match=message):
+                sys2.residuals(ns, 2j, c, d)
+        with pytest.raises(ConfigurationError, match=r"\(2,\) for a degree list of length 1"):
+            r2_coeffs(m, TransformPoint(0.3 + 0.5j), tilde_C[:2], tilde_D[0], 3)
+        scalar = sys2.residuals(ns, ZS, 0.1, tilde_D)
+        assert np.array_equal(scalar, sys2.residuals(ns, ZS, [0.1] * 3, tilde_D))
+
+
+# ---------------------------------------------------------------------------
+# the degree-list interface: every entry point takes a list of degrees and
+# returns arrays with one entry (coefficients) or one row (residuals) per degree
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def systems(cheb2):
+    """The CLI suites' setup on chebyshev2 at kappa = 0.3 + 0.5j: the R_I
+    system with the Cauchy Geronimus transform at conj kappa, the Geronimus
+    pair at conj kappa and the R_II system at kappa."""
+    kappa = 0.3 + 0.5j
+    k1, k2 = TransformPoint(kappa), TransformPoint(np.conj(kappa))
+    return R1System(cheb2, k1, k2), GeronimusPairQuasi(cheb2, np.conj(kappa)), R2System(cheb2, kappa)
+
+
+def _r2_coeffs(systems, ns):
+    _, pair, sys2 = systems
+    return sys2.coeffs(ns, *pair.quasi(ns))
+
+
+def _r2_residuals(systems, ns):
+    _, pair, sys2 = systems
+    return (sys2.residuals(ns, ZS[:4], *pair.quasi(ns)),)
+
+
+# name: (call on a degree list returning a tuple of arrays, dtype, row shape)
+DEGREE_LIST_CALLS = {
+    "R1System.coeffs": (lambda s, ns: s[0].coeffs(ns), complex, ()),
+    "R1System.residuals": (lambda s, ns: (s[0].residuals(ns, ZS[:4]),), float, (4,)),
+    "GeronimusPairQuasi.quasi": (lambda s, ns: s[1].quasi(ns), complex, ()),
+    "R2System.coeffs": (_r2_coeffs, complex, ()),
+    "R2System.residuals": (_r2_residuals, float, (4,)),
+}
+
+
+@pytest.mark.parametrize("name", DEGREE_LIST_CALLS)
+class TestDegreeLists:
+    def test_one_entry_per_degree_with_its_dtype(self, systems, name):
+        call, dtype, row = DEGREE_LIST_CALLS[name]
+        for degrees in ([], [7], [12, 1, 30]):
+            for out in call(systems, degrees):
+                assert out.shape == (len(degrees), *row) and out.dtype == dtype, degrees
+
+    def test_each_entry_is_its_degree_alone(self, systems, name):
+        call = DEGREE_LIST_CALLS[name][0]
+        degrees = [12, 1, 30, 12, 2]
+        outs = call(systems, degrees)
+        for i, n in enumerate(degrees):
+            for out, alone in zip(outs, call(systems, [n])):
+                assert out[i].tobytes() == alone[0].tobytes(), n
+
+    def test_any_integer_sequence_gives_the_same_arrays(self, systems, name):
+        call = DEGREE_LIST_CALLS[name][0]
+        ref = call(systems, [12, 1, 30, 12, 2])
+        for degrees in ((12, 1, 30, 12, 2), np.array([12, 1, 30, 12, 2], dtype=np.int32),
+                        np.array([[12, 1, 30, 12, 2]]), [np.int64(n) for n in (12, 1, 30, 12, 2)]):
+            for out, want in zip(call(systems, degrees), ref):
+                assert out.tobytes() == want.tobytes(), type(degrees)
+
+    def test_returned_arrays_belong_to_the_caller(self, systems, name):
+        """Writing into the arrays a call returns changes neither the system
+        nor what the next call returns."""
+        call = DEGREE_LIST_CALLS[name][0]
+        degrees = [3, 9, 3]
+        first = call(systems, degrees)
+        ref = [out.copy() for out in first]
+        for out in first:
+            out[...] = np.nan
+        for out, want in zip(call(systems, degrees), ref):
+            assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_rii_has_one_read_only_row_per_consecutive_pair(cheb1, count):
+    """K sites give K + 1 prefixes and max(K - 1, 0) rows (rho, gamma, upsilon)
+    of R_II data, each with its residual; the rows cannot be written."""
+    out = varying_measure_polys(cheb1, [1j, 1 + 1j, 0.5 + 0.8j][:count], 0)
+    rows = max(count - 1, 0)
+    assert len(out.step_prefixes) == count + 1
+    assert out.rii.shape == (rows, 3) and out.rii.dtype == complex
+    assert len(out.rii_residuals) == rows
+    assert not out.rii.flags.writeable
+    with pytest.raises(ValueError):
+        out.rii[...] = 0
+    assert np.all(out.rii[:, 0] == 1 + out.rii[:, 2])  # rho = 1 + upsilon
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +880,14 @@ class TestSweeps:
 
 def same(a, b) -> bool:
     return np.complex128(a).tobytes() == np.complex128(b).tobytes()
+
+
+def scalar_r1(sys1: R1System, n: int):
+    """alpha_n and beta_n of the R_I relation with the Geronimus tilde_A, in
+    complex scalars."""
+    m, tilde_A = sys1.m, -sys1.gero.ratio_seq[n]
+    ratio = m.lam_n(n + 1) / sys1.rho[n - 1]
+    return m.c_n(n + 1) - tilde_A + ratio, -ratio
 
 
 def scalar_r2(sys2: R2System, pair: GeronimusPairQuasi, n: int):
@@ -820,47 +905,24 @@ def scalar_r2(sys2: R2System, pair: GeronimusPairQuasi, n: int):
        st.floats(0.5, 2.0))
 @example(family_coeffs("chebyshev1", N_MAX), 0.3 + 0.5j, [12, 1, 30, 12, 2, 1], 1.0)
 def test_one_degree_coeffs_are_the_sweep_entries(m, kappa, degrees, s0):
-    """Presets and Nevai prefixes, degrees unsorted and repeated: the
-    one-degree ``coeffs`` are the entries of the array formula the sweeps
-    read, and the pair's order-2 arrays are its quasi data, bit for bit; the
-    R_II values are the scalar formula's."""
+    """Presets and Nevai prefixes, degrees unsorted and repeated: the entries
+    of the ``coeffs`` and ``quasi`` arrays, and the one-degree ``r1_general``
+    and ``r2_coeffs`` tuples, are the scalar formulas' values, bit for bit."""
     # s0star in the half-plane opposite conj kappa, the Geronimus site
     s0star = complex(0.0, math.copysign(s0, kappa.imag))
-    sys1 = R1System(m, TransformPoint(kappa), TransformPoint(np.conj(kappa), s0star=s0star))
+    k1 = TransformPoint(kappa)
+    sys1 = R1System(m, k1, TransformPoint(np.conj(kappa), s0star=s0star))
     pair, sys2 = GeronimusPairQuasi(m, np.conj(kappa)), R2System(m, kappa)
-    ns = np.array(degrees)
-    _, alpha, beta, _ = sys1._coeff_arrays(ns)
-    sweep = sys2._coeff_arrays(ns, pair.tilde_C[ns], pair.tilde_D[ns])
+    alpha, beta = sys1.coeffs(degrees)
+    tilde_C, tilde_D = pair.quasi(degrees)
+    rho, gamma, upsilon = sys2.coeffs(degrees, tilde_C, tilde_D)
     for i, n in enumerate(degrees):
-        rc1, q = sys1.coeffs(n), pair.quasi(n)
-        assert same(rc1.alpha, alpha[i]) and same(rc1.beta, beta[i]), n
-        rc2 = sys2.coeffs(q, n)
-        got = (q.tilde_C, q.tilde_D, rc2.rho, rc2.gamma, rc2.upsilon)
-        for a, b, c in zip(got, (pair.tilde_C[n], pair.tilde_D[n], *(x[i] for x in sweep)),
-                           scalar_r2(sys2, pair, n)):
-            assert same(a, b) and same(a, c), n
-
-
-def test_checks_build_no_records(cheb1, monkeypatch):
-    """The R_I and R_II sweeps and both suites construct no per-degree record."""
-    made = []
-    for cls in (rseq.RICoefficients, rseq.RIICoefficients, QuasiOrthogonal):
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            made.append(_name)
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counted)
-    sys1 = R1System(cheb1, TransformPoint(0.3 + 0.5j), TransformPoint(0.3 - 0.5j))
-    pair, sys2 = GeronimusPairQuasi(cheb1, 0.3 - 0.5j), R2System(cheb1, 0.3 + 0.5j)
-    ns = np.arange(1, 31)
-    sys1.residuals(ns, ZS)
-    sys2.residuals(ns, ZS, pair.tilde_C[ns], pair.tilde_D[ns])
-    assert _suite_r1(cheb1, 0.3 + 0.5j, None)["pass"]
-    assert _suite_r2(cheb1, 0.3 + 0.5j, None)["pass"]
-    assert made == []
-    sys1.coeffs(3)  # the one-degree calls still return records
-    sys2.coeffs(pair.quasi(3), 3)
-    assert made == ["RICoefficients", "QuasiOrthogonal", "RIICoefficients"]
+        ref = scalar_r1(sys1, n)
+        for got in ((alpha[i], beta[i]), r1_general(m, k1, -sys1.gero.ratio_seq[n], n)):
+            assert all(map(same, got, ref)), n
+        ref, data = scalar_r2(sys2, pair, n), (tilde_C[i], tilde_D[i])
+        for got in ((rho[i], gamma[i], upsilon[i]), r2_coeffs(m, k1, *data, n)):
+            assert all(map(same, (*data, *got), ref)), n
 
 
 def test_degeneracy_names_the_first_degenerate_degree_in_list_order(cheb2, monkeypatch):
@@ -881,6 +943,7 @@ def test_degeneracy_names_the_first_degenerate_degree_in_list_order(cheb2, monke
         with pytest.raises(DegeneracyError) as err:
             sweep(degrees)
         assert str(err.value) == f"R_II denominator within tolerance of lambda_{n + 1} at n={n}"
-        with pytest.raises(DegeneracyError, match=f"^{err.value}$"):
-            sys2.coeffs(pair.quasi(n), n)
+        for ns in (degrees, [n]):
+            with pytest.raises(DegeneracyError, match=f"^{err.value}$"):
+                sys2.coeffs(ns, *pair.quasi(ns))
     assert np.max(sweep([3, 4, 6, 11, 13])) <= 1e-9
