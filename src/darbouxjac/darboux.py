@@ -412,18 +412,21 @@ def _cauchy_run(c, lam, kappa, what: str, ts=None, diffs: bool = True):
     return [-t for t in ts[:0:-1]], [0 * ts[-1]] + e[::-1], offset
 
 
-def _geronimus_step(c, lam, s0, kappa, s0star=None, ts=None):
+def _geronimus_step(c, lam, s0, kappa, s0star=None, ts=None, coeffs: bool = True):
     """One Geronimus step on coefficient lists: (c, lam, s0star, w) of the
     result, w[k] = R_{k+1}(kappa)/R_k(kappa), in the number type of the inputs.
-    s0star None steps at the Cauchy value through ``_cauchy_run`` (on ``ts``).
+    s0star None steps at the Cauchy value through ``_cauchy_run`` (on ``ts``),
+    where ``coeffs`` False gives w and s0star alone (c and lam None).
 
     c^{-*}_1 = kappa + s_0/s0star (= c_1 + w[0]), c^{-*}_{k+1} = c_{k+1} + e[k],
     lambda^{-*}_2 = -w[0] s_0/s0star, lambda^{-*}_{k+2} = lambda_{k+1} w[k]/w[k-1]
     (past the first entries, ``_dqd_coeffs``).
     """
     if s0star is None:
-        w, e, offset = _cauchy_run(c, lam, kappa, _NO_GERONIMUS, ts)
+        w, e, offset = _cauchy_run(c, lam, kappa, _NO_GERONIMUS, ts, diffs=coeffs)
         s0star = s0 * (1 / offset)  # bit for bit cauchy_s0star
+        if not coeffs:
+            return None, None, s0star, w
         first = c[0] + w[0]
     else:
         offset = s0 / s0star
@@ -720,6 +723,19 @@ def cauchy_s0star(m: RecurrenceCoeffs, kappa: complex) -> complex:
     return s0star
 
 
+def _cauchy_step(m: RecurrenceCoeffs, kappa: complex, coeffs: bool = True):
+    """(site, c, lam, w) of ``geronimus_cauchy``, its checks in its order;
+    ``coeffs`` False runs no difference loop (c and lam None), as in ``_geronimus_step``."""
+    kappa = complex(kappa)
+    family = _cauchy_weight(m, kappa)
+    if m.n_max < 4:
+        raise PrefixError("geronimus needs a prefix of length >= 4")
+    c_new, lam_new, s0star, w = _geronimus_step(m.c.tolist(), m.lam.tolist(), m.s0, kappa,
+                                                coeffs=coeffs)
+    _cross_check(family, kappa, s0star)
+    return TransformPoint(kappa, s0star=s0star, allow_real=(kappa.imag == 0)), c_new, lam_new, w
+
+
 def geronimus_cauchy(m: RecurrenceCoeffs, kappa: complex) -> TransformedCoeffs:
     """Geronimus transform with s0star = integral dmu/(t - kappa).
 
@@ -729,17 +745,8 @@ def geronimus_cauchy(m: RecurrenceCoeffs, kappa: complex) -> TransformedCoeffs:
     backward run in double, as in ``GeronimusChain.apply``, for any prefix;
     the s0star it returns is ``cauchy_s0star``'s value, with its checks.
     """
-    kappa = complex(kappa)
-    family = _cauchy_weight(m, kappa)
-    if m.n_max < 4:
-        raise PrefixError("geronimus needs a prefix of length >= 4")
-    c_new, lam_new, s0star, w = _geronimus_step(m.c.tolist(), m.lam.tolist(), m.s0, kappa)
-    _cross_check(family, kappa, s0star)
-    return TransformedCoeffs(
-        base=m,
-        sites=(TransformPoint(kappa, s0star=s0star, allow_real=(kappa.imag == 0)),),
-        kinds=("geronimus",),
-        coeffs=RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0star),
-        ratio_seq=np.array(w, dtype=complex),
-        notes=("s0star-from-cauchy-transform",),
-    )
+    site, c_new, lam_new, w = _cauchy_step(m, kappa)
+    return TransformedCoeffs(base=m, sites=(site,), kinds=("geronimus",),
+                             coeffs=RecurrenceCoeffs(c=c_new, lam=lam_new, s0=site.s0star),
+                             ratio_seq=np.array(w, dtype=complex),
+                             notes=("s0star-from-cauchy-transform",))

@@ -27,8 +27,8 @@ import numpy as np
 
 from ._quadrature import adaptive_integral
 from .core import Record, RecurrenceCoeffs
-from .darboux import GeronimusChain, TransformPoint, christoffel, geronimus, geronimus_cauchy
-from .darboux import _NO_GERONIMUS, _cauchy_run, _geronimus_step, _tails
+from .darboux import GeronimusChain, TransformPoint, christoffel, geronimus
+from .darboux import _cauchy_step, _geronimus_step, _tails
 from .errors import (ConfigurationError, DegeneracyError, PoleError, PrefixError, QuadratureError,
                      ResidualCheckError)
 from .polyeval import _scaled_run, eval_P, ratio_sequence
@@ -72,15 +72,23 @@ def _relative(z, total, *terms):
     return res if np.ndim(z) else res[..., 0]
 
 
+def _degree(what: str, x) -> int:
+    """A degree-list entry as an int; ConfigurationError for 1.7 or nan."""
+    if not (isinstance(x, int) or float(x).is_integer()):
+        raise ConfigurationError(f"{what} degree n={x} is not an integer")
+    return int(x)
+
+
 def _degrees(what: str, n_list, n_max: int, reads: int = 3) -> np.ndarray:
     """n_list as a 1-d int array, each degree checked in list order."""
-    ns = np.array(n_list, dtype=int).reshape(-1)
-    for n in ns.tolist():
+    ns = []
+    for x in np.asarray(n_list).reshape(-1).tolist():
+        ns.append(n := _degree(what, x))
         if n < 1:
             raise ConfigurationError(f"{what} coefficients are defined for n >= 1 (n={n})")
         if (need := n + reads) > n_max:
             raise PrefixError(f"{what} coefficients at n={n} need a prefix of length >= {need}")
-    return ns
+    return np.array(ns, dtype=int)
 
 
 def _per_degree(ns: np.ndarray, **data) -> None:
@@ -158,21 +166,25 @@ def _ri_residuals(m: RecurrenceCoeffs, ns: np.ndarray, z, tilde_A, alpha, beta, 
 
 
 class R1System:
-    """Precomputed data for the R_I relation coupling the Geronimus transform at
-    kappa2 with the kernel family at kappa1; ``_coeff_arrays`` is its formula."""
+    """The R_I relation of the Geronimus transform at k2 and the kernel family at
+    kappa1 (``_coeff_arrays`` is its formula): m, kappa1, k2 with its s0star and
+    the step's R-ratios, at the Cauchy value off the backward run alone, so
+    nothing on the check path builds the transform.  The P-ratios rho[n-1] =
+    P_n/P_{n-1} at kappa1 are a forward run per call, to its largest degree."""
 
     def __init__(self, m: RecurrenceCoeffs, k1: TransformPoint, k2: TransformPoint):
         self.m = m
         self.kappa1 = complex(k1.kappa)
-        self.rho = ratio_sequence(m, self.kappa1, "P").values  # rho[n-1] = P_n/P_{n-1}
         # s0star None: the exact Cauchy value, stepped backward in double (its
         # double rounding, eta ~ 1e-16, would need a double-double step)
-        self.gero = geronimus(m, k2) if k2.s0star is not None else geronimus_cauchy(m, k2.kappa)
-        self.k2 = self.gero.sites[0]
+        self.k2, *_, w = (_cauchy_step(m, k2.kappa, coeffs=False) if k2.s0star is None
+                          else (k2, geronimus(m, k2).ratio_seq))
+        self._tilde_A = -np.asarray(w, dtype=complex)  # -R_{n+1}(k2)/R_n(k2) at index n
 
     def _coeff_arrays(self, ns: np.ndarray):
         """tilde_A, alpha, beta and rho_n at the checked degrees ns, in their order."""
-        tilde_A, rho_n = -self.gero.ratio_seq[ns], self.rho[ns - 1]
+        rho = ratio_sequence(self.m, self.kappa1, "P", n_terms=ns.max()).values if len(ns) else ns
+        tilde_A, rho_n = self._tilde_A[ns], rho[ns - 1]
         return (tilde_A, *_ri_coeffs(self.m, ns, rho_n, tilde_A), rho_n)
 
     def coeffs(self, n_list):
@@ -231,10 +243,9 @@ class GeronimusPairQuasi:
             raise PrefixError("prefix too short for another Geronimus step")
         c, lam, site = chain._c, chain._lam, kappa.conjugate()
         ts = _tails(c, lam, site)
-        w, _, offset = _cauchy_run(c, lam, site, _NO_GERONIMUS, ts, diffs=False)
         self.kappa, self._second = kappa, (c, lam, site, ts)
         self.s0star = chain.steps[0]["s0star"]
-        self.s0starstar = self.s0star * (1 / offset)  # as _geronimus_step takes it
+        _, _, self.s0starstar, w = _geronimus_step(c, lam, self.s0star, site, ts=ts, coeffs=False)
         self.A, self.Ap = (np.concatenate(([0j], -np.asarray(x)))
                            for x in (chain.steps[0]["ratio_seq"], w))
         A, Ap = self.A[:len(self.Ap)], self.Ap  # A' is 2 shorter than A
@@ -249,12 +260,14 @@ class GeronimusPairQuasi:
     def quasi(self, n_list):
         """(tilde_C, tilde_D): arrays with one entry per degree of n_list (any
         order, repeats allowed), each degree checked in list order."""
-        ns = np.array(n_list, dtype=int).reshape(-1)
-        for n in ns.tolist():
+        ns = []
+        for x in np.asarray(n_list).reshape(-1).tolist():
+            ns.append(n := _degree("conjugate pair", x))
             if n < 0:
                 raise PrefixError(f"the conjugate pair has no quasi-orthogonal data at n={n} < 0")
             if (need := r2_prefix_length(n)) > len(self.Ap) + 2:  # A' is 2 shorter than the base
                 raise PrefixError(f"the conjugate pair at n={n} needs a prefix of length >= {need}")
+        ns = np.array(ns, dtype=int)
         return self.tilde_C[ns], self.tilde_D[ns]
 
 
@@ -330,7 +343,7 @@ def r2_coeffs(m: RecurrenceCoeffs, k1: TransformPoint, tilde_C: complex, tilde_D
     with upsilon_n = (lambda_{n+1} - tilde_D) / (r*_n r_n - lambda_{n+1}) and
     rho_n = 1 + upsilon_n; verified at n+3 sample points.
     """
-    sys = leading_r2_system(m, k1.kappa, n)
+    sys = leading_r2_system(m, k1.kappa, _degree("R_II", n))
     (rho_n,), (gamma,), (upsilon,) = sys.coeffs([n], tilde_C, tilde_D)
     zs = sample_points(n + 3)
     _verified("R_II", sys.residuals([n], zs, tilde_C, tilde_D)[0], n, zs)

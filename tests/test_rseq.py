@@ -11,16 +11,19 @@ from darbouxjac import rseq
 from darbouxjac._quadrature import gauss_nodes
 from darbouxjac.cli import _suite_r2
 from darbouxjac.core import RecurrenceCoeffs, family_coeffs
-from darbouxjac.darboux import GeronimusChain, TransformPoint, cauchy_s0star, christoffel
+from darbouxjac import darboux
+from darbouxjac.darboux import (GeronimusChain, TransformPoint, cauchy_s0star, christoffel,
+                                geronimus, geronimus_cauchy)
 from darbouxjac.errors import (
     ConfigurationError,
     DegeneracyError,
     ExistenceError,
     PoleError,
     PrefixError,
+    QuadratureError,
     QuasiDefinitenessError,
 )
-from darbouxjac.polyeval import _scaled_run, eval_P
+from darbouxjac.polyeval import _scaled_run, eval_P, ratio_sequence
 from darbouxjac.rseq import (
     GeronimusPairQuasi,
     R1System,
@@ -43,6 +46,18 @@ from test_ratio_kernel import (
 from test_zero_sweep import long_prefixes
 
 ZS = sample_points(20)
+
+
+def gero_ratios(m, k2: TransformPoint) -> np.ndarray:
+    """The R-ratios of the Geronimus step at k2 from the full transform, the
+    reference for R1System's: geronimus_cauchy when k2 has no s0star."""
+    return (geronimus(m, k2) if k2.s0star is not None else geronimus_cauchy(m, k2.kappa)).ratio_seq
+
+
+def p_ratios(m, kappa1: complex) -> np.ndarray:
+    """rho[n-1] = P_n/P_{n-1} at kappa1 over the whole prefix, the reference
+    for the P-ratios R1System reads."""
+    return ratio_sequence(m, kappa1, "P").values
 
 
 class TestSamplePoints:
@@ -94,10 +109,11 @@ class TestR1:
         assert np.all(sys1.residuals([1, 10, 25, 40], ZS) <= 1e-9)
 
     def test_uniqueness_perturbation(self, cheb1):
-        sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j, s0star=1.0))
+        k2 = TransformPoint(-1j, s0star=1.0)
+        sys1 = R1System(cheb1, TransformPoint(1j), k2)
         n = 12
         (alpha,), (beta,) = sys1.coeffs([n])
-        tilde_A, rho_n = -sys1.gero.ratio_seq[n], sys1.rho[n - 1]
+        tilde_A, rho_n = -gero_ratios(cheb1, k2)[n], p_ratios(cheb1, 1j)[n - 1]
         res = rseq._ri_residuals(cheb1, np.array([n]), ZS[:10], tilde_A, alpha + 1e-6, beta, rho_n)
         assert res.max() >= 1e-7
 
@@ -123,7 +139,7 @@ class TestR1:
         sys1 = R1System(cheb1, k1, k2)
         ns = [1, 5, 17]
         for n, alpha, beta in zip(ns, *sys1.coeffs(ns)):
-            gen_alpha, gen_beta = r1_general(cheb1, k1, -sys1.gero.ratio_seq[n], n)
+            gen_alpha, gen_beta = r1_general(cheb1, k1, -gero_ratios(cheb1, k2)[n], n)
             assert abs(gen_alpha - alpha) < 1e-12
             assert abs(gen_beta - beta) < 1e-12
 
@@ -249,12 +265,14 @@ class TestGeronimusPair:
             self, cheb1, monkeypatch, spoil, error, message):
         """The one change of behaviour: the second step's coefficients, and
         so their checks (finite entries, nonzero lambda), come on the first
-        read of ``coeffs``; the quasi-orthogonal data needs none of them."""
+        read of ``coeffs``; the quasi-orthogonal data needs none of them (the
+        pair's first call of the step asks for no coefficients)."""
         real = rseq._geronimus_step
 
         def spoiled(*args, **kwargs):
             c, lam, s0star, w = real(*args, **kwargs)
-            spoil(c, lam)
+            if c is not None:
+                spoil(c, lam)
             return c, lam, s0star, w
 
         monkeypatch.setattr(rseq, "_geronimus_step", spoiled)
@@ -485,9 +503,10 @@ def test_cauchy_default_without_a_preset_weight(kind):
     m = family_coeffs(kind, 64)
     bare = RecurrenceCoeffs(c=m.c, lam=m.lam, s0=m.s0)
     k1, k2 = TransformPoint(0.3 + 0.5j), TransformPoint(0.3 - 0.5j)
-    preset, custom = R1System(m, k1, k2), R1System(bare, k1, k2)
-    assert np.array_equal(custom.gero.ratio_seq, preset.gero.ratio_seq)
-    assert np.array_equal(custom.gero.coeffs.c, preset.gero.coeffs.c)
+    preset, custom = geronimus_cauchy(m, k2.kappa), geronimus_cauchy(bare, k2.kappa)
+    assert np.array_equal(custom.ratio_seq, preset.ratio_seq)
+    assert np.array_equal(custom.coeffs.c, preset.coeffs.c)
+    custom = R1System(bare, k1, k2)
     assert abs(custom.k2.s0star - cauchy_s0star(m, k2.kappa)) <= 1e-15
     assert np.max(custom.residuals(range(1, 41), ZS)) <= 1e-9
 
@@ -496,6 +515,132 @@ def test_cauchy_default_on_a_nevai_prefix():
     m = nevai_prefix("chebyshev2", 3, 64)
     sys1 = R1System(m, TransformPoint(0.3 + 0.5j), TransformPoint(0.3 - 0.5j))
     assert np.max(sys1.residuals(range(1, 41), ZS)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the R_I check at the Cauchy value reads the backward run alone
+# ---------------------------------------------------------------------------
+
+def without_family(m: RecurrenceCoeffs) -> RecurrenceCoeffs:
+    return RecurrenceCoeffs(c=m.c, lam=m.lam, s0=m.s0)
+
+
+R1_PREFIXES = {
+    **{kind: family_coeffs(kind, 64) for kind in
+       ("chebyshev1", "chebyshev2", "chebyshev3", "chebyshev4")},
+    "nevai": nevai_prefix("chebyshev2", 3, 64),
+    "family-less": without_family(family_coeffs("chebyshev3", 64)),
+}
+
+
+@pytest.mark.parametrize("name", R1_PREFIXES)
+def test_cauchy_r1_is_the_full_transform_bit_for_bit(name):
+    """Over the r1 suite's degrees, R1System's coefficients and residuals are
+    those built from the full geronimus_cauchy transform and a full P-ratio
+    run, bit for bit."""
+    m, kappa, ns = R1_PREFIXES[name], 0.3 + 0.5j, np.arange(1, 41)
+    sys1 = R1System(m, TransformPoint(kappa), TransformPoint(np.conj(kappa)))
+    tilde_A, rho_n = -geronimus_cauchy(m, np.conj(kappa)).ratio_seq[ns], p_ratios(m, kappa)[ns - 1]
+    alpha, beta = rseq._ri_coeffs(m, ns, rho_n, tilde_A)
+    ref = rseq._ri_residuals(m, ns, ZS, *rseq._columns(tilde_A, alpha, beta, rho_n))
+    for got, want in zip((*sys1.coeffs(range(1, 41)), sys1.residuals(range(1, 41), ZS)),
+                         (alpha, beta, ref)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_cauchy_r1_check_path_builds_no_coefficients(monkeypatch, capsys):
+    """Neither R1System at the Cauchy value nor the CLI's r1 suite reads the
+    transform's coefficients off the ratio run."""
+    def refuse(*args):
+        raise AssertionError("_dqd_coeffs called")
+
+    monkeypatch.setattr(darboux, "_dqd_coeffs", refuse)
+    m = family_coeffs("chebyshev1", 64)
+    sys1 = R1System(m, TransformPoint(1j), TransformPoint(-1j))
+    assert np.max(sys1.residuals(range(1, 41), ZS)) <= 1e-9
+    assert len(sys1.coeffs([3, 40])[0]) == 2
+    argv = ["verify", "--suite=r1", "--family=chebyshev1", "--kappa=0+1i"]
+    assert darbouxjac.cli.main(argv) == 0 and capsys.readouterr().out
+
+
+def test_p_ratios_run_to_the_largest_checked_degree(monkeypatch):
+    """Each P-ratio run asks for the largest degree of its call and no more;
+    an empty list, and making the system, run none."""
+    calls, real = [], rseq.ratio_sequence
+    monkeypatch.setattr(rseq, "ratio_sequence",
+                        lambda *a, **kw: calls.append(kw.get("n_terms")) or real(*a, **kw))
+    sys1 = R1System(family_coeffs("chebyshev2", 64), TransformPoint(0.3 + 0.5j),
+                    TransformPoint(0.3 - 0.5j))
+    assert calls == []
+    for degrees, top in (([3, 17, 5], 17), (range(1, 41), 40), ([2, 2], 2), ([], None)):
+        calls.clear()
+        sys1.coeffs(degrees)
+        sys1.residuals(degrees, ZS[:3])
+        assert calls == ([top] * 2 if top else []), degrees
+
+
+def cauchy_failures():
+    """(prefix, site, quadrature patch, error) of each way the Cauchy-value
+    step fails: a short prefix, a real kappa inside the support, a quadrature
+    mismatch, a backward-run breakdown and a pole of the continued fraction."""
+    cheb1 = family_coeffs("chebyshev1", 64)
+    c, lam = cheb1.c.tolist(), cheb1.lam.tolist()
+    broken_at(c, lam, 0.3 - 0.5j, 20)
+    off = lambda *args, **kwargs: 1.0 + 2.0j  # noqa: E731
+    return [
+        pytest.param(family_coeffs("chebyshev1", 3), TransformPoint(-1j), None, PrefixError,
+                     id="short"),
+        pytest.param(cheb1, TransformPoint(0.5, allow_real=True), None, ConfigurationError,
+                     id="inside"),
+        pytest.param(cheb1, TransformPoint(-1j), off, QuadratureError, id="quadrature"),
+        pytest.param(RecurrenceCoeffs(c=c, lam=lam), TransformPoint(0.3 - 0.5j), None,
+                     ExistenceError, id="breakdown"),
+        pytest.param(RecurrenceCoeffs(c=[2, 0, 0, 0, 0, 0], lam=[2] * 5),
+                     TransformPoint(3, allow_real=True), None, PoleError, id="pole"),
+    ]
+
+
+@pytest.mark.parametrize("m, k2, patch, error", cauchy_failures())
+def test_cauchy_r1_fails_as_the_transform_does(monkeypatch, m, k2, patch, error):
+    """R1System at the Cauchy value fails where geronimus_cauchy does, with its
+    error type and message (the P-ratios at kappa1 run fine on each)."""
+    if patch is not None:
+        monkeypatch.setattr(darboux, "adaptive_integral", patch)
+    with pytest.raises(error) as ref:
+        geronimus_cauchy(m, k2.kappa)
+    with pytest.raises(type(ref.value)) as got:
+        R1System(m, TransformPoint(0.5j), k2)
+    assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)
+    assert ratio_sequence(m, 0.5j, "P").values.size == m.n_max
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.9, float("nan"), 0.5])
+def test_fractional_degrees_are_refused_naming_them(cheb1, bad):
+    """A degree whose value is not an integer is a ConfigurationError naming
+    it, not the degree a cast truncates it to; an integral float is its int."""
+    sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
+    pair, sys2 = GeronimusPairQuasi(cheb1, -1j), R2System(cheb1, 1j)
+    message = f"degree n={bad} is not an integer"
+    calls = (lambda: sys1.coeffs([bad]), lambda: sys1.residuals([2, bad], ZS),
+             lambda: sys2.coeffs([bad], 0.1, 0.2), lambda: sys2.residuals([3, bad], ZS, 0.1, 0.2),
+             lambda: pair.quasi([4, bad]), lambda: r1_general(cheb1, TransformPoint(1j), 0.3j, bad),
+             lambda: r2_coeffs(cheb1, TransformPoint(1j), 0.1, 0.2, bad))
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=message):
+            call()
+    for got, want in ((sys1.coeffs([2.0, 5]), sys1.coeffs([2, 5])),
+                      (pair.quasi(np.array([3.0])), pair.quasi([3]))):
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_degrees_are_checked_in_list_order(cheb1):
+    sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
+    pair = GeronimusPairQuasi(cheb1, -1j)
+    for call, first, second in ((sys1.coeffs, "n=0", "n=1.7"), (pair.quasi, "n=-1", "n=1.7")):
+        with pytest.raises((ConfigurationError, PrefixError), match=first):
+            call([int(first[2:]), 1.7])
+        with pytest.raises(ConfigurationError, match=second):
+            call([1.7, int(first[2:])])
 
 
 def old_suite_r2(m, kappa):
@@ -547,14 +692,15 @@ def relative(total, *terms):
     return np.divide(np.abs(total), scale, out=np.zeros(scale.shape), where=scale > 0)
 
 
-def loop_r1(sys1: R1System, n: int, zs):
-    """The R_I residual at degree n alone: one evaluator run to n."""
+def loop_r1(sys1: R1System, n: int, zs, ratio_seq, rho):
+    """The R_I residual at degree n alone: one evaluator run to n, with the
+    Geronimus and P-ratios of the full runs."""
     m, ((alpha,), (beta,)) = sys1.m, sys1.coeffs([n])
     p_nm1, p_n, _ = _scaled_run(m, n, zs, 1.0, zs - m.c[0])
     p_np1 = (zs - m.c[n]) * p_n - m.lam[n - 1] * p_nm1
-    t1 = p_np1 - sys1.gero.ratio_seq[n] * p_n
+    t1 = p_np1 - ratio_seq[n] * p_n
     t2 = (zs - alpha) * p_n
-    t3 = beta * (p_n - sys1.rho[n - 1] * p_nm1)
+    t3 = beta * (p_n - rho[n - 1] * p_nm1)
     return relative(t1 - t2 + t3, t1, t2, t3)
 
 
@@ -625,11 +771,12 @@ def test_degree_runs_rescale_and_stay_the_one_degree_runs():
     assert np.all(scale[[0, 4]] > 0) and np.all(scale[[3, 7]] == 0)
 
 
-def assert_r1_sweep_is_the_loop(sys1: R1System, degrees, zs):
+def assert_r1_sweep_is_the_loop(sys1: R1System, k2: TransformPoint, degrees, zs):
     sweep = sys1.residuals(degrees, zs)
     assert sweep.shape == (len(degrees), len(zs))
+    refs = gero_ratios(sys1.m, k2), p_ratios(sys1.m, sys1.kappa1)
     for n, row in zip(degrees, sweep):
-        assert np.array_equal(row, loop_r1(sys1, n, zs)), n
+        assert np.array_equal(row, loop_r1(sys1, n, zs, *refs)), n
         assert np.array_equal(row, sys1.residuals([n], zs)[0]), n
     # one point alone gets the rounding it gets in the batch
     single = sys1.residuals(degrees, zs[0])
@@ -671,7 +818,7 @@ points = st.lists(
 def test_r1_sweep_is_bitwise_the_per_degree_loop(m, k1, k2, degrees, zs, data):
     # s0star given: the Cauchy default cross-checks by quadrature, on presets only
     k2 = TransformPoint(k2, s0star=data.draw(opposite_s0star(k2)))
-    assert_r1_sweep_is_the_loop(R1System(m, TransformPoint(k1), k2), degrees, zs)
+    assert_r1_sweep_is_the_loop(R1System(m, TransformPoint(k1), k2), k2, degrees, zs)
 
 
 @PROPERTY
@@ -682,8 +829,9 @@ def test_r2_sweep_is_bitwise_the_per_degree_loop(m, kappa, degrees, zs):
 
 class TestSweeps:
     def test_r1_unsorted_and_repeated_degrees(self, cheb1):
-        sys1 = R1System(cheb1, TransformPoint(0.3 + 0.5j), TransformPoint(0.3 - 0.5j))
-        assert_r1_sweep_is_the_loop(sys1, [17, 3, 40, 3, 1, 17, 2], ZS)
+        k2 = TransformPoint(0.3 - 0.5j)
+        sys1 = R1System(cheb1, TransformPoint(0.3 + 0.5j), k2)
+        assert_r1_sweep_is_the_loop(sys1, k2, [17, 3, 40, 3, 1, 17, 2], ZS)
 
     def test_r2_unsorted_and_repeated_degrees(self, cheb2):
         degrees = [12, 1, 30, 12, 2, 1]
@@ -700,9 +848,10 @@ class TestSweeps:
 
     def test_r1_top_degree_and_one_past_it(self):
         m = family_coeffs("chebyshev4", 24)
-        sys1 = R1System(m, TransformPoint(0.2 + 0.7j), TransformPoint(0.2 - 0.7j))
+        k2 = TransformPoint(0.2 - 0.7j)
+        sys1 = R1System(m, TransformPoint(0.2 + 0.7j), k2)
         top = m.n_max - 3
-        assert_r1_sweep_is_the_loop(sys1, [top, 1, top], ZS[:5])
+        assert_r1_sweep_is_the_loop(sys1, k2, [top, 1, top], ZS[:5])
         for degrees in ([top + 1], [2, top + 1, top]):
             with pytest.raises(PrefixError, match=f"n={top + 1}"):
                 sys1.residuals(degrees, ZS)
@@ -882,11 +1031,11 @@ def same(a, b) -> bool:
     return np.complex128(a).tobytes() == np.complex128(b).tobytes()
 
 
-def scalar_r1(sys1: R1System, n: int):
+def scalar_r1(m, n: int, ratio_seq, rho):
     """alpha_n and beta_n of the R_I relation with the Geronimus tilde_A, in
-    complex scalars."""
-    m, tilde_A = sys1.m, -sys1.gero.ratio_seq[n]
-    ratio = m.lam_n(n + 1) / sys1.rho[n - 1]
+    complex scalars, from the Geronimus and P-ratios of the full runs."""
+    tilde_A = -ratio_seq[n]
+    ratio = m.lam_n(n + 1) / rho[n - 1]
     return m.c_n(n + 1) - tilde_A + ratio, -ratio
 
 
@@ -910,15 +1059,16 @@ def test_one_degree_coeffs_are_the_sweep_entries(m, kappa, degrees, s0):
     and ``r2_coeffs`` tuples, are the scalar formulas' values, bit for bit."""
     # s0star in the half-plane opposite conj kappa, the Geronimus site
     s0star = complex(0.0, math.copysign(s0, kappa.imag))
-    k1 = TransformPoint(kappa)
-    sys1 = R1System(m, k1, TransformPoint(np.conj(kappa), s0star=s0star))
+    k1, k2 = TransformPoint(kappa), TransformPoint(np.conj(kappa), s0star=s0star)
+    sys1 = R1System(m, k1, k2)
+    ratio_seq, p_rho = gero_ratios(m, k2), p_ratios(m, kappa)
     pair, sys2 = GeronimusPairQuasi(m, np.conj(kappa)), R2System(m, kappa)
     alpha, beta = sys1.coeffs(degrees)
     tilde_C, tilde_D = pair.quasi(degrees)
     rho, gamma, upsilon = sys2.coeffs(degrees, tilde_C, tilde_D)
     for i, n in enumerate(degrees):
-        ref = scalar_r1(sys1, n)
-        for got in ((alpha[i], beta[i]), r1_general(m, k1, -sys1.gero.ratio_seq[n], n)):
+        ref = scalar_r1(m, n, ratio_seq, p_rho)
+        for got in ((alpha[i], beta[i]), r1_general(m, k1, -ratio_seq[n], n)):
             assert all(map(same, got, ref)), n
         ref, data = scalar_r2(sys2, pair, n), (tilde_C[i], tilde_D[i])
         for got in ((rho[i], gamma[i], upsilon[i]), r2_coeffs(m, k1, *data, n)):
