@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import rseq, spectral
+from . import factorization, rseq, spectral
 from .core import (
     CHEBYSHEV_KINDS,
     DEFAULT_N_MAX,
@@ -27,7 +27,6 @@ from .core import (
 )
 from .darboux import TransformPoint, cauchy_s0star, christoffel, geronimus
 from .errors import ConfigurationError, DarbouxError, PrefixError
-from .factorization import build_JC, build_JG, lu_factor, ul_factor
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -206,8 +205,11 @@ def _suite_strips(m, kappa, s0star):
     for cloud in kernel + gero:
         rep = spectral.strip_check(cloud, cloud.strip_bound, side)
         ok = ok and rep.ok
-        if rep.violators:
-            worst = max(worst, max(abs(v.imag) - cloud.strip_bound for v in rep.violators))
+        for v in rep.violators:
+            # a zero on the wrong side is |Im z| from the correct half-plane,
+            # one on the right side is |Im z| - bound outside the strip
+            im = v.imag if side == "upper" else -v.imag
+            worst = max(worst, -im if im <= 0 else im - cloud.strip_bound)
     return {"pass": ok, "max_violation": worst}
 
 
@@ -269,14 +271,14 @@ def _suite_factorization(m, kappa, s0star):
     S = symmetrize(christoffel(lead, TransformPoint(kappa)).coeffs)
     SG = symmetrize(geronimus(lead, TransformPoint(kappa, s0star=s0star)).coeffs)
     J = symmetrize(m)
-    f = lu_factor(J, kappa)
+    f = factorization.lu_factor(J, kappa)
     diag, off = f.reconstruct()
     scale = 1.0 + float(np.max(np.abs(J.b))) + float(np.max(np.abs(J.a)))
     err = max(
         float(np.max(np.abs(diag - (J.b - kappa)))), float(np.max(np.abs(off - J.a)))
     )
     # u_0^2 = 1/s0star is the Geronimus offset s0/s0star for s0 = 1
-    u = ul_factor(J, kappa, s0star / m.s0)
+    u = factorization.ul_factor(J, kappa, s0star / m.s0)
     gdiag, goff = u.reconstruct()
     nrows = len(gdiag)
     err = max(
@@ -284,7 +286,8 @@ def _suite_factorization(m, kappa, s0star):
         float(np.max(np.abs(gdiag - (J.b[:nrows] - kappa)))),
         float(np.max(np.abs(goff - J.a[: nrows - 1]))),
     )
-    agree = max(_leading_gap(build_JC(f), S), _leading_gap(build_JG(u), SG))
+    agree = max(_leading_gap(factorization.build_JC(f), S),
+                _leading_gap(factorization.build_JG(u), SG))
     ok = err <= 1e-12 * scale and agree <= 1e-10
     return {"pass": ok, "reconstruction_error": err, "agreement_error": agree}
 

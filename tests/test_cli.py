@@ -524,6 +524,23 @@ class TestVerify:
         entry = json.loads(capsys.readouterr().out)["suites"]["factorization"]
         assert entry["pass"] and entry["agreement_error"] <= 1e-10
 
+    def test_strips_scores_a_wrong_side_zero_by_its_distance(self, tmp_path, capsys):
+        """On the kernel polynomials of chebyshev1 at 0.2+0.3i, the degree-1
+        kernel zero at 0.1+0.05i lies below the real axis, inside the strip
+        bound: it scores |Im z|, where |Im z| - bound once read a failing
+        suite as max_violation 0.0."""
+        path = tmp_path / "k2.json"
+        assert main(["transform", "--family=chebyshev1", "--christoffel=0.2+0.3i",
+                     f"--output={path}"]) == 0
+        argv = ["verify", f"--coeff-file={path}", "--suite=strips", "--kappa=0.1+0.05i"]
+        assert main(argv) == 1
+        entry = json.loads(capsys.readouterr().out)["suites"]["strips"]
+        m = RecurrenceCoeffs.loads(path.read_text())
+        (cloud,) = spectral.kernel_zero_sweep(m, TransformPoint(0.1 + 0.05j), [1])
+        (z,) = cloud.zeros
+        assert -cloud.strip_bound < z.imag < 0
+        assert entry["pass"] is False and entry["max_violation"] >= -z.imag > 0
+
     def test_r1_suite_on_a_coeff_file(self, tmp_path, capsys):
         # the Cauchy value of a prefix with no preset weight (it once exited 1:
         # the quadrature cross-check needed the weight)
