@@ -48,7 +48,8 @@ from .polyeval import RatioSequence, eval_P, eval_Q, eval_R, ratio_sequence
 # spectral, rseq and factorization run on first use: transform needs none of
 # them, zeros needs spectral only.  Each sits in sys.modules from here on as
 # a lazy module, whose first attribute access executes it; the package
-# serves the names below from them through __getattr__.
+# serves the names below from them through __getattr__, on every read
+# (uncached, so a name rebound in its module is read as rebound).
 _LAZY = {
     "factorization": ("LowerFactor", "UpperFactor", "build_JC", "build_JG",
                       "lower_from_upper", "lu_factor", "ul_factor"),
@@ -75,8 +76,7 @@ factorization, rseq, spectral = (_register(module) for module in _LAZY)
 def __getattr__(name: str):
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(globals()[_OWNER[name]], name)
-    return value
+    return getattr(globals()[_OWNER[name]], name)
 
 
 def __dir__():

@@ -12,6 +12,7 @@ functional normalization L(1) is carried separately as ``s0``.
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
@@ -33,6 +34,39 @@ __all__ = [
 DEFAULT_N_MAX = 256
 
 CHEBYSHEV_KINDS = ("chebyshev1", "chebyshev2", "chebyshev3", "chebyshev4")
+
+
+def _integer(name: str, x) -> int:
+    """x as an int (3.0 and numpy ints are their int); ConfigurationError
+    "<name>=<x> is not an integer" for 2.5, nan, inf or a non-number."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        if isinstance(x, (float, np.floating)) and float(x).is_integer():
+            return int(x)
+    raise ConfigurationError(f"{name}={x} is not an integer")
+
+
+def _degrees(what: str, n_list, n_max: int, lo: int = 0, reads: int = 0) -> np.ndarray:
+    """The degrees a call may read: n_list (a degree, an iterable of them in
+    any order or an array of any shape, read flat) as a 1-d int array in list
+    order, each entry checked in that order.  A non-integer (a list among the
+    entries too) raises ConfigurationError, n < lo and n + reads > n_max a
+    PrefixError naming n (and the prefix length n needs)."""
+    if isinstance(n_list, np.ndarray):
+        n_list = n_list.reshape(-1).tolist()
+    try:
+        xs = list(n_list)
+    except TypeError:  # one degree
+        xs = [n_list]
+    ns, name = [], f"{what} degree n"
+    for x in xs:
+        ns.append(n := _integer(name, x))
+        if n < lo:
+            raise PrefixError(f"{what} has no degree n={n} < {lo}")
+        if n + reads > n_max:
+            raise PrefixError(f"{what} at n={n} needs a prefix of length >= {n + reads}")
+    return np.array(ns, dtype=int)
 
 
 class Record:
@@ -161,6 +195,7 @@ class RecurrenceCoeffs(Record, eq=False):
         return complex(self.lam[n - 2])
 
     def truncated(self, n_max: int) -> "RecurrenceCoeffs":
+        n_max = _integer("n_max", n_max)
         if not 1 <= n_max <= self.n_max:
             raise PrefixError(f"cannot truncate prefix of length {self.n_max} to {n_max}")
         return replace(self, c=self.c[:n_max], lam=self.lam[: n_max - 1])
@@ -298,6 +333,7 @@ def moments(m: RecurrenceCoeffs, count: int) -> np.ndarray:
     index 0 back to 0 visits indices <= j/2).  A moment beyond the double
     range raises EvaluationRangeError(j).
     """
+    count = _integer("count", count)
     if count < 0:
         raise ConfigurationError("count must be nonnegative")
     if count > m.n_max:

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import _dd as dd
 from ._quadrature import adaptive_integral
-from .core import Record, RecurrenceCoeffs
+from .core import Record, RecurrenceCoeffs, _degrees
 from .errors import (
     ConfigurationError,
     EvaluationRangeError,
@@ -67,8 +67,7 @@ from .errors import (
     QuadratureError,
     ZeroHitError,
 )
-from .polyeval import (_BREAKDOWN_RTOL, _check_degree, _ratio_run, _scaled_run, _unscaled, eval_P,
-                       ratio_sequence)
+from .polyeval import _BREAKDOWN_RTOL, _ratio_run, _scaled_run, _unscaled, eval_P, ratio_sequence
 
 __all__ = [
     "TransformPoint",
@@ -225,7 +224,7 @@ def kernel_eval(m: RecurrenceCoeffs, site: TransformPoint, n: int, z: complex) -
     terms (at least 4): christoffel runs forward, so they give the same entries.
     Both routes take the degrees of the transformed prefix, 0..n_max - 2.
     """
-    _check_degree(n, m.n_max - 2)
+    (n,) = _degrees("P*_n", [n], m.n_max, reads=2).tolist()
     if n == 0:
         return 1.0 + 0.0j
     kappa = site.kappa
@@ -677,7 +676,7 @@ def geronimus_eval_from(tc: TransformedCoeffs, n: int, z: complex) -> complex:
     """P^{-*}_n(kappa, z) from a precomputed Geronimus TransformedCoeffs."""
     if tc.kinds[-1] != "geronimus":
         raise ConfigurationError("transform is not a Geronimus step")
-    _check_degree(n, len(tc.ratio_seq))
+    (n,) = _degrees("P^{-*}_n", [n], len(tc.ratio_seq)).tolist()
     if n == 0:
         return 1.0 + 0.0j
     m = tc.base

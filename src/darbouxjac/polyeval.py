@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import Record, RecurrenceCoeffs
+from .core import Record, RecurrenceCoeffs, _degrees, _integer
 from .errors import (ConfigurationError, EvaluationRangeError, ExistenceError, PrefixError,
                      ZeroHitError)
 
@@ -109,7 +109,8 @@ def _ldexp(arr, e):
 @np.errstate(over="ignore", invalid="ignore")  # a value past the double range ends as NaN
 def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=False, _stop=None,
                 _taps=None):
-    """Run the recurrence to degree n >= 1 at every point of z at once.
+    """Run the recurrence to degree n >= 1 at every point of z at once (n at
+    most m.n_max: the callers check their degrees with ``core._degrees``).
 
     z is a scalar or an array; y0, y1 broadcast against it.  Returns
     (y_{n-1}, y_n, log_scale), then y'_n if ``deriv`` and the error envelope
@@ -145,8 +146,6 @@ def _scaled_run(m: RecurrenceCoeffs, n: int, z, y0, y1, deriv=False, envelope=Fa
     was scaled or left the window skips this), and log_scale is the exponent
     of the power of two left over times log 2.
     """
-    if n > m.n_max:
-        raise PrefixError(f"degree {n} exceeds prefix length {m.n_max}")
     scalar = np.ndim(z) == 0
     c, lam = m.c[:n], m.lam[: n - 1]
     real = not np.iscomplexobj(z) and not any(np.any(np.imag(x)) for x in (y0, y1, c, lam))
@@ -234,35 +233,29 @@ def _unscaled(val, log_scale, n: int):
     return out
 
 
-def _check_degree(n: int, top: int) -> None:
-    """PrefixError naming the degree n unless 0 <= n <= top."""
-    if not 0 <= n <= top:
-        raise PrefixError(f"degree {n} outside 0..{top}")
-
-
 def _eval_scaled(m: RecurrenceCoeffs, which: str, n: int, z, s0star=None):
-    _check_degree(n, m.n_max)
+    (n,) = _degrees(f"{which}_n", [n], m.n_max).tolist()
     y0, y1 = _initial_pair(m, which, z, s0star)
     if n == 0:
-        return y0 + 0 * z, 0.0
+        return y0 + 0 * z, 0.0, n
     _, cur, log_scale = _scaled_run(m, n, z, y0, y1)
-    return cur, log_scale
+    return cur, log_scale, n
 
 
 def eval_P(m: RecurrenceCoeffs, n: int, z: complex) -> complex:
     """Value of the monic degree-n orthogonal polynomial P_n(z); an array z
     gives the values at every point."""
-    return _unscaled(*_eval_scaled(m, "P", n, z), n)
+    return _unscaled(*_eval_scaled(m, "P", n, z))
 
 
 def eval_Q(m: RecurrenceCoeffs, n: int, z: complex) -> complex:
     """Second-kind polynomial Q_n(z); Q_0 = 0, Q_1 = s_0 (1 when normalized)."""
-    return _unscaled(*_eval_scaled(m, "Q", n, z), n)
+    return _unscaled(*_eval_scaled(m, "Q", n, z))
 
 
 def eval_R(m: RecurrenceCoeffs, n: int, z: complex, s0star: complex) -> complex:
     """R_n(z) = P_n(z) + Q_n(z)/s0star, the Geronimus denominator polynomial."""
-    return _unscaled(*_eval_scaled(m, "R", n, z, s0star), n)
+    return _unscaled(*_eval_scaled(m, "R", n, z, s0star))
 
 
 def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None, diffs: bool = True):
@@ -336,7 +329,7 @@ def ratio_sequence(m: RecurrenceCoeffs, z: complex, which: str = "P",
     """
     _initial_pair(m, which, z, s0star)  # ConfigurationError for a bad which or s0star
     start = 2 if which == "Q" else 1
-    count = m.n_max + 1 - start if n_terms is None else n_terms
+    count = m.n_max + 1 - start if n_terms is None else _integer("n_terms", n_terms)
     if count < 1:
         raise PrefixError(f"ratio_sequence needs n_terms >= 1 (n_terms={count})")
     last = start - 1 + count

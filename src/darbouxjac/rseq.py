@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from ._quadrature import adaptive_integral
-from .core import Record, RecurrenceCoeffs
+from .core import Record, RecurrenceCoeffs, _degrees, _integer
 from .darboux import GeronimusChain, TransformPoint, christoffel, geronimus
 from .darboux import _cauchy_step, _geronimus_step, _tails
 from .errors import (ConfigurationError, DegeneracyError, PoleError, PrefixError, QuadratureError,
@@ -70,25 +70,6 @@ def _relative(z, total, *terms):
     scale = np.maximum.reduce([np.abs(t) for t in terms])
     res = np.divide(np.abs(total), scale, out=np.zeros(scale.shape), where=scale > 0)
     return res if np.ndim(z) else res[..., 0]
-
-
-def _degree(what: str, x) -> int:
-    """A degree-list entry as an int; ConfigurationError for 1.7 or nan."""
-    if not (isinstance(x, int) or float(x).is_integer()):
-        raise ConfigurationError(f"{what} degree n={x} is not an integer")
-    return int(x)
-
-
-def _degrees(what: str, n_list, n_max: int, reads: int = 3) -> np.ndarray:
-    """n_list as a 1-d int array, each degree checked in list order."""
-    ns = []
-    for x in np.asarray(n_list).reshape(-1).tolist():
-        ns.append(n := _degree(what, x))
-        if n < 1:
-            raise ConfigurationError(f"{what} coefficients are defined for n >= 1 (n={n})")
-        if (need := n + reads) > n_max:
-            raise PrefixError(f"{what} coefficients at n={n} need a prefix of length >= {need}")
-    return np.array(ns, dtype=int)
 
 
 def _per_degree(ns: np.ndarray, **data) -> None:
@@ -190,20 +171,20 @@ class R1System:
     def coeffs(self, n_list):
         """(alpha, beta): arrays with one entry per degree of n_list (any order,
         repeats allowed)."""
-        return self._coeff_arrays(_degrees("R_I", n_list, self.m.n_max))[1:3]
+        return self._coeff_arrays(_degrees("R_I", n_list, self.m.n_max, lo=1, reads=3))[1:3]
 
     def residuals(self, n_list, z):
         """Relative residuals (scale = max term magnitude) for each degree of
         n_list (rows; any order, repeats allowed) at each z (columns; a scalar z
         gives one per degree), in one evaluator run."""
-        ns = _degrees("R_I", n_list, self.m.n_max)
+        ns = _degrees("R_I", n_list, self.m.n_max, lo=1, reads=3)
         return _ri_residuals(self.m, ns, z, *_columns(*self._coeff_arrays(ns)))
 
 
 def r1_general(m: RecurrenceCoeffs, k1: TransformPoint, tilde_A: complex, n: int):
     """Unique (alpha_n, beta_n) for an arbitrary order-1 quasi-orthogonal
     T_{n+1} = P_{n+1} + tilde_A P_n; verified at n+2 sample points."""
-    _degrees("R_I", [n], m.n_max, reads=1)
+    (n,) = _degrees("R_I", [n], m.n_max, lo=1, reads=1).tolist()
     rho_n = ratio_sequence(m, k1.kappa, "P", n_terms=n).values[n - 1]
     alpha, beta = _ri_coeffs(m, n, rho_n, tilde_A)
     zs = sample_points(n + 2)
@@ -260,14 +241,8 @@ class GeronimusPairQuasi:
     def quasi(self, n_list):
         """(tilde_C, tilde_D): arrays with one entry per degree of n_list (any
         order, repeats allowed), each degree checked in list order."""
-        ns = []
-        for x in np.asarray(n_list).reshape(-1).tolist():
-            ns.append(n := _degree("conjugate pair", x))
-            if n < 0:
-                raise PrefixError(f"the conjugate pair has no quasi-orthogonal data at n={n} < 0")
-            if (need := r2_prefix_length(n)) > len(self.Ap) + 2:  # A' is 2 shorter than the base
-                raise PrefixError(f"the conjugate pair at n={n} needs a prefix of length >= {need}")
-        ns = np.array(ns, dtype=int)
+        # A' is 2 shorter than the base
+        ns = _degrees("conjugate pair", n_list, len(self.Ap) + 2, reads=r2_prefix_length(0))
         return self.tilde_C[ns], self.tilde_D[ns]
 
 
@@ -290,7 +265,7 @@ class R2System:
         order, repeats allowed), for order-2 data tilde_C, tilde_D (one entry per
         degree, or a scalar for all); DegeneracyError at the first degree whose
         denominator vanishes."""
-        ns = _degrees("R_II", n_list, self.m.n_max)
+        ns = _degrees("R_II", n_list, self.m.n_max, lo=1, reads=3)
         _per_degree(ns, tilde_C=tilde_C, tilde_D=tilde_D)
         lam_next, kernel_rho = self.m.lam[ns - 1], self.kernel_rho[ns - 1]
         den = _mul(kernel_rho, self.rho[ns - 1]) - lam_next
@@ -308,7 +283,7 @@ class R2System:
         n_list (rows) with its ``coeffs`` at each z (columns; a scalar z gives one
         per degree): one evaluator run for P_n over the degrees, one for the
         kernel P**_{n-1}."""
-        ns = _degrees("R_II", n_list, self.m.n_max)
+        ns = _degrees("R_II", n_list, self.m.n_max, lo=1, reads=3)
         coeffs = self.coeffs(ns, tilde_C, tilde_D)
         tilde_C, tilde_D, rho_n, gamma, upsilon = _columns(tilde_C, tilde_D, *coeffs)
         points = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -343,7 +318,8 @@ def r2_coeffs(m: RecurrenceCoeffs, k1: TransformPoint, tilde_C: complex, tilde_D
     with upsilon_n = (lambda_{n+1} - tilde_D) / (r*_n r_n - lambda_{n+1}) and
     rho_n = 1 + upsilon_n; verified at n+3 sample points.
     """
-    sys = leading_r2_system(m, k1.kappa, _degree("R_II", n))
+    (n,) = _degrees("R_II", [n], m.n_max, lo=1, reads=3).tolist()
+    sys = leading_r2_system(m, k1.kappa, n)
     (rho_n,), (gamma,), (upsilon,) = sys.coeffs([n], tilde_C, tilde_D)
     zs = sample_points(n + 3)
     _verified("R_II", sys.residuals([n], zs, tilde_C, tilde_D)[0], n, zs)
@@ -397,7 +373,7 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
     P_K of the final measure, so K sites need max(4K + 2, 5K) terms; a shorter
     prefix raises PrefixError before any step.
     """
-    kappas = [complex(k) for k in kappas]
+    n, kappas = _integer("n", n), [complex(k) for k in kappas]
     for kap in kappas:
         if kap.imag == 0:
             raise ConfigurationError(f"kappa={kap} must be nonreal")
@@ -442,6 +418,7 @@ def rational_eval(polys: VaryingMeasureResult, kappas, n: int, t: complex) -> co
     kappas = [complex(k) for k in kappas]
     if tuple(kappas) != polys.kappas[: len(kappas)]:
         raise ConfigurationError("kappas do not match the varying-measure result")
+    n = _integer("n", n)
     if n > len(kappas):
         raise ConfigurationError(f"degree {n} needs at least {n} transform points")
     t = complex(t)

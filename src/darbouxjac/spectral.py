@@ -33,6 +33,8 @@ from .core import (
     Record,
     RecurrenceCoeffs,
     SymmetricJacobi,
+    _degrees,
+    _integer,
     moments,
     replace,
     symmetric_jacobi_matrix,
@@ -219,12 +221,7 @@ def zero_sweep(m: RecurrenceCoeffs, n_list, _starts=None) -> tuple[ZeroCloud, ..
     truncations found another way (``_corner_roots``), which take the place
     of eigvals and are polished like its output.
     """
-    n_list = tuple(int(n) for n in n_list)
-    for n in n_list:
-        if n < 0:
-            raise PrefixError(f"degree must be nonnegative (n={n})")
-        if n > m.n_max:
-            raise PrefixError(f"degree {n} exceeds prefix length {m.n_max}")
+    n_list = _degrees("P_n", n_list, m.n_max).tolist()
     degrees = sorted({n for n in n_list if n > 0})
     clouds = {0: ZeroCloud(n=0, zeros=np.empty(0, dtype=complex), max_im=0.0)}
     if degrees:
@@ -389,7 +386,7 @@ def _secular_starts(tc: TransformedCoeffs, n_list) -> dict:
     ``aberth_iterations`` (by degree) and ``fallbacks`` (the degrees whose
     secular run fell back to eigvals)."""
     kind, kappa = tc.kinds[-1], tc.sites[-1].kappa
-    degrees = sorted({n for n in map(int, n_list) if 0 < n <= tc.coeffs.n_max})
+    degrees = sorted({n for n in n_list if n > 0})
     roots, routes, iters = _corner_roots(tc, degrees)
     fallbacks = len(iters) - len(roots)
     _log.debug("%s zeros at kappa=%s: %d of %d degrees secular, %d fell back to eigvals",
@@ -403,6 +400,7 @@ def kernel_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> Zero
     |1/Im(P_n(kappa)/P_{n+1}(kappa))| (derived in ``_with_strip``), by the
     route of ``kernel_zero_sweep`` (the transform of the whole prefix, whose
     leading terms are those of the sweep's)."""
+    (n,) = _degrees("P*_n", [n], m.n_max, reads=2).tolist()
     tc = christoffel(m, site)
     return _with_strip(tc, zeros(tc.coeffs, n, _starts=_secular_starts(tc, (n,))))
 
@@ -410,7 +408,7 @@ def kernel_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> Zero
 def kernel_zero_sweep(m: RecurrenceCoeffs, site: TransformPoint, n_list) -> tuple[ZeroCloud, ...]:
     """``kernel_zero_cloud`` for every n in n_list, from one transform of the
     leading terms and one sweep."""
-    n_list = tuple(int(n) for n in n_list)
+    n_list = _degrees("P*_n", n_list, m.n_max, reads=2).tolist()
     tc = christoffel(_leading(m, n_list), site)
     clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list))
     return tuple(_with_strip(tc, cloud) for cloud in clouds)
@@ -429,10 +427,7 @@ def geronimus_zero_sweep(
     """Zeros of P^{-*}_n(kappa, .), n >= 1, with the strip bound
     |1/Im(R_{n-1}(kappa)/R_n(kappa))| (derived in ``_with_strip``), for every
     n in n_list, from one transform of the leading terms and one sweep."""
-    n_list = tuple(int(n) for n in n_list)
-    for n in n_list:
-        if n < 1:
-            raise PrefixError(f"P^{{-*}}_n has no zero nearest kappa below degree 1 (n={n})")
+    n_list = _degrees("P^{-*}_n", n_list, m.n_max, lo=1, reads=2).tolist()
     tc = geronimus(_leading(m, n_list), site)
     clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list))
     return tuple(_with_strip(tc, cloud) for cloud in clouds)
@@ -495,7 +490,7 @@ def verify_m_identities(m: RecurrenceCoeffs, site: TransformPoint, order: int) -
     Geronimus:  s^G_{j+1} - kappa s^G_j = s_j, the coefficient form of
     m(J_G;z) = m(J;z)/(s0star (z-kappa)) - 1/(z-kappa).
     """
-    kappa = site.kappa
+    kappa, order = site.kappa, _integer("order", order)
     # the moments read the leading order + 2 terms of m and of each transform,
     # whose leading entries are functions of the leading terms of m only
     m = m.truncated(min(m.n_max, max(order + 4, 4)))
@@ -548,10 +543,7 @@ def cluster_sweep(
     """
     if site.s0star is None:
         raise ConfigurationError("cluster_sweep needs a Geronimus site with s0star")
-    n_list = tuple(int(n) for n in n_list)
-    for n in n_list:
-        if n < 1 or n + 2 > m.n_max:
-            raise PrefixError(f"cluster distance needs 1 <= n <= n_max - 2 = {m.n_max - 2} (n={n})")
+    n_list = _degrees("cluster distance", n_list, m.n_max, lo=1, reads=2).tolist()
     if not n_list:
         return ()
     kappa, top = site.kappa, max(n_list)
@@ -635,7 +627,8 @@ def zero_dynamics(
         raise ConfigurationError(
             "zero_dynamics requires a base prefix diagnosed in a Nevai class"
         )
-    n_list = tuple(int(n) for n in n_list)
+    what, lo = ("P*_n", 0) if kind == "christoffel" else ("P^{-*}_n", 1)
+    n_list = tuple(_degrees(what, n_list, m.n_max, lo, reads=2).tolist())
     if kind == "christoffel":
         clouds = kernel_zero_sweep(m, site, n_list)
         max_im = np.array([cloud.max_im for cloud in clouds])
@@ -678,6 +671,7 @@ def ratio_asymptotic_check(
     terms from w back, for w = max(min(30, n_check // 2), 1) and
     k = max(w // 3, 1).  An n_check below 1 raises PrefixError.
     """
+    n_check = _integer("n_check", n_check)
     if n_check < 1:
         raise PrefixError(f"ratio asymptotics need n_check >= 1 (n={n_check})")
     diag = nevai_diagnostics(coeffs)

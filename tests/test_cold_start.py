@@ -113,6 +113,26 @@ def test_tracer_installs_after_a_transform_and_spans_a_lazy_layer(tmp_path):
     )
 
 
+def test_a_lazy_name_read_under_the_tracer_is_its_module_value_after_uninstall(tmp_path):
+    """The package serves a lazy module's name on every read, uncached: a name
+    first read while the tracer is installed reads the tracer's wrapper then,
+    and the module's own function once it is uninstalled."""
+    run_fresh(
+        f"spec = importlib.util.spec_from_file_location('spans', {str(SPANS)!r})\n"
+        "spans = sys.modules['spans'] = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "import darbouxjac\n"
+        "uninstall = spans.install(spans.Tracer())\n"
+        "try:\n"
+        "    assert darbouxjac.zeros is darbouxjac.spectral.zeros\n"
+        "    wrapped = darbouxjac.zeros\n"
+        "finally:\n"
+        "    uninstall()\n"
+        "assert darbouxjac.zeros is darbouxjac.spectral.zeros is not wrapped\n",
+        tmp_path,
+    )
+
+
 def test_public_names_are_those_of_their_modules():
     public = {name for name in dir(darbouxjac)
               if not name.startswith("_") and not isinstance(getattr(darbouxjac, name), ModuleType)}

@@ -135,7 +135,7 @@ class TestKernelEval:
         m, site = family_coeffs("chebyshev1", 16), TransformPoint(0.3 + 0.5j)
         want = eval_P(christoffel(m, site).coeffs, 14, z)
         assert abs(kernel_eval(m, site, 14, z) - want) <= 1e-12 * max(1.0, abs(want))
-        with pytest.raises(PrefixError, match="degree 15 "):
+        with pytest.raises(PrefixError, match="n=15 needs a prefix of length >= 17"):
             kernel_eval(m, site, 15, z)
 
 
@@ -371,12 +371,12 @@ class TestEvaluationRange:
 
 Z = 0.3 + 0.2j
 DEGREE_CALLS = {
-    "eval_P": (lambda m, tc: eval_P(m, -1, Z), "degree -1 "),
-    "eval_Q": (lambda m, tc: eval_Q(m, -1, Z), "degree -1 "),
-    "eval_R": (lambda m, tc: eval_R(m, -1, Z, -1j), "degree -1 "),
-    "kernel_eval": (lambda m, tc: kernel_eval(m, TransformPoint(0.3 + 0.5j), -1, Z), "degree -1 "),
-    "geronimus_eval_from": (lambda m, tc: geronimus_eval_from(tc, -1, Z), "degree -1 "),
-    "geronimus_eval_from-past-ratio_seq": (lambda m, tc: geronimus_eval_from(tc, 16, Z), "degree 16 "),
+    "eval_P": (lambda m, tc: eval_P(m, -1, Z), "n=-1 < 0"),
+    "eval_Q": (lambda m, tc: eval_Q(m, -1, Z), "n=-1 < 0"),
+    "eval_R": (lambda m, tc: eval_R(m, -1, Z, -1j), "n=-1 < 0"),
+    "kernel_eval": (lambda m, tc: kernel_eval(m, TransformPoint(0.3 + 0.5j), -1, Z), "n=-1 < 0"),
+    "geronimus_eval_from": (lambda m, tc: geronimus_eval_from(tc, -1, Z), "n=-1 < 0"),
+    "geronimus_eval_from-past-ratio_seq": (lambda m, tc: geronimus_eval_from(tc, 16, Z), "n=16 needs"),
     "ratio_sequence-0": (lambda m, tc: ratio_sequence(m, Z, n_terms=0), r"\(n_terms=0\)"),
     "ratio_sequence-neg": (lambda m, tc: ratio_sequence(m, Z, n_terms=-3), r"\(n_terms=-3\)"),
 }

@@ -872,22 +872,22 @@ class TestSweeps:
             sys2.residuals([top, top + 1], ZS, [c] * 2, [d] * 2)
 
     @pytest.mark.parametrize("n", [0, -1, -5])
-    def test_degrees_below_one_raise_configuration_error(self, cheb1, n):
+    def test_degrees_below_one_raise_prefix_error(self, cheb1, n):
         sys1 = R1System(cheb1, TransformPoint(1j), TransformPoint(-1j))
         for call in (lambda: sys1.coeffs([n]), lambda: sys1.residuals([2, n], ZS)):
-            with pytest.raises(ConfigurationError, match=f"n={n}"):
+            with pytest.raises(PrefixError, match=f"n={n}"):
                 call()
         sys2 = R2System(cheb1, 1j)
-        with pytest.raises(ConfigurationError, match=f"n={n}"):
+        with pytest.raises(PrefixError, match=f"n={n}"):
             sys2.coeffs([n], 0.1, 0.2)
-        with pytest.raises(ConfigurationError, match=f"n={n}"):
+        with pytest.raises(PrefixError, match=f"n={n}"):
             sys2.residuals([n], ZS, 0.1, 0.2)
-        with pytest.raises(ConfigurationError, match=f"n={n}"):
+        with pytest.raises(PrefixError, match=f"n={n}"):
             sys2.residuals([2, n], ZS, [0.1] * 2, [0.2] * 2)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_r1_general_below_degree_one(self, cheb1, n):
-        with pytest.raises(ConfigurationError, match=f"n={n}"):
+        with pytest.raises(PrefixError, match=f"n={n}"):
             r1_general(cheb1, TransformPoint(1j), 0.3j, n)
 
     @pytest.mark.parametrize("n", [-1, -3, -64])
