@@ -57,7 +57,7 @@ def parse_n_list(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"bad range {text!r} (use start:stop[:step])")
         start, stop = int(parts[0]), int(parts[1])
         step = int(parts[2]) if len(parts) == 3 else 1
-        values = list(range(start, stop + 1, step))
+        values = list(range(start, stop + (1 if step > 0 else -1), step))  # stop included
     else:
         values = [int(p) for p in text.split(",") if p]
     if not values:

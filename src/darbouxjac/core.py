@@ -184,13 +184,13 @@ class RecurrenceCoeffs(Record, eq=False):
 
     def c_n(self, n: int) -> complex:
         """c_n by its 1-based recurrence index (n = 1..n_max)."""
-        if not 1 <= n <= self.n_max:
+        if not 1 <= (n := _integer("n", n)) <= self.n_max:
             raise PrefixError(f"c_{n} outside stored prefix (n_max={self.n_max})")
         return complex(self.c[n - 1])
 
     def lam_n(self, n: int) -> complex:
         """lambda_n by its recurrence index (n = 2..n_max)."""
-        if not 2 <= n <= self.n_max:
+        if not 2 <= (n := _integer("n", n)) <= self.n_max:
             raise PrefixError(f"lambda_{n} outside stored prefix (n_max={self.n_max})")
         return complex(self.lam[n - 2])
 
@@ -280,7 +280,7 @@ def family_coeffs(kind: str | Family, n_max: int = DEFAULT_N_MAX) -> RecurrenceC
         family = Family(kind)
     if kind == "custom":
         raise ConfigurationError("custom family has no preset coefficients")
-    if n_max < 2:
+    if (n_max := _integer("n_max", n_max)) < 2:
         raise ConfigurationError("n_max must be at least 2")
 
     c = np.zeros(n_max, dtype=complex)
@@ -301,6 +301,8 @@ def symmetrize(m: RecurrenceCoeffs) -> SymmetricJacobi:
 
 def monic_jacobi_matrix(m: RecurrenceCoeffs, size: int) -> np.ndarray:
     """Dense size x size truncation of the monic Jacobi matrix (1's above)."""
+    if (size := _integer("size", size)) < 0:
+        raise ConfigurationError(f"size={size} must be nonnegative")
     if size > m.n_max:
         raise PrefixError(f"truncation size {size} exceeds prefix length {m.n_max}")
     J = np.zeros((size, size), dtype=complex)
@@ -314,6 +316,8 @@ def monic_jacobi_matrix(m: RecurrenceCoeffs, size: int) -> np.ndarray:
 
 def symmetric_jacobi_matrix(J: SymmetricJacobi, size: int) -> np.ndarray:
     """Dense size x size truncation of a complex-symmetric Jacobi matrix."""
+    if (size := _integer("size", size)) < 0:
+        raise ConfigurationError(f"size={size} must be nonnegative")
     if size > J.n_max:
         raise PrefixError(f"truncation size {size} exceeds stored length {J.n_max}")
     M = np.zeros((size, size), dtype=complex)

@@ -44,14 +44,15 @@ Which precision runs:
 The continued fraction m(J; kappa) is one backward run of its tails,
 ``_tails``, made once per step: ``geronimus`` reads eta from it and hands it
 to ``_dd_cf_inverse``, which refines the tails to pairs.  ``cauchy_s0star``
-returns s0 m(J; kappa) for any prefix; a preset's weight cross-checks it by
-quadrature, as it does the s0star of ``geronimus_cauchy``.
+returns s0 m(J; kappa) for any prefix; one quadrature, ``_cross_check``, checks
+it on a preset's weight, as it does the values of ``geronimus_cauchy`` and chains.
 """
 from __future__ import annotations
 
 import cmath
 import logging
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -135,6 +136,18 @@ class TransformedCoeffs(Record):
     notes: tuple[str, ...] = ()
 
 
+def _check_steps(what: str, n_max: int, steps: int = 1) -> None:
+    """PrefixError before any step when ``steps`` Darboux steps cannot run on
+    n_max terms: each step takes 2 and leaves at least 2."""
+    if n_max < 2 * steps + 2:
+        raise PrefixError(f"{what} needs a prefix of length >= {2 * steps + 2}")
+
+
+def _leading(m: RecurrenceCoeffs, n: int) -> RecurrenceCoeffs:
+    """The leading max(n, 2) + 2 terms of m: all a step reads for n terms of its result."""
+    return m.truncated(min(m.n_max, max(n, 2) + 2))
+
+
 # ---------------------------------------------------------------------------
 # Christoffel transformation (double precision; ratios of the dominant P)
 # ---------------------------------------------------------------------------
@@ -162,8 +175,7 @@ def christoffel(
                 and m.sites[-1].kappa == complex(site.kappa)):
             return _christoffel_of_geronimus(m, site)
         m = m.coeffs
-    if m.n_max < 4:
-        raise PrefixError("christoffel needs a prefix of length >= 4")
+    _check_steps("christoffel", m.n_max)
     kappa = site.kappa
     c, lam = m.c.tolist(), m.lam.tolist()
     what = f"kernel polynomials do not exist at kappa={kappa}"
@@ -222,14 +234,15 @@ def kernel_eval(m: RecurrenceCoeffs, site: TransformPoint, n: int, z: complex) -
     Near z = kappa the two-term form is ill-conditioned; the value is then
     obtained from the transformed recurrence instead, of the leading n + 3
     terms (at least 4): christoffel runs forward, so they give the same entries.
-    Both routes take the degrees of the transformed prefix, 0..n_max - 2.
+    Both routes take christoffel's prefixes and the degrees 0..n_max - 2 of its result.
     """
+    _check_steps("kernel_eval", m.n_max)
     (n,) = _degrees("P*_n", [n], m.n_max, reads=2).tolist()
     if n == 0:
         return 1.0 + 0.0j
     kappa = site.kappa
     if abs(z - kappa) <= _KERNEL_SWITCH:
-        return eval_P(christoffel(m.truncated(min(m.n_max, max(n + 3, 4))), site).coeffs, n, z)
+        return eval_P(christoffel(_leading(m, n + 1), site).coeffs, n, z)
     try:
         rho = ratio_sequence(m, kappa, "P", n_terms=n + 1)
     except ZeroHitError as exc:
@@ -251,6 +264,7 @@ def christoffel_two(
     P_n(k1)), so the second step's breakdown test certifies it: its
     ExistenceError is raised again with the Delta_n message and the same n.
     """
+    _check_steps("christoffel_two", m.n_max, steps=2)
     notes = []
     repeated = k1.kappa == k2.kappa
     opposite = k1.kappa.imag * k2.kappa.imag < 0
@@ -440,7 +454,8 @@ class GeronimusChain:
 
     ``apply(kappa)`` steps at the Cauchy value s0star = integral d(current
     measure)/(t - kappa), where R_n is the minimal solution, through the
-    backward run ``_cauchy_run``; there is no precision budget.  ``steps``
+    backward run ``_cauchy_run``, with no precision budget and no quadrature;
+    it refuses the sites ``geronimus_cauchy`` refuses on the base.  ``steps``
     holds each step's kappa, s0star and ratio_seq, as in ``TransformedCoeffs``.
     """
 
@@ -456,8 +471,8 @@ class GeronimusChain:
     def apply(self, kappa: complex) -> None:
         """One Geronimus step at the Cauchy-transform value s0star."""
         kappa = complex(kappa)
-        if len(self._c) - 2 < 2:
-            raise PrefixError("prefix too short for another Geronimus step")
+        _cauchy_weight(self.base, kappa)
+        _check_steps("geronimus", self.n_max)
         c_new, lam_new, s0star, w = _geronimus_step(self._c, self._lam, self._s0, kappa)
         self.steps.append({"kappa": kappa, "s0star": s0star, "ratio_seq": np.array(w)})
         self._c, self._lam, self._s0 = c_new, lam_new, s0star
@@ -637,8 +652,7 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
         raise ConfigurationError(
             "Geronimus transform needs s0star != 0: the OPS does not exist otherwise"
         )
-    if m.n_max < 4:
-        raise PrefixError("geronimus needs a prefix of length >= 4")
+    _check_steps("geronimus", m.n_max)
     kappa, s0star = site.kappa, site.s0star
     c, lam = m.c.tolist(), m.lam.tolist()
     ts = _tails(c, lam, kappa)
@@ -695,16 +709,18 @@ def _cauchy_weight(m: RecurrenceCoeffs, kappa: complex):
     return m.family
 
 
-def _cross_check(family, kappa: complex, s0star: complex) -> None:
-    """s0star against kind-matched Gauss-Chebyshev quadrature of 1/(t - kappa),
-    node doubling up to 4096 nodes, to 1e-10 (nothing without a family)."""
+def _cross_check(family, kappas, value: complex, stop: int = 2048, tol: float = 1e-10) -> None:
+    """The Cauchy value of one site, or of a chain of sites, against
+    kind-matched Gauss-Chebyshev quadrature of 1/prod_j (t - kappa_j), node
+    doubling up to 2 stop nodes, to tol (nothing without a family)."""
     if family is None:
         return
-    quad = adaptive_integral(family, lambda t: 1.0 / (t - kappa), stop=2048)
-    if abs(quad - s0star) > 1e-10 * max(1.0, abs(s0star)):
+    quad = adaptive_integral(family, lambda t: reduce(lambda acc, k: acc / (t - k), kappas, 1.0),
+                             stop=stop)
+    if abs(quad - value) > tol * max(1.0, abs(value)):
         raise QuadratureError(
             f"quadrature and continued-fraction Cauchy transforms disagree: "
-            f"{quad} vs {s0star}"
+            f"{quad} vs {value}"
         )
 
 
@@ -718,7 +734,7 @@ def cauchy_s0star(m: RecurrenceCoeffs, kappa: complex) -> complex:
     kappa = complex(kappa)
     family = _cauchy_weight(m, kappa)
     s0star = _cf_m_function(m.c.tolist(), m.lam.tolist(), kappa) * m.s0
-    _cross_check(family, kappa, s0star)
+    _cross_check(family, (kappa,), s0star)
     return s0star
 
 
@@ -727,11 +743,10 @@ def _cauchy_step(m: RecurrenceCoeffs, kappa: complex, coeffs: bool = True):
     ``coeffs`` False runs no difference loop (c and lam None), as in ``_geronimus_step``."""
     kappa = complex(kappa)
     family = _cauchy_weight(m, kappa)
-    if m.n_max < 4:
-        raise PrefixError("geronimus needs a prefix of length >= 4")
+    _check_steps("geronimus", m.n_max)
     c_new, lam_new, s0star, w = _geronimus_step(m.c.tolist(), m.lam.tolist(), m.s0, kappa,
                                                 coeffs=coeffs)
-    _cross_check(family, kappa, s0star)
+    _cross_check(family, (kappa,), s0star)
     return TransformPoint(kappa, s0star=s0star, allow_real=(kappa.imag == 0)), c_new, lam_new, w
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Record, SymmetricJacobi
-from .errors import ConfigurationError, ExistenceError, FactorBreakdownError
+from .core import Record, SymmetricJacobi, _integer
+from .errors import ConfigurationError, ExistenceError, FactorBreakdownError, PrefixError
 from .polyeval import _ratio_run
 
 __all__ = [
@@ -39,7 +39,9 @@ class LowerFactor(Record):
     sqrt_d: np.ndarray
 
     def dense_L(self, size: int | None = None) -> np.ndarray:
-        size = len(self.d) if size is None else size
+        size = len(self.d) if size is None else _integer("size", size)
+        if not 1 <= size <= len(self.d):
+            raise PrefixError(f"size={size} outside the factor's rows 1..{len(self.d)}")
         L = np.zeros((size, size), dtype=complex)
         idx = np.arange(size)
         L[idx, idx] = self.sqrt_d[:size]
@@ -65,7 +67,9 @@ class UpperFactor(Record):
     sqrt_t: np.ndarray
 
     def dense_U(self, size: int | None = None) -> np.ndarray:
-        size = len(self.t) if size is None else size
+        size = len(self.t) if size is None else _integer("size", size)
+        if not 1 <= size <= len(self.t):
+            raise PrefixError(f"size={size} outside the factor's rows 1..{len(self.t)}")
         U = np.zeros((size, size), dtype=complex)
         idx = np.arange(size)
         U[idx, idx] = self.u[:size] * self.sqrt_t[:size]

@@ -71,7 +71,7 @@ class RatioSequence(Record):
 
     def r(self, n: int) -> complex:
         """Ratio y_n/y_{n-1} by recurrence index n."""
-        k = n - self.start
+        k = (n := _integer("n", n)) - self.start
         if not 0 <= k < len(self.values):
             raise PrefixError(f"r_{n} outside computed range")
         return complex(self.values[k])

@@ -25,11 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._quadrature import adaptive_integral
 from .core import Record, RecurrenceCoeffs, _degrees, _integer
-from .darboux import GeronimusChain, TransformPoint, christoffel, geronimus
-from .darboux import _cauchy_step, _geronimus_step, _tails
-from .errors import (ConfigurationError, DegeneracyError, PoleError, PrefixError, QuadratureError,
+from .darboux import (GeronimusChain, TransformPoint, _cauchy_step, _cauchy_weight, _check_steps,
+                      _cross_check, _geronimus_step, _tails, christoffel, geronimus)
+from .errors import (ConfigurationError, DegeneracyError, PoleError, PrefixError,
                      ResidualCheckError)
 from .polyeval import _scaled_run, eval_P, ratio_sequence
 
@@ -52,6 +51,7 @@ _CHECK_TOL = 1e-8
 def sample_points(count: int) -> np.ndarray:
     """Reproducible sample points in the annulus 1.5 <= |z| <= 3, |Im z| >= 0.5: the
     accepted (radius, angle) pairs of one seeded stream, drawn 2 count at a time."""
+    count = _integer("count", count)
     rng, out = np.random.default_rng(0x5EED), np.array([])
     while len(out) < count:
         radius, angle = rng.uniform((1.5, 0.0), (3.0, 2.0 * np.pi), size=(2 * count, 2)).T
@@ -218,10 +218,9 @@ class GeronimusPairQuasi:
         kappa = complex(kappa)
         if kappa.imag == 0:
             raise ConfigurationError("conjugate-pair Geronimus needs a nonreal kappa")
+        _check_steps("GeronimusPairQuasi", m.n_max, steps=2)
         chain = GeronimusChain(m)
         chain.apply(kappa)
-        if chain.n_max < 4:  # GeronimusChain.apply's check, for the second step
-            raise PrefixError("prefix too short for another Geronimus step")
         c, lam, site = chain._c, chain._lam, kappa.conjugate()
         ts = _tails(c, lam, site)
         self.kappa, self._second = kappa, (c, lam, site, ts)
@@ -252,6 +251,7 @@ class R2System:
 
     def __init__(self, m: RecurrenceCoeffs, kappa1: complex):
         kappa1 = complex(kappa1)
+        _check_steps("R2System", m.n_max, steps=2)
         self.m = m
         self.kappa1 = kappa1
         self.kappa1_bar = kappa1.conjugate()
@@ -343,24 +343,6 @@ class VaryingMeasureResult(Record):
     rii_residuals: tuple[float, ...]
 
 
-def _quad_crosscheck(m: RecurrenceCoeffs, applied: list[complex], value: complex) -> None:
-    """Cauchy-transform cross-check against kind-matched quadrature."""
-    if m.family is None or m.family.kind == "custom":
-        return
-
-    def integrand(t):
-        acc = np.ones_like(t, dtype=complex)
-        for kap in applied:
-            acc = acc / (t - kap)
-        return acc
-
-    quad = adaptive_integral(m.family, integrand)
-    if abs(quad - value) > 1e-9 * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"iterated Cauchy transform mismatch: quadrature {quad} vs chain {value}"
-        )
-
-
 def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasureResult:
     """Iterated conjugate-pair Geronimus transforms at kappa_1, kappa_2, ...
 
@@ -390,7 +372,7 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
         pair = GeronimusPairQuasi(prefixes[-1], kap)
         for site, s0star in ((kap, pair.s0star), (complex(np.conj(kap)), pair.s0starstar)):
             applied.append(site)
-            _quad_crosscheck(m, applied, s0star)
+            _cross_check(_cauchy_weight(m, site), applied, s0star, stop=4096, tol=1e-9)
         pairs.append(pair)
         prefixes.append(pair.coeffs)
     rii, residuals, zs = np.zeros((max(count - 1, 0), 3), dtype=complex), [], sample_points(8)

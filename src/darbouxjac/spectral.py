@@ -40,7 +40,7 @@ from .core import (
     symmetric_jacobi_matrix,
     symmetrize,
 )
-from .darboux import TransformedCoeffs, TransformPoint, _half_disc, christoffel, geronimus
+from .darboux import TransformedCoeffs, TransformPoint, _half_disc, _leading, christoffel, geronimus
 from .errors import ConfigurationError, EigenSolverError, EvaluationRangeError, PrefixError
 from .polyeval import _SCALE_HI, _SCALE_LO, _scaled_run, _unscaled, ratio_sequence
 
@@ -372,13 +372,6 @@ def _corner_roots(tc: TransformedCoeffs, degrees):
     return roots, routes, iters
 
 
-def _leading(m: RecurrenceCoeffs, n_list) -> RecurrenceCoeffs:
-    """The leading max(n_list) + 3 terms of m (at least 4): all that the
-    transforms read for the zeros, strip bounds and cluster distances of
-    those degrees."""
-    return m.truncated(min(m.n_max, max(max(n_list, default=0) + 3, 4)))
-
-
 def _secular_starts(tc: TransformedCoeffs, n_list) -> dict:
     """``_corner_roots`` for the degrees of n_list that tc.coeffs holds, as
     the ``_starts`` of ``zero_sweep``, with one DEBUG record on the
@@ -409,7 +402,7 @@ def kernel_zero_sweep(m: RecurrenceCoeffs, site: TransformPoint, n_list) -> tupl
     """``kernel_zero_cloud`` for every n in n_list, from one transform of the
     leading terms and one sweep."""
     n_list = _degrees("P*_n", n_list, m.n_max, reads=2).tolist()
-    tc = christoffel(_leading(m, n_list), site)
+    tc = christoffel(_leading(m, max(n_list, default=0) + 1), site)
     clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list))
     return tuple(_with_strip(tc, cloud) for cloud in clouds)
 
@@ -428,7 +421,7 @@ def geronimus_zero_sweep(
     |1/Im(R_{n-1}(kappa)/R_n(kappa))| (derived in ``_with_strip``), for every
     n in n_list, from one transform of the leading terms and one sweep."""
     n_list = _degrees("P^{-*}_n", n_list, m.n_max, lo=1, reads=2).tolist()
-    tc = geronimus(_leading(m, n_list), site)
+    tc = geronimus(_leading(m, max(n_list, default=0) + 1), site)
     clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list))
     return tuple(_with_strip(tc, cloud) for cloud in clouds)
 
@@ -491,9 +484,11 @@ def verify_m_identities(m: RecurrenceCoeffs, site: TransformPoint, order: int) -
     m(J_G;z) = m(J;z)/(s0star (z-kappa)) - 1/(z-kappa).
     """
     kappa, order = site.kappa, _integer("order", order)
+    if order < 0:
+        raise ConfigurationError(f"order={order} must be nonnegative")
     # the moments read the leading order + 2 terms of m and of each transform,
     # whose leading entries are functions of the leading terms of m only
-    m = m.truncated(min(m.n_max, max(order + 4, 4)))
+    m = _leading(m, order + 2)
     s = moments(m, order + 1)
     tc = christoffel(m, site)
     s_c = moments(tc.coeffs, order)
@@ -547,7 +542,7 @@ def cluster_sweep(
     if not n_list:
         return ()
     kappa, top = site.kappa, max(n_list)
-    w = geronimus(_leading(m, n_list), site).ratio_seq[: top - 1].tolist()
+    w = geronimus(_leading(m, top + 1), site).ratio_seq[: top - 1].tolist()
     rho = ratio_sequence(m, kappa, "P", n_terms=top).values.tolist()
     lam = m.lam[: top - 1].tolist()
     return tuple(_cluster_point(kappa, -m.s0 / site.s0star, rho, w, lam, n) for n in n_list)

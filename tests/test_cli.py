@@ -59,6 +59,23 @@ class TestNList:
     def test_commas(self):
         assert parse_n_list("1,2,3") == [1, 2, 3]
 
+    @pytest.mark.parametrize("text, degrees", [
+        ("1:5", [1, 2, 3, 4, 5]), ("2:9:3", [2, 5, 8]), ("5:1:-1", [5, 4, 3, 2, 1]),
+        ("10:1:-3", [10, 7, 4, 1]), ("9:2:-3", [9, 6, 3]), ("3:3:-1", [3])])
+    def test_a_range_includes_its_stop_in_both_directions(self, text, degrees):
+        assert parse_n_list(text) == degrees
+
+    def test_descending_zeros_print_every_degree(self, capsys):
+        assert main(["zeros", "--family=chebyshev1", "--n-list=4:1:-1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert list(dict.fromkeys(int(row.split(",")[0]) for row in rows)) == [4, 3, 2, 1]
+
+    @pytest.mark.parametrize("text", ["1:5:0", "5:1:0", "5:1", "1:5:-1"])
+    def test_a_zero_step_or_an_empty_range_exits_2(self, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeros", "--family=chebyshev1", f"--n-list={text}"])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
     def test_empty_exits_2(self):
         proc = run_cli(["zeros", "--family", "chebyshev1", "--n-list", ""])
         assert proc.returncode == 2

@@ -24,6 +24,7 @@ from darbouxjac.errors import (
     PoleError,
     PrefixError,
 )
+from darbouxjac.spectral import verify_m_identities
 from darbouxjac.polyeval import eval_P, eval_Q, eval_R, ratio_sequence
 from darbouxjac.rseq import R1System
 from test_ratio_kernel import nevai_prefix
@@ -423,3 +424,40 @@ class TestTailSeedFarFromSupport:
     def test_unrepresentable_root_raises(self, c_tail, lam_tail):
         with pytest.raises(EvaluationRangeError):
             darboux._tail_seed(c_tail, lam_tail, -1.5e308 if lam_tail == 0.25 else 1j)
+
+
+def test_christoffel_two_second_step_breakdown_at_a_repeated_site(cheb1, monkeypatch):
+    """A breakdown of the second step at a repeated site is raised as it
+    came, at the same index: Delta_n degenerates there, so it certifies nothing."""
+    k1 = TransformPoint(0.3 + 0.5j)
+    real, calls = darboux.christoffel, []
+
+    def second_breaks(m, site):
+        calls.append(site)
+        if len(calls) == 2:
+            raise ExistenceError("kernel polynomials do not exist at the second site", 7)
+        return real(m, site)
+
+    monkeypatch.setattr(darboux, "christoffel", second_breaks)
+    with pytest.raises(ExistenceError) as exc:
+        christoffel_two(cheb1, k1, k1)
+    assert exc.value.index == 7 and calls == [k1, k1]
+    assert str(exc.value) == "kernel polynomials do not exist at the second site (n=7)"
+
+
+def test_geronimus_at_a_pole_of_the_continued_fraction(caplog):
+    """Tails t_j = -1 throughout and c_1 = -1 put the continued fraction's
+    pole at kappa = 0 (c_1 - kappa - t_2 = 0 exactly): eta is NaN, and the
+    step runs in mpmath at the length-sized budget, as on a backward run
+    that breaks down.  The transform satisfies its m-function identity."""
+    m = RecurrenceCoeffs(c=[-1.0] + [0.0] * 5, lam=[-1.0] * 5)
+    site = TransformPoint(0j, s0star=1.0, allow_real=True)
+    with pytest.raises(PoleError, match="pole at kappa=0j"):
+        cauchy_s0star(m, 0j)
+    with caplog.at_level(logging.DEBUG, logger="darbouxjac"):
+        tc = geronimus(m, site)
+    (rec,) = [r for r in caplog.records if hasattr(r, "route")]
+    assert np.isnan(rec.eta)
+    assert rec.route == f"mpmath at {darboux._auto_dps(m.c, m.lam, 1.0, 0j, m.n_max)} digits"
+    assert np.isfinite(tc.coeffs.c).all() and np.isfinite(tc.coeffs.lam).all()
+    assert verify_m_identities(m, site, 1).max_residual <= 1e-14

@@ -5,8 +5,9 @@ Every evaluator, sweep and relation takes its degrees through
 int) in the range that the call reads, checked before any transform.  A
 non-integer is a ConfigurationError naming it, a degree out of range a
 PrefixError naming n= (and the prefix length it needs); nothing else
-escapes.  Counts (``n_terms``, ``count``, ``order``, ...) share the integer
-check.
+escapes.  Counts (``n_terms``, ``count``, ``order``, ...) and sizes (of a
+preset, a dense matrix or factor, a set of sample points) share the integer
+check, each with its own range check.
 """
 import re
 
@@ -14,10 +15,12 @@ import numpy as np
 import pytest
 
 from darbouxjac import darboux, rseq, spectral
-from darbouxjac.core import Record, family_coeffs, moments
+from darbouxjac.core import (Record, family_coeffs, moments, monic_jacobi_matrix,
+                             symmetric_jacobi_matrix, symmetrize)
 from darbouxjac.darboux import (TransformPoint, cauchy_s0star, geronimus, geronimus_eval_from,
                                 kernel_eval)
 from darbouxjac.errors import ConfigurationError, DarbouxError, PrefixError
+from darbouxjac.factorization import lu_factor, ul_factor
 from darbouxjac.polyeval import eval_P, eval_Q, eval_R, ratio_sequence
 from darbouxjac.rseq import (GeronimusPairQuasi, R1System, R2System, r1_general, r2_coeffs,
                              r2_prefix_length, rational_eval, sample_points,
@@ -160,6 +163,8 @@ def counts():
     m = family_coeffs("chebyshev1", N)
     site = TransformPoint(KAPPA, s0star=cauchy_s0star(m, KAPPA))
     polys = varying_measure_polys(m, [KAPPA], 1)
+    J, ratios = symmetrize(m), ratio_sequence(m, Z)
+    lower, upper = lu_factor(J, KAPPA), ul_factor(J, KAPPA, 1)
     return {
         "n_terms": (lambda k: ratio_sequence(m, Z, n_terms=k), 3),
         "count": (lambda k: moments(m, k), 3),
@@ -168,6 +173,15 @@ def counts():
         "order": (lambda k: verify_m_identities(m, site, order=k), 3),
         "n": (lambda k: rational_eval(polys, [KAPPA], k, 0.2 + 0.1j), 1),
         "n-varying": (lambda k: varying_measure_polys(m, [KAPPA], k), 1),
+        "n_max-family_coeffs": (lambda k: family_coeffs("chebyshev1", k), 4),
+        "n-RatioSequence.r": (lambda k: ratios.r(k), 2),
+        "n-c_n": (lambda k: m.c_n(k), 2),
+        "n-lam_n": (lambda k: m.lam_n(k), 2),
+        "count-sample_points": (lambda k: sample_points(k), 3),
+        "size-monic_jacobi_matrix": (lambda k: monic_jacobi_matrix(m, k), 3),
+        "size-symmetric_jacobi_matrix": (lambda k: symmetric_jacobi_matrix(J, k), 3),
+        "size-dense_L": (lambda k: lower.dense_L(k), 3),
+        "size-dense_U": (lambda k: upper.dense_U(k), 3),
     }
 
 
@@ -184,3 +198,49 @@ def test_counts_share_the_integer_check(name):
                        match=re.escape(f"{name.split('-')[0]}={k + 0.5} is not an integer")):
         call(k + 0.5)
     assert same(call(float(k)), call(k))
+
+
+def sizes():
+    """{name: (call of one size, smallest size, largest size, the errors and
+    messages below and past that range)}: a dense truncation of a prefix
+    holds 0 to n_max rows, a dense factor 1 to its length."""
+    m = family_coeffs("chebyshev1", N)
+    J = symmetrize(m)
+    lower, upper = lu_factor(J, KAPPA), ul_factor(J, KAPPA, 1)
+    negative = (ConfigurationError, "size=-1 must be nonnegative")
+    factor, past = "size={} outside the factor's rows 1..{}", f"truncation size {N + 1} exceeds"
+    return {
+        "monic_jacobi_matrix": (lambda k: monic_jacobi_matrix(m, k), 0, N, negative,
+                                (PrefixError, f"{past} prefix length {N}")),
+        "symmetric_jacobi_matrix": (lambda k: symmetric_jacobi_matrix(J, k), 0, N, negative,
+                                    (PrefixError, f"{past} stored length {N}")),
+        "dense_L": (lambda k: lower.dense_L(k), 1, len(lower.d),
+                    (PrefixError, factor.format(0, len(lower.d))),
+                    (PrefixError, factor.format(len(lower.d) + 1, len(lower.d)))),
+        "dense_U": (lambda k: upper.dense_U(k), 1, len(upper.t),
+                    (PrefixError, factor.format(0, len(upper.t))),
+                    (PrefixError, factor.format(len(upper.t) + 1, len(upper.t)))),
+    }
+
+
+SIZES = sizes()
+
+
+@pytest.mark.parametrize("name", SIZES)
+def test_sizes_keep_their_range(name):
+    """A size below the range or past the stored data is a typed error naming
+    it (it was a numpy ValueError, or a broadcast one past a factor); the
+    ends of the range give a square matrix of that size."""
+    call, lo, top, below, past = SIZES[name]
+    for size, (error, message) in ((lo - 1, below), (top + 1, past)):
+        with pytest.raises(error, match=re.escape(message)):
+            call(size)
+    for size in (lo, top):
+        assert call(size).shape == (size, size)
+
+
+def test_a_negative_order_is_named():
+    m = family_coeffs("chebyshev1", N)
+    site = TransformPoint(KAPPA, s0star=cauchy_s0star(m, KAPPA))
+    with pytest.raises(ConfigurationError, match=re.escape("order=-1 must be nonnegative")):
+        verify_m_identities(m, site, order=-1)

@@ -417,3 +417,13 @@ class TestRescaleStride:
         """The fuzz's +-1e300 coefficients and |z| ~ 1e150 leave no room."""
         c = np.full(48, entries)
         assert _stride(zmax, c, np.full(47, entries)) == 1
+
+
+def test_a_ratio_past_the_double_range_is_a_zero_hit():
+    """c_4 = 1e308 at z = -1e308 sends r_4 to -inf with no cancellation for
+    the breakdown test to see; the non-finite ratio is the zero hit, at n = 4."""
+    c = [0.0] * 8
+    c[3] = 1e308
+    with pytest.raises(ZeroHitError) as exc:
+        ratio_sequence(RecurrenceCoeffs(c=c, lam=[0.25] * 7), -1e308 + 0j)
+    assert exc.value.index == 4 and str(exc.value) == "P_4 vanishes at the evaluation point"

@@ -7,7 +7,7 @@ turns that into exit 1.  A prefix with no family has no weight to integrate.
 """
 import pytest
 
-from darbouxjac import darboux, rseq
+from darbouxjac import darboux
 from darbouxjac.cli import main
 from darbouxjac.core import CHEBYSHEV_KINDS, RecurrenceCoeffs, family_coeffs
 from darbouxjac.darboux import cauchy_s0star, geronimus_cauchy
@@ -35,16 +35,16 @@ def checked_value(name: str, m: RecurrenceCoeffs) -> complex:
 
 @pytest.fixture
 def off_by_1e8(monkeypatch):
-    """adaptive_integral, as darboux and rseq call it, returning the true value
-    plus 1e-8 (well past both tolerances); the list of what it returned."""
+    """adaptive_integral, as darboux's one cross-check calls it for a site or a
+    chain of sites, returning the true value plus 1e-8 (well past both
+    tolerances); the list of what it returned."""
     quads, real = [], darboux.adaptive_integral
 
     def off(*args, **kwargs):
         quads.append(real(*args, **kwargs) + 1e-8)
         return quads[-1]
 
-    for module in (darboux, rseq):
-        monkeypatch.setattr(module, "adaptive_integral", off)
+    monkeypatch.setattr(darboux, "adaptive_integral", off)
     return quads
 
 

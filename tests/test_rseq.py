@@ -22,6 +22,7 @@ from darbouxjac.errors import (
     PrefixError,
     QuadratureError,
     QuasiDefinitenessError,
+    ResidualCheckError,
 )
 from darbouxjac.polyeval import _scaled_run, eval_P, ratio_sequence
 from darbouxjac.rseq import (
@@ -252,7 +253,7 @@ class TestGeronimusPair:
 
     @pytest.mark.parametrize("n_max", [4, 5])
     def test_prefix_too_short_for_the_second_step(self, n_max):
-        with pytest.raises(PrefixError, match="too short for another Geronimus step"):
+        with pytest.raises(PrefixError, match="GeronimusPairQuasi needs a prefix of length >= 6"):
             GeronimusPairQuasi(family_coeffs("chebyshev1", n_max), 0.3 + 0.5j)
         GeronimusPairQuasi(family_coeffs("chebyshev1", 6), 0.3 + 0.5j)
 
@@ -1097,3 +1098,31 @@ def test_degeneracy_names_the_first_degenerate_degree_in_list_order(cheb2, monke
             with pytest.raises(DegeneracyError, match=f"^{err.value}$"):
                 sys2.coeffs(ns, *pair.quasi(ns))
     assert np.max(sweep([3, 4, 6, 11, 13])) <= 1e-9
+
+
+def test_r1_general_refuses_coefficients_that_fail_the_identity(cheb1, monkeypatch):
+    """r1_general's one check: alpha_n off by 1 leaves a residual of order 1
+    at every sample point, and the first is named with the degree."""
+    real, n = rseq._ri_coeffs, 3
+    monkeypatch.setattr(rseq, "_ri_coeffs", lambda *args: (real(*args)[0] + 1, real(*args)[1]))
+    with pytest.raises(ResidualCheckError, match=r"^R_I identity residual \S+ at n=3, z=") as exc:
+        r1_general(cheb1, TransformPoint(1j), 0.3j, n)
+    assert str(exc.value).endswith(f"z={sample_points(n + 2)[0]}")
+
+
+def test_r2_coeffs_names_the_first_point_past_the_tolerance(cheb1, monkeypatch):
+    """r2_coeffs' one check, with every residual past a negative tolerance."""
+    monkeypatch.setattr(rseq, "_CHECK_TOL", -1.0)
+    with pytest.raises(ResidualCheckError, match=r"^R_II identity residual \S+ at n=2, z=") as exc:
+        r2_coeffs(cheb1, TransformPoint(1j), 0.1, 0.2, 2)
+    assert str(exc.value).endswith(f"z={sample_points(5)[0]}")
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.0, -3 + 0j])
+def test_the_pair_refuses_a_real_kappa_before_any_step(cheb1, monkeypatch, kappa):
+    def tripwire(*args, **kwargs):
+        raise AssertionError("a Geronimus step ran before the site check")
+
+    monkeypatch.setattr(rseq, "GeronimusChain", tripwire)
+    with pytest.raises(ConfigurationError, match="^conjugate-pair Geronimus needs a nonreal kappa$"):
+        GeronimusPairQuasi(cheb1, kappa)

@@ -512,3 +512,13 @@ class TestRatioAsymptoticCheck:
         tg = geronimus(cheb1, TransformPoint(1j, s0star=1.0))
         rep = ratio_asymptotic_check(tg.coeffs, [2j], 200)
         assert rep.errors[0] <= 1e-6
+
+
+def test_an_eigensolver_failure_names_the_degree(monkeypatch):
+    def no_convergence(J, size):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectral, "_eigvals", no_convergence)
+    with pytest.raises(EigenSolverError, match="^eigensolver failed to converge at degree 7$") as exc:
+        zeros(family_coeffs("chebyshev1", 16), 7)
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
