@@ -354,9 +354,9 @@ def _tail_seed(c_tail, lam_tail, z, depth: int = 0):
     """
     try:
         half, disc = _half_disc(c_tail, lam_tail, z)
+        big = half + disc if abs(half + disc) >= abs(half - disc) else half - disc
     except OverflowError:
         raise EvaluationRangeError(depth) from None
-    big = half + disc if abs(half + disc) >= abs(half - disc) else half - disc
     t = lam_tail / big
     if not cmath.isfinite(complex(t)):
         raise EvaluationRangeError(depth)

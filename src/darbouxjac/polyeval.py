@@ -280,41 +280,47 @@ def _ratio_run(c, lam, kappa, offset, count: int, what: str, head=None, diffs: b
     False the differences are skipped and e is [0] (or ``head``'s).
 
     Raises ExistenceError(what, n) when y_n(kappa) cancels to within
-    _BREAKDOWN_RTOL of the terms that make it up (n = k + 1).
+    _BREAKDOWN_RTOL of the terms that make it up (n = k + 1), and
+    EvaluationRangeError(n) when the modulus of one of those terms is past the
+    double range (kappa near 1.8e308).
     """
-    if head is None:
-        term1 = kappa - c[0]
-        w = term1 + offset
-        # Without an offset the cancellation at n = 1 is kappa against c_1.
-        scale = max(abs(term1), abs(offset)) if offset else max(abs(kappa), abs(c[0]), 1)
-        if abs(w) < _BREAKDOWN_RTOL * scale:
-            raise ExistenceError(what, 1)
-        ws, es = [w], [0 * w]
-        inv_prev = e = None
-    else:
-        ws, es = list(head[0]), list(head[1])
-        w, e, inv_prev = ws[-1], es[-1], 1 / ws[-2]
-    for k in range(len(ws), count):
-        inv = 1 / w  # one division per step: it dominates the mpc cost
-        term1 = kappa - c[k]
-        term2 = lam[k - 1] * inv
-        w = term1 - term2
-        scale = max(abs(term1), abs(term2))
-        if abs(w) < _BREAKDOWN_RTOL * scale or scale == 0:
-            raise ExistenceError(what, k + 1)
-        ws.append(w)
-        if not diffs:
-            continue
-        if k == 1:
-            e = (c[0] - c[1]) - offset - term2
+    k = 0  # the step in progress, for a modulus past the double range
+    try:
+        if head is None:
+            term1 = kappa - c[0]
+            w = term1 + offset
+            # Without an offset the cancellation at n = 1 is kappa against c_1.
+            scale = max(abs(term1), abs(offset)) if offset else max(abs(kappa), abs(c[0]), 1)
+            if abs(w) < _BREAKDOWN_RTOL * scale:
+                raise ExistenceError(what, 1)
+            ws, es = [w], [0 * w]
+            inv_prev = e = None
         else:
-            e = (
-                (c[k - 1] - c[k])
-                + (lam[k - 2] - lam[k - 1]) * inv
-                + lam[k - 2] * e * inv_prev * inv
-            )
-        inv_prev = inv
-        es.append(e)
+            ws, es = list(head[0]), list(head[1])
+            w, e, inv_prev = ws[-1], es[-1], 1 / ws[-2]
+        for k in range(len(ws), count):
+            inv = 1 / w  # one division per step: it dominates the mpc cost
+            term1 = kappa - c[k]
+            term2 = lam[k - 1] * inv
+            w = term1 - term2
+            scale = max(abs(term1), abs(term2))
+            if abs(w) < _BREAKDOWN_RTOL * scale or scale == 0:
+                raise ExistenceError(what, k + 1)
+            ws.append(w)
+            if not diffs:
+                continue
+            if k == 1:
+                e = (c[0] - c[1]) - offset - term2
+            else:
+                e = (
+                    (c[k - 1] - c[k])
+                    + (lam[k - 2] - lam[k - 1]) * inv
+                    + lam[k - 2] * e * inv_prev * inv
+                )
+            inv_prev = inv
+            es.append(e)
+    except OverflowError:  # abs of a Python complex whose modulus is past the double range
+        raise EvaluationRangeError(k + 1) from None
     return ws, es
 
 

@@ -51,7 +51,8 @@ _CHECK_TOL = 1e-8
 def sample_points(count: int) -> np.ndarray:
     """Reproducible sample points in the annulus 1.5 <= |z| <= 3, |Im z| >= 0.5: the
     accepted (radius, angle) pairs of one seeded stream, drawn 2 count at a time."""
-    count = _integer("count", count)
+    if (count := _integer("count", count)) < 0:
+        raise ConfigurationError(f"count={count} must be nonnegative")
     rng, out = np.random.default_rng(0x5EED), np.array([])
     while len(out) < count:
         radius, angle = rng.uniform((1.5, 0.0), (3.0, 2.0 * np.pi), size=(2 * count, 2)).T

@@ -10,12 +10,13 @@ envelope, each Newton step and the certificate one run of polyeval's
 evaluator over the zeros of every degree at once.  Gauss nodes are perfectly
 conditioned, so they take one Newton step, in real arithmetic; eigvals
 zeros (kernel and Geronimus transforms, conditioning unknown) take two.
-The kernel and Geronimus sweeps build their transform once per site, on
-the leading max(n_list) + 3 terms.  On a real base with positive lambda,
-their degrees n >= 32 replace eigvals by Aberth iteration on the secular
-equation of the base Gauss rule with a moved corner entry
-(``_corner_roots``), falling back to eigvals when that run fails a check;
-the zeros then take the same two Newton steps and certificate.
+``zeros`` and ``zero_sweep`` also take a transform, swept as its coeffs;
+one of a single step gives each cloud its strip bound, and on a real base
+with positive lambda its degrees n >= 32 replace eigvals by Aberth
+iteration on the secular equation of the base Gauss rule with a moved
+corner entry (``_corner_roots``), falling back to eigvals when that run
+fails a check.  The kernel and Geronimus sweeps are one sweep of their
+transform of the leading max(n_list) + 3 terms.
 
 Cluster-zero distances |xi_n - kappa| for Geronimus transforms decay far
 below double resolution; Newton iteration in the shifted variable
@@ -36,7 +37,6 @@ from .core import (
     _degrees,
     _integer,
     moments,
-    replace,
     symmetric_jacobi_matrix,
     symmetrize,
 )
@@ -192,7 +192,7 @@ def _newton(m: RecurrenceCoeffs, z: np.ndarray, stop: np.ndarray, weights: bool 
     return z - step
 
 
-def zero_sweep(m: RecurrenceCoeffs, n_list, _starts=None) -> tuple[ZeroCloud, ...]:
+def zero_sweep(m: RecurrenceCoeffs | TransformedCoeffs, n_list) -> tuple[ZeroCloud, ...]:
     """The zero clouds of P_n for every n in n_list, in the order given.
 
     Each degree's zeros are the eigenvalues of the n x n truncation of the
@@ -217,16 +217,21 @@ def zero_sweep(m: RecurrenceCoeffs, n_list, _starts=None) -> tuple[ZeroCloud, ..
     spectral point of the prefix cannot beat this floor).  Degree 0 gives an
     empty cloud.
 
-    ``_starts`` maps degrees to eigenvalues of their (not real symmetric)
-    truncations found another way (``_corner_roots``), which take the place
-    of eigvals and are polished like its output.
+    A transform is swept as its ``coeffs``.  One of a single step
+    (``christoffel``, ``geronimus``) also gives each cloud its strip bound
+    (``_strip_bound``), and the degrees ``_corner_roots`` solves on its real
+    base start from those roots in place of eigvals, polished like its output.
     """
+    tc = m if isinstance(m, TransformedCoeffs) and len(m.kinds) == 1 else None
+    if isinstance(m, TransformedCoeffs):
+        m = m.coeffs
     n_list = _degrees("P_n", n_list, m.n_max).tolist()
     degrees = sorted({n for n in n_list if n > 0})
-    clouds = {0: ZeroCloud(n=0, zeros=np.empty(0, dtype=complex), max_im=0.0)}
+    clouds = {0: ZeroCloud(n=0, zeros=np.empty(0, dtype=complex), max_im=0.0,
+                           strip_bound=_strip_bound(tc, 0))}
     if degrees:
         J = symmetrize(m)
-        starts = _starts or {}
+        starts = {} if tc is None else _corner_roots(tc, J, degrees)
         z = np.concatenate([starts[n] if n in starts else _eigenvalues(J, n) for n in degrees])
         stop = np.repeat(degrees, degrees)
         sym = np.repeat([_real_symmetric(J, n) for n in degrees], degrees)
@@ -246,13 +251,14 @@ def zero_sweep(m: RecurrenceCoeffs, n_list, _starts=None) -> tuple[ZeroCloud, ..
             )
         for n, zn in zip(degrees, np.split(z, np.cumsum(degrees)[:-1])):
             zn = zn[np.lexsort((zn.imag, zn.real))]
-            clouds[n] = ZeroCloud(n=n, zeros=zn, max_im=float(np.max(zn.imag)))
+            clouds[n] = ZeroCloud(n=n, zeros=zn, max_im=float(np.max(zn.imag)),
+                                  strip_bound=_strip_bound(tc, n))
     return tuple(clouds[n] for n in n_list)
 
 
-def zeros(m: RecurrenceCoeffs, n: int, _starts=None) -> ZeroCloud:
+def zeros(m: RecurrenceCoeffs | TransformedCoeffs, n: int) -> ZeroCloud:
     """The n zeros of P_n, certified: the one-degree case of ``zero_sweep``."""
-    return zero_sweep(m, (n,), _starts)[0]
+    return zero_sweep(m, (n,))[0]
 
 
 def _corner(tc: TransformedCoeffs, n: int):
@@ -264,10 +270,11 @@ def _corner(tc: TransformedCoeffs, n: int):
     return s, tc.ratio_seq[n + s - 1]
 
 
-def _with_strip(tc: TransformedCoeffs, cloud: ZeroCloud) -> ZeroCloud:
-    """The cloud of the transform's degree-n polynomial with its strip
-    half-width |1/Im(1/r)|, (s, r) of ``_corner`` (inf for a real r: a real
-    kappa, no strip).
+def _strip_bound(tc: TransformedCoeffs | None, n: int) -> float | None:
+    """The strip half-width |1/Im(1/r)| of the degree-n polynomial of the
+    one-step transform tc, (s, r) of ``_corner`` (inf for a real r: a real
+    kappa, no strip); None with no transform, and at Geronimus degree 0,
+    which has no corner.
 
     For a real positive base measure, P_{k-1}/P_k(z) = sum_j w_j/(z - x_j)
     over the zeros x_j of P_k, with w_j > 0 summing to 1.  Every zero z other
@@ -275,8 +282,10 @@ def _with_strip(tc: TransformedCoeffs, cloud: ZeroCloud) -> ZeroCloud:
     parts, Im(1/r) = -Im z sum_j w_j/|z - x_j|^2 and |z - x_j| >= |Im z| give
     0 < |Im z| <= |1/Im(1/r)|, on the side of the axis opposite Im(1/r).
     """
-    im = float((1.0 / _corner(tc, cloud.n)[1]).imag)
-    return replace(cloud, strip_bound=abs(1.0 / im) if im else math.inf)
+    if tc is None or (n == 0 and tc.kinds[-1] == "geronimus"):
+        return None
+    im = float((1.0 / _corner(tc, n)[1]).imag)
+    return abs(1.0 / im) if im else math.inf
 
 
 @np.errstate(all="ignore")  # a run that leaves the double range falls back to eigvals
@@ -313,9 +322,10 @@ def _aberth(x, q2, delta, z, known=None):
     return z, _ABERTH_MAX_ITER, False
 
 
-def _corner_roots(tc: TransformedCoeffs, degrees):
-    """Eigenvalues of the truncations J_n of the transform tc, n in degrees,
-    as roots of its base's secular equation, where that route applies.
+def _corner_roots(tc: TransformedCoeffs, J: SymmetricJacobi, degrees) -> dict:
+    """{n: eigenvalues of the truncation J_n of the one-step transform tc}
+    (J = symmetrize(tc.coeffs)), n in the sorted degrees, for those degrees
+    whose eigenvalues the secular equation of the base gives.
 
     The degree-n polynomial of tc is P_{n+s} - r P_{n+s-1} over the base m =
     tc.base, (s, r) of ``_corner``: the characteristic polynomial of the base
@@ -329,15 +339,17 @@ def _corner_roots(tc: TransformedCoeffs, degrees):
     For Christoffel (s = 1) one root is kappa, not an eigenvalue of J_n: it
     is deflated, and the start nearest it is dropped.
 
-    Returns ({n: roots}, {n: route}, {n: Aberth iterations}).  A degree takes
-    eigvals instead below _SECULAR_MIN_DEGREE (the measured crossover), on a
-    complex base, when its run does not converge within _ABERTH_MAX_ITER or
-    leaves the double range, and when the root sum misses trace(J_n) by more
-    than _TRACE_RTOL (sum|roots| + sum|b_k|), as two starts that converge to
-    one root would; a real symmetric J_n takes eigvalsh.
+    A degree takes eigvals instead below _SECULAR_MIN_DEGREE (the measured
+    crossover), on a complex base, when its run leaves the double range or
+    does not converge within _ABERTH_MAX_ITER (every larger degree then takes
+    it with no run: iterations grow with n at a fixed site), when the root sum
+    misses trace(J_n) by more than _TRACE_RTOL (sum|roots| + sum|b_k|), as two
+    starts that converge to one root would; a real symmetric J_n takes
+    eigvalsh.  One DEBUG record on the ``darbouxjac`` logger has attributes
+    ``routes`` and ``aberth_iterations`` by degree, and ``fallbacks``, the
+    number of secular runs that fell back.
     """
-    m, J = tc.base, symmetrize(tc.coeffs)
-    base = symmetrize(m)
+    m, base = tc.base, symmetrize(tc.base)
     s = _corner(tc, 1)[0]
     known = tc.sites[-1].kappa if s else None
     roots, routes, iters, todo = {}, {}, {}, []
@@ -350,61 +362,50 @@ def _corner_roots(tc: TransformedCoeffs, degrees):
             routes[n] = "eigvals: complex base"
         else:
             todo.append(n)
-    if not todo:
-        return roots, routes, iters
-    sizes = [n + s for n in todo]
-    x = np.concatenate([_eigenvalues(base, k).real for k in sizes])
-    x, q2 = _newton(m, x, np.repeat(sizes, sizes), weights=True)
-    split = np.cumsum(sizes)[:-1]
-    for n, xn, qn in zip(todo, np.split(x, split), np.split(q2, split)):
-        r = _corner(tc, n)[1]
-        start = xn + r * qn
-        if known is not None:
-            start = np.delete(start, np.argmin(np.abs(start - known)))
-        z, iters[n], done = _aberth(xn, qn, r, start, known)
-        b = J.b[:n]
-        if not done:
-            routes[n] = "eigvals: " + ("iteration cap" if np.isfinite(z).all() else "double range")
-        elif abs(z.sum() - b.sum()) > _TRACE_RTOL * (np.abs(z).sum() + np.abs(b).sum()):
-            routes[n] = "eigvals: trace"
-        else:
-            routes[n], roots[n] = "secular", z
-    return roots, routes, iters
-
-
-def _secular_starts(tc: TransformedCoeffs, n_list) -> dict:
-    """``_corner_roots`` for the degrees of n_list that tc.coeffs holds, as
-    the ``_starts`` of ``zero_sweep``, with one DEBUG record on the
-    ``darbouxjac`` logger: record attributes ``routes`` and
-    ``aberth_iterations`` (by degree) and ``fallbacks`` (the degrees whose
-    secular run fell back to eigvals)."""
-    kind, kappa = tc.kinds[-1], tc.sites[-1].kappa
-    degrees = sorted({n for n in n_list if n > 0})
-    roots, routes, iters = _corner_roots(tc, degrees)
+    if todo:
+        sizes = [n + s for n in todo]
+        x = np.concatenate([_eigenvalues(base, k).real for k in sizes])
+        x, q2 = _newton(m, x, np.repeat(sizes, sizes), weights=True)
+        split = np.cumsum(sizes)[:-1]
+        capped = False
+        for n, xn, qn in zip(todo, np.split(x, split), np.split(q2, split)):
+            if capped:
+                routes[n] = "eigvals: above a capped degree"
+                continue
+            r = _corner(tc, n)[1]
+            start = xn + r * qn
+            if known is not None:
+                start = np.delete(start, np.argmin(np.abs(start - known)))
+            z, iters[n], done = _aberth(xn, qn, r, start, known)
+            b = J.b[:n]
+            if not done:
+                capped = bool(np.isfinite(z).all())
+                routes[n] = "eigvals: " + ("iteration cap" if capped else "double range")
+            elif abs(z.sum() - b.sum()) > _TRACE_RTOL * (np.abs(z).sum() + np.abs(b).sum()):
+                routes[n] = "eigvals: trace"
+            else:
+                routes[n], roots[n] = "secular", z
     fallbacks = len(iters) - len(roots)
     _log.debug("%s zeros at kappa=%s: %d of %d degrees secular, %d fell back to eigvals",
-               kind, kappa, len(roots), len(degrees), fallbacks,
+               tc.kinds[-1], tc.sites[-1].kappa, len(roots), len(degrees), fallbacks,
                extra={"routes": routes, "aberth_iterations": iters, "fallbacks": fallbacks})
     return roots
 
 
 def kernel_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> ZeroCloud:
     """Zeros of the kernel polynomial P*_n(kappa, .) with the strip bound
-    |1/Im(P_n(kappa)/P_{n+1}(kappa))| (derived in ``_with_strip``), by the
+    |1/Im(P_n(kappa)/P_{n+1}(kappa))| (derived in ``_strip_bound``), by the
     route of ``kernel_zero_sweep`` (the transform of the whole prefix, whose
     leading terms are those of the sweep's)."""
     (n,) = _degrees("P*_n", [n], m.n_max, reads=2).tolist()
-    tc = christoffel(m, site)
-    return _with_strip(tc, zeros(tc.coeffs, n, _starts=_secular_starts(tc, (n,))))
+    return zeros(christoffel(m, site), n)
 
 
 def kernel_zero_sweep(m: RecurrenceCoeffs, site: TransformPoint, n_list) -> tuple[ZeroCloud, ...]:
     """``kernel_zero_cloud`` for every n in n_list, from one transform of the
     leading terms and one sweep."""
     n_list = _degrees("P*_n", n_list, m.n_max, reads=2).tolist()
-    tc = christoffel(_leading(m, max(n_list, default=0) + 1), site)
-    clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list))
-    return tuple(_with_strip(tc, cloud) for cloud in clouds)
+    return zero_sweep(christoffel(_leading(m, max(n_list, default=0) + 1), site), n_list)
 
 
 def geronimus_zero_cloud(m: RecurrenceCoeffs, site: TransformPoint, n: int) -> ZeroCloud:
@@ -418,12 +419,10 @@ def geronimus_zero_sweep(
     m: RecurrenceCoeffs, site: TransformPoint, n_list
 ) -> tuple[ZeroCloud, ...]:
     """Zeros of P^{-*}_n(kappa, .), n >= 1, with the strip bound
-    |1/Im(R_{n-1}(kappa)/R_n(kappa))| (derived in ``_with_strip``), for every
+    |1/Im(R_{n-1}(kappa)/R_n(kappa))| (derived in ``_strip_bound``), for every
     n in n_list, from one transform of the leading terms and one sweep."""
     n_list = _degrees("P^{-*}_n", n_list, m.n_max, lo=1, reads=2).tolist()
-    tc = geronimus(_leading(m, max(n_list, default=0) + 1), site)
-    clouds = zero_sweep(tc.coeffs, n_list, _secular_starts(tc, n_list))
-    return tuple(_with_strip(tc, cloud) for cloud in clouds)
+    return zero_sweep(geronimus(_leading(m, max(n_list, default=0) + 1), site), n_list)
 
 
 def strip_check(cloud: ZeroCloud, bound: float, side: str = "upper") -> StripReport:

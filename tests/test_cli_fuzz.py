@@ -145,6 +145,29 @@ def test_r1_on_coefficients_past_the_sample_scale_fails(coeff_files, capsys):
     assert "Traceback" not in err
 
 
+HUGE_KAPPA = "1.7e308+1.7e308i"  # finite, with a modulus past the double range
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", f"--christoffel={HUGE_KAPPA}"],
+    ["transform", f"--christoffel={HUGE_KAPPA}", "--s0star=1-1i"],
+    ["transform", f"--geronimus={HUGE_KAPPA}"],
+    ["transform", f"--geronimus={HUGE_KAPPA}", "--s0star=1-1i"],
+    ["zeros", "--kind=christoffel", f"--kappa={HUGE_KAPPA}", "--n-list=5"],
+    ["zeros", "--kind=geronimus", f"--kappa={HUGE_KAPPA}", "--n-list=5"],
+    *(["verify", f"--suite={suite}", f"--kappa={HUGE_KAPPA}"]
+      for suite in ("strips", "m-identities", "r1", "r2", "factorization")),
+])
+def test_a_kappa_past_the_double_range_is_one_error_line(argv, capsys):
+    """|kappa| overflowed in the breakdown scale of the ratio run and in the
+    tail seed of the continued fraction, and escaped as a bare OverflowError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([*argv, "--family=chebyshev1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @FUZZ
 @given(argv=argvs())
 # far from the support at the Cauchy value (once a false breakdown at n = 1)

@@ -244,3 +244,10 @@ def test_a_negative_order_is_named():
     site = TransformPoint(KAPPA, s0star=cauchy_s0star(m, KAPPA))
     with pytest.raises(ConfigurationError, match=re.escape("order=-1 must be nonnegative")):
         verify_m_identities(m, site, order=-1)
+
+
+def test_a_negative_sample_count_is_named():
+    """It returned an empty array."""
+    with pytest.raises(ConfigurationError, match=re.escape("count=-1 must be nonnegative")):
+        sample_points(-1)
+    assert sample_points(0).shape == (0,)

@@ -245,6 +245,17 @@ class TestEvaluationRange:
         assert err.value.index == 256
         assert isinstance(err.value, OverflowError)
 
+    @pytest.mark.parametrize("c1, n", [(0.0, 1), (-5e307, 2)])
+    def test_a_ratio_past_the_double_range_names_its_degree(self, c1, n):
+        """abs() of a finite complex whose modulus is past the double range
+        raised a bare OverflowError in the breakdown scale of the ratio run:
+        at n = 1 for |kappa| itself, later for kappa - c_k."""
+        m = RecurrenceCoeffs(c=[0.0, c1, 0.0, 0.0, 0.0, 0.0], lam=[0.25] * 5)
+        kappa = 1.7e308 + 1.7e308j if n == 1 else 1e308 + 1.4e308j
+        with pytest.raises(EvaluationRangeError) as err:
+            christoffel(m, TransformPoint(kappa))
+        assert err.value.index == n
+
     def test_large_value_inside_range_is_returned(self, cheb1):
         val = eval_P(cheb1, 100, 1e3)
         assert abs(val / naive_eval(cheb1, "P", 100, 1e3 + 0j) - 1) < 1e-13

@@ -30,7 +30,7 @@ from darbouxjac.core import (
     symmetric_jacobi_matrix,
     symmetrize,
 )
-from darbouxjac.darboux import TransformPoint, christoffel, geronimus
+from darbouxjac.darboux import TransformPoint, christoffel, christoffel_two, geronimus
 from darbouxjac.polyeval import _scaled_run, ratio_sequence
 from darbouxjac.spectral import (
     geronimus_zero_sweep,
@@ -282,7 +282,7 @@ def sweep_records(caplog) -> list:
     return [r for r in caplog.records if hasattr(r, "routes")]
 
 
-secular_degrees = st.lists(st.integers(32, 128), min_size=1, max_size=2)
+secular_degrees = st.lists(st.integers(1, 128), min_size=1, max_size=2)
 
 
 @PROPERTY
@@ -317,6 +317,26 @@ def test_one_degree_clouds_are_the_sweeps(m, kappa, data, degrees):
             one = single(m, site, n)
             assert np.array_equal(cloud.zeros, one.zeros)
             assert cloud.strip_bound == one.strip_bound
+
+
+@PROPERTY
+@given(long_prefixes, kappas(), st.data(), secular_degrees)
+def test_a_transform_is_swept_by_its_steps(m, kappa, data, degrees):
+    """A one-step transform of the leading max(n_list) + 3 terms gives the
+    kernel and Geronimus sweeps' clouds bit for bit, strip bounds included,
+    and Geronimus degree 0, which has no corner, no strip bound.  A two-step
+    transform is swept as its coeffs, with no strip bound: its ratio_seq is
+    its first step's."""
+    site = TransformPoint(kappa, s0star=data.draw(opposite_s0star(kappa)))
+    lead = m.truncated(max(degrees) + 3)
+    for sweep, step in ((kernel_zero_sweep, christoffel), (geronimus_zero_sweep, geronimus)):
+        for cloud, want in zip(zero_sweep(step(lead, site), degrees), sweep(m, site, degrees)):
+            assert np.array_equal(cloud.zeros, want.zeros)
+            assert cloud.max_im == want.max_im and cloud.strip_bound == want.strip_bound
+    assert zeros(geronimus(lead, site), 0).strip_bound is None
+    two = christoffel_two(m, site, TransformPoint(kappa.conjugate()))
+    for cloud, want in zip(zero_sweep(two, degrees), zero_sweep(two.coeffs, degrees)):
+        assert cloud.strip_bound is None and np.array_equal(cloud.zeros, want.zeros)
 
 
 def test_geronimus_cloud_is_the_sweeps_next_to_the_cauchy_value():
@@ -401,6 +421,30 @@ def test_equal_starts_trip_the_trace_check(monkeypatch, caplog):
         before = two_pass(tc.coeffs, [48, 96])
         for cloud in clouds:
             assert np.array_equal(cloud.zeros, before[cloud.n])
+
+
+def test_a_capped_degree_sends_the_larger_ones_to_eigvals(monkeypatch, caplog):
+    """Far from the support Aberth iterations grow with n, and at 1000i degree
+    32 already hits the cap: the larger degrees then run no Aberth iteration,
+    and every cloud is the two-pass eigvals cloud bit for bit."""
+    m, site, degrees = family_coeffs("chebyshev1", 256), TransformPoint(1000j), [32, 64, 96, 128]
+    aberth, sizes = spectral._aberth, []
+
+    def counted(x, *args):
+        sizes.append(len(x))
+        return aberth(x, *args)
+
+    monkeypatch.setattr(spectral, "_aberth", counted)
+    caplog.set_level("DEBUG", logger="darbouxjac")
+    clouds = kernel_zero_sweep(m, site, degrees)
+    assert sizes == [33]
+    record = sweep_records(caplog)[-1]
+    assert record.routes == {32: "eigvals: iteration cap",
+                             **dict.fromkeys([64, 96, 128], "eigvals: above a capped degree")}
+    assert record.aberth_iterations == {32: spectral._ABERTH_MAX_ITER} and record.fallbacks == 1
+    before = two_pass(christoffel(m, site).coeffs, degrees)
+    for cloud in clouds:
+        assert np.array_equal(cloud.zeros, before[cloud.n])
 
 
 @pytest.mark.parametrize("kappa", [1000j, 0.5 + 0.001j, 1.2 + 1e-6j])
