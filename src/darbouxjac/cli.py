@@ -25,7 +25,7 @@ from .core import (
     family_coeffs,
     symmetrize,
 )
-from .darboux import TransformPoint, cauchy_s0star, christoffel, geronimus
+from .darboux import TransformPoint, cauchy_s0star, christoffel, geronimus, step_prefix_length
 from .errors import ConfigurationError, DarbouxError, PrefixError
 
 _COMPLEX_RE = re.compile(
@@ -123,6 +123,20 @@ def cmd_transform(args) -> int:
         steps.append(("christoffel", args.then_christoffel, None))
     if args.then_geronimus is not None:
         steps.append(("geronimus", args.then_geronimus, args.then_s0star))
+    for flag, s0star, kappa in (("--s0star", args.s0star, args.geronimus),
+                                ("--then-s0star", args.then_s0star, args.then_geronimus)):
+        if s0star is not None and kappa is None:
+            print(f"error: {flag} needs {flag.replace('s0star', 'geronimus')}", file=sys.stderr)
+            return 2
+    # refused before the first step, which would run and then leave too few terms
+    k = len(steps)
+    out = base.n_max - 2 * k  # each step takes 2 terms
+    if base.n_max < (need := step_prefix_length(k)):
+        raise PrefixError(f"a {k}-step transform needs a prefix of length >= {need}, "
+                          f"got {base.n_max}")
+    if args.n is not None and not 1 <= args.n <= out:
+        raise PrefixError(f"--n={args.n} is outside 1..{out}: a {k}-step transform of "
+                          f"{base.n_max} terms leaves {out}")
     for kind, kappa, s0star in steps:
         allow_real = kappa.imag == 0
         if kind == "christoffel":
@@ -200,17 +214,9 @@ def _suite_strips(m, kappa, s0star):
     side = "upper" if kappa.imag > 0 else "lower"
     kernel = spectral.kernel_zero_sweep(m, TransformPoint(kappa), degrees)
     gero = spectral.geronimus_zero_sweep(m, TransformPoint(kappa, s0star=s0star), degrees)
-    worst = 0.0
-    ok = True
-    for cloud in kernel + gero:
-        rep = spectral.strip_check(cloud, cloud.strip_bound, side)
-        ok = ok and rep.ok
-        for v in rep.violators:
-            # a zero on the wrong side is |Im z| from the correct half-plane,
-            # one on the right side is |Im z| - bound outside the strip
-            im = v.imag if side == "upper" else -v.imag
-            worst = max(worst, -im if im <= 0 else im - cloud.strip_bound)
-    return {"pass": ok, "max_violation": worst}
+    reps = [spectral.strip_check(cloud, cloud.strip_bound, side) for cloud in kernel + gero]
+    return {"pass": all(rep.ok for rep in reps),
+            "max_violation": max(rep.max_violation for rep in reps)}
 
 
 def _suite_m_identities(m, kappa, s0star):

@@ -299,19 +299,25 @@ def symmetrize(m: RecurrenceCoeffs) -> SymmetricJacobi:
     return SymmetricJacobi(b=m.c, a=np.sqrt(m.lam))
 
 
+def _tridiagonal(diag, upper=None, lower=None) -> np.ndarray:
+    """The dense complex matrix with diagonal ``diag``, superdiagonal ``upper``
+    and subdiagonal ``lower`` (len(diag) - 1 entries or one value; zero where
+    None): the one index layout of every dense tridiagonal matrix built here."""
+    n = len(diag)
+    M = np.zeros((n, n), dtype=complex)
+    for start, values in ((0, diag), (1, upper), (n, lower)):
+        if values is not None:
+            M.flat[start :: n + 1] = values
+    return M
+
+
 def monic_jacobi_matrix(m: RecurrenceCoeffs, size: int) -> np.ndarray:
     """Dense size x size truncation of the monic Jacobi matrix (1's above)."""
     if (size := _integer("size", size)) < 0:
         raise ConfigurationError(f"size={size} must be nonnegative")
     if size > m.n_max:
         raise PrefixError(f"truncation size {size} exceeds prefix length {m.n_max}")
-    J = np.zeros((size, size), dtype=complex)
-    idx = np.arange(size)
-    J[idx, idx] = m.c[:size]
-    if size > 1:
-        J[idx[:-1], idx[:-1] + 1] = 1.0
-        J[idx[:-1] + 1, idx[:-1]] = m.lam[: size - 1]
-    return J
+    return _tridiagonal(m.c[:size], 1.0, m.lam[: size - 1])
 
 
 def symmetric_jacobi_matrix(J: SymmetricJacobi, size: int) -> np.ndarray:
@@ -320,13 +326,7 @@ def symmetric_jacobi_matrix(J: SymmetricJacobi, size: int) -> np.ndarray:
         raise ConfigurationError(f"size={size} must be nonnegative")
     if size > J.n_max:
         raise PrefixError(f"truncation size {size} exceeds stored length {J.n_max}")
-    M = np.zeros((size, size), dtype=complex)
-    idx = np.arange(size)
-    M[idx, idx] = J.b[:size]
-    if size > 1:
-        M[idx[:-1], idx[:-1] + 1] = J.a[: size - 1]
-        M[idx[:-1] + 1, idx[:-1]] = J.a[: size - 1]
-    return M
+    return _tridiagonal(J.b[:size], J.a[: size - 1], J.a[: size - 1])
 
 
 def moments(m: RecurrenceCoeffs, count: int) -> np.ndarray:

@@ -81,6 +81,7 @@ __all__ = [
     "geronimus_eval_from",
     "geronimus_cauchy",
     "cauchy_s0star",
+    "step_prefix_length",
 ]
 
 _log = logging.getLogger("darbouxjac")
@@ -136,11 +137,16 @@ class TransformedCoeffs(Record):
     notes: tuple[str, ...] = ()
 
 
+def step_prefix_length(steps: int) -> int:
+    """Prefix length that ``steps`` Darboux steps need: each takes 2 terms and
+    leaves at least 2, so 2 steps + 2."""
+    return 2 * steps + 2
+
+
 def _check_steps(what: str, n_max: int, steps: int = 1) -> None:
-    """PrefixError before any step when ``steps`` Darboux steps cannot run on
-    n_max terms: each step takes 2 and leaves at least 2."""
-    if n_max < 2 * steps + 2:
-        raise PrefixError(f"{what} needs a prefix of length >= {2 * steps + 2}")
+    """PrefixError before any step when ``steps`` Darboux steps cannot run on n_max terms."""
+    if n_max < (need := step_prefix_length(steps)):
+        raise PrefixError(f"{what} needs a prefix of length >= {need}")
 
 
 def _leading(m: RecurrenceCoeffs, n: int) -> RecurrenceCoeffs:
@@ -205,8 +211,10 @@ def _christoffel_of_geronimus(tc: TransformedCoeffs, site: TransformPoint) -> Tr
     """Christoffel at the kappa of a preceding Geronimus step (inverse pair).
 
     L^G[(z - kappa) p] = L[p], so the result is the Geronimus input itself,
-    returned entry for entry; only the kernel ratios are computed.
+    returned entry for entry; only the kernel ratios are computed.  It takes
+    the prefixes the forward route takes.
     """
+    _check_steps("christoffel", tc.coeffs.n_max)
     base = tc.base
     gero = tc.coeffs
     n_in = gero.n_max

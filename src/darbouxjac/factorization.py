@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Record, SymmetricJacobi, _integer
+from .core import Record, SymmetricJacobi, _integer, _tridiagonal
 from .errors import ConfigurationError, ExistenceError, FactorBreakdownError, PrefixError
 from .polyeval import _ratio_run
 
@@ -42,11 +42,8 @@ class LowerFactor(Record):
         size = len(self.d) if size is None else _integer("size", size)
         if not 1 <= size <= len(self.d):
             raise PrefixError(f"size={size} outside the factor's rows 1..{len(self.d)}")
-        L = np.zeros((size, size), dtype=complex)
-        idx = np.arange(size)
-        L[idx, idx] = self.sqrt_d[:size]
-        L[idx[1:], idx[:-1]] = self.v[: size - 1] * self.sqrt_d[: size - 1]
-        return L
+        return _tridiagonal(self.sqrt_d[:size],
+                            lower=self.v[: size - 1] * self.sqrt_d[: size - 1])
 
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal, off-diagonal) of L D L^T; should equal J - kappa I."""
@@ -70,11 +67,7 @@ class UpperFactor(Record):
         size = len(self.t) if size is None else _integer("size", size)
         if not 1 <= size <= len(self.t):
             raise PrefixError(f"size={size} outside the factor's rows 1..{len(self.t)}")
-        U = np.zeros((size, size), dtype=complex)
-        idx = np.arange(size)
-        U[idx, idx] = self.u[:size] * self.sqrt_t[:size]
-        U[idx[:-1], idx[:-1] + 1] = self.sqrt_t[1:size]
-        return U
+        return _tridiagonal(self.u[:size] * self.sqrt_t[:size], upper=self.sqrt_t[1:size])
 
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         """(diagonal, off-diagonal) of U D U^T on the rows it determines."""

@@ -106,6 +106,13 @@ class StripReport(Record):
     bound: float
     violators: tuple[complex, ...]
 
+    @property
+    def max_violation(self) -> float:
+        """The score ``verify`` prints: the largest |Im z| of a zero on the wrong
+        side of the real axis and |Im z| - bound of one past the strip, or 0.0."""
+        ims = [z.imag if self.side == "upper" else -z.imag for z in self.violators]
+        return max([0.0] + [-im if im <= 0 else im - self.bound for im in ims])
+
 
 class NevaiDiagnostics(Record):
     """Estimated Nevai-class data (lambda_n -> a, c_n -> c) and tail health.

@@ -558,6 +558,27 @@ class TestVerify:
         assert -cloud.strip_bound < z.imag < 0
         assert entry["pass"] is False and entry["max_violation"] >= -z.imag > 0
 
+    @pytest.mark.parametrize("kappa", [0.3 + 0.5j, 0.1 + 0.05j, 0.1 - 0.05j])
+    def test_strips_prints_the_worst_score_of_its_reports(self, tmp_path, capsys, kappa):
+        """The suite's max_violation is the largest StripReport.max_violation
+        of the kernel and Geronimus clouds of degrees 1..30, and it passes iff
+        every report does."""
+        path = tmp_path / "k2.json"
+        assert main(["transform", "--family=chebyshev1", "--christoffel=0.2+0.3i",
+                     f"--output={path}"]) == 0
+        capsys.readouterr()
+        code = main(["verify", f"--coeff-file={path}", "--suite=strips",
+                     f"--kappa={kappa.real}{kappa.imag:+}i"])
+        entry = json.loads(capsys.readouterr().out)["suites"]["strips"]
+        m, degrees = RecurrenceCoeffs.loads(path.read_text()), range(1, 31)
+        side = "upper" if kappa.imag > 0 else "lower"
+        clouds = (spectral.kernel_zero_sweep(m, TransformPoint(kappa), degrees)
+                  + spectral.geronimus_zero_sweep(m, TransformPoint(kappa, s0star=1), degrees))
+        reps = [spectral.strip_check(cloud, cloud.strip_bound, side) for cloud in clouds]
+        worst = max(rep.max_violation for rep in reps)
+        assert worst > 0 and entry["max_violation"] == worst
+        assert entry["pass"] is all(rep.ok for rep in reps) is (code == 0)
+
     def test_r1_suite_on_a_coeff_file(self, tmp_path, capsys):
         # the Cauchy value of a prefix with no preset weight (it once exited 1:
         # the quadrature cross-check needed the weight)

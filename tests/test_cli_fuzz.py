@@ -150,7 +150,7 @@ HUGE_KAPPA = "1.7e308+1.7e308i"  # finite, with a modulus past the double range
 
 @pytest.mark.parametrize("argv", [
     ["transform", f"--christoffel={HUGE_KAPPA}"],
-    ["transform", f"--christoffel={HUGE_KAPPA}", "--s0star=1-1i"],
+    ["transform", f"--christoffel={HUGE_KAPPA}", "--then-geronimus=0+1i", "--then-s0star=1-1i"],
     ["transform", f"--geronimus={HUGE_KAPPA}"],
     ["transform", f"--geronimus={HUGE_KAPPA}", "--s0star=1-1i"],
     ["zeros", "--kind=christoffel", f"--kappa={HUGE_KAPPA}", "--n-list=5"],

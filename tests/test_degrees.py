@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from darbouxjac import darboux, rseq, spectral
-from darbouxjac.core import (Record, family_coeffs, moments, monic_jacobi_matrix,
-                             symmetric_jacobi_matrix, symmetrize)
+from darbouxjac.core import (Record, RecurrenceCoeffs, family_coeffs, moments,
+                             monic_jacobi_matrix, symmetric_jacobi_matrix, symmetrize)
 from darbouxjac.darboux import (TransformPoint, cauchy_s0star, geronimus, geronimus_eval_from,
                                 kernel_eval)
 from darbouxjac.errors import ConfigurationError, DarbouxError, PrefixError
@@ -237,6 +237,48 @@ def test_sizes_keep_their_range(name):
             call(size)
     for size in (lo, top):
         assert call(size).shape == (size, size)
+
+
+def layouts():
+    """{name: (call of one size, smallest size, largest size, (diagonal,
+    superdiagonal, subdiagonal) of one size)} on a complex prefix; None is a
+    zero band.  Each entry is computed as its builder computes it."""
+    rng = np.random.default_rng(11)
+    m = RecurrenceCoeffs(c=rng.normal(size=N) + 1j * rng.normal(size=N),
+                         lam=rng.normal(size=N - 1) + 1j * rng.normal(size=N - 1))
+    J = symmetrize(m)
+    lower, upper = lu_factor(J, KAPPA), ul_factor(J, KAPPA, 1)
+    return {
+        "monic_jacobi_matrix": (lambda k: monic_jacobi_matrix(m, k), 0, N,
+                                lambda k: (m.c[:k], [1.0] * N, m.lam)),
+        "symmetric_jacobi_matrix": (lambda k: symmetric_jacobi_matrix(J, k), 0, N,
+                                    lambda k: (J.b[:k], J.a, J.a)),
+        "dense_L": (lambda k: lower.dense_L(k), 1, len(lower.d),
+                    lambda k: (lower.sqrt_d[:k], None, lower.v[: k - 1] * lower.sqrt_d[: k - 1])),
+        "dense_U": (lambda k: upper.dense_U(k), 1, len(upper.t),
+                    lambda k: (upper.u[:k] * upper.sqrt_t[:k], upper.sqrt_t[1:], None)),
+    }
+
+
+LAYOUTS = layouts()
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_dense_builders_lay_out_their_bands(name):
+    """Sizes 0 (where the range has it), 1, 2 and the largest give the matrix
+    laid out here entry by entry, bit for bit."""
+    call, lo, top, bands = LAYOUTS[name]
+    for size in sorted({lo, 1, 2, top}):
+        diag, upper, lower = bands(size)
+        want = np.zeros((size, size), dtype=complex)
+        for i in range(size):
+            want[i, i] = diag[i]
+            if i + 1 < size:
+                want[i, i + 1] = 0 if upper is None else upper[i]
+                want[i + 1, i] = 0 if lower is None else lower[i]
+        got = call(size)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (name, size)
 
 
 def test_a_negative_order_is_named():

@@ -8,6 +8,7 @@ from darbouxjac.factorization import build_JC, build_JG, lu_factor, ul_factor
 from darbouxjac.polyeval import eval_P
 from darbouxjac import spectral
 from darbouxjac.spectral import (
+    StripReport,
     ZeroCloud,
     cluster_distance,
     geronimus_zero_cloud,
@@ -218,6 +219,21 @@ class TestStrips:
         rep = strip_check(flipped, cloud.strip_bound, "upper")
         assert not rep.ok
         assert len(rep.violators) == cloud.n
+
+    @pytest.mark.parametrize("side, sign", [("upper", 1), ("lower", -1)])
+    def test_max_violation_scores_each_violator_by_its_distance(self, side, sign):
+        """A zero on the wrong side of the real axis scores |Im z|, one past
+        the strip |Im z| - bound; the report scores its worst, 0.0 with none."""
+        cloud = ZeroCloud(n=4, zeros=sign * np.array([0.1 + 0.5j, 0.2 - 0.25j, 0.3 + 1.75j, 0j]),
+                          max_im=1.75)
+        rep = strip_check(cloud, 1.0, side)
+        assert rep.violators == tuple(complex(z) for z in cloud.zeros[1:])
+        assert rep.max_violation == 0.75
+        for z, score in ((0.2 - 0.25j, 0.25), (0.3 + 1.75j, 0.75), (0j, 0.0), (-2j, 2.0)):
+            one = StripReport(ok=False, side=side, bound=1.0, violators=(sign * z,))
+            assert one.max_violation == score
+        none = strip_check(ZeroCloud(n=1, zeros=[sign * 0.5j], max_im=0.5), 1.0, side)
+        assert none.ok and none.violators == () and none.max_violation == 0.0
 
     def test_bad_side(self, cheb1):
         cloud = zeros(cheb1, 3)

@@ -1,20 +1,23 @@
 """The input rules of a Darboux step, each decided once in ``darboux``.
 
 * Prefix: ``steps`` steps take 2 terms each and leave at least 2, so they
-  need 2 steps + 2 terms (``_check_steps``).  Every caller refuses a shorter
-  prefix with one PrefixError message, before any step runs.
+  need 2 steps + 2 terms (``step_prefix_length``, which ``_check_steps`` and
+  ``darbouxjac transform`` read).  Every caller refuses a shorter prefix with
+  one PrefixError message, before any step runs.
 * Leading terms: the first n terms of the result of a forward step read the
   leading max(n, 2) + 2 terms of the input (``_leading``).
 * Cauchy value: a real kappa inside a preset's support has none, and every
   Cauchy step refuses it; one quadrature (``_cross_check``) checks the value
   of one site or of a chain of sites against the preset's weight.
 """
+import json
 import re
 
 import numpy as np
 import pytest
 
-from darbouxjac import darboux, polyeval, rseq
+import darbouxjac
+from darbouxjac import cli, darboux, polyeval, rseq
 from darbouxjac._quadrature import gauss_nodes
 from darbouxjac.core import family_coeffs
 from darbouxjac.darboux import (GeronimusChain, TransformPoint, cauchy_s0star, christoffel,
@@ -194,3 +197,97 @@ def test_each_call_site_keeps_its_tolerance(monkeypatch, name, refused):
             call()
     else:
         call()
+
+
+def test_step_prefix_length_is_the_rule_every_caller_names():
+    """One public function in darboux, not re-exported by the package."""
+    assert [darboux.step_prefix_length(k) for k in (1, 2, 3)] == [4, 6, 8]
+    assert "step_prefix_length" in darboux.__all__
+    assert "step_prefix_length" not in darbouxjac.__all__
+
+
+@pytest.fixture
+def cli_steps(monkeypatch):
+    """The Darboux calls that ``cli`` makes, by name."""
+    made = []
+    for name in ("christoffel", "geronimus", "cauchy_s0star"):
+        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            made.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return made
+
+
+TWO_STEP_CHAINS = [("--geronimus=0+1i", "--then-geronimus=0-1i"),
+                   ("--christoffel=0+1i", "--then-christoffel=0-1i"),
+                   ("--geronimus=0+1i", "--s0star=1+0i", "--then-christoffel=0+1i")]
+
+
+def transform(argv, capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``darbouxjac transform`` on chebyshev1."""
+    code = cli.main(["transform", "--family=chebyshev1", *argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("n_max", [4, 5])
+@pytest.mark.parametrize("chain", TWO_STEP_CHAINS)
+def test_transform_refuses_a_chain_before_its_first_step(cli_steps, capsys, chain, n_max):
+    """A two-step chain on 4 or 5 terms ran its first step and then failed
+    naming the one-step length 4; the inverse pair wrote a 1-term file."""
+    code, out, err = transform([f"--n-max={n_max}", *chain], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: a 2-step transform needs a prefix of length >= 6, got {n_max}\n"
+    assert cli_steps == []
+    code, out, _ = transform(["--n-max=6", *chain], capsys)
+    assert code == 0 and json.loads(out)["n_max"] == 2
+    assert cli_steps.count("christoffel") + cli_steps.count("geronimus") == 2
+
+
+@pytest.mark.parametrize("steps, n, out_len", [(("--christoffel=0+1i",), 255, 254),
+                                               (("--christoffel=0+1i",), 0, 254),
+                                               (TWO_STEP_CHAINS[0], 253, 252)])
+def test_transform_refuses_an_n_past_the_chain_output(cli_steps, capsys, steps, n, out_len):
+    """--n=255 transformed all 256 terms, then failed to truncate 254 to 255."""
+    code, out, err = transform([*steps, f"--n={n}"], capsys)
+    k = len(steps)
+    assert (code, out, cli_steps) == (1, "", [])
+    assert err == (f"error: --n={n} is outside 1..{out_len}: a {k}-step transform of 256 "
+                   f"terms leaves {out_len}\n")
+    code, out, _ = transform([*steps, f"--n={out_len}"], capsys)
+    assert code == 0 and json.loads(out)["n_max"] == out_len
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--christoffel=0+1i", "--s0star=1+0i"), "--s0star"),
+    (("--christoffel=0+1i", "--then-christoffel=0-1i", "--then-s0star=1+0i"), "--then-s0star"),
+    (("--geronimus=0+1i", "--then-s0star=1+0i"), "--then-s0star"),
+])
+def test_transform_refuses_an_s0star_with_no_geronimus_step(cli_steps, capsys, argv, flag):
+    """The option was ignored, and the command exited 0."""
+    code, out, err = transform(argv, capsys)
+    assert (code, out, cli_steps) == (2, "", [])
+    assert err == f"error: {flag} needs {flag.replace('s0star', 'geronimus')}\n"
+
+
+@pytest.mark.parametrize("n_max", [4, 5])
+def test_the_inverse_pair_takes_the_forward_prefixes(runs, n_max):
+    """Christoffel at the kappa of a 2- or 3-term Geronimus result took the
+    inverse-pair branch before the step rule: on 2 terms it raised a
+    ConfigurationError of inconsistent lengths, on 3 it returned 1 term."""
+    tc = geronimus(family_coeffs("chebyshev1", n_max), TransformPoint(1j, s0star=1.0))
+    assert tc.coeffs.n_max == n_max - 2
+    runs.clear()
+    for m in (tc, tc.coeffs):
+        with pytest.raises(PrefixError, match=re.escape("christoffel needs a prefix of length >= 4")):
+            christoffel(m, TransformPoint(1j))
+    assert runs == []
+
+
+def test_the_inverse_pair_returns_the_base_on_four_terms():
+    base = family_coeffs("chebyshev1", 6)
+    back = christoffel(geronimus(base, TransformPoint(1j, s0star=1.0)), TransformPoint(1j))
+    assert back.notes == ("kernel-ratios-from-geronimus-inverse",)
+    assert back.coeffs.c.tolist() == base.c[:2].tolist()
+    assert back.coeffs.lam.tolist() == base.lam[:1].tolist()
