@@ -35,11 +35,11 @@ Which precision runs:
   at a precision that can see it and the digits capped by ``_auto_dps``;
   mpmath is imported only there.  The route taken is logged at DEBUG on the
   ``darbouxjac`` logger.
-* ``GeronimusChain`` (conjugate-pair chains) and ``geronimus_cauchy`` step
-  at the exact Cauchy value S, where R_n is the minimal solution.  There
-  ``_cauchy_run`` reads the ratios from the continued-fraction tails and
-  runs the differences backward (Pincherle; Gautschi, SIAM Review 9, 1967),
-  which is stable, so these steps run in double with no precision budget.
+* Every step at the exact Cauchy value S, where R_n is the minimal solution,
+  is one routine, ``_cauchy_step``: ``_cauchy_run`` reads the ratios from the
+  continued-fraction tails and runs the differences backward (Pincherle;
+  Gautschi, SIAM Review 9, 1967), which is stable, so it runs in double with
+  no precision budget, and refuses a tail that left the double range.
 
 The continued fraction m(J; kappa) is one backward run of its tails,
 ``_tails``, made once per step: ``geronimus`` reads eta from it and hands it
@@ -433,38 +433,29 @@ def _cauchy_run(c, lam, kappa, what: str, ts=None, diffs: bool = True):
     return [-t for t in ts[:0:-1]], [0 * ts[-1]] + e[::-1], offset
 
 
-def _geronimus_step(c, lam, s0, kappa, s0star=None, ts=None, coeffs: bool = True):
-    """One Geronimus step on coefficient lists: (c, lam, s0star, w) of the
-    result, w[k] = R_{k+1}(kappa)/R_k(kappa), in the number type of the inputs.
-    s0star None steps at the Cauchy value through ``_cauchy_run`` (on ``ts``),
-    where ``coeffs`` False gives w and s0star alone (c and lam None).
+def _geronimus_step(c, lam, s0, kappa, s0star):
+    """One Geronimus step at s0star on coefficient lists: (c, lam, w) of the
+    result, w[k] = R_{k+1}(kappa)/R_k(kappa) of the forward run ``_ratio_run``,
+    in the number type of the inputs (the step at the Cauchy value is
+    ``_cauchy_step``).
 
-    c^{-*}_1 = kappa + s_0/s0star (= c_1 + w[0]), c^{-*}_{k+1} = c_{k+1} + e[k],
+    c^{-*}_1 = kappa + s_0/s0star, c^{-*}_{k+1} = c_{k+1} + e[k],
     lambda^{-*}_2 = -w[0] s_0/s0star, lambda^{-*}_{k+2} = lambda_{k+1} w[k]/w[k-1]
     (past the first entries, ``_dqd_coeffs``).
     """
-    if s0star is None:
-        w, e, offset = _cauchy_run(c, lam, kappa, _NO_GERONIMUS, ts, diffs=coeffs)
-        s0star = s0 * (1 / offset)  # bit for bit cauchy_s0star
-        if not coeffs:
-            return None, None, s0star, w
-        first = c[0] + w[0]
-    else:
-        offset = s0 / s0star
-        w, e = _ratio_run(c, lam, kappa, offset, len(c) - 1, _NO_GERONIMUS)
-        first = kappa + offset
+    offset = s0 / s0star
+    w, e = _ratio_run(c, lam, kappa, offset, len(c) - 1, _NO_GERONIMUS)
     c_new, lam_new = _dqd_coeffs(c, lam, w, e, len(c) - 2)
-    return [first] + c_new, [-w[0] * offset] + lam_new, s0star, w
+    return [kappa + offset] + c_new, [-w[0] * offset] + lam_new, w
 
 
 class GeronimusChain:
     """Iterated Geronimus transformations in double precision.
 
-    ``apply(kappa)`` steps at the Cauchy value s0star = integral d(current
-    measure)/(t - kappa), where R_n is the minimal solution, through the
-    backward run ``_cauchy_run``, with no precision budget and no quadrature;
-    it refuses the sites ``geronimus_cauchy`` refuses on the base.  ``steps``
-    holds each step's kappa, s0star and ratio_seq, as in ``TransformedCoeffs``.
+    ``apply(kappa)`` is ``_cauchy_step`` on the current prefix, at s0star =
+    integral d(current measure)/(t - kappa), with no quadrature; it refuses
+    the sites ``geronimus_cauchy`` refuses on the base.  ``steps`` holds each
+    step's kappa, s0star and ratio_seq, as in ``TransformedCoeffs``.
     """
 
     def __init__(self, m: RecurrenceCoeffs):
@@ -472,18 +463,12 @@ class GeronimusChain:
         self._c, self._lam, self._s0 = m.c.tolist(), m.lam.tolist(), complex(m.s0)
         self.steps: list[dict] = []
 
-    @property
-    def n_max(self) -> int:
-        return len(self._c)
-
     def apply(self, kappa: complex) -> None:
         """One Geronimus step at the Cauchy-transform value s0star."""
-        kappa = complex(kappa)
-        _cauchy_weight(self.base, kappa)
-        _check_steps("geronimus", self.n_max)
-        c_new, lam_new, s0star, w = _geronimus_step(self._c, self._lam, self._s0, kappa)
-        self.steps.append({"kappa": kappa, "s0star": s0star, "ratio_seq": np.array(w)})
-        self._c, self._lam, self._s0 = c_new, lam_new, s0star
+        step = _cauchy_step(self.base, self.coeffs(), kappa)
+        (site,), out = step.sites, step.coeffs
+        self.steps.append({"kappa": site.kappa, "s0star": site.s0star, "ratio_seq": step.ratio_seq})
+        self._c, self._lam, self._s0 = out.c.tolist(), out.lam.tolist(), out.s0
 
     def coeffs(self) -> RecurrenceCoeffs:
         return RecurrenceCoeffs(c=self._c, lam=self._lam, s0=self._s0)
@@ -639,7 +624,7 @@ def _mpmath_step(m: RecurrenceCoeffs, kappa: complex, s0star: complex, breaking_
     if not breaking_down:
         dps = _extended_dps(*args, dps)
     with mp.workdps(dps):
-        c_new, lam_new, _, w = _geronimus_step(*args)
+        c_new, lam_new, w = _geronimus_step(*args)
         return [complex(z) for z in c_new], [complex(z) for z in lam_new], w, dps
 
 
@@ -670,7 +655,7 @@ def geronimus(m: RecurrenceCoeffs, site: TransformPoint) -> TransformedCoeffs:
         eta = math.nan
     k_star = None
     if eta >= _DOUBLE_ETA:
-        c_new, lam_new, _, w = _geronimus_step(c, lam, m.s0, kappa, s0star)
+        c_new, lam_new, w = _geronimus_step(c, lam, m.s0, kappa, s0star)
         route = "double"
     elif len(ts) == len(c) and (
         step := _dd_step(c, lam, kappa, dd.div(complex(m.s0), 0j, s0star, 0j), ts)
@@ -717,15 +702,18 @@ def _cauchy_weight(m: RecurrenceCoeffs, kappa: complex):
     return m.family
 
 
-def _cross_check(family, kappas, value: complex, stop: int = 2048, tol: float = 1e-10) -> None:
-    """The Cauchy value of one site, or of a chain of sites, against
-    kind-matched Gauss-Chebyshev quadrature of 1/prod_j (t - kappa_j), node
-    doubling up to 2 stop nodes, to tol (nothing without a family)."""
-    if family is None:
+# an integrand past the double range ends as 0, inf or nan; nan fails below
+@np.errstate(all="ignore")
+def _cross_check(m: RecurrenceCoeffs, sites, stop: int = 2048, tol: float = 1e-10) -> None:
+    """The Cauchy value s0star of sites[-1], on m's preset weight for one site
+    or a chain of sites, against kind-matched Gauss-Chebyshev quadrature of
+    1/prod_j (t - kappa_j), node doubling up to 2 stop nodes, to tol."""
+    if (family := _cauchy_weight(m, sites[-1].kappa)) is None:
         return
+    value, kappas = sites[-1].s0star, [site.kappa for site in sites]
     quad = adaptive_integral(family, lambda t: reduce(lambda acc, k: acc / (t - k), kappas, 1.0),
                              stop=stop)
-    if abs(quad - value) > tol * max(1.0, abs(value)):
+    if not abs(quad - value) <= tol * max(1.0, abs(value)):
         raise QuadratureError(
             f"quadrature and continued-fraction Cauchy transforms disagree: "
             f"{quad} vs {value}"
@@ -740,22 +728,35 @@ def cauchy_s0star(m: RecurrenceCoeffs, kappa: complex) -> complex:
     kappa must lie outside the support, and quadrature must agree to 1e-10.
     """
     kappa = complex(kappa)
-    family = _cauchy_weight(m, kappa)
+    _cauchy_weight(m, kappa)
     s0star = _cf_m_function(m.c.tolist(), m.lam.tolist(), kappa) * m.s0
-    _cross_check(family, (kappa,), s0star)
+    _cross_check(m, (TransformPoint(kappa, s0star, allow_real=True),))
     return s0star
 
 
-def _cauchy_step(m: RecurrenceCoeffs, kappa: complex, coeffs: bool = True):
-    """(site, c, lam, w) of ``geronimus_cauchy``, its checks in its order;
-    ``coeffs`` False runs no difference loop (c and lam None), as in ``_geronimus_step``."""
+def _cauchy_step(base: RecurrenceCoeffs, m: RecurrenceCoeffs, kappa: complex,
+                 coeffs: bool = True) -> TransformedCoeffs:
+    """The one Geronimus step of m at its Cauchy value s0star = s0 m(J; kappa),
+    with no quadrature: the support of base's preset, the prefix, then
+    ``_cauchy_run``; EvaluationRangeError(j - 1) for a tail t_j (t_1 = m(J;
+    kappa)) that left the double range as 0, before any coefficient.
+    ``coeffs`` False runs no difference loop (the record's ``coeffs`` None).
+    c^{-*}_1 = c_1 + w[0], lambda^{-*}_2 = -w[0] s0/s0star, then ``_dqd_coeffs``."""
     kappa = complex(kappa)
-    family = _cauchy_weight(m, kappa)
+    _cauchy_weight(base, kappa)
     _check_steps("geronimus", m.n_max)
-    c_new, lam_new, s0star, w = _geronimus_step(m.c.tolist(), m.lam.tolist(), m.s0, kappa,
-                                                coeffs=coeffs)
-    _cross_check(family, (kappa,), s0star)
-    return TransformPoint(kappa, s0star=s0star, allow_real=(kappa.imag == 0)), c_new, lam_new, w
+    c, lam = m.c.tolist(), m.lam.tolist()
+    w, e, offset = _cauchy_run(c, lam, kappa, _NO_GERONIMUS, diffs=coeffs)
+    if 0 in (tails := [1 / offset, *w]):  # [t_1, -t_2, ..., -t_N]
+        raise EvaluationRangeError(tails.index(0))
+    s0star, out = m.s0 * tails[0], None  # bit for bit cauchy_s0star
+    if coeffs:
+        c_new, lam_new = _dqd_coeffs(c, lam, w, e, len(c) - 2)
+        out = RecurrenceCoeffs(c=[c[0] + w[0]] + c_new, lam=[-w[0] * offset] + lam_new, s0=s0star)
+    site = TransformPoint(kappa, s0star=s0star, allow_real=(kappa.imag == 0))
+    return TransformedCoeffs(base=m, sites=(site,), kinds=("geronimus",), coeffs=out,
+                             ratio_seq=np.array(w, dtype=complex),
+                             notes=("s0star-from-cauchy-transform",))
 
 
 def geronimus_cauchy(m: RecurrenceCoeffs, kappa: complex) -> TransformedCoeffs:
@@ -764,11 +765,9 @@ def geronimus_cauchy(m: RecurrenceCoeffs, kappa: complex) -> TransformedCoeffs:
     This choice makes the result the OPS of the complex measure
     dmu(t)/(t - kappa); applying it again at the conjugate point with
     s0star = integral dmu/|t - kappa|^2 lands on a positive measure.  One
-    backward run in double, as in ``GeronimusChain.apply``, for any prefix;
-    the s0star it returns is ``cauchy_s0star``'s value, with its checks.
+    backward run in double, the step of ``GeronimusChain.apply``, for any
+    prefix; the s0star it returns is ``cauchy_s0star``'s value, with its checks.
     """
-    site, c_new, lam_new, w = _cauchy_step(m, kappa)
-    return TransformedCoeffs(base=m, sites=(site,), kinds=("geronimus",),
-                             coeffs=RecurrenceCoeffs(c=c_new, lam=lam_new, s0=site.s0star),
-                             ratio_seq=np.array(w, dtype=complex),
-                             notes=("s0star-from-cauchy-transform",))
+    step = _cauchy_step(m, m, kappa)
+    _cross_check(m, step.sites)
+    return step

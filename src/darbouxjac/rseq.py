@@ -21,13 +21,11 @@ the one-degree case, verified at sample points.
 """
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .core import Record, RecurrenceCoeffs, _degrees, _integer
-from .darboux import (GeronimusChain, TransformPoint, _cauchy_step, _cauchy_weight, _check_steps,
-                      _cross_check, _geronimus_step, _tails, christoffel, geronimus)
+from .darboux import (TransformPoint, _cauchy_step, _check_steps, _cross_check, christoffel,
+                      geronimus)
 from .errors import (ConfigurationError, DegeneracyError, PoleError, PrefixError,
                      ResidualCheckError)
 from .polyeval import _scaled_run, eval_P, ratio_sequence
@@ -159,9 +157,10 @@ class R1System:
         self.kappa1 = complex(k1.kappa)
         # s0star None: the exact Cauchy value, stepped backward in double (its
         # double rounding, eta ~ 1e-16, would need a double-double step)
-        self.k2, *_, w = (_cauchy_step(m, k2.kappa, coeffs=False) if k2.s0star is None
-                          else (k2, geronimus(m, k2).ratio_seq))
-        self._tilde_A = -np.asarray(w, dtype=complex)  # -R_{n+1}(k2)/R_n(k2) at index n
+        step = geronimus(m, k2) if k2.s0star is not None else _cauchy_step(m, m, k2.kappa, False)
+        if k2.s0star is None:
+            _cross_check(m, step.sites)
+        (self.k2,), self._tilde_A = step.sites, -step.ratio_seq  # -R_{n+1}(k2)/R_n(k2) at index n
 
     def _coeff_arrays(self, ns: np.ndarray):
         """tilde_A, alpha, beta and rho_n at the checked degrees ns, in their order."""
@@ -199,6 +198,19 @@ def r2_prefix_length(n: int) -> int:
     return n + 4
 
 
+def _conjugate_pair(m: RecurrenceCoeffs, kappa: complex, coeffs: bool = False):
+    """The conjugate Geronimus pair of m: ``_cauchy_step`` at kappa, then at conj
+    kappa on its result, each at the Cauchy value of its input.  Returns the
+    two one-step records, the A-sequences A (first step) and A' (second, 2
+    shorter) with A_0 = 0, and the order-2 data tilde_C[n] = A_{n+1} + A'_{n+1},
+    tilde_D[n] = A'_{n+1} A_n.  ``coeffs`` False takes the second step's ratios
+    and s0star alone."""
+    first = _cauchy_step(m, m, kappa)
+    second = _cauchy_step(m, first.coeffs, kappa.conjugate(), coeffs)
+    A, Ap = (np.concatenate(([0j], -step.ratio_seq)) for step in (first, second))
+    return (first, second), A, Ap, A[1:len(Ap)] + Ap[1:], _mul(Ap[1:], A[:len(Ap) - 1])
+
+
 class GeronimusPairQuasi:
     """Conjugate-pair iterated Geronimus transform of a base prefix, exposed
     as order-2 quasi-orthogonal data over the base:
@@ -211,8 +223,8 @@ class GeronimusPairQuasi:
     The arrays ``tilde_C`` and ``tilde_D``, built once, hold those two
     coefficients; ``quasi`` reads them over a degree list.
 
-    The second step reads A', s0starstar and its breakdown test off the backward
-    run alone; its coefficients, ``coeffs``, are built on first read.
+    The pair is ``_conjugate_pair`` with no coefficients for the second step:
+    A', s0starstar and its breakdown test come off the backward run alone.
     """
 
     def __init__(self, m: RecurrenceCoeffs, kappa: complex):
@@ -220,23 +232,9 @@ class GeronimusPairQuasi:
         if kappa.imag == 0:
             raise ConfigurationError("conjugate-pair Geronimus needs a nonreal kappa")
         _check_steps("GeronimusPairQuasi", m.n_max, steps=2)
-        chain = GeronimusChain(m)
-        chain.apply(kappa)
-        c, lam, site = chain._c, chain._lam, kappa.conjugate()
-        ts = _tails(c, lam, site)
-        self.kappa, self._second = kappa, (c, lam, site, ts)
-        self.s0star = chain.steps[0]["s0star"]
-        _, _, self.s0starstar, w = _geronimus_step(c, lam, self.s0star, site, ts=ts, coeffs=False)
-        self.A, self.Ap = (np.concatenate(([0j], -np.asarray(x)))
-                           for x in (chain.steps[0]["ratio_seq"], w))
-        A, Ap = self.A[:len(self.Ap)], self.Ap  # A' is 2 shorter than A
-        self.tilde_C, self.tilde_D = A[1:] + Ap[1:], _mul(Ap[1:], A[:-1])
-
-    @cached_property
-    def coeffs(self) -> RecurrenceCoeffs:
-        c, lam, site, ts = self._second
-        c_new, lam_new, s0star, _ = _geronimus_step(c, lam, self.s0star, site, ts=ts)
-        return RecurrenceCoeffs(c=c_new, lam=lam_new, s0=s0star)
+        steps, self.A, self.Ap, self.tilde_C, self.tilde_D = _conjugate_pair(m, kappa)
+        self.kappa = kappa
+        self.s0star, self.s0starstar = (step.sites[0].s0star for step in steps)
 
     def quasi(self, n_list):
         """(tilde_C, tilde_D): arrays with one entry per degree of n_list (any
@@ -368,19 +366,20 @@ def varying_measure_polys(m: RecurrenceCoeffs, kappas, n: int) -> VaryingMeasure
         )
     if not 0 <= n <= final:
         raise ConfigurationError(f"degree n={n} outside 0 to the final prefix length {final}")
-    prefixes, pairs, applied = [m], [], []
+    prefixes, quasi, applied = [m], [], []
     for kap in kappas:
-        pair = GeronimusPairQuasi(prefixes[-1], kap)
-        for site, s0star in ((kap, pair.s0star), (complex(np.conj(kap)), pair.s0starstar)):
-            applied.append(site)
-            _cross_check(_cauchy_weight(m, site), applied, s0star, stop=4096, tol=1e-9)
-        pairs.append(pair)
-        prefixes.append(pair.coeffs)
+        steps, _, _, *data = _conjugate_pair(prefixes[-1], kap, coeffs=True)
+        for step in steps:
+            applied += step.sites
+            _cross_check(m, applied, stop=4096, tol=1e-9)
+        quasi.append(data)
+        prefixes.append(steps[1].coeffs)
     rii, residuals, zs = np.zeros((max(count - 1, 0), 3), dtype=complex), [], sample_points(8)
     for j in range(1, count):
         sigma, kap = prefixes[j], kappas[j - 1]
-        # pairs[j] is the Geronimus pair at kappa_{j+1} applied to sigma
-        rii[j - 1] = np.ravel(leading_r2_system(sigma, kap, j).coeffs([j], *pairs[j].quasi([j])))
+        # the order-2 data at degree j of the pair at kappa_{j+1} applied to sigma
+        tilde_C, tilde_D = (x[j] for x in quasi[j])
+        rii[j - 1] = np.ravel(leading_r2_system(sigma, kap, j).coeffs([j], tilde_C, tilde_D))
         rho_n, gamma, upsilon = rii[j - 1]
         t1 = eval_P(prefixes[j + 1], j + 1, zs)
         t2 = (rho_n * zs - gamma) * eval_P(sigma, j, zs)

@@ -146,6 +146,10 @@ def test_r1_on_coefficients_past_the_sample_scale_fails(coeff_files, capsys):
 
 
 HUGE_KAPPA = "1.7e308+1.7e308i"  # finite, with a modulus past the double range
+# a modulus within it, but every continued-fraction tail and the Cauchy value
+# underflow to 0: the Cauchy step divided by zero, R1System's cross-check
+# and its R_I coefficients overflowed with numpy warnings
+FAR_KAPPA = "1e308+1e308i"
 
 
 @pytest.mark.parametrize("argv", [
@@ -157,10 +161,13 @@ HUGE_KAPPA = "1.7e308+1.7e308i"  # finite, with a modulus past the double range
     ["zeros", "--kind=geronimus", f"--kappa={HUGE_KAPPA}", "--n-list=5"],
     *(["verify", f"--suite={suite}", f"--kappa={HUGE_KAPPA}"]
       for suite in ("strips", "m-identities", "r1", "r2", "factorization")),
+    ["transform", f"--geronimus={FAR_KAPPA}"],
+    *(["verify", f"--suite={suite}", f"--kappa={FAR_KAPPA}"] for suite in ("r1", "r2")),
 ])
 def test_a_kappa_past_the_double_range_is_one_error_line(argv, capsys):
     """|kappa| overflowed in the breakdown scale of the ratio run and in the
-    tail seed of the continued fraction, and escaped as a bare OverflowError."""
+    tail seed of the continued fraction, and escaped as a bare OverflowError;
+    at FAR_KAPPA the tails underflow (see there)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.main([*argv, "--family=chebyshev1"]) == 1

@@ -60,6 +60,16 @@ def test_disagreement_raises_naming_both_values(off_by_1e8, name, kind):
 
 
 @pytest.mark.parametrize("name", CALLS)
+def test_a_nan_quadrature_fails(monkeypatch, name):
+    """The integrand runs with numpy's warnings off (past the double range it
+    overflows), so a nan it leaves fails the comparison, as a number off by
+    1e-8 does."""
+    monkeypatch.setattr(darboux, "adaptive_integral", lambda *a, **kw: complex("nan"))
+    with pytest.raises(QuadratureError, match="disagree: \\(nan"):
+        CALLS[name](family_coeffs("chebyshev1", 64))
+
+
+@pytest.mark.parametrize("name", CALLS)
 def test_prefix_without_a_family_integrates_nothing(off_by_1e8, name):
     CALLS[name](bare(family_coeffs("chebyshev2", 64)))
     assert off_by_1e8 == []

@@ -21,7 +21,6 @@ from darbouxjac.errors import (
     PoleError,
     PrefixError,
     QuadratureError,
-    QuasiDefinitenessError,
     ResidualCheckError,
 )
 from darbouxjac.polyeval import _scaled_run, eval_P, ratio_sequence
@@ -223,17 +222,19 @@ class TestGeronimusPair:
     @PROPERTY
     @given(prefixes, kappas())
     def test_pair_is_bitwise_the_chain(self, m, kappa):
-        """A, A', both Cauchy values and ``coeffs`` are the two chain steps',
-        bit for bit, and ``coeffs`` is built once."""
+        """A, A' and both Cauchy values are the two chain steps', and the step
+        prefix of varying_measure_polys (on m without its weight, so with no
+        quadrature) is the chain's result, bit for bit."""
         pair, chain = GeronimusPairQuasi(m, kappa), chain_pair(m, kappa)
         assert pair.s0star == chain.steps[0]["s0star"]
         assert pair.s0starstar == chain.steps[1]["s0star"]
         for got, step in zip((pair.A, pair.Ap), chain.steps):
             assert np.array_equal(got, np.concatenate(([0j], -step["ratio_seq"])))
         ref = chain.coeffs()
-        assert np.array_equal(pair.coeffs.c, ref.c) and np.array_equal(pair.coeffs.lam, ref.lam)
-        assert pair.coeffs.s0 == ref.s0
-        assert pair.coeffs is pair.coeffs
+        got = varying_measure_polys(RecurrenceCoeffs(c=m.c, lam=m.lam, s0=m.s0), [kappa], 0)
+        got = got.step_prefixes[1]
+        assert np.array_equal(got.c, ref.c) and np.array_equal(got.lam, ref.lam)
+        assert got.s0 == ref.s0
 
     def test_second_step_breakdown_raises_at_construction(self):
         """A prefix whose first step lands on one that breaks down at conj kappa
@@ -257,31 +258,21 @@ class TestGeronimusPair:
             GeronimusPairQuasi(family_coeffs("chebyshev1", n_max), 0.3 + 0.5j)
         GeronimusPairQuasi(family_coeffs("chebyshev1", 6), 0.3 + 0.5j)
 
-    @pytest.mark.parametrize("spoil, error, message", [
-        (lambda c, lam: lam.__setitem__(5, 0j), QuasiDefinitenessError, "lambda_7 = 0"),
-        (lambda c, lam: c.__setitem__(5, complex("nan")), ConfigurationError,
-         r"c_6 \(c\[5\]\) = \(nan\+0j\) is not finite"),
-    ], ids=["zero-lambda", "nan-c"])
-    def test_second_step_coefficients_are_checked_on_first_read(
-            self, cheb1, monkeypatch, spoil, error, message):
-        """The one change of behaviour: the second step's coefficients, and
-        so their checks (finite entries, nonzero lambda), come on the first
-        read of ``coeffs``; the quasi-orthogonal data needs none of them (the
-        pair's first call of the step asks for no coefficients)."""
-        real = rseq._geronimus_step
-
-        def spoiled(*args, **kwargs):
-            c, lam, s0star, w = real(*args, **kwargs)
-            if c is not None:
-                spoil(c, lam)
-            return c, lam, s0star, w
-
-        monkeypatch.setattr(rseq, "_geronimus_step", spoiled)
-        pair = GeronimusPairQuasi(cheb1, 0.3 - 0.5j)
-        assert np.array_equal(pair.quasi([30]), [[pair.tilde_C[30]], [pair.tilde_D[30]]])
-        for _ in range(2):  # a failed build is not cached
-            with pytest.raises(error, match=message):
-                pair.coeffs
+    def test_second_step_forms_no_coefficients(self, cheb1, monkeypatch):
+        """The pair's second step runs no difference loop and makes no
+        ``_dqd_coeffs`` call: the quasi-orthogonal data needs none of its
+        coefficients.  varying_measure_polys takes the same pair with them."""
+        diffs, dqd, run, coeffs = [], [], darboux._cauchy_run, darboux._dqd_coeffs
+        monkeypatch.setattr(darboux, "_cauchy_run",
+                            lambda *a, **kw: diffs.append(kw["diffs"]) or run(*a, **kw))
+        monkeypatch.setattr(darboux, "_dqd_coeffs", lambda c, *a: dqd.append(len(c)) or coeffs(c, *a))
+        n = cheb1.n_max
+        GeronimusPairQuasi(cheb1, 0.3 - 0.5j)
+        assert (diffs, dqd) == ([True, False], [n])
+        diffs.clear()
+        dqd.clear()
+        varying_measure_polys(cheb1, [0.3 - 0.5j], 0)
+        assert (diffs, dqd) == ([True, True], [n, n - 2])
 
 
 def test_one_r2_length_rule(monkeypatch):
@@ -392,14 +383,16 @@ class TestVaryingMeasure:
         sites = [1j, 2j, 1 + 1j, -1 + 1j, 0.5 + 0.5j][:count]
         base = family_coeffs("chebyshev1", need)
         bare = RecurrenceCoeffs(c=base.c, lam=base.lam)
-        assert len(varying_measure_polys(bare, sites, 0).step_prefixes) == count + 1
-        steps, apply = [], GeronimusChain.apply
+        steps, step = [], rseq._cauchy_step
 
-        def counted(chain, kappa):
+        def counted(base, m, kappa, *args):
             steps.append(kappa)
-            apply(chain, kappa)
+            return step(base, m, kappa, *args)
 
-        monkeypatch.setattr(GeronimusChain, "apply", counted)
+        monkeypatch.setattr(rseq, "_cauchy_step", counted)
+        assert len(varying_measure_polys(bare, sites, 0).step_prefixes) == count + 1
+        assert len(steps) == 2 * count  # the hook sees every step
+        steps.clear()
         with pytest.raises(PrefixError, match=f"needs a prefix of length >= {need}$"):
             varying_measure_polys(bare.truncated(need - 1), sites, 0)
         final = need - 4 * count
@@ -1123,6 +1116,8 @@ def test_the_pair_refuses_a_real_kappa_before_any_step(cheb1, monkeypatch, kappa
     def tripwire(*args, **kwargs):
         raise AssertionError("a Geronimus step ran before the site check")
 
-    monkeypatch.setattr(rseq, "GeronimusChain", tripwire)
+    monkeypatch.setattr(rseq, "_cauchy_step", tripwire)
     with pytest.raises(ConfigurationError, match="^conjugate-pair Geronimus needs a nonreal kappa$"):
         GeronimusPairQuasi(cheb1, kappa)
+    with pytest.raises(AssertionError, match="before the site check"):  # the wire is live
+        GeronimusPairQuasi(cheb1, kappa + 0.5j)

@@ -6,9 +6,11 @@
   one PrefixError message, before any step runs.
 * Leading terms: the first n terms of the result of a forward step read the
   leading max(n, 2) + 2 terms of the input (``_leading``).
-* Cauchy value: a real kappa inside a preset's support has none, and every
-  Cauchy step refuses it; one quadrature (``_cross_check``) checks the value
-  of one site or of a chain of sites against the preset's weight.
+* Cauchy value: every Geronimus step at it is one routine,
+  ``darboux._cauchy_step``.  A real kappa inside a preset's support has
+  none, and the step refuses it, as it refuses a continued-fraction tail
+  that left the double range; one quadrature (``_cross_check``) checks the
+  value of one site or of a chain of sites against the preset's weight.
 """
 import json
 import re
@@ -19,11 +21,12 @@ import pytest
 import darbouxjac
 from darbouxjac import cli, darboux, polyeval, rseq
 from darbouxjac._quadrature import gauss_nodes
-from darbouxjac.core import family_coeffs
+from darbouxjac.core import RecurrenceCoeffs, family_coeffs
 from darbouxjac.darboux import (GeronimusChain, TransformPoint, cauchy_s0star, christoffel,
                                 christoffel_two, geronimus, geronimus_cauchy, kernel_eval)
-from darbouxjac.errors import ConfigurationError, PrefixError, QuadratureError
-from darbouxjac.rseq import GeronimusPairQuasi, R2System, varying_measure_polys
+from darbouxjac.errors import (ConfigurationError, EvaluationRangeError, PrefixError,
+                               QuadratureError)
+from darbouxjac.rseq import GeronimusPairQuasi, R1System, R2System, varying_measure_polys
 from test_quadrature_crosscheck import bare
 
 KAPPA = 0.3 + 0.5j
@@ -32,10 +35,11 @@ KAPPA = 0.3 + 0.5j
 @pytest.fixture
 def runs(monkeypatch):
     """The names of the forward ratio runs and backward tail runs made, at
-    every binding of the two kernels."""
+    every binding of the two kernels, and of the backward runs of the one
+    Cauchy step (``_cauchy_run``, which only ``darboux`` binds)."""
     made = []
     for module, name in ((polyeval, "_ratio_run"), (darboux, "_ratio_run"), (darboux, "_tails"),
-                         (rseq, "_tails")):
+                         (darboux, "_cauchy_run")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             made.append(_name)
             return _real(*args, **kwargs)
@@ -143,6 +147,72 @@ def test_a_chain_steps_outside_the_support_and_without_a_family(monkeypatch):
     chain.apply(2.0)
     assert chain.steps[0]["s0star"] == want
     GeronimusChain(bare(m)).apply(0.5)
+
+
+def _chain(m, kappa):
+    GeronimusChain(m).apply(kappa)
+
+
+CAUCHY_STEPS = {
+    "geronimus_cauchy": (geronimus_cauchy, [True]),
+    "GeronimusChain.apply": (_chain, [True]),
+    "R1System": (lambda m, kappa: R1System(m, TransformPoint(0.5j), TransformPoint(kappa)),
+                 [False]),
+    "GeronimusPairQuasi": (GeronimusPairQuasi, [True, False]),
+    "varying_measure_polys": (lambda m, kappa: varying_measure_polys(m, [kappa, 2 * kappa], 0),
+                              [True] * 4),
+}
+
+
+@pytest.fixture
+def cauchy_steps(monkeypatch):
+    """The ``coeffs`` flag of each call of the one Cauchy step, at both of its
+    bindings, and the number of backward runs (``_cauchy_run``) made."""
+    steps, backward = [], []
+    real, run = darboux._cauchy_step, darboux._cauchy_run
+
+    def step(base, m, kappa, coeffs=True):
+        steps.append(coeffs)
+        return real(base, m, kappa, coeffs)
+
+    for module in (darboux, rseq):
+        monkeypatch.setattr(module, "_cauchy_step", step)
+    monkeypatch.setattr(darboux, "_cauchy_run", lambda *a, **kw: backward.append(1) or run(*a, **kw))
+    return steps, backward
+
+
+@pytest.mark.parametrize("name", CAUCHY_STEPS)
+def test_every_cauchy_value_step_is_the_one_routine(cauchy_steps, name):
+    """Each caller takes its Geronimus steps at the Cauchy value through
+    ``_cauchy_step``, one call per step, and runs no backward run of its own;
+    R1System and the second step of GeronimusPairQuasi form no coefficients."""
+    call, want = CAUCHY_STEPS[name]
+    call(family_coeffs("chebyshev1", 64), KAPPA)
+    steps, backward = cauchy_steps
+    assert steps == want and len(backward) == len(want)
+
+
+FAR = 1e308 + 1e308j  # every tail of a preset's continued fraction underflows to 0 here
+
+
+@pytest.mark.parametrize("name", CAUCHY_STEPS)
+def test_a_tail_past_the_double_range_is_refused_before_any_coefficient(monkeypatch, name):
+    """Complex division overflowed its scaled denominator, so every tail and
+    the Cauchy value came out 0: the pair's first step divided by zero in
+    ``_dqd_coeffs``, and R1System checked with -t_2 = 0.  One tail that
+    underflows (a c entry of 1e308 + 1e308i) is named by its degree."""
+    def no_coefficients(*args):
+        raise AssertionError("a coefficient was formed")
+
+    monkeypatch.setattr(darboux, "_dqd_coeffs", no_coefficients)
+    call = CAUCHY_STEPS[name][0]
+    m = family_coeffs("chebyshev1", 64)
+    c = m.c.copy()
+    c[10] = FAR
+    for prefix, kappa, degree in ((m, FAR, 0), (RecurrenceCoeffs(c=c, lam=m.lam), KAPPA, 10)):
+        with pytest.raises(EvaluationRangeError) as exc:
+            call(prefix, kappa)
+        assert exc.value.index == degree
 
 
 @pytest.fixture
